@@ -1,12 +1,12 @@
 //! # msgr-bench — the evaluation harness
 //!
 //! One function per figure of the paper (§3.1.2, §3.2.2), each returning
-//! a [`Table`] with exactly the series the paper plots. The binaries in
-//! `src/bin/` print them; EXPERIMENTS.md records the measured outputs
-//! next to the paper's claims. Every data point is verified (image
-//! checksum / product matrix) before its timing is reported.
-
-pub mod harness;
+//! a [`Table`] with exactly the series the paper plots, all on the
+//! simulated clock. `msgr-bench <experiment>` (`src/main.rs`) prints
+//! them; EXPERIMENTS.md records the measured outputs next to the paper's
+//! claims. Every data point is verified (image checksum / product
+//! matrix) before its timing is reported. Host-clock measurements of
+//! this repository's own code live in `benchmark/` (BENCHMARK.json).
 
 use std::sync::Arc;
 
@@ -553,1257 +553,6 @@ pub fn ablation_recovery() -> String {
     )
 }
 
-/// BENCH_0009 — quorum succession and `k`-replicated checkpoints vs the
-/// deterministic next-alive baseline. Emits JSON.
-///
-/// One Mandelbrot workload, one victim daemon, a sweep of kill times ×
-/// cluster seeds; each `(succession, k)` configuration runs the whole
-/// sweep and reports recovery-latency p50/p99 **across the sweep** (one
-/// death verdict → restore latency per run) plus replication cost
-/// counters. The headline numbers are the quorum/deterministic latency
-/// ratios at `k = 2`: consensus adds a round of proposals and promises
-/// before the heir may act, and the acceptance bar is that this costs
-/// at most 3× the baseline's detector-to-restore latency (full mode).
-/// Every run's image checksum is asserted against the sequential
-/// render — burial by majority may be slower, never wrong.
-///
-/// # Panics
-///
-/// Panics if any run fails, produces a wrong image, or never recovers.
-pub fn ablation_quorum(smoke: bool) -> String {
-    use msgr_core::Succession;
-    use msgr_sim::{CrashEvent, FaultPlan, MILLI};
-    let calib = Calib::default();
-    let procs = 8usize;
-    let work = if smoke {
-        Arc::new(MandelWork::compute(MandelScene::paper(64, 4)))
-    } else {
-        Arc::new(MandelWork::compute(MandelScene::paper(128, 8)))
-    };
-    let (_, expected) = render_sequential(&work, &calib);
-    let kill_times: &[u64] = if smoke { &[5, 50] } else { &[5, 20, 50, 100] };
-    let seeds: &[u64] = if smoke { &[42] } else { &[42, 7, 1234] };
-
-    let quantile = |sorted: &[f64], q: f64| -> f64 {
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx]
-    };
-
-    let mut rows = Vec::new();
-    // `(succession, k) → p50 latency` for the summary ratios.
-    let mut p50 = std::collections::HashMap::new();
-    for succession in [Succession::Deterministic, Succession::Quorum] {
-        for k in [1usize, 2, 3] {
-            let mut latencies_ms = Vec::new();
-            let mut seconds = 0.0f64;
-            let mut replicas = 0u64;
-            let mut replica_bytes = 0u64;
-            let mut gossip_merges = 0u64;
-            for &seed in seeds {
-                for &at_ms in kill_times {
-                    let mut cfg = ClusterConfig::new(procs);
-                    cfg.seed = seed;
-                    cfg.succession = succession;
-                    cfg.replication = k;
-                    cfg.faults = FaultPlan {
-                        crashes: vec![CrashEvent::kill(3, at_ms * MILLI)],
-                        ..FaultPlan::none()
-                    };
-                    let r = mandel_msgr::run_sim(&work, procs, &calib, cfg).expect("run");
-                    assert_eq!(
-                        r.checksum, expected,
-                        "image corrupted ({succession:?}, k={k}, kill at {at_ms} ms)"
-                    );
-                    assert_eq!(r.stats.counter("kills"), 1);
-                    assert_eq!(
-                        r.stats.counter("restores"),
-                        1,
-                        "no failover ({succession:?}, k={k})"
-                    );
-                    latencies_ms.push(r.stats.counter("recovery_latency_ns") as f64 / 1e6);
-                    seconds += r.seconds;
-                    replicas += r.stats.counter("ckpt_replicas");
-                    replica_bytes += r.stats.counter("ckpt_replica_bytes");
-                    gossip_merges += r.stats.counter("gossip_merges");
-                }
-            }
-            latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let (lp50, lp99) = (quantile(&latencies_ms, 0.50), quantile(&latencies_ms, 0.99));
-            p50.insert((succession, k), lp50);
-            let name = match succession {
-                Succession::Deterministic => "deterministic",
-                Succession::Quorum => "quorum",
-            };
-            rows.push(format!(
-                concat!(
-                    "    {{\"succession\": \"{}\", \"replication\": {}, \"runs\": {}, ",
-                    "\"recovery_latency_ms_p50\": {:.3}, \"recovery_latency_ms_p99\": {:.3}, ",
-                    "\"mean_seconds\": {:.6}, \"ckpt_replicas\": {}, ",
-                    "\"ckpt_replica_bytes\": {}, \"gossip_merges\": {}}}"
-                ),
-                name,
-                k,
-                latencies_ms.len(),
-                lp50,
-                lp99,
-                seconds / latencies_ms.len() as f64,
-                replicas,
-                replica_bytes,
-                gossip_merges,
-            ));
-        }
-    }
-    let ratio = |k: usize| p50[&(Succession::Quorum, k)] / p50[&(Succession::Deterministic, k)];
-    format!(
-        concat!(
-            "{{\n  \"bench\": \"BENCH_0009\",\n  \"ablation\": \"quorum\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"workload\": \"mandelbrot {}, {} procs, kill daemon 3 at {:?} ms x seeds {:?}\",\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "  \"latency_ratio_p50_k1\": {:.4},\n",
-            "  \"latency_ratio_p50_k2\": {:.4},\n",
-            "  \"latency_ratio_p50_k3\": {:.4}\n}}"
-        ),
-        if smoke { "smoke" } else { "full" },
-        if smoke { "64x64, 4x4 grid" } else { "128x128, 8x8 grid" },
-        procs,
-        kill_times,
-        seeds,
-        rows.join(",\n"),
-        ratio(1),
-        ratio(2),
-        ratio(3),
-    )
-}
-
-/// Schema check for a `BENCH_0009.json` produced by [`ablation_quorum`]:
-/// required keys present, both succession modes recorded at `k` ∈
-/// {1, 2, 3}, every latency and counter finite and non-negative, the
-/// quorum rows actually replicated checkpoints, and — for a
-/// `"mode": "full"` file — the `k = 2` quorum/deterministic p50 latency
-/// ratio at most 3×.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation found.
-pub fn validate_bench_0009(json: &str) -> Result<(), String> {
-    fn number_after(json: &str, key: &str, from: usize) -> Result<f64, String> {
-        let pat = format!("\"{key}\":");
-        let at = json[from..]
-            .find(&pat)
-            .map(|i| from + i + pat.len())
-            .ok_or_else(|| format!("missing key {key:?}"))?;
-        let rest = json[at..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let tok = rest[..end].trim();
-        if tok == "null" {
-            return Err(format!("key {key:?} is null"));
-        }
-        tok.parse::<f64>().map_err(|_| format!("key {key:?} holds non-number {tok:?}"))
-    }
-
-    if !json.contains("\"bench\": \"BENCH_0009\"") {
-        return Err("missing \"bench\": \"BENCH_0009\"".to_string());
-    }
-    for key in ["ablation", "mode", "workload", "rows"] {
-        if !json.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing key {key:?}"));
-        }
-    }
-    for succession in ["deterministic", "quorum"] {
-        if !json.contains(&format!("\"succession\": \"{succession}\"")) {
-            return Err(format!("missing rows for succession {succession:?}"));
-        }
-    }
-    for k in [1, 2, 3] {
-        if !json.contains(&format!("\"replication\": {k},")) {
-            return Err(format!("missing rows for replication k={k}"));
-        }
-    }
-    let mut max_replicas = 0.0f64;
-    for key in [
-        "recovery_latency_ms_p50",
-        "recovery_latency_ms_p99",
-        "mean_seconds",
-        "ckpt_replicas",
-        "ckpt_replica_bytes",
-        "gossip_merges",
-    ] {
-        let pat = format!("\"{key}\":");
-        let mut from = 0usize;
-        let mut seen = false;
-        while let Some(i) = json[from..].find(&pat) {
-            let at = from + i;
-            let v = number_after(json, key, at)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("field {key:?} is negative or non-finite: {v}"));
-            }
-            if key == "ckpt_replicas" {
-                max_replicas = max_replicas.max(v);
-            }
-            seen = true;
-            from = at + pat.len();
-        }
-        if !seen {
-            return Err(format!("missing field {key:?}"));
-        }
-    }
-    if max_replicas < 1.0 {
-        return Err("no row records a pushed replica — write-ahead replication never ran".into());
-    }
-    for key in ["latency_ratio_p50_k1", "latency_ratio_p50_k2", "latency_ratio_p50_k3"] {
-        let v = number_after(json, key, 0)?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    let k2 = number_after(json, "latency_ratio_p50_k2", 0)?;
-    if json.contains("\"mode\": \"full\"") && k2 > 3.0 {
-        return Err(format!(
-            "full-mode k=2 quorum/deterministic p50 latency ratio {k2:.3} above the 3x bar"
-        ));
-    }
-    Ok(())
-}
-
-/// BENCH_0006 — execution lanes + frame batching + local-move hops.
-///
-/// Three workloads, one JSON file:
-///
-/// * **threads / ring**: walkers circulate a ring whose nodes are placed
-///   in contiguous per-daemon blocks, each carrying a payload string —
-///   so most hops are same-daemon and encode/decode cost is visible.
-///   Run once as the `baseline` (lanes=1, no batching, no local move)
-///   and once `optimized` (lanes=4 + batching + local move); the
-///   messengers/sec ratio between the two rows is the PR's headline
-///   speedup and must reach ≥1.5× in full mode.
-/// * **threads / scatter**: messengers at a hub replicate to 16 spokes
-///   on one remote daemon, so every flush coalesces a full batch —
-///   proving `batch_flushes`/`batch_frames` move under the optimized
-///   config (asserted even in smoke mode; it is deterministic).
-/// * **sim / lossy ring**: the same ring under 5% frame loss with the
-///   reliable transport, recording the xport delivery p50/p99 the
-///   trajectory tracks.
-///
-/// Every data point is verified before its timing is reported (visit /
-/// delivery counts), mirroring the rest of this harness.
-///
-/// # Panics
-///
-/// Panics if any run fails, any verification count is off, or the
-/// optimized threads run never forms a batch.
-pub fn ablation_lanes(smoke: bool) -> String {
-    use msgr_core::topology::LogicalTopology;
-    use msgr_core::{BatchPolicy, DaemonId, ThreadCluster};
-    use msgr_sim::FaultPlan;
-    use msgr_vm::{Dir, Value};
-
-    const LANE_WALK: &str = r#"
-    lanewalk(passes, payload) {
-        int i = 0;
-        node int visits;
-        visits = visits + 1;
-        while (i < passes) {
-            hop(ll = "ring"; ldir = +);
-            visits = visits + 1;
-            i = i + 1;
-        }
-    }
-    "#;
-    const SCATTER: &str = r#"
-    scatter() {
-        node int seen;
-        hop(ll = "out"; ldir = +);
-        seen = seen + 1;
-    }
-    "#;
-
-    let daemons = 4usize;
-    let (nodes, walkers, passes, payload_len) =
-        if smoke { (16usize, 16usize, 12i64, 512usize) } else { (64, 256, 192, 4096) };
-    let (spokes, scatters) = if smoke { (8usize, 8usize) } else { (16, 128) };
-    let repeats = if smoke { 1 } else { 3 };
-
-    let ring_topo = |nodes: usize| {
-        let block = nodes.div_ceil(daemons);
-        let mut topo = LogicalTopology::new();
-        for i in 0..nodes {
-            topo.node(Value::str(format!("p{i}")), DaemonId((i / block) as u16));
-        }
-        for i in 0..nodes {
-            topo.link(
-                Value::str(format!("p{i}")),
-                Value::str(format!("p{}", (i + 1) % nodes)),
-                Value::str("ring"),
-                Dir::Forward,
-            );
-        }
-        topo
-    };
-    let lane_cfg = |lanes: usize, batch: bool, local_move: bool| {
-        let mut cfg = ClusterConfig::new(daemons);
-        cfg.seed = 42;
-        cfg.lanes = lanes;
-        cfg.batch = if batch { BatchPolicy::on() } else { BatchPolicy::off() };
-        cfg.local_move = local_move;
-        cfg
-    };
-    let payload = Value::str("x".repeat(payload_len));
-
-    // One verified threads ring run; returns (wall seconds, merged stats).
-    let ring_threads = |lanes: usize, batch: bool, local_move: bool| {
-        let mut cluster =
-            ThreadCluster::new(lane_cfg(lanes, batch, local_move)).expect("threads cluster");
-        cluster.build(&ring_topo(nodes)).expect("build ring");
-        let pid = cluster.register_program(&msgr_lang::compile(LANE_WALK).expect("compile"));
-        for m in 0..walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % nodes)),
-                    pid,
-                    &[Value::Int(passes), payload.clone()],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("threads run");
-        assert!(rep.faults.is_empty(), "ring faults: {:?}", rep.faults);
-        let mut visits = 0i64;
-        for i in 0..nodes {
-            if let Some(Value::Int(v)) =
-                cluster.node_var_by_name(&Value::str(format!("p{i}")), "visits")
-            {
-                visits += v;
-            }
-        }
-        assert_eq!(
-            visits,
-            walkers as i64 * (passes + 1),
-            "ring visits wrong (lanes={lanes} batch={batch} move={local_move})"
-        );
-        (rep.wall_seconds, rep.stats)
-    };
-    // Best-of-N to shave scheduler noise off the wall-clock rows.
-    let ring_best = |lanes: usize, batch: bool, local_move: bool| {
-        let mut best: Option<(f64, msgr_sim::Stats)> = None;
-        for _ in 0..repeats {
-            let (w, s) = ring_threads(lanes, batch, local_move);
-            if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-                best = Some((w, s));
-            }
-        }
-        best.expect("at least one repeat")
-    };
-
-    let ring_row = |config: &str,
-                    lanes: usize,
-                    batch: bool,
-                    local_move: bool,
-                    wall: f64,
-                    stats: &msgr_sim::Stats| {
-        let retired = stats.counter("terminated");
-        let hops = stats.counter("hops");
-        format!(
-            concat!(
-                "    {{\"platform\": \"threads\", \"workload\": \"ring\", \"config\": \"{}\", ",
-                "\"lanes\": {}, \"batch\": {}, \"local_move\": {}, ",
-                "\"wall_seconds\": {:.6}, \"messengers_per_sec\": {:.1}, \"hops_per_sec\": {:.1}, ",
-                "\"hops\": {}, \"retired\": {}, \"migration_bytes\": {}, \"lane_steals\": {}, ",
-                "\"batch_flushes\": {}, \"batch_frames\": {}, \"batch_bytes_saved\": {}}}"
-            ),
-            config,
-            lanes,
-            batch,
-            local_move,
-            wall,
-            retired as f64 / wall.max(1e-9),
-            hops as f64 / wall.max(1e-9),
-            hops,
-            retired,
-            stats.counter("migration_bytes"),
-            stats.counter("lane_steals"),
-            stats.counter("batch_flushes"),
-            stats.counter("batch_frames"),
-            stats.counter("batch_bytes_saved"),
-        )
-    };
-
-    let (base_wall, base_stats) = ring_best(1, false, false);
-    let (opt_wall, opt_stats) = ring_best(4, true, true);
-    let base_rate = base_stats.counter("terminated") as f64 / base_wall.max(1e-9);
-    let opt_rate = opt_stats.counter("terminated") as f64 / opt_wall.max(1e-9);
-    let speedup = opt_rate / base_rate.max(1e-9);
-
-    // Scatter: hub on daemon 0, all spokes on daemon 1 — every hop is a
-    // 16-way replicate to one peer, so batching must fire.
-    let scatter_run = || {
-        let mut cluster = ThreadCluster::new(lane_cfg(4, true, true)).expect("threads cluster");
-        let mut topo = LogicalTopology::new();
-        topo.node(Value::str("hub"), DaemonId(0));
-        for i in 0..spokes {
-            topo.node(Value::str(format!("s{i}")), DaemonId(1));
-            topo.link(
-                Value::str("hub"),
-                Value::str(format!("s{i}")),
-                Value::str("out"),
-                Dir::Forward,
-            );
-        }
-        cluster.build(&topo).expect("build star");
-        let pid = cluster.register_program(&msgr_lang::compile(SCATTER).expect("compile"));
-        for _ in 0..scatters {
-            cluster.inject_at(&Value::str("hub"), pid, &[]).expect("inject");
-        }
-        let rep = cluster.run().expect("threads run");
-        assert!(rep.faults.is_empty(), "scatter faults: {:?}", rep.faults);
-        let mut seen = 0i64;
-        for i in 0..spokes {
-            if let Some(Value::Int(v)) =
-                cluster.node_var_by_name(&Value::str(format!("s{i}")), "seen")
-            {
-                seen += v;
-            }
-        }
-        assert_eq!(seen, (scatters * spokes) as i64, "scatter deliveries wrong");
-        assert!(
-            rep.stats.counter("batch_frames") >= (scatters * 2) as u64,
-            "scatter fan-out never batched: {} frames",
-            rep.stats.counter("batch_frames")
-        );
-        rep
-    };
-    let sc = scatter_run();
-    let scatter_row = format!(
-        concat!(
-            "    {{\"platform\": \"threads\", \"workload\": \"scatter\", ",
-            "\"config\": \"lanes4_batch_move\", \"lanes\": 4, \"batch\": true, ",
-            "\"local_move\": true, \"wall_seconds\": {:.6}, \"messengers_per_sec\": {:.1}, ",
-            "\"hops_per_sec\": {:.1}, \"hops\": {}, \"retired\": {}, \"migration_bytes\": {}, ",
-            "\"lane_steals\": {}, \"batch_flushes\": {}, \"batch_frames\": {}, ",
-            "\"batch_bytes_saved\": {}}}"
-        ),
-        sc.wall_seconds,
-        sc.stats.counter("terminated") as f64 / sc.wall_seconds.max(1e-9),
-        sc.stats.counter("hops") as f64 / sc.wall_seconds.max(1e-9),
-        sc.stats.counter("hops"),
-        sc.stats.counter("terminated"),
-        sc.stats.counter("migration_bytes"),
-        sc.stats.counter("lane_steals"),
-        sc.stats.counter("batch_flushes"),
-        sc.stats.counter("batch_frames"),
-        sc.stats.counter("batch_bytes_saved"),
-    );
-
-    // Sim row: the same ring under 5% loss, reliable transport — the
-    // delivery-latency quantiles the trajectory tracks.
-    let sim_row = {
-        let (sim_nodes, sim_walkers, sim_passes) =
-            if smoke { (8usize, 4usize, 10i64) } else { (16, 8, 30) };
-        let mut cfg = lane_cfg(4, true, false);
-        cfg.faults = FaultPlan::lossy(0.05);
-        let mut cluster = msgr_core::SimCluster::new(cfg);
-        cluster.build(&ring_topo(sim_nodes)).expect("build sim ring");
-        let pid = cluster.register_program(&msgr_lang::compile(LANE_WALK).expect("compile"));
-        for m in 0..sim_walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % sim_nodes)),
-                    pid,
-                    &[Value::Int(sim_passes), Value::str("x".repeat(256))],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("sim run");
-        assert!(rep.faults.is_empty(), "sim faults: {:?}", rep.faults);
-        assert_eq!(rep.stats.counter("xport_gave_up"), 0);
-        format!(
-            concat!(
-                "    {{\"platform\": \"sim\", \"workload\": \"lossy_ring\", ",
-                "\"config\": \"lanes4_batch\", \"lanes\": 4, \"batch\": true, ",
-                "\"local_move\": false, \"loss\": 0.05, \"sim_seconds\": {:.6}, ",
-                "\"hops\": {}, \"retired\": {}, \"xport_retransmits\": {}, {}}}"
-            ),
-            rep.sim_seconds,
-            rep.stats.counter("hops"),
-            rep.stats.counter("terminated"),
-            rep.stats.counter("xport_retransmits"),
-            quantile_fields(&rep.stats, "xport_delivery_ns"),
-        )
-    };
-
-    let base_row = ring_row("baseline", 1, false, false, base_wall, &base_stats);
-    let opt_row = ring_row("lanes4_batch_move", 4, true, true, opt_wall, &opt_stats);
-    format!(
-        concat!(
-            "{{\n  \"bench\": \"BENCH_0006\",\n  \"ablation\": \"lanes\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"workload\": \"ring {} nodes x {} walkers x {} hops (payload {} B), ",
-            "scatter {}x{}, {} daemons\",\n",
-            "  \"rows\": [\n{},\n{},\n{},\n{}\n  ],\n",
-            "  \"speedup_messengers_per_sec\": {:.3}\n}}"
-        ),
-        if smoke { "smoke" } else { "full" },
-        nodes,
-        walkers,
-        passes,
-        payload_len,
-        scatters,
-        spokes,
-        daemons,
-        base_row,
-        opt_row,
-        scatter_row,
-        sim_row,
-        speedup,
-    )
-}
-
-/// Schema check for a `BENCH_0006.json` produced by [`ablation_lanes`]:
-/// required top-level and per-row keys present, every counter
-/// non-negative and parseable, and — for a `"mode": "full"` file — the
-/// recorded threads speedup at least 1.5×.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation found.
-pub fn validate_bench_0006(json: &str) -> Result<(), String> {
-    fn number_after(json: &str, key: &str, from: usize) -> Result<f64, String> {
-        let pat = format!("\"{key}\":");
-        let at = json[from..]
-            .find(&pat)
-            .map(|i| from + i + pat.len())
-            .ok_or_else(|| format!("missing key {key:?}"))?;
-        let rest = json[at..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let tok = rest[..end].trim();
-        if tok == "null" {
-            return Err(format!("key {key:?} is null"));
-        }
-        tok.parse::<f64>().map_err(|_| format!("key {key:?} holds non-number {tok:?}"))
-    }
-
-    if !json.contains("\"bench\": \"BENCH_0006\"") {
-        return Err("missing \"bench\": \"BENCH_0006\"".to_string());
-    }
-    for key in ["ablation", "mode", "workload", "rows"] {
-        if !json.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing key {key:?}"));
-        }
-    }
-    // Rate metrics must exist somewhere in the rows.
-    for key in
-        ["messengers_per_sec", "hops_per_sec", "xport_delivery_ns_p50", "xport_delivery_ns_p99"]
-    {
-        number_after(json, key, 0)?;
-    }
-    // Counters: every occurrence parses and is non-negative.
-    for key in [
-        "hops",
-        "retired",
-        "migration_bytes",
-        "lane_steals",
-        "batch_flushes",
-        "batch_frames",
-        "batch_bytes_saved",
-        "xport_retransmits",
-    ] {
-        let pat = format!("\"{key}\":");
-        let mut from = 0usize;
-        let mut seen = false;
-        while let Some(i) = json[from..].find(&pat) {
-            let at = from + i;
-            let v = number_after(json, key, at)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("counter {key:?} is negative or non-finite: {v}"));
-            }
-            seen = true;
-            from = at + pat.len();
-        }
-        if !seen {
-            return Err(format!("missing counter {key:?}"));
-        }
-    }
-    let speedup = number_after(json, "speedup_messengers_per_sec", 0)?;
-    if json.contains("\"mode\": \"full\"") && speedup < 1.5 {
-        return Err(format!("full-mode speedup {speedup:.3} below the 1.5x acceptance bar"));
-    }
-    if speedup <= 0.0 {
-        return Err(format!("speedup must be positive, got {speedup}"));
-    }
-    Ok(())
-}
-
-// The Douady-rabbit parameter keeps the orbit bounded, so the floats
-// stay finite and every iteration does real arithmetic. Shared by
-// BENCH_0007 (compiled vs interp) and BENCH_0008 (summaries on vs off):
-// both inner loops are call-free, counted, and Add/Sub/Mul-only, so the
-// interprocedural analysis licenses the typed-loop fusion on them.
-const MANDEL_LOOP: &str = r#"
-    mloop(passes, iters) {
-        int i = 0;
-        int k;
-        float zr; float zi; float cr; float ci; float t;
-        float acc = 0.0;
-        node float field;
-        node int visits;
-        visits = visits + 1;
-        while (i < passes) {
-            cr = 0.0 - 0.1226;
-            ci = 0.7449;
-            zr = 0.0;
-            zi = 0.0;
-            k = 0;
-            while (k < iters) {
-                t = zr * zr - zi * zi + cr;
-                zi = 2.0 * zr * zi + ci;
-                zr = t;
-                k = k + 1;
-            }
-            acc = acc + zr + zi;
-            hop(ll = "ring"; ldir = +);
-            field = field + acc;
-            visits = visits + 1;
-            i = i + 1;
-        }
-    }
-    "#;
-const MATMUL_LOOP: &str = r#"
-    dloop(passes, n) {
-        int i = 0;
-        int k;
-        float sum; float aa; float bb;
-        node float cell;
-        node int visits;
-        visits = visits + 1;
-        while (i < passes) {
-            sum = 0.0;
-            aa = 1.25;
-            bb = 0.75;
-            k = 0;
-            while (k < n) {
-                sum = sum + aa * bb;
-                aa = aa + 0.125;
-                bb = bb - 0.0625;
-                k = k + 1;
-            }
-            hop(ll = "ring"; ldir = +);
-            cell = cell + sum;
-            visits = visits + 1;
-            i = i + 1;
-        }
-    }
-    "#;
-
-/// BENCH_0007 — closure-compiled execution vs the interpreter.
-///
-/// Two ring-walker workloads on the threads platform whose per-hop
-/// segment is a tight arithmetic inner loop written in MSGR-C — the
-/// shapes the closure compiler's superinstructions target:
-///
-/// * **mandel_loop**: the Mandelbrot escape iteration (`z = z² + c` on
-///   a bounded orbit) — float mul/add chains through locals, a
-///   compare-and-branch loop head, and a fused `load/hop`.
-/// * **matmul_loop**: a dot-product accumulation (`sum += a·b` with
-///   strided updates) — the matmul block kernel's inner shape.
-///
-/// Each workload runs under `ExecMode::Interp` and `ExecMode::Compiled`
-/// with identical seed and topology. Before any timing is reported the
-/// same program is run on the *sim* platform under both engines and the
-/// node-variable state (every `field`/`visits` value, bit for bit) plus
-/// the simulated clock must match exactly — the bench refuses to time
-/// engines that disagree. Wall-clock rows then come from best-of-N
-/// threads runs, each verified by its exact visit count.
-///
-/// The artifact records the interpreter baseline and the compiled rows
-/// side by side; the headline `speedup_min_hops_per_sec` is the *worst*
-/// compiled/interp hops-per-sec ratio across the workloads and must
-/// reach ≥3× in full mode (the PR's acceptance bar).
-///
-/// # Panics
-///
-/// Panics if any run fails, any verification count is off, or the two
-/// engines produce different sim-platform state.
-pub fn ablation_compile(smoke: bool) -> String {
-    use msgr_core::topology::LogicalTopology;
-    use msgr_core::{DaemonId, ExecMode, SimCluster, ThreadCluster};
-    use msgr_vm::{Dir, Value};
-
-    let daemons = 4usize;
-    let (nodes, walkers, passes, iters) =
-        if smoke { (8usize, 8usize, 6i64, 64i64) } else { (16, 32, 64, 1024) };
-    let repeats = if smoke { 1 } else { 3 };
-
-    let ring_topo = |nodes: usize| {
-        let block = nodes.div_ceil(daemons);
-        let mut topo = LogicalTopology::new();
-        for i in 0..nodes {
-            topo.node(Value::str(format!("p{i}")), DaemonId((i / block) as u16));
-        }
-        for i in 0..nodes {
-            topo.link(
-                Value::str(format!("p{i}")),
-                Value::str(format!("p{}", (i + 1) % nodes)),
-                Value::str("ring"),
-                Dir::Forward,
-            );
-        }
-        topo
-    };
-    let cfg_for = |exec: ExecMode| {
-        let mut cfg = ClusterConfig::new(daemons);
-        cfg.seed = 42;
-        cfg.exec = exec;
-        cfg
-    };
-    let fnv = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-
-    // Deterministic cross-engine gate: run the workload on the sim
-    // platform under `exec` and digest every node variable bit plus the
-    // simulated clock. Interp and Compiled must produce the same u64.
-    let sim_digest = |script: &str, exec: ExecMode| -> u64 {
-        let (d_nodes, d_walkers, d_passes, d_iters) = (8usize, 4usize, 4i64, iters.min(128));
-        let mut cluster = SimCluster::new(cfg_for(exec));
-        cluster.build(&ring_topo(d_nodes)).expect("build sim ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..d_walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % d_nodes)),
-                    pid,
-                    &[Value::Int(d_passes), Value::Int(d_iters)],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("sim run");
-        assert!(rep.faults.is_empty(), "sim faults: {:?}", rep.faults);
-        let mut h: u64 = 0xcbf29ce484222325;
-        fnv(&mut h, &rep.sim_seconds.to_bits().to_le_bytes());
-        for i in 0..d_nodes {
-            for var in ["field", "cell", "visits"] {
-                match cluster.node_var_by_name(&Value::str(format!("p{i}")), var) {
-                    Some(Value::Float(f)) => fnv(&mut h, &f.to_bits().to_le_bytes()),
-                    Some(Value::Int(v)) => fnv(&mut h, &v.to_le_bytes()),
-                    _ => fnv(&mut h, &[0xFF]),
-                }
-            }
-        }
-        h
-    };
-
-    // One verified threads run; returns (wall seconds, merged stats).
-    let run_threads = |script: &str, exec: ExecMode| {
-        let mut cluster = ThreadCluster::new(cfg_for(exec)).expect("threads cluster");
-        cluster.build(&ring_topo(nodes)).expect("build ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % nodes)),
-                    pid,
-                    &[Value::Int(passes), Value::Int(iters)],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("threads run");
-        assert!(rep.faults.is_empty(), "ring faults: {:?}", rep.faults);
-        let mut visits = 0i64;
-        for i in 0..nodes {
-            if let Some(Value::Int(v)) =
-                cluster.node_var_by_name(&Value::str(format!("p{i}")), "visits")
-            {
-                visits += v;
-            }
-        }
-        assert_eq!(visits, walkers as i64 * (passes + 1), "visit count wrong ({exec:?})");
-        (rep.wall_seconds, rep.stats)
-    };
-    // Best-of-N to shave scheduler noise off the wall-clock rows.
-    let best_of = |script: &str, exec: ExecMode| {
-        let mut best: Option<(f64, msgr_sim::Stats)> = None;
-        for _ in 0..repeats {
-            let (w, s) = run_threads(script, exec);
-            if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-                best = Some((w, s));
-            }
-        }
-        best.expect("at least one repeat")
-    };
-
-    let row = |workload: &str, engine: &str, wall: f64, stats: &msgr_sim::Stats| {
-        let hops = stats.counter("hops");
-        let ops = stats.counter("ops");
-        format!(
-            concat!(
-                "    {{\"platform\": \"threads\", \"workload\": \"{}\", \"engine\": \"{}\", ",
-                "\"wall_seconds\": {:.6}, \"hops_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, ",
-                "\"hops\": {}, \"ops\": {}, \"compile_programs\": {}, ",
-                "\"compile_superinsts\": {}, \"compile_steps\": {}, \"compile_cache_hits\": {}}}"
-            ),
-            workload,
-            engine,
-            wall,
-            hops as f64 / wall.max(1e-9),
-            ops as f64 / wall.max(1e-9),
-            hops,
-            ops,
-            stats.counter("compile_programs"),
-            stats.counter("compile_superinsts"),
-            stats.counter("compile_steps"),
-            stats.counter("compile_cache_hits"),
-        )
-    };
-
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for (name, script) in [("mandel_loop", MANDEL_LOOP), ("matmul_loop", MATMUL_LOOP)] {
-        let di = sim_digest(script, ExecMode::Interp);
-        let dc = sim_digest(script, ExecMode::Compiled);
-        assert_eq!(di, dc, "{name}: engines disagree on sim-platform state — refusing to time");
-        let (iw, is) = best_of(script, ExecMode::Interp);
-        let (cw, cs) = best_of(script, ExecMode::Compiled);
-        assert!(cs.counter("compile_programs") > 0, "{name}: compiled run never compiled anything");
-        assert!(cs.counter("compile_superinsts") > 0, "{name}: no superinstructions formed");
-        let interp_rate = is.counter("hops") as f64 / iw.max(1e-9);
-        let compiled_rate = cs.counter("hops") as f64 / cw.max(1e-9);
-        rows.push(row(name, "interp", iw, &is));
-        rows.push(row(name, "compiled", cw, &cs));
-        speedups.push((name, compiled_rate / interp_rate.max(1e-9)));
-    }
-    let min_speedup = speedups.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-
-    format!(
-        concat!(
-            "{{\n  \"bench\": \"BENCH_0007\",\n  \"ablation\": \"compile\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"workload\": \"ring {} nodes x {} walkers x {} hops, {} inner iters/hop, ",
-            "{} daemons\",\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "  \"speedup_mandel_hops_per_sec\": {:.3},\n",
-            "  \"speedup_matmul_hops_per_sec\": {:.3},\n",
-            "  \"speedup_min_hops_per_sec\": {:.3}\n}}"
-        ),
-        if smoke { "smoke" } else { "full" },
-        nodes,
-        walkers,
-        passes,
-        iters,
-        daemons,
-        rows.join(",\n"),
-        speedups[0].1,
-        speedups[1].1,
-        min_speedup,
-    )
-}
-
-/// Schema check for a `BENCH_0007.json` produced by [`ablation_compile`]:
-/// required top-level and per-row keys present, both engines recorded for
-/// both workloads, every counter non-negative and parseable, and — for a
-/// `"mode": "full"` file — the recorded worst-case compiled/interp
-/// hops-per-sec speedup at least 3×.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation found.
-pub fn validate_bench_0007(json: &str) -> Result<(), String> {
-    fn number_after(json: &str, key: &str, from: usize) -> Result<f64, String> {
-        let pat = format!("\"{key}\":");
-        let at = json[from..]
-            .find(&pat)
-            .map(|i| from + i + pat.len())
-            .ok_or_else(|| format!("missing key {key:?}"))?;
-        let rest = json[at..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let tok = rest[..end].trim();
-        if tok == "null" {
-            return Err(format!("key {key:?} is null"));
-        }
-        tok.parse::<f64>().map_err(|_| format!("key {key:?} holds non-number {tok:?}"))
-    }
-
-    if !json.contains("\"bench\": \"BENCH_0007\"") {
-        return Err("missing \"bench\": \"BENCH_0007\"".to_string());
-    }
-    for key in ["ablation", "mode", "workload", "rows"] {
-        if !json.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing key {key:?}"));
-        }
-    }
-    // Both engines must appear for both workloads — the artifact records
-    // the interpreter baseline next to the compiled numbers by design.
-    for workload in ["mandel_loop", "matmul_loop"] {
-        if !json.contains(&format!("\"workload\": \"{workload}\"")) {
-            return Err(format!("missing rows for workload {workload:?}"));
-        }
-    }
-    for engine in ["interp", "compiled"] {
-        if !json.contains(&format!("\"engine\": \"{engine}\"")) {
-            return Err(format!("missing rows for engine {engine:?}"));
-        }
-    }
-    // Rate metrics must exist somewhere in the rows.
-    for key in ["hops_per_sec", "ops_per_sec", "wall_seconds"] {
-        number_after(json, key, 0)?;
-    }
-    // Counters: every occurrence parses and is non-negative.
-    for key in [
-        "hops",
-        "ops",
-        "compile_programs",
-        "compile_superinsts",
-        "compile_steps",
-        "compile_cache_hits",
-    ] {
-        let pat = format!("\"{key}\":");
-        let mut from = 0usize;
-        let mut seen = false;
-        while let Some(i) = json[from..].find(&pat) {
-            let at = from + i;
-            let v = number_after(json, key, at)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("counter {key:?} is negative or non-finite: {v}"));
-            }
-            seen = true;
-            from = at + pat.len();
-        }
-        if !seen {
-            return Err(format!("missing counter {key:?}"));
-        }
-    }
-    for key in ["speedup_mandel_hops_per_sec", "speedup_matmul_hops_per_sec"] {
-        let v = number_after(json, key, 0)?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    let min_speedup = number_after(json, "speedup_min_hops_per_sec", 0)?;
-    if json.contains("\"mode\": \"full\"") && min_speedup < 3.0 {
-        return Err(format!(
-            "full-mode worst-case speedup {min_speedup:.3} below the 3x acceptance bar"
-        ));
-    }
-    if min_speedup <= 0.0 {
-        return Err(format!("speedup must be positive, got {min_speedup}"));
-    }
-    Ok(())
-}
-
-/// BENCH_0008 — summary-guided compilation vs plain compilation.
-///
-/// The interprocedural-analysis ablation: the same two ring-walker
-/// workloads as BENCH_0007, both run under `ExecMode::Compiled`, with
-/// the whole-program effect analysis toggled per run
-/// (`ClusterConfig::analysis`). Summaries license the typed register
-/// loop (unboxed `i64`/`f64` execution of the proven-pure counted
-/// inner loops), call fusion, and Time-Warp snapshot elision; with
-/// analysis off the engine is exactly the PR 7 compiled mode.
-///
-/// The same cross-engine gate as BENCH_0007 applies before timing: a
-/// sim-platform run under each configuration must produce bit-identical
-/// node-variable state and simulated clock — analysis is an
-/// optimization fact table, never an observable.
-///
-/// The headline `speedup_min_hops_per_sec` is the worst
-/// summaries-on/summaries-off hops-per-sec ratio across the workloads
-/// and must reach ≥1.15× in full mode (this PR's acceptance bar).
-///
-/// # Panics
-///
-/// Panics if any run fails, verification counts are off, the two
-/// configurations disagree on sim-platform state, or the summaries-on
-/// runs never exercised the analysis (no summaries, no typed loops).
-pub fn ablation_summaries(smoke: bool) -> String {
-    use msgr_core::topology::LogicalTopology;
-    use msgr_core::{DaemonId, ExecMode, SimCluster, ThreadCluster};
-    use msgr_vm::{Dir, Value};
-
-    let daemons = 4usize;
-    let (nodes, walkers, passes, iters) =
-        if smoke { (8usize, 8usize, 6i64, 64i64) } else { (16, 32, 64, 1024) };
-    let repeats = if smoke { 1 } else { 3 };
-
-    let ring_topo = |nodes: usize| {
-        let block = nodes.div_ceil(daemons);
-        let mut topo = LogicalTopology::new();
-        for i in 0..nodes {
-            topo.node(Value::str(format!("p{i}")), DaemonId((i / block) as u16));
-        }
-        for i in 0..nodes {
-            topo.link(
-                Value::str(format!("p{i}")),
-                Value::str(format!("p{}", (i + 1) % nodes)),
-                Value::str("ring"),
-                Dir::Forward,
-            );
-        }
-        topo
-    };
-    let cfg_for = |analysis: bool| {
-        let mut cfg = ClusterConfig::new(daemons);
-        cfg.seed = 42;
-        cfg.exec = ExecMode::Compiled;
-        cfg.analysis = analysis;
-        cfg
-    };
-    let fnv = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-
-    // Deterministic gate: summaries must not be observable. Run on the
-    // sim platform with analysis on/off and digest every node-variable
-    // bit plus the simulated clock.
-    let sim_digest = |script: &str, analysis: bool| -> u64 {
-        let (d_nodes, d_walkers, d_passes, d_iters) = (8usize, 4usize, 4i64, iters.min(128));
-        let mut cluster = SimCluster::new(cfg_for(analysis));
-        cluster.build(&ring_topo(d_nodes)).expect("build sim ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..d_walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % d_nodes)),
-                    pid,
-                    &[Value::Int(d_passes), Value::Int(d_iters)],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("sim run");
-        assert!(rep.faults.is_empty(), "sim faults: {:?}", rep.faults);
-        let mut h: u64 = 0xcbf29ce484222325;
-        fnv(&mut h, &rep.sim_seconds.to_bits().to_le_bytes());
-        for i in 0..d_nodes {
-            for var in ["field", "cell", "visits"] {
-                match cluster.node_var_by_name(&Value::str(format!("p{i}")), var) {
-                    Some(Value::Float(f)) => fnv(&mut h, &f.to_bits().to_le_bytes()),
-                    Some(Value::Int(v)) => fnv(&mut h, &v.to_le_bytes()),
-                    _ => fnv(&mut h, &[0xFF]),
-                }
-            }
-        }
-        h
-    };
-
-    let run_threads = |script: &str, analysis: bool| {
-        let mut cluster = ThreadCluster::new(cfg_for(analysis)).expect("threads cluster");
-        cluster.build(&ring_topo(nodes)).expect("build ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % nodes)),
-                    pid,
-                    &[Value::Int(passes), Value::Int(iters)],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("threads run");
-        assert!(rep.faults.is_empty(), "ring faults: {:?}", rep.faults);
-        let mut visits = 0i64;
-        for i in 0..nodes {
-            if let Some(Value::Int(v)) =
-                cluster.node_var_by_name(&Value::str(format!("p{i}")), "visits")
-            {
-                visits += v;
-            }
-        }
-        assert_eq!(
-            visits,
-            walkers as i64 * (passes + 1),
-            "visit count wrong (analysis={analysis})"
-        );
-        (rep.wall_seconds, rep.stats)
-    };
-    let best_of = |script: &str, analysis: bool| {
-        let mut best: Option<(f64, msgr_sim::Stats)> = None;
-        for _ in 0..repeats {
-            let (w, s) = run_threads(script, analysis);
-            if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-                best = Some((w, s));
-            }
-        }
-        best.expect("at least one repeat")
-    };
-
-    let row = |workload: &str, engine: &str, wall: f64, stats: &msgr_sim::Stats| {
-        let hops = stats.counter("hops");
-        let ops = stats.counter("ops");
-        format!(
-            concat!(
-                "    {{\"platform\": \"threads\", \"workload\": \"{}\", \"engine\": \"{}\", ",
-                "\"wall_seconds\": {:.6}, \"hops_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, ",
-                "\"hops\": {}, \"ops\": {}, \"analysis_summaries\": {}, ",
-                "\"analysis_inlined_calls\": {}, \"analysis_typed_loops\": {}, ",
-                "\"analysis_snapshots_elided\": {}}}"
-            ),
-            workload,
-            engine,
-            wall,
-            hops as f64 / wall.max(1e-9),
-            ops as f64 / wall.max(1e-9),
-            hops,
-            ops,
-            stats.counter("analysis_summaries"),
-            stats.counter("analysis_inlined_calls"),
-            stats.counter("analysis_typed_loops"),
-            stats.counter("analysis_snapshots_elided"),
-        )
-    };
-
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for (name, script) in [("mandel_loop", MANDEL_LOOP), ("matmul_loop", MATMUL_LOOP)] {
-        let off_digest = sim_digest(script, false);
-        let on_digest = sim_digest(script, true);
-        assert_eq!(
-            off_digest, on_digest,
-            "{name}: summaries changed sim-platform state — refusing to time"
-        );
-        let (ow, os) = best_of(script, false);
-        let (sw, ss) = best_of(script, true);
-        assert_eq!(os.counter("analysis_summaries"), 0, "{name}: baseline ran the analysis");
-        assert!(ss.counter("analysis_summaries") > 0, "{name}: summaries-on run never analyzed");
-        assert!(
-            ss.counter("analysis_typed_loops") > 0,
-            "{name}: the proven-pure inner loop was not typed"
-        );
-        let off_rate = os.counter("hops") as f64 / ow.max(1e-9);
-        let on_rate = ss.counter("hops") as f64 / sw.max(1e-9);
-        rows.push(row(name, "compiled", ow, &os));
-        rows.push(row(name, "compiled+summaries", sw, &ss));
-        speedups.push((name, on_rate / off_rate.max(1e-9)));
-    }
-    let min_speedup = speedups.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-
-    format!(
-        concat!(
-            "{{\n  \"bench\": \"BENCH_0008\",\n  \"ablation\": \"summaries\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"workload\": \"ring {} nodes x {} walkers x {} hops, {} inner iters/hop, ",
-            "{} daemons\",\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "  \"speedup_mandel_hops_per_sec\": {:.3},\n",
-            "  \"speedup_matmul_hops_per_sec\": {:.3},\n",
-            "  \"speedup_min_hops_per_sec\": {:.3}\n}}"
-        ),
-        if smoke { "smoke" } else { "full" },
-        nodes,
-        walkers,
-        passes,
-        iters,
-        daemons,
-        rows.join(",\n"),
-        speedups[0].1,
-        speedups[1].1,
-        min_speedup,
-    )
-}
-
-/// Schema check for a `BENCH_0008.json` produced by
-/// [`ablation_summaries`]: required keys present, both configurations
-/// recorded for both workloads, every counter non-negative and
-/// parseable, the summaries-on rows actually exercised the analysis,
-/// and — for a `"mode": "full"` file — the worst-case
-/// summaries-on/summaries-off hops-per-sec speedup at least 1.15×.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation found.
-pub fn validate_bench_0008(json: &str) -> Result<(), String> {
-    fn number_after(json: &str, key: &str, from: usize) -> Result<f64, String> {
-        let pat = format!("\"{key}\":");
-        let at = json[from..]
-            .find(&pat)
-            .map(|i| from + i + pat.len())
-            .ok_or_else(|| format!("missing key {key:?}"))?;
-        let rest = json[at..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let tok = rest[..end].trim();
-        if tok == "null" {
-            return Err(format!("key {key:?} is null"));
-        }
-        tok.parse::<f64>().map_err(|_| format!("key {key:?} holds non-number {tok:?}"))
-    }
-
-    if !json.contains("\"bench\": \"BENCH_0008\"") {
-        return Err("missing \"bench\": \"BENCH_0008\"".to_string());
-    }
-    for key in ["ablation", "mode", "workload", "rows"] {
-        if !json.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing key {key:?}"));
-        }
-    }
-    for workload in ["mandel_loop", "matmul_loop"] {
-        if !json.contains(&format!("\"workload\": \"{workload}\"")) {
-            return Err(format!("missing rows for workload {workload:?}"));
-        }
-    }
-    for engine in ["compiled", "compiled+summaries"] {
-        if !json.contains(&format!("\"engine\": \"{engine}\"")) {
-            return Err(format!("missing rows for engine {engine:?}"));
-        }
-    }
-    for key in ["hops_per_sec", "ops_per_sec", "wall_seconds"] {
-        number_after(json, key, 0)?;
-    }
-    let mut max_summaries = 0.0f64;
-    let mut max_typed = 0.0f64;
-    for key in [
-        "hops",
-        "ops",
-        "analysis_summaries",
-        "analysis_inlined_calls",
-        "analysis_typed_loops",
-        "analysis_snapshots_elided",
-    ] {
-        let pat = format!("\"{key}\":");
-        let mut from = 0usize;
-        let mut seen = false;
-        while let Some(i) = json[from..].find(&pat) {
-            let at = from + i;
-            let v = number_after(json, key, at)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("counter {key:?} is negative or non-finite: {v}"));
-            }
-            if key == "analysis_summaries" {
-                max_summaries = max_summaries.max(v);
-            }
-            if key == "analysis_typed_loops" {
-                max_typed = max_typed.max(v);
-            }
-            seen = true;
-            from = at + pat.len();
-        }
-        if !seen {
-            return Err(format!("missing counter {key:?}"));
-        }
-    }
-    if max_summaries < 1.0 {
-        return Err("no row records a computed summary — the ablation never ran".to_string());
-    }
-    if max_typed < 1.0 {
-        return Err("no row records a typed loop — the analysis licensed nothing".to_string());
-    }
-    for key in ["speedup_mandel_hops_per_sec", "speedup_matmul_hops_per_sec"] {
-        let v = number_after(json, key, 0)?;
-        if v <= 0.0 {
-            return Err(format!("{key} must be positive, got {v}"));
-        }
-    }
-    let min_speedup = number_after(json, "speedup_min_hops_per_sec", 0)?;
-    if json.contains("\"mode\": \"full\"") && min_speedup < 1.15 {
-        return Err(format!(
-            "full-mode worst-case speedup {min_speedup:.3} below the 1.15x acceptance bar"
-        ));
-    }
-    if min_speedup <= 0.0 {
-        return Err(format!("speedup must be positive, got {min_speedup}"));
-    }
-    Ok(())
-}
-
 /// The code-size comparison (§3.1.1 / §3.2.1).
 pub fn text_codesize() -> Table {
     let mut table = Table::new(
@@ -1824,419 +573,4 @@ pub fn text_codesize() -> Table {
         ]);
     }
     table
-}
-
-/// BENCH_0010 — the cost-attribution profiler itself.
-///
-/// The observability ablation: the BENCH_0007 ring-walker workloads
-/// (mandel_loop, matmul_loop) on the *sim* platform under both engines,
-/// with `ClusterConfig::profile` toggled per run. Profiling is pure
-/// bookkeeping — it charges nothing to the cost model — so the bench
-/// verifies the four properties the PR promises, then records where the
-/// messenger-nanoseconds actually went:
-///
-/// * **Inertness**: simulated clock and every node variable are
-///   bit-identical with profiling on and off (`profile_state_identical`),
-///   and the two engines agree with each other (`engines_agree`).
-/// * **Determinism**: two same-seed profiled runs produce byte-identical
-///   traces and byte-identical `msgr profile` reports
-///   (`profile_report_deterministic`).
-/// * **Additivity**: the profiled trace is the unprofiled trace plus
-///   only `phase_ledger`/`pc_sample` events (`profile_adds_only`).
-/// * **Cheapness**: wall-clock overhead of profiling stays under 5%.
-///   Each cell's overhead is the minimum ratio over N paired adjacent
-///   off/on runs (both halves of a pair share the host's frequency and
-///   cache state, so drift cancels; noise is additive-positive, so the
-///   cleanest pair is the best estimate). The enforced bound is
-///   `overhead_frac_interp_max` — the interpreter cells, whose runs are
-///   an order of magnitude longer than the compiled ones, are where the
-///   ratio's denominator towers over scheduler jitter; the
-///   instrumentation (one predictable branch per dispatch plus the
-///   daemon-side ledger hooks) is identical across engines.
-///   `overhead_frac_max` over all cells is recorded unbounded, as the
-///   compiled cells' short runs make their ratios noise-dominated.
-///
-/// Each row then reports the phase decomposition — queue / verify /
-/// exec / enc / xport / park / stall as fractions of the attributed
-/// total — plus the pc-sample site count and the critical path. The
-/// fractions sum to 1 by construction (each ledger's `total` is its
-/// phase sum); the bench asserts the printed row stays within 1%.
-///
-/// # Panics
-///
-/// Panics if any run fails, any invariant above does not hold, or a
-/// profiled run produced no ledgers / no pc samples.
-pub fn ablation_profile(smoke: bool) -> String {
-    use msgr_core::topology::LogicalTopology;
-    use msgr_core::{DaemonId, ExecMode, SimCluster, TraceConfig};
-    use msgr_prof::{Profile, PHASES};
-    use msgr_vm::{Dir, Value};
-
-    let daemons = 4usize;
-    // Sized so even the smoke interpreter runs take ~0.1s of host time:
-    // the overhead ratio needs a denominator well above scheduler jitter.
-    let (nodes, walkers, passes, iters) =
-        if smoke { (8usize, 8usize, 8i64, 8192i64) } else { (16, 16, 32, 8192) };
-    let repeats = 5;
-
-    let ring_topo = |nodes: usize| {
-        let block = nodes.div_ceil(daemons);
-        let mut topo = LogicalTopology::new();
-        for i in 0..nodes {
-            topo.node(Value::str(format!("p{i}")), DaemonId((i / block) as u16));
-        }
-        for i in 0..nodes {
-            topo.link(
-                Value::str(format!("p{i}")),
-                Value::str(format!("p{}", (i + 1) % nodes)),
-                Value::str("ring"),
-                Dir::Forward,
-            );
-        }
-        topo
-    };
-    let cfg_for = |exec: ExecMode, profile: bool| {
-        let mut cfg = ClusterConfig::new(daemons);
-        cfg.seed = 42;
-        cfg.exec = exec;
-        cfg.trace = TraceConfig::on();
-        cfg.profile = profile;
-        // Sample densely enough that even the smoke-sized inner loops
-        // hit the pc sampler several times per segment.
-        cfg.profile_interval = 512;
-        cfg
-    };
-    let fnv = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-
-    // One sim run; returns (report, host wall seconds, state digest).
-    // The digest covers the simulated clock and every node variable bit
-    // — the profiler must not move any of it.
-    let run_sim = |script: &str, exec: ExecMode, profile: bool| {
-        let mut cluster = SimCluster::new(cfg_for(exec, profile));
-        cluster.build(&ring_topo(nodes)).expect("build sim ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % nodes)),
-                    pid,
-                    &[Value::Int(passes), Value::Int(iters)],
-                )
-                .expect("inject");
-        }
-        let t0 = std::time::Instant::now();
-        let rep = cluster.run().expect("sim run");
-        let wall = t0.elapsed().as_secs_f64();
-        assert!(rep.faults.is_empty(), "sim faults: {:?}", rep.faults);
-        let mut h: u64 = 0xcbf29ce484222325;
-        fnv(&mut h, &rep.sim_seconds.to_bits().to_le_bytes());
-        for i in 0..nodes {
-            for var in ["field", "cell", "visits"] {
-                match cluster.node_var_by_name(&Value::str(format!("p{i}")), var) {
-                    Some(Value::Float(f)) => fnv(&mut h, &f.to_bits().to_le_bytes()),
-                    Some(Value::Int(v)) => fnv(&mut h, &v.to_le_bytes()),
-                    _ => fnv(&mut h, &[0xFF]),
-                }
-            }
-        }
-        (rep, wall, h)
-    };
-
-    let is_prof_event = |line: &str| {
-        line.contains("\"ev\":\"phase_ledger\"") || line.contains("\"ev\":\"pc_sample\"")
-    };
-
-    let mut rows = Vec::new();
-    let mut overhead_max = f64::NEG_INFINITY;
-    let mut overhead_interp_max = f64::NEG_INFINITY;
-    let mut state_identical = true;
-    let mut adds_only = true;
-    let mut report_deterministic = true;
-    let mut digests: Vec<(String, u64)> = Vec::new();
-
-    for (name, script) in [("mandel_loop", MANDEL_LOOP), ("matmul_loop", MATMUL_LOOP)] {
-        for exec in [ExecMode::Interp, ExecMode::Compiled] {
-            let engine = match exec {
-                ExecMode::Interp => "interp",
-                ExecMode::Compiled => "compiled",
-            };
-            // Overhead is measured on *paired* adjacent off/on runs —
-            // both halves of a pair share the host's thermal/frequency
-            // state, so drift across the bench cancels out of the ratio.
-            // The cell's overhead is the median of the per-pair ratios
-            // (a lone noisy pair cannot move the median). One untimed
-            // warmup run absorbs cold caches and lazy page faults.
-            run_sim(script, exec, false);
-            let mut ratios = Vec::new();
-            let mut off_digest = 0u64;
-            let mut off_trace = String::new();
-            let mut on_digest = 0u64;
-            let mut on_traces: Vec<String> = Vec::new();
-            let mut on_reports: Vec<String> = Vec::new();
-            let mut profile = Profile::default();
-            for r in 0..repeats {
-                let (rep, off_w, h) = run_sim(script, exec, false);
-                off_digest = h;
-                if r == 0 {
-                    off_trace = rep.trace.as_ref().expect("trace on").to_jsonl();
-                }
-                let (rep, on_w, h) = run_sim(script, exec, true);
-                ratios.push(on_w / off_w.max(1e-9));
-                on_digest = h;
-                if r < 2 {
-                    let t = rep.trace.as_ref().expect("trace on");
-                    on_traces.push(t.to_jsonl());
-                    on_reports.push(Profile::from_trace(t).report());
-                    if r == 0 {
-                        profile = Profile::from_trace(t);
-                    }
-                }
-            }
-            // The cell's overhead is the *cleanest pair observed* (the
-            // minimum ratio): host noise is additive and positive, so
-            // every pair overestimates and the minimum is the best
-            // estimate of the true ratio. A real instrumentation
-            // regression — say a per-op event emission — inflates every
-            // pair and still trips the bound.
-            ratios.sort_by(f64::total_cmp);
-            let overhead = ratios[0] - 1.0;
-            state_identical &= off_digest == on_digest;
-            report_deterministic &= on_traces[0] == on_traces[1] && on_reports[0] == on_reports[1];
-            // The profiled trace minus the profiler's own events must
-            // carry exactly the unprofiled events (seq renumbering
-            // aside): same count, same kinds in order.
-            let kind_of = |line: &str| {
-                line.split("\"ev\":\"")
-                    .nth(1)
-                    .and_then(|s| s.split('"').next())
-                    .unwrap_or("")
-                    .to_string()
-            };
-            let off_kinds: Vec<String> =
-                off_trace.lines().filter(|l| l.contains("\"ev\"")).map(kind_of).collect();
-            let on_kinds: Vec<String> = on_traces[0]
-                .lines()
-                .filter(|l| l.contains("\"ev\"") && !is_prof_event(l))
-                .map(kind_of)
-                .collect();
-            assert!(
-                !off_kinds.is_empty(),
-                "{name}/{engine}: adds-only check matched no event lines"
-            );
-            adds_only &= off_kinds == on_kinds;
-            digests.push((format!("{name}/{engine}"), off_digest));
-            overhead_max = overhead_max.max(overhead);
-            if exec == ExecMode::Interp {
-                overhead_interp_max = overhead_interp_max.max(overhead);
-            }
-
-            assert!(!profile.ledgers.is_empty(), "{name}/{engine}: no full ledgers");
-            assert!(!profile.samples.is_empty(), "{name}/{engine}: no pc samples");
-            let totals = profile.phase_totals();
-            let denom = profile.attributed_total().max(1) as f64;
-            let fracs: Vec<f64> = totals.iter().map(|&ns| ns as f64 / denom).collect();
-            let frac_sum: f64 = fracs.iter().sum();
-            assert!(
-                (frac_sum - 1.0).abs() <= 0.01,
-                "{name}/{engine}: phase fractions sum to {frac_sum}, off by more than 1%"
-            );
-            let chain = profile.critical_chain();
-            let chain_ns: u64 = chain.iter().map(|(l, e)| l.total + e).sum();
-            let frac_fields: Vec<String> =
-                PHASES.iter().zip(&fracs).map(|(p, f)| format!("\"frac_{p}\": {f:.4}")).collect();
-            rows.push(format!(
-                concat!(
-                    "    {{\"platform\": \"sim\", \"workload\": \"{}\", \"engine\": \"{}\", ",
-                    "\"ledgers\": {}, \"partial_ledgers\": {}, \"attributed_ns\": {}, ",
-                    "\"pc_sites\": {}, \"critical_path_hops\": {}, \"critical_path_ns\": {}, ",
-                    "{}, \"frac_sum\": {:.4}, \"overhead_frac\": {:.4}}}"
-                ),
-                name,
-                engine,
-                profile.ledgers.len(),
-                profile.forks.len(),
-                profile.attributed_total(),
-                profile.samples.len(),
-                chain.len(),
-                chain_ns,
-                frac_fields.join(", "),
-                frac_sum,
-                overhead,
-            ));
-        }
-    }
-
-    // Cross-engine gate, as in BENCH_0007: interp and compiled must agree
-    // on the simulated state before the profile numbers mean anything.
-    let engines_agree = ["mandel_loop", "matmul_loop"].iter().all(|name| {
-        let d: Vec<u64> =
-            digests.iter().filter(|(k, _)| k.starts_with(*name)).map(|&(_, d)| d).collect();
-        d.windows(2).all(|w| w[0] == w[1])
-    });
-    assert!(engines_agree, "engines disagree on sim-platform state");
-    assert!(state_identical, "profiling moved the simulated state");
-    assert!(adds_only, "profiling perturbed the non-profiler event stream");
-    assert!(report_deterministic, "same-seed profiled runs diverged");
-
-    format!(
-        concat!(
-            "{{\n  \"bench\": \"BENCH_0010\",\n  \"ablation\": \"profile\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"workload\": \"ring {} nodes x {} walkers x {} hops, {} inner iters/hop, ",
-            "{} daemons\",\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "  \"engines_agree\": {},\n",
-            "  \"profile_state_identical\": {},\n",
-            "  \"profile_adds_only\": {},\n",
-            "  \"profile_report_deterministic\": {},\n",
-            "  \"overhead_frac_max\": {:.4},\n",
-            "  \"overhead_frac_interp_max\": {:.4}\n}}"
-        ),
-        if smoke { "smoke" } else { "full" },
-        nodes,
-        walkers,
-        passes,
-        iters,
-        daemons,
-        rows.join(",\n"),
-        engines_agree,
-        state_identical,
-        adds_only,
-        report_deterministic,
-        overhead_max,
-        overhead_interp_max,
-    )
-}
-
-/// Schema check for a `BENCH_0010.json` produced by [`ablation_profile`]:
-/// required keys present, all four workload × engine rows recorded, every
-/// phase fraction in `[0, 1]` with each row's `frac_sum` within 1% of 1,
-/// ledgers and pc-sample sites non-empty everywhere, the four invariant
-/// flags `true`, and the worst-case profiling overhead at most 5%.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation found.
-pub fn validate_bench_0010(json: &str) -> Result<(), String> {
-    fn number_after(json: &str, key: &str, from: usize) -> Result<f64, String> {
-        let pat = format!("\"{key}\":");
-        let at = json[from..]
-            .find(&pat)
-            .map(|i| from + i + pat.len())
-            .ok_or_else(|| format!("missing key {key:?}"))?;
-        let rest = json[at..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let tok = rest[..end].trim();
-        if tok == "null" {
-            return Err(format!("key {key:?} is null"));
-        }
-        tok.parse::<f64>().map_err(|_| format!("key {key:?} holds non-number {tok:?}"))
-    }
-    fn every_occurrence(
-        json: &str,
-        key: &str,
-        check: impl Fn(f64) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let pat = format!("\"{key}\":");
-        let mut from = 0usize;
-        let mut seen = false;
-        while let Some(i) = json[from..].find(&pat) {
-            let at = from + i;
-            check(number_after(json, key, at)?).map_err(|e| format!("key {key:?}: {e}"))?;
-            seen = true;
-            from = at + pat.len();
-        }
-        if seen {
-            Ok(())
-        } else {
-            Err(format!("missing key {key:?}"))
-        }
-    }
-
-    if !json.contains("\"bench\": \"BENCH_0010\"") {
-        return Err("missing \"bench\": \"BENCH_0010\"".to_string());
-    }
-    for key in ["ablation", "mode", "workload", "rows"] {
-        if !json.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing key {key:?}"));
-        }
-    }
-    for workload in ["mandel_loop", "matmul_loop"] {
-        if !json.contains(&format!("\"workload\": \"{workload}\"")) {
-            return Err(format!("missing rows for workload {workload:?}"));
-        }
-    }
-    for engine in ["interp", "compiled"] {
-        if !json.contains(&format!("\"engine\": \"{engine}\"")) {
-            return Err(format!("missing rows for engine {engine:?}"));
-        }
-    }
-    // Every phase fraction is a valid fraction; every row's sum is
-    // within 1% of the end-to-end attributed total.
-    for phase in ["queue", "verify", "exec", "enc", "xport", "park", "stall"] {
-        every_occurrence(json, &format!("frac_{phase}"), |v| {
-            if (0.0..=1.0).contains(&v) {
-                Ok(())
-            } else {
-                Err(format!("fraction out of [0,1]: {v}"))
-            }
-        })?;
-    }
-    every_occurrence(json, "frac_sum", |v| {
-        if (v - 1.0).abs() <= 0.01 {
-            Ok(())
-        } else {
-            Err(format!("phase fractions sum to {v}, off by more than 1%"))
-        }
-    })?;
-    every_occurrence(json, "ledgers", |v| {
-        if v >= 1.0 {
-            Ok(())
-        } else {
-            Err("profiled run recorded no ledgers".to_string())
-        }
-    })?;
-    every_occurrence(json, "pc_sites", |v| {
-        if v >= 1.0 {
-            Ok(())
-        } else {
-            Err("profiled run recorded no pc samples".to_string())
-        }
-    })?;
-    every_occurrence(json, "attributed_ns", |v| {
-        if v > 0.0 {
-            Ok(())
-        } else {
-            Err("no attributed time".to_string())
-        }
-    })?;
-    every_occurrence(json, "critical_path_ns", |v| {
-        if v > 0.0 {
-            Ok(())
-        } else {
-            Err("empty critical path".to_string())
-        }
-    })?;
-    for flag in [
-        "engines_agree",
-        "profile_state_identical",
-        "profile_adds_only",
-        "profile_report_deterministic",
-    ] {
-        if !json.contains(&format!("\"{flag}\": true")) {
-            return Err(format!("invariant {flag:?} is not recorded as true"));
-        }
-    }
-    number_after(json, "overhead_frac_max", 0)?;
-    let overhead = number_after(json, "overhead_frac_interp_max", 0)?;
-    if overhead > 0.05 {
-        return Err(format!(
-            "worst-case interpreter-cell profiling overhead {overhead:.4} exceeds the 5% bound"
-        ));
-    }
-    Ok(())
 }

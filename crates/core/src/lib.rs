@@ -98,6 +98,15 @@ pub enum ClusterError {
     Config(String),
     /// A named entity was not found.
     NotFound(String),
+    /// A permanently killed daemon cannot be restored: it died together
+    /// with every holder of its checkpoint replicas, so its nodes and
+    /// messengers are gone.
+    CheckpointLost {
+        /// The daemon whose state is unrecoverable.
+        victim: DaemonId,
+        /// Replica holders it had (`ClusterConfig::replication`), all dead.
+        replicas: usize,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -110,6 +119,12 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::Config(m) => write!(f, "configuration error: {m}"),
             ClusterError::NotFound(m) => write!(f, "not found: {m}"),
+            ClusterError::CheckpointLost { victim, replicas } => write!(
+                f,
+                "no surviving checkpoint for daemon {victim}: it died together with all \
+                 {replicas} of its replica holder(s); raise ClusterConfig::replication or kill \
+                 fewer daemons at once"
+            ),
         }
     }
 }

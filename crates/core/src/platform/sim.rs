@@ -23,11 +23,9 @@ use crate::ckpt::{CheckpointStore, MemStore, ReplicatedStore};
 use crate::config::{ClusterConfig, NetKind, VtMode, VtService};
 use crate::daemon::{CodeCache, Daemon, Effect};
 use crate::ids::{DaemonId, NodeRef};
-use crate::logical::{LinkRec, Orient};
 use crate::topology::{DaemonTopology, LogicalTopology};
 use crate::wire::Wire;
 use crate::ClusterError;
-use msgr_vm::Dir;
 
 /// The world threaded through simulation events.
 struct World {
@@ -72,6 +70,9 @@ struct World {
     /// are active, because stale retransmission timers legitimately
     /// outlive the computation and would otherwise inflate the runtime.
     last_work: SimTime,
+    /// Set when the run cannot continue (an unrecoverable daemon loss);
+    /// [`SimCluster::run`] stops at the next event and returns it.
+    fatal: Option<ClusterError>,
     stats: Stats,
 }
 
@@ -467,11 +468,8 @@ fn recover(en: &mut En, w: &mut World, successor: DaemonId, victim: DaemonId) {
     }
     w.restored[vi] = true;
     let Some(snap) = w.ckpt.get(victim) else {
-        panic!(
-            "no surviving checkpoint for daemon {victim}: it died together with all {} of its \
-             replica holder(s); raise ClusterConfig::replication or kill fewer daemons at once",
-            w.cfg.replica_count()
-        );
+        w.fatal = Some(ClusterError::CheckpointLost { victim, replicas: w.cfg.replica_count() });
+        return;
     };
     let bytes = snap.len() as u64;
     let now = en.now();
@@ -636,6 +634,7 @@ impl SimCluster {
                 beats_live: false,
                 ckpt_live: vec![false; n],
                 last_work: 0,
+                fatal: None,
                 stats: Stats::new(),
             },
             codes,
@@ -696,52 +695,7 @@ impl SimCluster {
     /// [`ClusterError::NotFound`] if a link references an unknown node,
     /// [`ClusterError::Config`] for placements outside the cluster.
     pub fn build(&mut self, topo: &LogicalTopology) -> Result<(), ClusterError> {
-        for (name, d) in &topo.nodes {
-            if d.0 as usize >= self.world.daemons.len() {
-                return Err(ClusterError::Config(format!("node placed on missing daemon {d}")));
-            }
-            let gid = self.world.daemons[d.0 as usize].build_node(name.clone());
-            self.world.directory.insert(name.clone(), (*d, gid));
-        }
-        for (from, to, link_name, dir) in &topo.links {
-            let &(fd, fref) = self
-                .world
-                .directory
-                .get(from)
-                .ok_or_else(|| ClusterError::NotFound(format!("node {from}")))?;
-            let &(td, tref) = self
-                .world
-                .directory
-                .get(to)
-                .ok_or_else(|| ClusterError::NotFound(format!("node {to}")))?;
-            let inst = self.world.daemons[fd.0 as usize].alloc_link();
-            let orient_from = match dir {
-                Dir::Forward => Orient::Out,
-                Dir::Backward => Orient::In,
-                Dir::Any => Orient::Undirected,
-            };
-            self.world.daemons[fd.0 as usize].install_link(
-                fref,
-                LinkRec {
-                    inst,
-                    name: link_name.clone(),
-                    orient: orient_from,
-                    peer: (td, tref),
-                    peer_name: to.clone(),
-                },
-            );
-            self.world.daemons[td.0 as usize].install_link(
-                tref,
-                LinkRec {
-                    inst,
-                    name: link_name.clone(),
-                    orient: orient_from.reversed(),
-                    peer: (fd, fref),
-                    peer_name: from.clone(),
-                },
-            );
-        }
-        Ok(())
+        topo.realize(&mut self.world.daemons, &mut self.world.directory)
     }
 
     /// Inject a messenger into daemon `d`'s `init` node.
@@ -878,7 +832,9 @@ impl SimCluster {
     /// # Errors
     ///
     /// [`ClusterError::Stalled`] if the event budget is exhausted —
-    /// typically a messenger population that never dies.
+    /// typically a messenger population that never dies;
+    /// [`ClusterError::CheckpointLost`] if a killed daemon and all of its
+    /// checkpoint-replica holders are dead.
     pub fn run(&mut self) -> Result<SimReport, ClusterError> {
         // Arm the GVT service if needed.
         let enable = match self.world.cfg.vt_service {
@@ -915,7 +871,14 @@ impl SimCluster {
         if self.world.cfg.trace.enabled {
             self.trace_span_begin("run");
         }
-        if !self.engine.run_bounded(&mut self.world, budget) {
+        let mut left = budget;
+        while left > 0 && self.world.fatal.is_none() && self.engine.step(&mut self.world) {
+            left -= 1;
+        }
+        if let Some(e) = self.world.fatal.take() {
+            return Err(e);
+        }
+        if self.engine.pending() > 0 {
             return Err(ClusterError::Stalled { events: self.engine.processed() });
         }
         let mut stats = self.world.stats.clone();

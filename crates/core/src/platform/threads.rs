@@ -19,13 +19,12 @@ use std::sync::{Mutex, RwLock};
 
 use msgr_sim::Stats;
 use msgr_trace::{Metric, Trace};
-use msgr_vm::{Dir, MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
+use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
 use crate::ckpt::{CheckpointStore, FileStore};
 use crate::config::{ClusterConfig, VtMode, VtService};
 use crate::daemon::{CodeCache, Daemon, Directory, Effect};
 use crate::ids::{DaemonId, NodeRef};
-use crate::logical::{LinkRec, Orient};
 use crate::topology::{DaemonTopology, LogicalTopology};
 use crate::wire::Wire;
 use crate::ClusterError;
@@ -156,50 +155,7 @@ impl ThreadCluster {
     /// [`ClusterError::NotFound`] / [`ClusterError::Config`] as for the
     /// simulation platform.
     pub fn build(&mut self, topo: &LogicalTopology) -> Result<(), ClusterError> {
-        for (name, d) in &topo.nodes {
-            if d.0 as usize >= self.daemons.len() {
-                return Err(ClusterError::Config(format!("node placed on missing daemon {d}")));
-            }
-            let gid = self.daemons[d.0 as usize].build_node(name.clone());
-            self.directory.0.write().unwrap().insert(name.clone(), (*d, gid));
-        }
-        for (from, to, link_name, dir) in &topo.links {
-            let (fd, fref) = self
-                .directory
-                .lookup(from)
-                .ok_or_else(|| ClusterError::NotFound(format!("node {from}")))?;
-            let (td, tref) = self
-                .directory
-                .lookup(to)
-                .ok_or_else(|| ClusterError::NotFound(format!("node {to}")))?;
-            let inst = self.daemons[fd.0 as usize].alloc_link();
-            let orient_from = match dir {
-                Dir::Forward => Orient::Out,
-                Dir::Backward => Orient::In,
-                Dir::Any => Orient::Undirected,
-            };
-            self.daemons[fd.0 as usize].install_link(
-                fref,
-                LinkRec {
-                    inst,
-                    name: link_name.clone(),
-                    orient: orient_from,
-                    peer: (td, tref),
-                    peer_name: to.clone(),
-                },
-            );
-            self.daemons[td.0 as usize].install_link(
-                tref,
-                LinkRec {
-                    inst,
-                    name: link_name.clone(),
-                    orient: orient_from.reversed(),
-                    peer: (fd, fref),
-                    peer_name: from.clone(),
-                },
-            );
-        }
-        Ok(())
+        topo.realize(&mut self.daemons, &mut self.directory.0.write().unwrap())
     }
 
     /// Inject a messenger into daemon `d`'s `init` node (pre-run).

@@ -1,10 +1,14 @@
 //! Daemon-network topology and logical-network construction
 //! (`net_builder`).
 
+use std::collections::HashMap;
+
 use msgr_vm::{Dir, EvalLink, Value};
 
-use crate::ids::DaemonId;
-use crate::logical::Orient;
+use crate::daemon::Daemon;
+use crate::ids::{DaemonId, NodeRef};
+use crate::logical::{LinkRec, Orient};
+use crate::ClusterError;
 
 /// One edge of the daemon network, stored per endpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,6 +164,62 @@ impl LogicalTopology {
     ) -> &mut Self {
         self.links.push((from.into(), to.into(), name.into(), dir));
         self
+    }
+
+    /// Realize this topology on `daemons` (both platforms' `build`):
+    /// create the named nodes on their daemons, publish each in
+    /// `directory`, and install both halves of every link.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Config`] for a placement outside the cluster,
+    /// [`ClusterError::NotFound`] if a link references an unknown node.
+    pub(crate) fn realize(
+        &self,
+        daemons: &mut [Daemon],
+        directory: &mut HashMap<Value, (DaemonId, NodeRef)>,
+    ) -> Result<(), ClusterError> {
+        for (name, d) in &self.nodes {
+            if d.0 as usize >= daemons.len() {
+                return Err(ClusterError::Config(format!("node placed on missing daemon {d}")));
+            }
+            let gid = daemons[d.0 as usize].build_node(name.clone());
+            directory.insert(name.clone(), (*d, gid));
+        }
+        for (from, to, link_name, dir) in &self.links {
+            let &(fd, fref) = directory
+                .get(from)
+                .ok_or_else(|| ClusterError::NotFound(format!("node {from}")))?;
+            let &(td, tref) =
+                directory.get(to).ok_or_else(|| ClusterError::NotFound(format!("node {to}")))?;
+            let inst = daemons[fd.0 as usize].alloc_link();
+            let orient_from = match dir {
+                Dir::Forward => Orient::Out,
+                Dir::Backward => Orient::In,
+                Dir::Any => Orient::Undirected,
+            };
+            daemons[fd.0 as usize].install_link(
+                fref,
+                LinkRec {
+                    inst,
+                    name: link_name.clone(),
+                    orient: orient_from,
+                    peer: (td, tref),
+                    peer_name: to.clone(),
+                },
+            );
+            daemons[td.0 as usize].install_link(
+                tref,
+                LinkRec {
+                    inst,
+                    name: link_name.clone(),
+                    orient: orient_from.reversed(),
+                    peer: (fd, fref),
+                    peer_name: from.clone(),
+                },
+            );
+        }
+        Ok(())
     }
 
     /// The Fig. 10 matrix-multiplication network: an `m × m` grid of

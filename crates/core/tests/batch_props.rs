@@ -457,26 +457,24 @@ fn broken_retransmit_loses_whole_batches() {
     );
 }
 
-// ---- soak ----
+// ---- threads platform ----
 
-/// Lane-contention soak: a large threaded run at lanes=4 with batching
-/// and local moves, checking the full delivery count and that the
-/// rotating scheduler actually contended (steals observed). Ignored by
-/// default; run via `scripts/ci.sh --soak` (or `cargo test -- --ignored`).
-#[test]
-#[ignore = "soak: long threaded run, exercised by scripts/ci.sh --soak"]
-fn soak_lane_contention_threads() {
-    use msgr_core::ThreadCluster;
-    let daemons = 4usize;
-    let nodes = 64usize;
-    let walkers = 128usize;
-    let passes = 400i64;
+fn threads_fast_path_cfg(daemons: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(daemons);
     cfg.seed = 0xBA7C4;
     cfg.lanes = 4;
     cfg.batch = BatchPolicy::on();
     cfg.local_move = true;
-    let mut cluster = ThreadCluster::new(cfg).expect("threads cluster");
+    cfg
+}
+
+/// A threaded ring walk at lanes=4 with batching and local moves, nodes
+/// placed in contiguous per-daemon blocks so most hops are local moves.
+/// Checks the full delivery count and returns the merged stats.
+fn threads_lane_ring(nodes: usize, walkers: usize, passes: i64) -> msgr_sim::Stats {
+    use msgr_core::ThreadCluster;
+    let daemons = 4usize;
+    let mut cluster = ThreadCluster::new(threads_fast_path_cfg(daemons)).expect("threads cluster");
     let block = nodes / daemons;
     let mut topo = LogicalTopology::new();
     for i in 0..nodes {
@@ -508,6 +506,59 @@ fn soak_lane_contention_threads() {
         }
     }
     assert_eq!(visits, walkers as i64 * (passes + 1));
-    assert!(rep.stats.counter("lane_steals") > 0, "4 lanes never contended");
     assert_eq!(rep.stats.counter("terminated"), walkers as u64);
+    rep.stats
+}
+
+#[test]
+fn threads_ring_with_lanes_batching_and_local_moves_delivers_exactly_once() {
+    threads_lane_ring(16, 16, 12);
+}
+
+#[test]
+fn threads_scatter_forms_batches_and_delivers_exactly_once() {
+    // The threads driver coalesces each segment's burst itself: a hub on
+    // daemon 0 replicating to spokes that all live on daemon 1 must
+    // leave as batches, and every copy must still arrive once.
+    use msgr_core::ThreadCluster;
+    let (spokes, scatters) = (8usize, 8usize);
+    let mut cluster = ThreadCluster::new(threads_fast_path_cfg(2)).expect("threads cluster");
+    let mut topo = LogicalTopology::new();
+    topo.node(Value::str("hub"), DaemonId(0));
+    for i in 0..spokes {
+        topo.node(Value::str(format!("s{i}")), DaemonId(1));
+        topo.link(Value::str("hub"), Value::str(format!("s{i}")), Value::str("out"), Dir::Forward);
+    }
+    cluster.build(&topo).expect("build");
+    let pid = cluster.register_program(&msgr_lang::compile(SCATTER).expect("compile"));
+    for _ in 0..scatters {
+        cluster.inject_at(&Value::str("hub"), pid, &[]).expect("inject");
+    }
+    let rep = cluster.run().expect("run");
+    assert!(rep.faults.is_empty(), "faults: {:?}", rep.faults);
+    let mut seen = 0i64;
+    for i in 0..spokes {
+        if let Some(Value::Int(v)) = cluster.node_var_by_name(&Value::str(format!("s{i}")), "seen")
+        {
+            seen += v;
+        }
+    }
+    assert_eq!(seen, (scatters * spokes) as i64);
+    assert!(
+        rep.stats.counter("batch_frames") >= 2 * scatters as u64,
+        "scatter fan-out never batched: {} frames",
+        rep.stats.counter("batch_frames")
+    );
+}
+
+// ---- soak ----
+
+/// Lane-contention soak: [`threads_lane_ring`] at a size where the
+/// rotating scheduler actually contends (steals observed). Ignored by
+/// default; run via `scripts/ci.sh --soak` (or `cargo test -- --ignored`).
+#[test]
+#[ignore = "soak: long threaded run, exercised by scripts/ci.sh --soak"]
+fn soak_lane_contention_threads() {
+    let stats = threads_lane_ring(64, 128, 400);
+    assert!(stats.counter("lane_steals") > 0, "4 lanes never contended");
 }

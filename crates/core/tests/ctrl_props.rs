@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{BatchPolicy, ClusterConfig, DaemonId, ExecMode, SimCluster};
+use msgr_core::{BatchPolicy, ClusterConfig, ClusterError, DaemonId, ExecMode, SimCluster};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_trace::{EventKind, Trace};
 use msgr_vm::{Dir, Value};
@@ -115,7 +115,8 @@ struct RunResult {
     trace: Option<Trace>,
 }
 
-fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
+/// The scenario's cluster, ring built and walkers injected, not yet run.
+fn ring_cluster(sc: &Scenario, program: &str) -> Result<SimCluster, String> {
     let mut topo = LogicalTopology::new();
     for i in 0..sc.nodes {
         topo.node(Value::str(format!("p{i}")), DaemonId((i % sc.daemons) as u16));
@@ -153,6 +154,11 @@ fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
             .inject_at(&Value::str(format!("p{}", m % sc.nodes)), pid, &[Value::Int(sc.passes)])
             .map_err(|e| e.to_string())?;
     }
+    Ok(cluster)
+}
+
+fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
+    let mut cluster = ring_cluster(sc, program)?;
     let report = cluster.run().map_err(|e| e.to_string())?;
     let mut visits = 0i64;
     for i in 0..sc.nodes {
@@ -198,6 +204,36 @@ fn quorum_recovery_survives_victim_and_replica_holder() {
         let r = run_ring(&sc, WALK)?;
         assert_double_recovery(&sc, &r)
     });
+}
+
+#[test]
+fn losing_every_checkpoint_copy_is_a_typed_error() {
+    // At k = 1 a victim's only replica lives on its next-alive
+    // successor. Killing both at the same instant is a plan
+    // `FaultPlan::validate` accepts (2 of 8 is a strict minority,
+    // daemon 0 survives), yet nothing can restore the victim: the run
+    // must end with an error naming it, not panic or spin.
+    let sc = Scenario {
+        daemons: 8,
+        nodes: 16,
+        msgrs: 4,
+        passes: 40,
+        seed: 7 ^ fault_seed(),
+        plan: FaultPlan {
+            crashes: vec![CrashEvent::kill(3, 20 * MILLI), CrashEvent::kill(4, 20 * MILLI)],
+            ..FaultPlan::none()
+        },
+        replication: 1,
+        lanes: 1,
+        batch: false,
+        exec: ExecMode::Interp,
+        trace: false,
+        trace_capacity: None,
+    };
+    sc.plan.validate(sc.daemons).expect("the plan is legal");
+    let err = ring_cluster(&sc, WALK).expect("build").run().expect_err("daemon 3 is unrecoverable");
+    assert_eq!(err, ClusterError::CheckpointLost { victim: DaemonId(3), replicas: 1 });
+    assert!(err.to_string().contains("daemon d3"), "message must name the victim: {err}");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{BatchPolicy, ClusterConfig, DaemonId, ExecMode, SimCluster};
+use msgr_core::{BatchPolicy, ClusterConfig, DaemonId, ExecMode, SimCluster, Succession};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_vm::{Dir, Value};
 
@@ -106,6 +106,15 @@ struct RunResult {
 }
 
 fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
+    run_ring_with(sc, program, |_| {})
+}
+
+/// [`run_ring`] with a last word on the configuration.
+fn run_ring_with(
+    sc: &Scenario,
+    program: &str,
+    tweak: impl Fn(&mut ClusterConfig),
+) -> Result<RunResult, String> {
     let mut topo = LogicalTopology::new();
     for i in 0..sc.nodes {
         topo.node(Value::str(format!("p{i}")), DaemonId((i % sc.daemons) as u16));
@@ -130,6 +139,7 @@ fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
     // needs more is stalled, and the tight budget turns "hang for the
     // full default budget" into a fast, seeded counterexample.
     cfg.max_events = 5_000_000;
+    tweak(&mut cfg);
     let mut cluster = SimCluster::new(cfg);
     cluster.build(&topo).map_err(|e| e.to_string())?;
     let pid = cluster.register_program(&msgr_lang::compile(program).map_err(|e| e.to_string())?);
@@ -179,6 +189,23 @@ fn recovery_no_lost_or_doubled_updates_under_kill() {
     check_with(chaos_cases(), "recovery_no_lost_or_doubled_updates_under_kill", |s| {
         let sc = arb_kill_scenario(s);
         let r = run_ring(&sc, WALK)?;
+        assert_exactly_once(&sc, &r)
+    });
+}
+
+#[test]
+fn recovery_is_exactly_once_under_deterministic_succession() {
+    // The rest of this suite runs the shipped default (burial by quorum
+    // decree, k = 1). The next-alive rule behind `--succession
+    // deterministic`, and replication up to k = 3, must give the same
+    // exactly-once failover.
+    check_with(chaos_cases(), "recovery_is_exactly_once_under_deterministic_succession", |s| {
+        let sc = arb_kill_scenario(s);
+        let k = s.usize_in(1..4);
+        let r = run_ring_with(&sc, WALK, |cfg| {
+            cfg.succession = Succession::Deterministic;
+            cfg.replication = k;
+        })?;
         assert_exactly_once(&sc, &r)
     });
 }

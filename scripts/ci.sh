@@ -59,35 +59,6 @@ for seed in 1 424242 "$(date +%s)"; do
     MSGR_FAULT_SEED="$seed" cargo test -q --offline -p msgr-core --test ctrl_props
 done
 
-echo "== control plane: consensus + gossip properties, quorum ablation (BENCH_0009) =="
-# The decentralized control plane end to end: the msgr-ctrl unit and
-# property suites (single-decree agreement safety, gossip convergence)
-# re-run standalone, then the quorum-vs-deterministic succession
-# ablation runs in smoke mode at k ∈ {1,2,3} and its output is
-# schema-validated (the committed full-mode BENCH_0009.json is checked
-# in the bench-artifact sweep below).
-cargo test -q --offline -p msgr-ctrl
-cargo build --release --offline -p msgr-bench --bin ablation_recovery
-ctrl_dir="$(mktemp -d)"
-./target/release/ablation_recovery --quorum --smoke > "$ctrl_dir/BENCH_0009.smoke.json"
-./target/release/ablation_recovery --check "$ctrl_dir/BENCH_0009.smoke.json"
-rm -rf "$ctrl_dir"
-echo "ok: control plane green, quorum smoke schema-valid"
-
-echo "== bench: lanes/batching ablation smoke (BENCH_0006) =="
-# Run the lanes ablation in smoke mode (seconds, not minutes) and
-# schema-validate its output: every metric the acceptance criteria name
-# (messengers/sec, hops/sec, xport p50/p99, the lane/batch counters)
-# must be present, parseable, and non-negative — a silently missing
-# metric fails CI. The committed BENCH_0006.json is checked in the
-# bench-artifact sweep below.
-cargo build --release --offline -p msgr-bench --bin ablation_lanes
-bench_dir="$(mktemp -d)"
-./target/release/ablation_lanes --smoke > "$bench_dir/BENCH_0006.smoke.json"
-./target/release/ablation_lanes --check "$bench_dir/BENCH_0006.smoke.json"
-rm -rf "$bench_dir"
-echo "ok: lanes ablation smoke schema-valid"
-
 echo "== trace: deterministic flight-recorder smoke =="
 # Record the same seeded chaos run twice (loss + a mid-run daemon kill),
 # validate the JSONL (summary parses it and checks the header/schema),
@@ -116,39 +87,29 @@ for ev in hop retransmit checkpoint restore; do
 done
 echo "ok: chaos trace is schema-valid, complete, and reproducible"
 
-echo "== compiled execution: CLI run + ablation smoke (BENCH_0007) =="
+echo "== compiled execution: CLI run + suites re-run on the compiled engine =="
 # The closure-compiled engine must be observationally identical to the
 # interpreter: the 256-case differential suite (crates/vm/tests/
 # diff_props.rs) and the cross-engine goldens already ran with the
 # workspace tests above. Here the CLI plumbing gets a real run
-# (--exec compiled, then the MSGR_EXEC override), the tier-1 app
-# tests and goldens re-run once entirely on the compiled engine, and
-# the compile-vs-interp ablation runs in smoke mode with its output
-# schema-validated (committed BENCH_0007.json: bench-artifact sweep).
+# (--exec compiled, then the MSGR_EXEC override), and the tier-1 app
+# tests, the goldens and the profiler's invariants re-run once entirely
+# on the compiled engine.
 MSGR_EXEC=compiled cargo test -q --offline -p msgr-apps
 MSGR_EXEC=compiled cargo test -q --offline --test determinism
+MSGR_EXEC=compiled cargo test -q --offline --test profile
 ./target/release/msgr run examples/scripts/walker.mc \
     --topology examples/scripts/ring.topo --daemons 4 --inject r0:2 \
     --seed 7 --exec compiled >/dev/null
 MSGR_EXEC=compiled ./target/release/msgr run examples/scripts/walker.mc \
     --topology examples/scripts/ring.topo --daemons 4 --inject r0:2 \
     --seed 7 >/dev/null
-cargo build --release --offline -p msgr-bench --bin ablation_compile
-compile_dir="$(mktemp -d)"
-./target/release/ablation_compile --smoke > "$compile_dir/BENCH_0007.smoke.json"
-./target/release/ablation_compile --check "$compile_dir/BENCH_0007.smoke.json"
-rm -rf "$compile_dir"
-echo "ok: compiled engine ran end to end, smoke schema-valid"
+echo "ok: compiled engine ran end to end"
 
-echo "== analysis: interprocedural summaries end to end (BENCH_0008) =="
-# The whole-program effect analysis: (a) both paper apps must be clean
-# under the interprocedural lint family, checked through the
-# machine-readable --json face (which doubles as its schema check);
-# (b) summaries must be stable across a wire-codec roundtrip and the
-# summary-guided engine bit-equal to the interpreter (the vm property
-# suite); (c) the summaries ablation runs in smoke mode with analysis
-# enabled and its output schema-validated (committed BENCH_0008.json:
-# bench-artifact sweep below).
+echo "== analysis: msgr-lint --json over the paper apps =="
+# Both paper apps must be clean under the interprocedural lint family,
+# checked through the machine-readable --json face (which doubles as
+# its schema check).
 lint_json="$(./target/release/msgr-lint --json --builtin)"
 echo "$lint_json" | grep -q '"version":1' \
     || { echo "error: msgr-lint --json lost its schema header" >&2; exit 1; }
@@ -165,23 +126,16 @@ for field in '"code":"N303"' '"severity":"warning"' '"function":"w"' '"pc":' '"l
         || { echo "error: msgr-lint --json row missing $field: $dirty_json" >&2; exit 1; }
 done
 rm -rf "$dirty_dir"
-cargo test -q --offline -p msgr-vm --test diff_props summaries
-analysis_dir="$(mktemp -d)"
-./target/release/ablation_compile --summaries --smoke > "$analysis_dir/BENCH_0008.smoke.json"
-./target/release/ablation_compile --check "$analysis_dir/BENCH_0008.smoke.json"
-rm -rf "$analysis_dir"
-echo "ok: apps lint-clean, summaries stable, smoke schema-valid"
+echo "ok: apps lint-clean, diagnostics rows well-formed"
 
-echo "== profile: cost attribution end to end (BENCH_0010) =="
+echo "== profile: cost attribution end to end =="
 # The deterministic profiler (DESIGN.md §13). Four guarantees, checked
 # on the CLI surface: (a) a profiled run yields a report, a critical
 # path, and non-empty folded stacks; (b) same-seed profiled runs are
 # byte-identical — trace, report, and folded file; (c) profiling off is
 # the status quo: two unprofiled runs are byte-identical and carry no
 # profiler events, and `msgr profile` refuses them with exit 1; (d) a
-# truncated flight recorder makes `msgr trace summary` exit 1. The
-# profile ablation then runs in smoke mode, whose schema bounds the
-# measured profiling overhead at <=5% on interpreter cells.
+# truncated flight recorder makes `msgr trace summary` exit 1.
 prof_dir="$(mktemp -d)"
 prof_run() { # $1 = out.jsonl, $2... = extra flags
     local out="$1"; shift
@@ -228,27 +182,15 @@ if ./target/release/msgr trace summary "$prof_dir/truncated.jsonl" >/dev/null; t
     echo "error: trace summary exited 0 on a truncated recording" >&2
     exit 1
 fi
-cargo build --release --offline -p msgr-bench --bin ablation_profile
-./target/release/ablation_profile --smoke > "$prof_dir/BENCH_0010.smoke.json"
-./target/release/ablation_profile --check "$prof_dir/BENCH_0010.smoke.json"
 rm -rf "$prof_dir"
-echo "ok: profiler deterministic, additive, folded stacks well-formed, overhead bounded"
+echo "ok: profiler deterministic, additive, folded stacks well-formed"
 
-echo "== bench artifacts: schema-check every committed BENCH_*.json =="
-# One sweep validates every committed artifact with its own checker, so
-# adding BENCH_0011.json without registering a checker here fails CI
-# instead of silently shipping an unvalidated artifact.
-for bench in BENCH_*.json; do
-    case "$bench" in
-        BENCH_0006.json) checker=ablation_lanes ;;
-        BENCH_0007.json | BENCH_0008.json) checker=ablation_compile ;;
-        BENCH_0009.json) checker=ablation_recovery ;;
-        BENCH_0010.json) checker=ablation_profile ;;
-        *) echo "error: no schema checker registered for $bench" >&2; exit 1 ;;
-    esac
-    ./target/release/"$checker" --check "$bench"
-    echo "ok: $bench ($checker --check)"
-done
+echo "== benchmark: the performance ledger builds and smoke-runs =="
+# benchmark/ is its own workspace with path dependencies on crates/*, so
+# nothing above compiles it. Its gate (fmt, clippy, unit tests, then
+# every workload in smoke mode with a traced run) catches an API change
+# here that breaks the ledger before the merge pipeline does.
+bash benchmark/check.sh
 
 if [ "$soak" = 1 ]; then
     echo "== chaos soak (--soak) =="

@@ -287,3 +287,71 @@ fn matmul_runs_are_bit_identical() {
     assert_eq!(r1.seconds.to_bits(), r2.seconds.to_bits(), "simulated time must be identical");
     assert_eq!(counters(&r1.stats), counters(&r2.stats), "all counters must be identical");
 }
+
+#[test]
+fn hot_loop_state_is_engine_and_analysis_independent() {
+    // The apps above spend their time in natives; this ring walker
+    // spends it in an MSGR-C float loop (z = z² − ¾, a bounded orbit) —
+    // the shape superinstructions and the summary-licensed typed loops
+    // rewrite. Interpreter, compiled, and compiled without the effect
+    // analysis must leave every node variable and the simulated clock
+    // bit-identical, and each fast path must have been taken where on.
+    use messengers::core::topology::LogicalTopology;
+    use messengers::core::{DaemonId, SimCluster};
+    use messengers::vm::{Dir, Value};
+    const HOT_LOOP: &str = r#"
+    spin(passes, iters) {
+        int i = 0;
+        int k;
+        float z = 0.0;
+        node float field;
+        while (i < passes) {
+            k = 0;
+            while (k < iters) {
+                z = z * z - 0.75;
+                k = k + 1;
+            }
+            hop(ll = "ring"; ldir = +);
+            field = field + z;
+            i = i + 1;
+        }
+    }
+    "#;
+    let names: Vec<Value> = (0..8).map(|i| Value::str(format!("p{i}"))).collect();
+    let run = |exec: ExecMode, analysis: bool| {
+        let mut cfg = ClusterConfig::new(4);
+        cfg.seed = 42;
+        cfg.exec = exec;
+        cfg.analysis = analysis;
+        let mut cluster = SimCluster::new(cfg);
+        let mut topo = LogicalTopology::new();
+        for (i, name) in names.iter().enumerate() {
+            topo.node(name.clone(), DaemonId((i % 4) as u16));
+            topo.link(name.clone(), names[(i + 1) % 8].clone(), Value::str("ring"), Dir::Forward);
+        }
+        cluster.build(&topo).expect("build ring");
+        let pid = cluster.register_program(&messengers::lang::compile(HOT_LOOP).expect("compile"));
+        for name in &names[..4] {
+            cluster.inject_at(name, pid, &[Value::Int(8), Value::Int(100)]).expect("inject");
+        }
+        let rep = cluster.run().expect("run");
+        assert!(rep.faults.is_empty(), "faults: {:?}", rep.faults);
+        let fields: Vec<u64> = names
+            .iter()
+            .map(|n| match cluster.node_var_by_name(n, "field") {
+                Some(Value::Float(f)) => f.to_bits(),
+                other => panic!("{n}.field = {other:?}"),
+            })
+            .collect();
+        (rep.sim_seconds.to_bits(), fields, rep.stats)
+    };
+    let (i_clock, i_fields, _) = run(ExecMode::Interp, true);
+    let (p_clock, p_fields, plain) = run(ExecMode::Compiled, false);
+    let (g_clock, g_fields, guided) = run(ExecMode::Compiled, true);
+    assert_eq!((i_clock, &i_fields), (p_clock, &p_fields), "compiled execution moved the state");
+    assert_eq!((i_clock, &i_fields), (g_clock, &g_fields), "summary guidance moved the state");
+    assert!(plain.counter("compile_superinsts") > 0, "no superinstructions formed");
+    assert_eq!(plain.counter("analysis_summaries"), 0, "analysis ran while switched off");
+    assert!(guided.counter("analysis_summaries") > 0, "analysis never ran");
+    assert!(guided.counter("analysis_typed_loops") > 0, "the pure inner loop was not typed");
+}

@@ -59,9 +59,9 @@ fn cfg(profile: bool) -> ClusterConfig {
     cfg
 }
 
-/// Run the walker on the sim platform and return the merged trace plus
-/// the simulated clock.
-fn run_sim(profile: bool) -> (Trace, f64) {
+/// Run the walker on the sim platform and return the merged trace, the
+/// simulated clock, and every node's `visits`.
+fn run_sim(profile: bool) -> (Trace, f64, Vec<Option<Value>>) {
     let mut cluster = SimCluster::new(cfg(profile));
     cluster.build(&ring(8, 4)).expect("build ring");
     let pid = cluster.register_program(&messengers::lang::compile(WALK).expect("compile"));
@@ -72,13 +72,15 @@ fn run_sim(profile: bool) -> (Trace, f64) {
     }
     let rep = cluster.run().expect("run");
     assert!(rep.faults.is_empty(), "faults: {:?}", rep.faults);
-    (rep.trace.expect("tracing on"), rep.sim_seconds)
+    let visits =
+        (0..8).map(|i| cluster.node_var_by_name(&Value::str(format!("p{i}")), "visits")).collect();
+    (rep.trace.expect("tracing on"), rep.sim_seconds, visits)
 }
 
 #[test]
 fn profiled_runs_are_deterministic_to_the_byte() {
-    let (ta, _) = run_sim(true);
-    let (tb, _) = run_sim(true);
+    let (ta, ..) = run_sim(true);
+    let (tb, ..) = run_sim(true);
     assert_eq!(ta.to_jsonl(), tb.to_jsonl(), "same-seed profiled traces must be byte-identical");
     let (pa, pb) = (Profile::from_trace(&ta), Profile::from_trace(&tb));
     assert!(!pa.is_empty(), "profiled run produced no profiler events");
@@ -90,8 +92,8 @@ fn profiled_runs_are_deterministic_to_the_byte() {
 #[test]
 fn profiling_off_is_the_status_quo_and_on_only_adds_events() {
     // Off twice: byte-identical (the pre-profiler behavior).
-    let (off_a, secs_a) = run_sim(false);
-    let (off_b, _) = run_sim(false);
+    let (off_a, secs_a, visits_a) = run_sim(false);
+    let (off_b, ..) = run_sim(false);
     assert_eq!(off_a.to_jsonl(), off_b.to_jsonl());
     assert!(
         Profile::from_trace(&off_a).is_empty(),
@@ -101,8 +103,9 @@ fn profiling_off_is_the_status_quo_and_on_only_adds_events() {
     // On: the simulation itself must not move (profiling charges nothing
     // to the cost model), and the event stream minus the profiler's own
     // kinds is the unprofiled stream.
-    let (on, secs_on) = run_sim(true);
+    let (on, secs_on, visits_on) = run_sim(true);
     assert_eq!(secs_a.to_bits(), secs_on.to_bits(), "profiling moved the simulated clock");
+    assert_eq!(visits_a, visits_on, "profiling moved the node variables");
     let is_prof = |e: &&messengers::trace::TraceEvent| {
         matches!(e.kind, EventKind::PhaseLedger { .. } | EventKind::PcSample { .. })
     };
@@ -117,7 +120,7 @@ fn every_ledger_total_is_its_phase_sum() {
     // The fraction-sum acceptance invariant, checked per ledger on a
     // real run: `total` is exactly the phase sum, so the report's
     // fractions sum to 1 by construction.
-    let (t, _) = run_sim(true);
+    let (t, ..) = run_sim(true);
     let p = Profile::from_trace(&t);
     assert!(!p.ledgers.is_empty(), "no full ledgers");
     assert!(!p.samples.is_empty(), "no pc samples (interval too coarse for the workload?)");
