@@ -591,6 +591,50 @@ macro_rules! prop_assert_ne {
     }};
 }
 
+// ---- codec corruption --------------------------------------------------
+
+/// The one corruption property every byte codec in this repository is
+/// held to: a decoder accepts exactly what its encoder writes.
+///
+/// `good` is a valid encoding. `reencode` decodes its argument and
+/// returns `None` if the decoder rejected it, else the accepted value
+/// encoded again. Checked: `good` survives the round trip; every strict
+/// prefix of `good` is rejected; and for every byte position, XORing in
+/// a non-zero value drawn from `s` is either rejected or accepted as
+/// *those* bytes — re-encoding gives the damaged input back, so the
+/// decoder never reads two byte strings as one value and damage is
+/// always visible. A caller whose accepted value has no encoder (a
+/// checkpoint restored into a daemon) returns its input, which keeps the
+/// truncation and never-panics halves.
+///
+/// # Errors
+///
+/// The first violation, as a counterexample message.
+pub fn codec_corruption(
+    s: &mut Source,
+    good: &[u8],
+    mut reencode: impl FnMut(&[u8]) -> Option<Vec<u8>>,
+) -> Result<(), String> {
+    prop_assert!(reencode(good).as_deref() == Some(good), "a valid encoding did not round-trip");
+    for cut in 0..good.len() {
+        prop_assert!(reencode(&good[..cut]).is_none(), "prefix of {cut} bytes decoded");
+    }
+    let mut bad = good.to_vec();
+    for at in 0..good.len() {
+        let flip = (s.draw(255) + 1) as u8; // never a no-op XOR
+        bad[at] ^= flip;
+        if let Some(back) = reencode(&bad) {
+            prop_assert!(
+                back == bad,
+                "byte {at} xor {flip:#04x} decoded, but as the value that encodes to {back:02x?}, \
+                 not to the damaged input {bad:02x?}"
+            );
+        }
+        bad[at] = good[at];
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -501,6 +501,36 @@ fn frame_vtime(w: &Wire) -> Vt {
     }
 }
 
+/// One transport channel as a checkpoint holds it: the `(sender,
+/// receiver)` key, the sequence mark (next to send, or highest delivered
+/// in order), and the frames it retains by sequence number.
+type Chan = ((u16, u16), u64, Vec<(u64, Wire)>);
+
+fn put_chan<'a>(
+    buf: &mut BytesMut,
+    (s, c): (u16, u16),
+    mark: u64,
+    frames: impl ExactSizeIterator<Item = (u64, &'a Wire)>,
+) {
+    buf.put_varint(s.into());
+    buf.put_varint(c.into());
+    buf.put_varint(mark);
+    buf.put_seq(frames, |buf, (seq, frame)| {
+        buf.put_varint(seq);
+        buf.put_bytes(&wirecodec::encode_frame(frame));
+    });
+}
+
+fn get_chan(buf: &mut Bytes) -> Result<Chan, VmError> {
+    Ok((
+        (buf.read_u16()?, buf.read_u16()?),
+        buf.read_varint()?,
+        buf.read_seq(vmwire::MAX_SEQ, |buf| {
+            Ok((buf.read_varint()?, wirecodec::decode_frame(buf.read_bytes()?)?))
+        })?,
+    ))
+}
+
 /// The lane a logical node is pinned to: a pure function of the node id,
 /// the cluster seed, and the lane count (splitmix64 finalizer). Every
 /// runnable at one node always lands in the same lane, so per-node FIFO
@@ -1991,6 +2021,7 @@ impl Daemon {
     /// queued messenger, id counters, and the transport channels
     /// (retransmit buffers and resequencing state) — into one snapshot
     /// the platform stores. [`Daemon::restore_from`] is the inverse.
+    #[deny(clippy::cast_possible_truncation)]
     pub fn checkpoint_snapshot(&mut self) -> Bytes {
         debug_assert!(
             self.stage.is_empty() && self.pending_acks.is_empty(),
@@ -1998,35 +2029,32 @@ impl Daemon {
         );
         let mut buf = BytesMut::with_capacity(1024);
         buf.put_u8(1); // snapshot format version
-        vmwire::put_varint(&mut buf, self.node_seq);
-        vmwire::put_varint(&mut buf, self.link_seq);
-        vmwire::put_varint(&mut buf, self.msgr_seq);
-        vmwire::put_varint(&mut buf, self.rr as u64);
+        buf.put_varint(self.node_seq);
+        buf.put_varint(self.link_seq);
+        buf.put_varint(self.msgr_seq);
+        buf.put_varint(self.rr as u64);
         // Logical nodes, canonically ordered by id.
         let mut gids: Vec<NodeRef> = self.nodes.keys().copied().collect();
         gids.sort();
-        vmwire::put_varint(&mut buf, gids.len() as u64);
-        for gid in gids {
+        buf.put_seq(gids.into_iter(), |buf, gid| {
             let n = &self.nodes[&gid];
-            wirecodec::put_node_ref(&mut buf, gid);
-            vmwire::put_value(&mut buf, &n.name);
+            wirecodec::put_node_ref(buf, gid);
+            vmwire::put_value(buf, &n.name);
             let mut keys: Vec<&Arc<str>> = n.vars.keys().collect();
             keys.sort();
-            vmwire::put_varint(&mut buf, keys.len() as u64);
-            for k in keys {
-                vmwire::put_str(&mut buf, k.as_ref());
-                vmwire::put_value(&mut buf, &n.vars[k]);
-            }
-            vmwire::put_varint(&mut buf, n.links.len() as u64);
-            for l in &n.links {
-                vmwire::put_varint(&mut buf, l.inst.0);
-                vmwire::put_value(&mut buf, &l.name);
-                wirecodec::put_orient(&mut buf, l.orient);
-                vmwire::put_varint(&mut buf, l.peer.0 .0 as u64);
-                wirecodec::put_node_ref(&mut buf, l.peer.1);
-                vmwire::put_value(&mut buf, &l.peer_name);
-            }
-        }
+            buf.put_seq(keys.into_iter(), |buf, k| {
+                buf.put_str(k);
+                vmwire::put_value(buf, &n.vars[k]);
+            });
+            buf.put_seq(n.links.iter(), |buf, l| {
+                buf.put_varint(l.inst.0);
+                vmwire::put_value(buf, &l.name);
+                wirecodec::put_orient(buf, l.orient);
+                wirecodec::put_daemon(buf, l.peer.0);
+                wirecodec::put_node_ref(buf, l.peer.1);
+                vmwire::put_value(buf, &l.peer_name);
+            });
+        });
         // Every parked messenger, in deterministic dequeue order. Lanes
         // serialize in global arrival order, so the snapshot bytes are
         // independent of the lane count.
@@ -2045,52 +2073,21 @@ impl Daemon {
         for r in self.opt_queue.values() {
             parked.push((r.at, r.last, vmwire::encode_messenger(&r.state)));
         }
-        vmwire::put_varint(&mut buf, parked.len() as u64);
-        for (at, last, bytes) in parked {
-            wirecodec::put_node_ref(&mut buf, at);
-            match last {
-                None => buf.put_u8(0),
-                Some(i) => {
-                    buf.put_u8(1);
-                    vmwire::put_varint(&mut buf, i.0);
-                }
-            }
-            vmwire::put_varint(&mut buf, bytes.len() as u64);
-            buf.put_slice(&bytes);
-        }
+        buf.put_seq(parked.into_iter(), |buf, (at, last, state)| {
+            wirecodec::put_node_ref(buf, at);
+            wirecodec::put_via(buf, last);
+            buf.put_bytes(&state);
+        });
         // Transport channels: the retransmit buffers double as the redo
         // log of every send not yet durable at its receiver.
-        match &self.xport {
-            None => buf.put_u8(0),
-            Some(x) => {
-                buf.put_u8(1);
-                vmwire::put_varint(&mut buf, x.send.len() as u64);
-                for (&(s, c), p) in &x.send {
-                    vmwire::put_varint(&mut buf, s as u64);
-                    vmwire::put_varint(&mut buf, c as u64);
-                    vmwire::put_varint(&mut buf, p.next_seq);
-                    vmwire::put_varint(&mut buf, p.unacked.len() as u64);
-                    for (&seq, u) in &p.unacked {
-                        vmwire::put_varint(&mut buf, seq);
-                        let fb = crate::wire::encode_frame(&u.frame);
-                        vmwire::put_varint(&mut buf, fb.len() as u64);
-                        buf.put_slice(&fb);
-                    }
-                }
-                vmwire::put_varint(&mut buf, x.recv.len() as u64);
-                for (&(s, c), r) in &x.recv {
-                    vmwire::put_varint(&mut buf, s as u64);
-                    vmwire::put_varint(&mut buf, c as u64);
-                    vmwire::put_varint(&mut buf, r.cum);
-                    vmwire::put_varint(&mut buf, r.held.len() as u64);
-                    for (&seq, f) in &r.held {
-                        vmwire::put_varint(&mut buf, seq);
-                        let fb = crate::wire::encode_frame(f);
-                        vmwire::put_varint(&mut buf, fb.len() as u64);
-                        buf.put_slice(&fb);
-                    }
-                }
-            }
+        buf.put_bool(self.xport.is_some());
+        if let Some(x) = &self.xport {
+            buf.put_seq(x.send.iter(), |buf, (&key, p)| {
+                put_chan(buf, key, p.next_seq, p.unacked.iter().map(|(&seq, u)| (seq, &u.frame)));
+            });
+            buf.put_seq(x.recv.iter(), |buf, (&key, r)| {
+                put_chan(buf, key, r.cum, r.held.iter().map(|(&seq, f)| (seq, f)));
+            });
         }
         self.last_ckpt_min = self.snapshot_floor();
         self.stats.bump(Metric::Checkpoints);
@@ -2115,6 +2112,7 @@ impl Daemon {
     ///
     /// [`VmError::Decode`] if the snapshot is malformed (a platform
     /// storage bug, not a recoverable condition).
+    #[deny(clippy::cast_possible_truncation)]
     pub fn restore_from(
         &mut self,
         victim: DaemonId,
@@ -2124,10 +2122,7 @@ impl Daemon {
     ) -> Result<(), VmError> {
         self.rec.set_now(now);
         let mut buf = bytes;
-        if !buf.has_remaining() {
-            return Err(VmError::Decode("empty checkpoint".to_string()));
-        }
-        let ver = buf.get_u8();
+        let ver = buf.read_u8()?;
         if ver != 1 {
             return Err(VmError::Decode(format!("unknown checkpoint version {ver}")));
         }
@@ -2135,99 +2130,38 @@ impl Daemon {
         // ids embed their creator, so the successor keeps minting from
         // its own sequences without collision.
         for _ in 0..4 {
-            vmwire::get_varint(&mut buf)?;
+            buf.read_varint()?;
         }
-        let n_nodes = vmwire::get_varint(&mut buf)? as usize;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let gid = wirecodec::get_node_ref(&mut buf)?;
-            let name = vmwire::get_value(&mut buf)?;
-            let mut node = LogicalNode::new(gid, name);
-            let n_vars = vmwire::get_varint(&mut buf)? as usize;
-            for _ in 0..n_vars {
-                let k = vmwire::get_str(&mut buf)?;
-                let v = vmwire::get_value(&mut buf)?;
-                node.vars.insert(Arc::from(k.as_str()), v);
-            }
-            let n_links = vmwire::get_varint(&mut buf)? as usize;
-            for _ in 0..n_links {
-                let inst = LinkInstance(vmwire::get_varint(&mut buf)?);
-                let lname = vmwire::get_value(&mut buf)?;
-                let orient = wirecodec::get_orient(&mut buf)?;
-                let peer_d = DaemonId(vmwire::get_varint(&mut buf)? as u16);
-                let peer_n = wirecodec::get_node_ref(&mut buf)?;
-                let peer_name = vmwire::get_value(&mut buf)?;
-                node.links.push(LinkRec {
-                    inst,
-                    name: lname,
-                    orient,
-                    peer: (peer_d, peer_n),
-                    peer_name,
-                });
-            }
-            nodes.push(node);
-        }
-        let n_msgrs = vmwire::get_varint(&mut buf)? as usize;
-        let mut msgrs = Vec::with_capacity(n_msgrs);
-        for _ in 0..n_msgrs {
-            let at = wirecodec::get_node_ref(&mut buf)?;
-            let last = match buf.has_remaining().then(|| buf.get_u8()) {
-                Some(0) => None,
-                Some(1) => Some(LinkInstance(vmwire::get_varint(&mut buf)?)),
-                _ => return Err(VmError::Decode("bad last flag".to_string())),
-            };
-            let n = vmwire::get_varint(&mut buf)? as usize;
-            if buf.remaining() < n {
-                return Err(VmError::Decode("truncated checkpointed messenger".to_string()));
-            }
-            let state = vmwire::decode_messenger(buf.copy_to_bytes(n))?;
-            msgrs.push((at, last, state));
-        }
-        type Chan = ((u16, u16), u64, Vec<(u64, Wire)>);
-        let mut send_chans: Vec<Chan> = Vec::new();
-        let mut recv_chans: Vec<Chan> = Vec::new();
-        if !buf.has_remaining() {
-            return Err(VmError::Decode("truncated checkpoint".to_string()));
-        }
-        if buf.get_u8() == 1 {
-            let n_send = vmwire::get_varint(&mut buf)? as usize;
-            for _ in 0..n_send {
-                let s = vmwire::get_varint(&mut buf)? as u16;
-                let c = vmwire::get_varint(&mut buf)? as u16;
-                let next_seq = vmwire::get_varint(&mut buf)?;
-                let n_un = vmwire::get_varint(&mut buf)? as usize;
-                let mut unacked = Vec::with_capacity(n_un);
-                for _ in 0..n_un {
-                    let seq = vmwire::get_varint(&mut buf)?;
-                    let n = vmwire::get_varint(&mut buf)? as usize;
-                    if buf.remaining() < n {
-                        return Err(VmError::Decode("truncated checkpointed frame".to_string()));
-                    }
-                    unacked.push((seq, crate::wire::decode_frame(buf.copy_to_bytes(n))?));
-                }
-                send_chans.push(((s, c), next_seq, unacked));
-            }
-            let n_recv = vmwire::get_varint(&mut buf)? as usize;
-            for _ in 0..n_recv {
-                let s = vmwire::get_varint(&mut buf)? as u16;
-                let c = vmwire::get_varint(&mut buf)? as u16;
-                let cum = vmwire::get_varint(&mut buf)?;
-                let n_held = vmwire::get_varint(&mut buf)? as usize;
-                let mut held = Vec::with_capacity(n_held);
-                for _ in 0..n_held {
-                    let seq = vmwire::get_varint(&mut buf)?;
-                    let n = vmwire::get_varint(&mut buf)? as usize;
-                    if buf.remaining() < n {
-                        return Err(VmError::Decode("truncated held frame".to_string()));
-                    }
-                    held.push((seq, crate::wire::decode_frame(buf.copy_to_bytes(n))?));
-                }
-                recv_chans.push(((s, c), cum, held));
-            }
-        }
-        if buf.has_remaining() {
-            return Err(VmError::Decode("trailing bytes after checkpoint".to_string()));
-        }
+        let nodes = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+            let mut node = LogicalNode::new(wirecodec::get_node_ref(buf)?, vmwire::get_value(buf)?);
+            let vars = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+                Ok((Arc::from(buf.read_str()?), vmwire::get_value(buf)?))
+            })?;
+            node.vars.extend(vars);
+            node.links = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+                Ok(LinkRec {
+                    inst: LinkInstance(buf.read_varint()?),
+                    name: vmwire::get_value(buf)?,
+                    orient: wirecodec::get_orient(buf)?,
+                    peer: (wirecodec::get_daemon(buf)?, wirecodec::get_node_ref(buf)?),
+                    peer_name: vmwire::get_value(buf)?,
+                })
+            })?;
+            Ok(node)
+        })?;
+        let msgrs = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+            Ok((
+                wirecodec::get_node_ref(buf)?,
+                wirecodec::get_via(buf)?,
+                vmwire::decode_messenger(buf.read_bytes()?)?,
+            ))
+        })?;
+        let (send_chans, recv_chans) = if buf.read_bool()? {
+            (buf.read_seq(vmwire::MAX_SEQ, get_chan)?, buf.read_seq(vmwire::MAX_SEQ, get_chan)?)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        buf.finish("checkpoint")?;
 
         // The floor: everything this restore resurrects, whether queued,
         // held out-of-order, or waiting in a retransmit buffer.
@@ -2314,8 +2248,8 @@ impl Daemon {
             nodes: restored_nodes,
             messengers: restored_msgrs,
         });
-        for d in 0..self.cfg.daemons as u16 {
-            if d == self.id.0 || !self.alive[d as usize] {
+        for (d, &alive) in (0u16..).zip(&self.alive) {
+            if d == self.id.0 || !alive {
                 continue;
             }
             fx.push(Effect::Send {

@@ -4,9 +4,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use msgr_vm::bytes::Bytes;
+use msgr_vm::bytes::{Bytes, BytesMut};
 use std::sync::RwLock;
 
+use msgr_check::{check_with, codec_corruption, Config};
 use msgr_core::config::{ClusterConfig, VtMode};
 use msgr_core::daemon::{CodeCache, Daemon, Effect};
 use msgr_core::ids::{DaemonId, NodeRef};
@@ -14,6 +15,7 @@ use msgr_core::logical::{LinkRec, Orient};
 use msgr_core::topology::DaemonTopology;
 use msgr_core::wire::{Migration, Wire};
 use msgr_gvt::CtrlMsg;
+use msgr_sim::{CrashEvent, FaultPlan, MILLI};
 use msgr_vm::{wire as vmwire, MessengerId, MessengerState, NativeRegistry, Value, Vt};
 
 fn mk_daemon(id: u16, cfg: ClusterConfig) -> (Daemon, CodeCache) {
@@ -283,4 +285,71 @@ fn local_min_spans_ready_and_pending() {
     codes.register(&prog);
     d.launch(&prog, &[], d.init_node()).unwrap();
     assert_eq!(d.local_min(), Vt::ZERO, "ready messengers count");
+}
+
+/// A recovery-armed cluster: the fault plan can kill daemon 2 for good.
+fn armed_cfg() -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(3);
+    cfg.faults = FaultPlan { crashes: vec![CrashEvent::kill(2, 20 * MILLI)], ..FaultPlan::none() };
+    cfg
+}
+
+/// A real checkpoint of daemon 0: a linked node with variables, a parked
+/// messenger, an unacknowledged send and a frame held out of order.
+fn real_snapshot() -> Bytes {
+    let (mut d, codes) = mk_daemon(0, armed_cfg());
+    let prog = trivial_program();
+    codes.register(&prog);
+    let leaf = d.build_node(Value::str("leaf"));
+    let inst = d.alloc_link();
+    d.install_link(
+        leaf,
+        LinkRec {
+            inst,
+            name: Value::str("ring"),
+            orient: Orient::Out,
+            peer: (DaemonId(1), NodeRef::new(1, 1)),
+            peer_name: Value::str("next"),
+        },
+    );
+    d.set_node_var(leaf, "done", Value::Bool(true));
+    let state = MessengerState::launch(&prog, MessengerId::compose(1, 1), &[]).unwrap();
+    let mut fx = Vec::new();
+    d.on_wire_at(MILLI, migration_for(&d, &state, 0), &mut fx);
+    let held = Wire::Data {
+        src: DaemonId(1),
+        chan: DaemonId(0),
+        seq: 2, // 1 never arrived
+        frame: Box::new(migration_for(&d, &state, 0)),
+    };
+    d.on_wire_at(MILLI, held, &mut fx);
+    let mut out = vec![Effect::Send { dst: DaemonId(1), wire: migration_for(&d, &state, 0) }];
+    d.seal_effects(MILLI, &mut out);
+    assert_eq!(d.unacked_frames(), 1);
+    d.checkpoint_flush(2 * MILLI, &mut fx);
+    d.checkpoint_snapshot()
+}
+
+#[test]
+fn damaged_checkpoints_are_errors_not_panics() {
+    // The shared codec property against `restore_from` on a scratch heir:
+    // the intact snapshot restores, every truncation is an error, and a
+    // flipped byte restores or errors — it never panics or aborts.
+    let snap = real_snapshot();
+    let restore = |bytes: &[u8]| {
+        let (mut heir, _) = mk_daemon(1, armed_cfg());
+        heir.restore_from(DaemonId(0), bytes.into(), 3 * MILLI, &mut Vec::new())
+    };
+    check_with(Config { cases: 32, ..Config::default() }, "damaged_checkpoints", |s| {
+        codec_corruption(s, &snap, |b| restore(b).ok().map(|()| b.to_vec()))
+    });
+
+    // A node count no buffer could hold must not be allocated for.
+    let mut huge = BytesMut::new();
+    huge.put_u8(1);
+    for _ in 0..4 {
+        huge.put_varint(0); // id counters
+    }
+    huge.put_varint(u64::MAX);
+    assert!(restore(&huge).is_err());
 }

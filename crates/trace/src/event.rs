@@ -503,8 +503,9 @@ impl TraceEvent {
     /// # Errors
     ///
     /// A human-readable description of the first schema violation.
+    #[deny(clippy::cast_possible_truncation)]
     pub fn from_json(j: &Json) -> Result<TraceEvent, String> {
-        let daemon = req_u64(j, "d")? as u16;
+        let daemon = req_u16(j, "d")?;
         let seq = req_u64(j, "s")?;
         let rt = req_u64(j, "rt")?;
         let vt = req_f64(j, "vt")?;
@@ -517,7 +518,7 @@ impl TraceEvent {
             "inject" => EventKind::MsgrInject { mid: req_u64(j, "mid")? },
             "hop" => EventKind::MsgrHop {
                 mid: req_u64(j, "mid")?,
-                to: req_u64(j, "to")? as u16,
+                to: req_u16(j, "to")?,
                 bytes: req_u64(j, "bytes")?,
             },
             "arrive" => EventKind::MsgrArrive { mid: req_u64(j, "mid")? },
@@ -529,42 +530,37 @@ impl TraceEvent {
             "retire" => EventKind::MsgrRetire { mid: req_u64(j, "mid")? },
             "fault" => EventKind::MsgrFault { mid: req_u64(j, "mid")? },
             "send" => EventKind::FrameSend {
-                chan: req_u64(j, "chan")? as u16,
+                chan: req_u16(j, "chan")?,
                 seq: req_u64(j, "seq")?,
                 bytes: req_u64(j, "bytes")?,
             },
-            "ack" => {
-                EventKind::FrameAck { chan: req_u64(j, "chan")? as u16, seq: req_u64(j, "seq")? }
-            }
+            "ack" => EventKind::FrameAck { chan: req_u16(j, "chan")?, seq: req_u64(j, "seq")? },
             "retransmit" => EventKind::FrameRetransmit {
-                chan: req_u64(j, "chan")? as u16,
+                chan: req_u16(j, "chan")?,
                 seq: req_u64(j, "seq")?,
-                attempt: req_u64(j, "attempt")? as u32,
+                attempt: req_u32(j, "attempt")?,
             },
             "redirect" => EventKind::FrameRedirect {
-                chan: req_u64(j, "chan")? as u16,
+                chan: req_u16(j, "chan")?,
                 seq: req_u64(j, "seq")?,
-                to: req_u64(j, "to")? as u16,
+                to: req_u16(j, "to")?,
             },
             "nv_read" => EventKind::NodeVarRead { var: req_str(j, "var")? },
             "nv_write" => EventKind::NodeVarWrite { var: req_str(j, "var")? },
             "gvt_round" => EventKind::GvtRound { round: req_u64(j, "round")? },
             "gvt_advance" => EventKind::GvtAdvance { gvt: req_f64(j, "to")? },
-            "gvt_evict" => EventKind::GvtEvict {
-                victim: req_u64(j, "victim")? as u16,
-                floor: req_f64(j, "floor")?,
-            },
+            "gvt_evict" => {
+                EventKind::GvtEvict { victim: req_u16(j, "victim")?, floor: req_f64(j, "floor")? }
+            }
             "checkpoint" => EventKind::Checkpoint { bytes: req_u64(j, "bytes")? },
             "restore" => EventKind::Restore {
-                victim: req_u64(j, "victim")? as u16,
+                victim: req_u16(j, "victim")?,
                 nodes: req_u64(j, "nodes")?,
                 messengers: req_u64(j, "msgrs")?,
             },
-            "net_drop" => EventKind::NetDrop { to: req_u64(j, "to")? as u16 },
-            "net_dup" => EventKind::NetDup { to: req_u64(j, "to")? as u16 },
-            "net_delay" => {
-                EventKind::NetDelay { to: req_u64(j, "to")? as u16, by: req_u64(j, "by")? }
-            }
+            "net_drop" => EventKind::NetDrop { to: req_u16(j, "to")? },
+            "net_dup" => EventKind::NetDup { to: req_u16(j, "to")? },
+            "net_delay" => EventKind::NetDelay { to: req_u16(j, "to")?, by: req_u64(j, "by")? },
             "compile" => EventKind::CodeCompile {
                 prog: req_hex_u64(j, "prog")?,
                 funcs: req_u64(j, "funcs")?,
@@ -576,20 +572,18 @@ impl TraceEvent {
                 hop_free: req_u64(j, "hop_free")?,
                 typed_loops: req_u64(j, "typed_loops")?,
             },
-            "ctrl_propose" => EventKind::CtrlPropose {
-                victim: req_u64(j, "victim")? as u16,
-                seq: req_u64(j, "iseq")? as u32,
-            },
+            "ctrl_propose" => {
+                EventKind::CtrlPropose { victim: req_u16(j, "victim")?, seq: req_u32(j, "iseq")? }
+            }
             "ctrl_decide" => EventKind::CtrlDecide {
-                victim: req_u64(j, "victim")? as u16,
-                successor: req_u64(j, "heir")? as u16,
-                seq: req_u64(j, "iseq")? as u32,
+                victim: req_u16(j, "victim")?,
+                successor: req_u16(j, "heir")?,
+                seq: req_u32(j, "iseq")?,
             },
-            "gossip_merge" => EventKind::GossipMerge { from: req_u64(j, "from")? as u16 },
-            "ckpt_replica" => EventKind::CkptReplica {
-                owner: req_u64(j, "owner")? as u16,
-                ver: req_u64(j, "ver")? as u32,
-            },
+            "gossip_merge" => EventKind::GossipMerge { from: req_u16(j, "from")? },
+            "ckpt_replica" => {
+                EventKind::CkptReplica { owner: req_u16(j, "owner")?, ver: req_u32(j, "ver")? }
+            }
             "phase_ledger" => EventKind::PhaseLedger {
                 mid: req_u64(j, "mid")?,
                 born: req_u64(j, "born")?,
@@ -605,8 +599,8 @@ impl TraceEvent {
             },
             "pc_sample" => EventKind::PcSample {
                 prog: req_hex_u64(j, "prog")?,
-                func: req_u64(j, "func")? as u32,
-                line: req_u64(j, "line")? as u32,
+                func: req_u32(j, "func")?,
+                line: req_u32(j, "line")?,
                 count: req_u64(j, "count")?,
             },
             "kill" => EventKind::Kill,
@@ -620,6 +614,18 @@ impl TraceEvent {
 
 fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing or non-integer field {key:?}"))
+}
+
+/// An integer field that must fit 16 bits: `"d":65541` is a schema
+/// violation, not daemon 5.
+fn req_u16(j: &Json, key: &str) -> Result<u16, String> {
+    let v = req_u64(j, key)?;
+    u16::try_from(v).map_err(|_| format!("field {key:?} out of range: {v}"))
+}
+
+fn req_u32(j: &Json, key: &str) -> Result<u32, String> {
+    let v = req_u64(j, key)?;
+    u32::try_from(v).map_err(|_| format!("field {key:?} out of range: {v}"))
 }
 
 fn req_f64(j: &Json, key: &str) -> Result<f64, String> {
@@ -729,6 +735,8 @@ mod tests {
         assert!(TraceEvent::from_json(&j).unwrap_err().contains("\"to\""));
         let j = json::parse(r#"{"d":0,"s":1,"vt":0,"gvt":0,"ev":"kill"}"#).unwrap();
         assert!(TraceEvent::from_json(&j).unwrap_err().contains("\"rt\""));
+        let j = json::parse(r#"{"d":65541,"s":1,"rt":0,"vt":0,"gvt":0,"ev":"kill"}"#).unwrap();
+        assert!(TraceEvent::from_json(&j).unwrap_err().contains("out of range"), "not daemon 5");
     }
 
     #[test]

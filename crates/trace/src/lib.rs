@@ -142,7 +142,10 @@ impl Trace {
                 let pair = entry.as_arr().ok_or("line 1: malformed dropped_by entry")?;
                 match pair {
                     [d, n] => {
-                        let d = d.as_u64().ok_or("line 1: malformed dropped_by daemon")? as u16;
+                        let d = d
+                            .as_u64()
+                            .and_then(|d| u16::try_from(d).ok())
+                            .ok_or("line 1: malformed dropped_by daemon")?;
                         let n = n.as_u64().ok_or("line 1: malformed dropped_by count")?;
                         dropped_by.push((d, n));
                     }

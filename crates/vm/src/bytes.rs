@@ -1,4 +1,5 @@
-//! In-repo byte buffers for the wire codecs.
+//! In-repo byte buffers for the wire codecs, and the one definition of
+//! a well-formed wire primitive.
 //!
 //! A minimal, dependency-free replacement for the `bytes` crate,
 //! providing exactly what the codecs need: [`BytesMut`], a growable
@@ -7,15 +8,37 @@
 //! slicing a [`Bytes`] shares the underlying allocation (`Arc<[u8]>`),
 //! so passing migration payloads between daemons never copies the
 //! payload itself.
+//!
+//! Reading is fallible only: every `read_*` returns
+//! [`VmError::Decode`] on input the matching `put_*` could not have
+//! written — a short buffer, a flag byte other than 0 or 1, a varint
+//! that is longer than it needs to be or too wide for the integer it
+//! fills, a count larger than its cap or than the bytes left to hold its
+//! elements. The messenger, program, frame and checkpoint codecs are
+//! written on these and nothing else, so they share one strictness.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+use crate::error::VmError;
+
+#[cold]
+fn bad(msg: String) -> VmError {
+    VmError::Decode(msg)
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
 /// An immutable, reference-counted byte buffer with a read cursor.
 ///
-/// Reader methods (`get_u8`, `get_f64_le`, `copy_to_bytes`) consume from
-/// the front of the view, like `bytes::Buf`. Slicing and cloning are
-/// O(1) and share storage.
+/// The `read_*` methods consume from the front of the view. Slicing and
+/// cloning are O(1) and share storage.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
@@ -44,60 +67,229 @@ impl Bytes {
         self.start == self.end
     }
 
-    /// Synonym for [`Bytes::len`], reader-flavored.
-    pub fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    /// Whether any unread bytes remain.
-    pub fn has_remaining(&self) -> bool {
-        !self.is_empty()
-    }
-
     /// Read one byte.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if empty; codecs must check `has_remaining` first.
-    pub fn get_u8(&mut self) -> u8 {
-        assert!(self.has_remaining(), "get_u8 on empty buffer");
+    /// [`VmError::Decode`] if the buffer is empty.
+    #[inline]
+    pub fn read_u8(&mut self) -> Result<u8, VmError> {
+        if self.start == self.end {
+            return Err(bad("truncated input".to_string()));
+        }
         let b = self.data[self.start];
         self.start += 1;
-        b
+        Ok(b)
+    }
+
+    /// Read a flag byte: exactly 0 or 1.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] on truncation or any other byte.
+    #[inline]
+    pub fn read_bool(&mut self) -> Result<bool, VmError> {
+        match self.read_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(bad(format!("flag byte {t} is neither 0 nor 1"))),
+        }
+    }
+
+    /// Read a one-byte tag and return the variant it indexes.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] on truncation or a tag past the last variant.
+    #[inline]
+    pub fn read_tag<T: Copy>(&mut self, what: &str, variants: &[T]) -> Result<T, VmError> {
+        let t = self.read_u8()?;
+        variants.get(usize::from(t)).copied().ok_or_else(|| bad(format!("unknown {what} tag {t}")))
+    }
+
+    /// Read an LEB128 varint in its shortest encoding.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] on truncation, on a value past `u64::MAX`, and
+    /// on a multi-byte encoding whose last group is zero (a padded
+    /// encoding would let a corrupted byte decode to the same value).
+    #[inline]
+    pub fn read_varint(&mut self) -> Result<u64, VmError> {
+        let mut v: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.read_u8()?;
+            let group = u64::from(byte & 0x7f);
+            // The tenth group can only hold bit 63: anything above would
+            // be shifted out of the u64 and decode the same as its
+            // absence.
+            if shift == 63 && group > 1 {
+                return Err(bad("varint overflows u64".to_string()));
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift != 0 {
+                    return Err(bad("varint is not minimally encoded".to_string()));
+                }
+                return Ok(v);
+            }
+        }
+        Err(bad("varint too long".to_string()))
+    }
+
+    /// Read a varint that must fit 32 bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bytes::read_varint`], plus a value above `u32::MAX`.
+    #[inline]
+    pub fn read_u32(&mut self) -> Result<u32, VmError> {
+        let v = self.read_varint()?;
+        u32::try_from(v).map_err(|_| bad(format!("{v} overflows u32")))
+    }
+
+    /// Read a varint that must fit 16 bits (daemon ids, table indices).
+    ///
+    /// # Errors
+    ///
+    /// As [`Bytes::read_varint`], plus a value above `u16::MAX`.
+    #[inline]
+    pub fn read_u16(&mut self) -> Result<u16, VmError> {
+        let v = self.read_varint()?;
+        u16::try_from(v).map_err(|_| bad(format!("{v} overflows u16")))
+    }
+
+    /// Read a zigzag-mapped signed varint.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bytes::read_varint`].
+    #[inline]
+    pub fn read_zigzag(&mut self) -> Result<i64, VmError> {
+        self.read_varint().map(unzigzag)
     }
 
     /// Read a little-endian `f64`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if fewer than 8 bytes remain.
-    pub fn get_f64_le(&mut self) -> f64 {
-        assert!(self.remaining() >= 8, "get_f64_le on short buffer");
-        let raw: [u8; 8] = self.data[self.start..self.start + 8].try_into().unwrap();
-        self.start += 8;
-        f64::from_le_bytes(raw)
+    /// [`VmError::Decode`] if fewer than 8 bytes remain.
+    #[inline]
+    pub fn read_f64(&mut self) -> Result<f64, VmError> {
+        let r = self.take(8)?;
+        Ok(f64::from_le_bytes(self.data[r].try_into().expect("take(8) yields 8 bytes")))
     }
 
-    /// Split off the next `n` bytes as a shared-storage [`Bytes`].
+    /// Read `n` little-endian `f64`s (a matrix body), checking that they
+    /// fit before allocating for them.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if fewer than `n` bytes remain.
-    pub fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        assert!(self.remaining() >= n, "copy_to_bytes past end");
-        let out = Bytes { data: self.data.clone(), start: self.start, end: self.start + n };
-        self.start += n;
-        out
+    /// [`VmError::Decode`] if fewer than `8 * n` bytes remain.
+    pub fn read_f64s(&mut self, n: u64) -> Result<Vec<f64>, VmError> {
+        let n = self.fits(n, 8)?;
+        let r = self.take(n * 8)?;
+        let chunks = self.data[r].chunks_exact(8);
+        Ok(chunks.map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))).collect())
     }
 
-    /// Skip `n` bytes.
+    /// Read an element count: a varint no larger than `max` and no larger
+    /// than the bytes that remain, since every element costs at least one
+    /// byte. The result is safe to pre-allocate for.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if fewer than `n` bytes remain.
-    pub fn advance(&mut self, n: usize) {
-        assert!(self.remaining() >= n, "advance past end");
-        self.start += n;
+    /// [`VmError::Decode`] if the count breaks either bound.
+    #[inline]
+    pub fn read_count(&mut self, max: usize) -> Result<usize, VmError> {
+        let n = self.read_varint()?;
+        if n > max as u64 {
+            return Err(bad(format!("count {n} exceeds the cap of {max}")));
+        }
+        self.fits(n, 1)
+    }
+
+    /// Read a counted sequence: [`Bytes::read_count`], then `read` once per
+    /// element into a vector sized by that (already bounded) count.
+    ///
+    /// # Errors
+    ///
+    /// The count's bounds, or the first element error.
+    pub fn read_seq<T>(
+        &mut self,
+        max: usize,
+        mut read: impl FnMut(&mut Bytes) -> Result<T, VmError>,
+    ) -> Result<Vec<T>, VmError> {
+        let n = self.read_count(max)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Read a length-prefixed byte string as a shared-storage view.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] if the length exceeds what remains.
+    #[inline]
+    pub fn read_bytes(&mut self) -> Result<Bytes, VmError> {
+        let n = self.read_varint()?;
+        let r = self.take(self.fits(n, 1)?)?;
+        Ok(Bytes { data: self.data.clone(), start: r.start, end: r.end })
+    }
+
+    /// Read a length-prefixed UTF-8 string.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] on truncation or invalid UTF-8.
+    pub fn read_str(&mut self) -> Result<String, VmError> {
+        let n = self.read_varint()?;
+        let r = self.take(self.fits(n, 1)?)?;
+        match std::str::from_utf8(&self.data[r]) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(_) => Err(bad("invalid utf8".to_string())),
+        }
+    }
+
+    /// Require that everything has been read.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] if bytes remain after `what`.
+    pub fn finish(&self, what: &str) -> Result<(), VmError> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(bad(format!("{} trailing bytes after {what}", self.len())))
+        }
+    }
+
+    /// `n` elements of at least `elem_bytes` (> 0) bytes each must still
+    /// fit: the one bound every length read from the wire passes before
+    /// anything is allocated for it.
+    #[inline]
+    fn fits(&self, n: u64, elem_bytes: usize) -> Result<usize, VmError> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.len() / elem_bytes => Ok(n),
+            _ => Err(bad(format!(
+                "{n} elements of {elem_bytes} bytes do not fit the {} bytes left",
+                self.len()
+            ))),
+        }
+    }
+
+    /// Consume the next `n` bytes; returns their range in `data`.
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<std::ops::Range<usize>, VmError> {
+        if self.len() < n {
+            return Err(bad("truncated input".to_string()));
+        }
+        let r = self.start..self.start + n;
+        self.start = r.end;
+        Ok(r)
     }
 
     /// A shared-storage sub-view of the unread bytes.
@@ -204,9 +396,56 @@ impl BytesMut {
         self.buf.extend_from_slice(s);
     }
 
+    /// Append a flag byte (0 or 1).
+    pub fn put_bool(&mut self, b: bool) {
+        self.put_u8(u8::from(b));
+    }
+
+    /// Append an LEB128 varint, shortest form.
+    pub fn put_varint(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.put_u8(byte);
+                return;
+            }
+            self.put_u8(byte | 0x80);
+        }
+    }
+
+    /// Append a signed integer, zigzag-mapped so small magnitudes stay
+    /// small.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(zigzag(v));
+    }
+
     /// Append a little-endian `f64`.
-    pub fn put_f64_le(&mut self, v: f64) {
+    pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Append a counted sequence: the length, then `put` per element.
+    pub fn put_seq<T>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        mut put: impl FnMut(&mut BytesMut, T),
+    ) {
+        self.put_varint(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+    }
+
+    /// Append a length-prefixed byte string.
+    pub fn put_bytes(&mut self, s: &[u8]) {
+        self.put_varint(s.len() as u64);
+        self.put_slice(s);
+    }
+
+    /// Append a length-prefixed UTF-8 string.
+    pub fn put_str(&mut self, s: &str) {
+        self.put_bytes(s.as_bytes());
     }
 
     /// Freeze into an immutable [`Bytes`].
@@ -234,17 +473,25 @@ mod tests {
 
     #[test]
     fn write_freeze_read_round_trip() {
-        let mut w = BytesMut::with_capacity(16);
+        let mut w = BytesMut::with_capacity(32);
         w.put_u8(7);
-        w.put_f64_le(2.5);
-        w.put_slice(b"abc");
+        w.put_bool(true);
+        w.put_f64(2.5);
+        w.put_zigzag(-654_321);
+        w.put_str("héllo");
+        w.put_bytes(b"abc");
         let mut r = w.freeze();
-        assert_eq!(r.len(), 12);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_f64_le(), 2.5);
-        let tail = r.copy_to_bytes(3);
+        assert_eq!(r.read_u8(), Ok(7));
+        assert_eq!(r.read_bool(), Ok(true));
+        assert_eq!(r.read_f64(), Ok(2.5));
+        assert_eq!(r.read_zigzag(), Ok(-654_321));
+        assert_eq!(r.read_str().as_deref(), Ok("héllo"));
+        let before = r.clone();
+        let tail = r.read_bytes().unwrap();
         assert_eq!(&*tail, b"abc");
-        assert!(!r.has_remaining());
+        assert!(Arc::ptr_eq(&tail.data, &before.data), "read_bytes shares storage");
+        assert_eq!(r.finish("test"), Ok(()));
+        assert!(before.finish("test").is_err());
     }
 
     #[test]
@@ -255,7 +502,8 @@ mod tests {
         assert_eq!(mid, Bytes::from(vec![2u8, 3, 4]));
         // Slicing after partial reads is relative to the unread view.
         let mut r = b.clone();
-        r.advance(2);
+        r.read_u8().unwrap();
+        r.read_u8().unwrap();
         assert_eq!(&*r.slice(..2), &[3, 4]);
     }
 
@@ -263,14 +511,71 @@ mod tests {
     fn empty_buffer_behaves() {
         let b = Bytes::new();
         assert!(b.is_empty());
-        assert!(!b.has_remaining());
         assert_eq!(b, Bytes::from(Vec::new()));
     }
 
     #[test]
-    #[should_panic(expected = "get_u8 on empty")]
-    fn reading_past_end_panics() {
-        Bytes::new().get_u8();
+    fn reads_past_the_end_are_errors() {
+        assert!(Bytes::new().read_u8().is_err());
+        assert!(Bytes::from(vec![0u8; 7]).read_f64().is_err());
+        // A view ends where it was sliced, not where its storage ends.
+        let mut view = Bytes::from(vec![1u8, 2, 3]).slice(..1);
+        assert_eq!(view.read_u8(), Ok(1));
+        assert!(view.read_u8().is_err());
+        assert!(Bytes::from(vec![3u8, b'a', b'b']).read_bytes().is_err());
+        assert!(Bytes::from(vec![2u8, 0xff, 0xfe]).read_str().is_err(), "invalid utf8");
+    }
+
+    #[test]
+    fn flags_and_tags_are_strict() {
+        assert!(Bytes::from(vec![2u8]).read_bool().is_err());
+        assert_eq!(Bytes::from(vec![1u8]).read_tag("t", &['a', 'b']), Ok('b'));
+        assert!(Bytes::from(vec![2u8]).read_tag("t", &['a', 'b']).is_err());
+    }
+
+    #[test]
+    fn varints_round_trip_minimal_and_in_width() {
+        for v in [0u64, 1, 127, 128, 16383, 16384, u64::from(u32::MAX), u64::MAX] {
+            let mut w = BytesMut::new();
+            w.put_varint(v);
+            assert_eq!(w.freeze().read_varint(), Ok(v));
+        }
+        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 123_456] {
+            let mut w = BytesMut::new();
+            w.put_zigzag(v);
+            assert_eq!(w.freeze().read_zigzag(), Ok(v));
+        }
+        // 5 padded to two bytes, 0 padded to two bytes, and an eleventh
+        // group: all values `put_varint` writes shorter.
+        for padded in [&[0x85u8, 0x00][..], &[0x80, 0x00], &[0xff; 11]] {
+            assert!(Bytes::from(padded).read_varint().is_err(), "{padded:?}");
+        }
+        let wide = |v: u64| {
+            let mut w = BytesMut::new();
+            w.put_varint(v);
+            w.freeze()
+        };
+        assert_eq!(wide(0xffff).read_u16(), Ok(0xffff));
+        assert!(wide(0x1_0005).read_u16().is_err(), "must not truncate to 5");
+        assert_eq!(wide(0xffff_ffff).read_u32(), Ok(0xffff_ffff));
+        assert!(wide(0x1_0000_0005).read_u32().is_err());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_cap_and_by_remaining() {
+        let buf = |n: u64, tail: usize| {
+            let mut w = BytesMut::new();
+            w.put_varint(n);
+            w.put_slice(&vec![0u8; tail]);
+            w.freeze()
+        };
+        assert_eq!(buf(3, 3).read_count(8), Ok(3));
+        assert!(buf(9, 16).read_count(8).is_err(), "over the cap");
+        assert!(buf(4, 3).read_count(8).is_err(), "more elements than bytes");
+        assert!(buf(u64::MAX, 3).read_count(usize::MAX).is_err());
+        assert_eq!(buf(0, 16).slice(1..).read_f64s(2).map(|v| v.len()), Ok(2));
+        assert!(buf(0, 15).slice(1..).read_f64s(2).is_err());
+        assert!(buf(0, 15).slice(1..).read_f64s(u64::MAX).is_err());
     }
 
     #[test]

@@ -7,10 +7,17 @@
 //! byte code for more efficient transport and parsing"; this module is
 //! that transport format.
 //!
-//! The format is a simple tagged encoding with LEB128 varints. It is not
-//! self-describing beyond the tags and performs strict validation on
-//! decode: a truncated or corrupted buffer yields [`VmError::Decode`],
-//! never a panic.
+//! The format is a simple tagged encoding over the checked primitives of
+//! [`crate::bytes`] (LEB128 varints, strict flags, bounded counts). It is
+//! not self-describing beyond the tags, and a decoder accepts only what
+//! its encoder writes: a truncated or corrupted buffer yields
+//! [`VmError::Decode`], never a panic and never a silently different
+//! reading of the same value.
+
+#![deny(clippy::cast_possible_truncation)]
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::bytes::{Bytes, BytesMut};
 
@@ -23,101 +30,16 @@ use crate::state::{Frame, MessengerId, MessengerState, Vt};
 use crate::summary::{FnSummary, HopBehavior, SumKind, SummaryTable};
 use crate::value::{LinkInstance, Matrix, Value};
 
-fn err(msg: &str) -> VmError {
-    VmError::Decode(msg.to_string())
-}
+/// Cap for tables a `u16` operand indexes: constants, functions, local
+/// slots, hop and create specs, summary sets.
+pub const MAX_TABLE: usize = u16::MAX as usize;
 
-// ---- primitives ---------------------------------------------------------
-//
-// Public so that higher layers (e.g. the daemon frame codec in
-// `msgr-core`) can reuse the exact same varint/string/float encodings
-// instead of inventing parallel ones.
+/// Cap for every other sequence. [`Bytes::read_count`] also holds each
+/// count to the bytes that remain, which is the bound that matters.
+pub const MAX_SEQ: usize = 1 << 24;
 
-/// Append an LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-/// Decode an LEB128 varint.
-///
-/// # Errors
-///
-/// [`VmError::Decode`] on truncation or overlong encodings.
-pub fn get_varint(buf: &mut Bytes) -> Result<u64, VmError> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(err("truncated varint"));
-        }
-        let byte = buf.get_u8();
-        let group = (byte & 0x7f) as u64;
-        // The tenth group can only hold bit 63: anything above would be
-        // shifted out of the u64 and decode the same as its absence,
-        // letting corrupted bytes round-trip silently.
-        if shift == 63 && group > 1 {
-            return Err(err("varint overflows u64"));
-        }
-        v |= group << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(err("varint too long"))
-}
-
-/// Zigzag-map a signed integer so small magnitudes stay small.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append a little-endian `f64`.
-pub fn put_f64(buf: &mut BytesMut, v: f64) {
-    buf.put_f64_le(v);
-}
-
-/// Decode a little-endian `f64`.
-///
-/// # Errors
-///
-/// [`VmError::Decode`] on truncation.
-pub fn get_f64(buf: &mut Bytes) -> Result<f64, VmError> {
-    if buf.remaining() < 8 {
-        return Err(err("truncated f64"));
-    }
-    Ok(buf.get_f64_le())
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Decode a length-prefixed UTF-8 string.
-///
-/// # Errors
-///
-/// [`VmError::Decode`] on truncation or invalid UTF-8.
-pub fn get_str(buf: &mut Bytes) -> Result<String, VmError> {
-    let n = get_varint(buf)? as usize;
-    if buf.remaining() < n {
-        return Err(err("truncated string"));
-    }
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| err("invalid utf8"))
+fn err(msg: String) -> VmError {
+    VmError::Decode(msg)
 }
 
 // ---- values --------------------------------------------------------------
@@ -128,43 +50,39 @@ pub fn put_value(buf: &mut BytesMut, v: &Value) {
         Value::Null => buf.put_u8(0),
         Value::Bool(b) => {
             buf.put_u8(1);
-            buf.put_u8(*b as u8);
+            buf.put_bool(*b);
         }
         Value::Int(i) => {
             buf.put_u8(2);
-            put_varint(buf, zigzag(*i));
+            buf.put_zigzag(*i);
         }
         Value::Float(f) => {
             buf.put_u8(3);
-            put_f64(buf, *f);
+            buf.put_f64(*f);
         }
         Value::Str(s) => {
             buf.put_u8(4);
-            put_str(buf, s);
+            buf.put_str(s);
         }
         Value::Mat(m) => {
             buf.put_u8(5);
-            put_varint(buf, m.rows() as u64);
-            put_varint(buf, m.cols() as u64);
+            buf.put_varint(m.rows().into());
+            buf.put_varint(m.cols().into());
             for &x in m.as_slice() {
-                put_f64(buf, x);
+                buf.put_f64(x);
             }
         }
         Value::Blob(b) => {
             buf.put_u8(7);
-            put_varint(buf, b.len() as u64);
-            buf.put_slice(b);
+            buf.put_bytes(b);
         }
         Value::Link(l) => {
             buf.put_u8(6);
-            put_varint(buf, l.0);
+            buf.put_varint(l.0);
         }
         Value::Arr(a) => {
             buf.put_u8(8);
-            put_varint(buf, a.len() as u64);
-            for v in a.iter() {
-                put_value(buf, v);
-            }
+            buf.put_seq(a.iter(), put_value);
         }
     }
 }
@@ -175,108 +93,70 @@ pub fn put_value(buf: &mut BytesMut, v: &Value) {
 ///
 /// [`VmError::Decode`] on truncation or unknown tags.
 pub fn get_value(buf: &mut Bytes) -> Result<Value, VmError> {
-    if !buf.has_remaining() {
-        return Err(err("truncated value"));
-    }
-    Ok(match buf.get_u8() {
+    Ok(match buf.read_u8()? {
         0 => Value::Null,
-        1 => {
-            if !buf.has_remaining() {
-                return Err(err("truncated bool"));
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
-        2 => Value::Int(unzigzag(get_varint(buf)?)),
-        3 => Value::Float(get_f64(buf)?),
-        4 => Value::str(get_str(buf)?),
+        1 => Value::Bool(buf.read_bool()?),
+        2 => Value::Int(buf.read_zigzag()?),
+        3 => Value::Float(buf.read_f64()?),
+        4 => Value::str(buf.read_str()?),
         5 => {
-            let rows = get_varint(buf)? as u32;
-            let cols = get_varint(buf)? as u32;
-            let n = (rows as u64)
-                .checked_mul(cols as u64)
-                .filter(|&n| n <= (1 << 32))
-                .ok_or(err("matrix too large"))? as usize;
-            if buf.remaining() < n * 8 {
-                return Err(err("truncated matrix"));
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(buf.get_f64_le());
-            }
+            let rows = buf.read_u32()?;
+            let cols = buf.read_u32()?;
+            let data = buf.read_f64s(u64::from(rows) * u64::from(cols))?;
             Value::Mat(Matrix::from_vec(rows, cols, data))
         }
-        6 => Value::Link(LinkInstance(get_varint(buf)?)),
-        7 => {
-            let n = get_varint(buf)? as usize;
-            if buf.remaining() < n {
-                return Err(err("truncated blob"));
-            }
-            Value::Blob(buf.copy_to_bytes(n))
-        }
-        8 => {
-            let n = get_varint(buf)? as usize;
-            if n > 1 << 24 {
-                return Err(err("absurd array length"));
-            }
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(get_value(buf)?);
-            }
-            Value::Arr(std::sync::Arc::new(items))
-        }
-        t => return Err(err(&format!("unknown value tag {t}"))),
+        6 => Value::Link(LinkInstance(buf.read_varint()?)),
+        7 => Value::Blob(buf.read_bytes()?),
+        8 => Value::Arr(Arc::new(buf.read_seq(MAX_SEQ, get_value)?)),
+        t => return Err(err(format!("unknown value tag {t}"))),
     })
+}
+
+/// Append a virtual time.
+pub fn put_vt(buf: &mut BytesMut, vt: Vt) {
+    buf.put_f64(vt.as_f64());
+}
+
+/// Decode a virtual time.
+///
+/// # Errors
+///
+/// [`VmError::Decode`] on truncation or NaN.
+pub fn get_vt(buf: &mut Bytes) -> Result<Vt, VmError> {
+    let t = buf.read_f64()?;
+    if t.is_nan() {
+        return Err(err("NaN virtual time".to_string()));
+    }
+    Ok(Vt::new(t))
 }
 
 // ---- messenger state -------------------------------------------------------
 
 fn put_frame(buf: &mut BytesMut, f: &Frame) {
-    put_varint(buf, f.func.0 as u64);
-    put_varint(buf, f.pc as u64);
-    put_varint(buf, f.locals.len() as u64);
-    for v in &f.locals {
-        put_value(buf, v);
-    }
-    put_varint(buf, f.stack.len() as u64);
-    for v in &f.stack {
-        put_value(buf, v);
-    }
+    buf.put_varint(f.func.0.into());
+    buf.put_varint(f.pc.into());
+    buf.put_seq(f.locals.iter(), put_value);
+    buf.put_seq(f.stack.iter(), put_value);
 }
 
 fn get_frame(buf: &mut Bytes) -> Result<Frame, VmError> {
-    let func = FuncId(get_varint(buf)? as u16);
-    let pc = get_varint(buf)? as u32;
-    let nl = get_varint(buf)? as usize;
-    if nl > 1 << 20 {
-        return Err(err("absurd local count"));
-    }
-    let mut locals = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        locals.push(get_value(buf)?);
-    }
-    let ns = get_varint(buf)? as usize;
-    if ns > 1 << 20 {
-        return Err(err("absurd stack size"));
-    }
-    let mut stack = Vec::with_capacity(ns);
-    for _ in 0..ns {
-        stack.push(get_value(buf)?);
-    }
-    Ok(Frame { func, pc, locals, stack })
+    Ok(Frame {
+        func: FuncId(buf.read_u16()?),
+        pc: buf.read_u32()?,
+        locals: buf.read_seq(MAX_TABLE, get_value)?,
+        stack: buf.read_seq(MAX_SEQ, get_value)?,
+    })
 }
 
 /// Serialize a messenger for migration. This is the payload a `hop`
 /// actually ships (plus routing headers added by the daemon layer).
 pub fn encode_messenger(m: &MessengerState) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
-    put_varint(&mut buf, m.id.0);
-    put_varint(&mut buf, m.program.0);
-    put_f64(&mut buf, m.vtime.as_f64());
-    buf.put_u8(m.anti as u8);
-    put_varint(&mut buf, m.frames.len() as u64);
-    for f in &m.frames {
-        put_frame(&mut buf, f);
-    }
+    buf.put_varint(m.id.0);
+    buf.put_varint(m.program.0);
+    put_vt(&mut buf, m.vtime);
+    buf.put_bool(m.anti);
+    buf.put_seq(m.frames.iter(), put_frame);
     buf.freeze()
 }
 
@@ -286,28 +166,13 @@ pub fn encode_messenger(m: &MessengerState) -> Bytes {
 ///
 /// [`VmError::Decode`] on any malformed input.
 pub fn decode_messenger(mut buf: Bytes) -> Result<MessengerState, VmError> {
-    let id = MessengerId(get_varint(&mut buf)?);
-    let program = ProgramId(get_varint(&mut buf)?);
-    let vt = get_f64(&mut buf)?;
-    if vt.is_nan() {
-        return Err(err("NaN virtual time"));
-    }
-    if !buf.has_remaining() {
-        return Err(err("truncated messenger"));
-    }
-    let anti = buf.get_u8() != 0;
-    let nf = get_varint(&mut buf)? as usize;
-    if nf > 1 << 16 {
-        return Err(err("absurd frame count"));
-    }
-    let mut frames = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        frames.push(get_frame(&mut buf)?);
-    }
-    if buf.has_remaining() {
-        return Err(err("trailing bytes after messenger"));
-    }
-    Ok(MessengerState { id, program, frames, vtime: Vt::new(vt), anti })
+    let id = MessengerId(buf.read_varint()?);
+    let program = ProgramId(buf.read_varint()?);
+    let vtime = get_vt(&mut buf)?;
+    let anti = buf.read_bool()?;
+    let frames = buf.read_seq(MAX_TABLE, get_frame)?;
+    buf.finish("messenger")?;
+    Ok(MessengerState { id, program, frames, vtime, anti })
 }
 
 // ---- programs -------------------------------------------------------------
@@ -321,40 +186,25 @@ fn put_dir(buf: &mut BytesMut, d: Dir) {
 }
 
 fn get_dir(buf: &mut Bytes) -> Result<Dir, VmError> {
-    if !buf.has_remaining() {
-        return Err(err("truncated dir"));
-    }
-    Ok(match buf.get_u8() {
-        0 => Dir::Forward,
-        1 => Dir::Backward,
-        2 => Dir::Any,
-        t => return Err(err(&format!("bad dir {t}"))),
-    })
+    buf.read_tag("dir", &[Dir::Forward, Dir::Backward, Dir::Any])
 }
 
 fn put_op(buf: &mut BytesMut, op: &Op) {
     use Op::*;
-    match op {
-        Const(i) => {
-            buf.put_u8(0);
-            put_varint(buf, *i as u64);
-        }
-        LoadLocal(i) => {
-            buf.put_u8(1);
-            put_varint(buf, *i as u64);
-        }
-        StoreLocal(i) => {
-            buf.put_u8(2);
-            put_varint(buf, *i as u64);
-        }
-        LoadNode(i) => {
-            buf.put_u8(3);
-            put_varint(buf, *i as u64);
-        }
-        StoreNode(i) => {
-            buf.put_u8(4);
-            put_varint(buf, *i as u64);
-        }
+    let indexed = |buf: &mut BytesMut, tag: u8, i: u16| {
+        buf.put_u8(tag);
+        buf.put_varint(i.into());
+    };
+    let jump = |buf: &mut BytesMut, tag: u8, offset: i32| {
+        buf.put_u8(tag);
+        buf.put_zigzag(offset.into());
+    };
+    match *op {
+        Const(i) => indexed(buf, 0, i),
+        LoadLocal(i) => indexed(buf, 1, i),
+        StoreLocal(i) => indexed(buf, 2, i),
+        LoadNode(i) => indexed(buf, 3, i),
+        StoreNode(i) => indexed(buf, 4, i),
         LoadNet(v) => {
             buf.put_u8(5);
             buf.put_u8(match v {
@@ -379,45 +229,22 @@ fn put_op(buf: &mut BytesMut, op: &Op) {
         Le => buf.put_u8(18),
         Gt => buf.put_u8(19),
         Ge => buf.put_u8(20),
-        Jump(o) => {
-            buf.put_u8(21);
-            put_varint(buf, zigzag(*o as i64));
-        }
-        JumpIfFalse(o) => {
-            buf.put_u8(22);
-            put_varint(buf, zigzag(*o as i64));
-        }
-        JumpIfTruePeek(o) => {
-            buf.put_u8(23);
-            put_varint(buf, zigzag(*o as i64));
-        }
-        JumpIfFalsePeek(o) => {
-            buf.put_u8(24);
-            put_varint(buf, zigzag(*o as i64));
-        }
+        Jump(o) => jump(buf, 21, o),
+        JumpIfFalse(o) => jump(buf, 22, o),
+        JumpIfTruePeek(o) => jump(buf, 23, o),
+        JumpIfFalsePeek(o) => jump(buf, 24, o),
         Call { f, argc } => {
-            buf.put_u8(25);
-            put_varint(buf, *f as u64);
-            buf.put_u8(*argc);
+            indexed(buf, 25, f);
+            buf.put_u8(argc);
         }
         CallNative { name, argc } => {
-            buf.put_u8(26);
-            put_varint(buf, *name as u64);
-            buf.put_u8(*argc);
+            indexed(buf, 26, name);
+            buf.put_u8(argc);
         }
         Ret => buf.put_u8(27),
-        Hop(i) => {
-            buf.put_u8(28);
-            put_varint(buf, *i as u64);
-        }
-        Create(i) => {
-            buf.put_u8(29);
-            put_varint(buf, *i as u64);
-        }
-        Delete(i) => {
-            buf.put_u8(30);
-            put_varint(buf, *i as u64);
-        }
+        Hop(i) => indexed(buf, 28, i),
+        Create(i) => indexed(buf, 29, i),
+        Delete(i) => indexed(buf, 30, i),
         SchedAbs => buf.put_u8(31),
         SchedDlt => buf.put_u8(32),
         Halt => buf.put_u8(33),
@@ -429,28 +256,19 @@ fn put_op(buf: &mut BytesMut, op: &Op) {
 
 fn get_op(buf: &mut Bytes) -> Result<Op, VmError> {
     use Op::*;
-    if !buf.has_remaining() {
-        return Err(err("truncated op"));
+    fn jump(buf: &mut Bytes) -> Result<i32, VmError> {
+        let o = buf.read_zigzag()?;
+        i32::try_from(o).map_err(|_| err(format!("jump offset {o} overflows i32")))
     }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        0 => Const(get_varint(buf)? as u16),
-        1 => LoadLocal(get_varint(buf)? as u16),
-        2 => StoreLocal(get_varint(buf)? as u16),
-        3 => LoadNode(get_varint(buf)? as u16),
-        4 => StoreNode(get_varint(buf)? as u16),
-        5 => {
-            if !buf.has_remaining() {
-                return Err(err("truncated netvar"));
-            }
-            LoadNet(match buf.get_u8() {
-                0 => NetVar::Address,
-                1 => NetVar::Last,
-                2 => NetVar::Node,
-                3 => NetVar::Time,
-                t => return Err(err(&format!("bad netvar {t}"))),
-            })
-        }
+    Ok(match buf.read_u8()? {
+        0 => Const(buf.read_u16()?),
+        1 => LoadLocal(buf.read_u16()?),
+        2 => StoreLocal(buf.read_u16()?),
+        3 => LoadNode(buf.read_u16()?),
+        4 => StoreNode(buf.read_u16()?),
+        5 => LoadNet(
+            buf.read_tag("netvar", &[NetVar::Address, NetVar::Last, NetVar::Node, NetVar::Time])?,
+        ),
         6 => Dup,
         7 => Pop,
         8 => Add,
@@ -466,51 +284,32 @@ fn get_op(buf: &mut Bytes) -> Result<Op, VmError> {
         18 => Le,
         19 => Gt,
         20 => Ge,
-        21 => Jump(unzigzag(get_varint(buf)?) as i32),
-        22 => JumpIfFalse(unzigzag(get_varint(buf)?) as i32),
-        23 => JumpIfTruePeek(unzigzag(get_varint(buf)?) as i32),
-        24 => JumpIfFalsePeek(unzigzag(get_varint(buf)?) as i32),
-        25 => {
-            let f = get_varint(buf)? as u16;
-            if !buf.has_remaining() {
-                return Err(err("truncated call"));
-            }
-            Call { f, argc: buf.get_u8() }
-        }
-        26 => {
-            let name = get_varint(buf)? as u16;
-            if !buf.has_remaining() {
-                return Err(err("truncated native call"));
-            }
-            CallNative { name, argc: buf.get_u8() }
-        }
+        21 => Jump(jump(buf)?),
+        22 => JumpIfFalse(jump(buf)?),
+        23 => JumpIfTruePeek(jump(buf)?),
+        24 => JumpIfFalsePeek(jump(buf)?),
+        25 => Call { f: buf.read_u16()?, argc: buf.read_u8()? },
+        26 => CallNative { name: buf.read_u16()?, argc: buf.read_u8()? },
         27 => Ret,
-        28 => Hop(get_varint(buf)? as u16),
-        29 => Create(get_varint(buf)? as u16),
-        30 => Delete(get_varint(buf)? as u16),
+        28 => Hop(buf.read_u16()?),
+        29 => Create(buf.read_u16()?),
+        30 => Delete(buf.read_u16()?),
         31 => SchedAbs,
         32 => SchedDlt,
         33 => Halt,
         34 => MakeArr,
         35 => IndexGet,
         36 => IndexSet,
-        t => return Err(err(&format!("unknown op tag {t}"))),
+        t => return Err(err(format!("unknown op tag {t}"))),
     })
 }
 
 fn put_node_pat(buf: &mut BytesMut, p: NodePat) {
-    buf.put_u8(matches!(p, NodePat::Expr) as u8);
+    buf.put_bool(matches!(p, NodePat::Expr));
 }
 
 fn get_node_pat(buf: &mut Bytes) -> Result<NodePat, VmError> {
-    if !buf.has_remaining() {
-        return Err(err("truncated pat"));
-    }
-    Ok(match buf.get_u8() {
-        0 => NodePat::Wild,
-        1 => NodePat::Expr,
-        t => return Err(err(&format!("bad node pat {t}"))),
-    })
+    buf.read_tag("node pattern", &[NodePat::Wild, NodePat::Expr])
 }
 
 fn put_link_pat(buf: &mut BytesMut, p: LinkPat) {
@@ -523,77 +322,51 @@ fn put_link_pat(buf: &mut BytesMut, p: LinkPat) {
 }
 
 fn get_link_pat(buf: &mut Bytes) -> Result<LinkPat, VmError> {
-    if !buf.has_remaining() {
-        return Err(err("truncated pat"));
-    }
-    Ok(match buf.get_u8() {
-        0 => LinkPat::Wild,
-        1 => LinkPat::Unnamed,
-        2 => LinkPat::Expr,
-        3 => LinkPat::Virtual,
-        t => return Err(err(&format!("bad link pat {t}"))),
-    })
+    buf.read_tag(
+        "link pattern",
+        &[LinkPat::Wild, LinkPat::Unnamed, LinkPat::Expr, LinkPat::Virtual],
+    )
 }
 
 fn put_name_pat(buf: &mut BytesMut, p: NamePat) {
-    buf.put_u8(matches!(p, NamePat::Expr) as u8);
+    buf.put_bool(matches!(p, NamePat::Expr));
 }
 
 fn get_name_pat(buf: &mut Bytes) -> Result<NamePat, VmError> {
-    if !buf.has_remaining() {
-        return Err(err("truncated pat"));
-    }
-    Ok(match buf.get_u8() {
-        0 => NamePat::Unnamed,
-        1 => NamePat::Expr,
-        t => return Err(err(&format!("bad name pat {t}"))),
-    })
+    buf.read_tag("name pattern", &[NamePat::Unnamed, NamePat::Expr])
 }
 
 /// Serialize a program (for code-registry shipping and the carry-code
 /// ablation).
 pub fn encode_program(p: &Program) -> Bytes {
     let mut buf = BytesMut::with_capacity(256);
-    put_varint(&mut buf, p.consts.len() as u64);
-    for c in &p.consts {
-        put_value(&mut buf, c);
-    }
-    put_varint(&mut buf, p.funcs.len() as u64);
-    for f in &p.funcs {
-        put_str(&mut buf, &f.name);
+    buf.put_seq(p.consts.iter(), put_value);
+    buf.put_seq(p.funcs.iter(), |buf, f| {
+        buf.put_str(&f.name);
         buf.put_u8(f.arity);
-        put_varint(&mut buf, f.n_slots as u64);
-        put_varint(&mut buf, f.code.len() as u64);
-        for op in &f.code {
-            put_op(&mut buf, op);
-        }
+        buf.put_varint(f.n_slots.into());
+        buf.put_seq(f.code.iter(), put_op);
         // Debug info travels with the code so a shipped program keeps
         // its content id (`Program::id` hashes the line table too).
-        put_varint(&mut buf, f.lines.len() as u64);
-        for &line in &f.lines {
-            put_varint(&mut buf, line as u64);
-        }
-    }
-    put_varint(&mut buf, p.hop_specs.len() as u64);
-    for s in &p.hop_specs {
-        put_node_pat(&mut buf, s.ln);
-        put_link_pat(&mut buf, s.ll);
-        put_dir(&mut buf, s.ldir);
-    }
-    put_varint(&mut buf, p.create_specs.len() as u64);
-    for s in &p.create_specs {
-        buf.put_u8(s.all as u8);
-        put_varint(&mut buf, s.items.len() as u64);
-        for it in &s.items {
-            put_name_pat(&mut buf, it.ln);
-            put_name_pat(&mut buf, it.ll);
-            put_dir(&mut buf, it.ldir);
-            put_node_pat(&mut buf, it.dn);
-            put_link_pat(&mut buf, it.dl);
-            put_dir(&mut buf, it.ddir);
-        }
-    }
-    put_varint(&mut buf, p.entry.0 as u64);
+        buf.put_seq(f.lines.iter(), |buf, &line| buf.put_varint(line.into()));
+    });
+    buf.put_seq(p.hop_specs.iter(), |buf, s| {
+        put_node_pat(buf, s.ln);
+        put_link_pat(buf, s.ll);
+        put_dir(buf, s.ldir);
+    });
+    buf.put_seq(p.create_specs.iter(), |buf, s| {
+        buf.put_bool(s.all);
+        buf.put_seq(s.items.iter(), |buf, it| {
+            put_name_pat(buf, it.ln);
+            put_name_pat(buf, it.ll);
+            put_dir(buf, it.ldir);
+            put_node_pat(buf, it.dn);
+            put_link_pat(buf, it.dl);
+            put_dir(buf, it.ddir);
+        });
+    });
+    buf.put_varint(p.entry.0.into());
     buf.freeze()
 }
 
@@ -604,106 +377,59 @@ pub fn encode_program(p: &Program) -> Bytes {
 /// [`VmError::Decode`] on malformed input (including an out-of-range
 /// entry function).
 pub fn decode_program(mut buf: Bytes) -> Result<Program, VmError> {
-    let nc = get_varint(&mut buf)? as usize;
-    if nc > u16::MAX as usize {
-        return Err(err("too many constants"));
+    let consts = buf.read_seq(MAX_TABLE, get_value)?;
+    let funcs = buf.read_seq(MAX_TABLE, |buf| {
+        Ok(Function {
+            name: buf.read_str()?,
+            arity: buf.read_u8()?,
+            n_slots: buf.read_u16()?,
+            code: buf.read_seq(MAX_SEQ, get_op)?,
+            lines: buf.read_seq(MAX_SEQ, Bytes::read_u32)?,
+        })
+    })?;
+    let hop_specs = buf.read_seq(MAX_TABLE, |buf| {
+        Ok(HopSpec { ln: get_node_pat(buf)?, ll: get_link_pat(buf)?, ldir: get_dir(buf)? })
+    })?;
+    let create_specs = buf.read_seq(MAX_TABLE, |buf| {
+        let all = buf.read_bool()?;
+        let items = buf.read_seq(MAX_SEQ, |buf| {
+            Ok(CreateItem {
+                ln: get_name_pat(buf)?,
+                ll: get_name_pat(buf)?,
+                ldir: get_dir(buf)?,
+                dn: get_node_pat(buf)?,
+                dl: get_link_pat(buf)?,
+                ddir: get_dir(buf)?,
+            })
+        })?;
+        Ok(CreateSpec { items, all })
+    })?;
+    let entry = FuncId(buf.read_u16()?);
+    if usize::from(entry.0) >= funcs.len() {
+        return Err(err("entry function out of range".to_string()));
     }
-    let mut consts = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        consts.push(get_value(&mut buf)?);
-    }
-    let nf = get_varint(&mut buf)? as usize;
-    if nf > u16::MAX as usize {
-        return Err(err("too many functions"));
-    }
-    let mut funcs = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        let name = get_str(&mut buf)?;
-        if !buf.has_remaining() {
-            return Err(err("truncated function"));
-        }
-        let arity = buf.get_u8();
-        let n_slots = get_varint(&mut buf)? as u16;
-        let ni = get_varint(&mut buf)? as usize;
-        if ni > 1 << 24 {
-            return Err(err("absurd code length"));
-        }
-        let mut code = Vec::with_capacity(ni);
-        for _ in 0..ni {
-            code.push(get_op(&mut buf)?);
-        }
-        let nl = get_varint(&mut buf)? as usize;
-        if nl > 1 << 24 {
-            return Err(err("absurd line table length"));
-        }
-        let mut lines = Vec::with_capacity(nl);
-        for _ in 0..nl {
-            lines.push(get_varint(&mut buf)? as u32);
-        }
-        funcs.push(Function { name, arity, n_slots, code, lines });
-    }
-    let nh = get_varint(&mut buf)? as usize;
-    let mut hop_specs = Vec::with_capacity(nh.min(1024));
-    for _ in 0..nh {
-        let ln = get_node_pat(&mut buf)?;
-        let ll = get_link_pat(&mut buf)?;
-        let ldir = get_dir(&mut buf)?;
-        hop_specs.push(HopSpec { ln, ll, ldir });
-    }
-    let ncs = get_varint(&mut buf)? as usize;
-    let mut create_specs = Vec::with_capacity(ncs.min(1024));
-    for _ in 0..ncs {
-        if !buf.has_remaining() {
-            return Err(err("truncated create spec"));
-        }
-        let all = buf.get_u8() != 0;
-        let ni = get_varint(&mut buf)? as usize;
-        let mut items = Vec::with_capacity(ni.min(1024));
-        for _ in 0..ni {
-            items.push(CreateItem {
-                ln: get_name_pat(&mut buf)?,
-                ll: get_name_pat(&mut buf)?,
-                ldir: get_dir(&mut buf)?,
-                dn: get_node_pat(&mut buf)?,
-                dl: get_link_pat(&mut buf)?,
-                ddir: get_dir(&mut buf)?,
-            });
-        }
-        create_specs.push(CreateSpec { items, all });
-    }
-    let entry = FuncId(get_varint(&mut buf)? as u16);
-    if entry.0 as usize >= funcs.len() {
-        return Err(err("entry function out of range"));
-    }
-    if buf.has_remaining() {
-        return Err(err("trailing bytes after program"));
-    }
+    buf.finish("program")?;
     Ok(Program { consts, funcs, hop_specs, create_specs, entry })
 }
 
 // ---- effect summaries ---------------------------------------------------
 
-fn put_u16_set(buf: &mut BytesMut, set: &std::collections::BTreeSet<u16>) {
-    put_varint(buf, set.len() as u64);
-    for &v in set {
-        put_varint(buf, v as u64);
-    }
+fn put_set<T: Copy + Into<u64>>(buf: &mut BytesMut, set: &BTreeSet<T>) {
+    buf.put_seq(set.iter(), |buf, &v| buf.put_varint(v.into()));
 }
 
-fn get_u16_set(buf: &mut Bytes) -> Result<std::collections::BTreeSet<u16>, VmError> {
-    let n = get_varint(buf)? as usize;
-    if n > u16::MAX as usize {
-        return Err(err("absurd summary set length"));
+/// A set travels in ascending order; any other order is not something
+/// `put_set` writes.
+fn get_set<T: Ord>(
+    buf: &mut Bytes,
+    max: usize,
+    read: impl FnMut(&mut Bytes) -> Result<T, VmError>,
+) -> Result<BTreeSet<T>, VmError> {
+    let items = buf.read_seq(max, read)?;
+    if !items.windows(2).all(|w| w[0] < w[1]) {
+        return Err(err("summary set is not strictly ascending".to_string()));
     }
-    let mut set = std::collections::BTreeSet::new();
-    for _ in 0..n {
-        let v = get_varint(buf)?;
-        if v > u16::MAX as u64 {
-            return Err(err("summary set item out of range"));
-        }
-        set.insert(v as u16);
-    }
-    Ok(set)
+    Ok(items.into_iter().collect())
 }
 
 /// Serialize a program's effect summaries (shipped next to the program
@@ -711,8 +437,7 @@ fn get_u16_set(buf: &mut Bytes) -> Result<std::collections::BTreeSet<u16>, VmErr
 /// enter the program's content hash).
 pub fn encode_summaries(t: &SummaryTable) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
-    put_varint(&mut buf, t.funcs.len() as u64);
-    for s in &t.funcs {
+    buf.put_seq(t.funcs.iter(), |buf, s| {
         buf.put_u8(match s.hop {
             HopBehavior::HopFree => 0,
             HopBehavior::AtMostOnce => 1,
@@ -724,19 +449,16 @@ pub fn encode_summaries(t: &SummaryTable) -> Bytes {
             | u8::from(s.may_native) << 3
             | u8::from(s.recursive) << 4;
         buf.put_u8(flags);
-        put_u16_set(&mut buf, &s.node_reads);
-        put_u16_set(&mut buf, &s.node_writes);
-        put_u16_set(&mut buf, &s.node_must_writes);
-        put_u16_set(&mut buf, &s.calls);
+        put_set(buf, &s.node_reads);
+        put_set(buf, &s.node_writes);
+        put_set(buf, &s.node_must_writes);
+        put_set(buf, &s.calls);
         // Options as 0 = None, n+1 = Some(n).
-        put_varint(&mut buf, s.ops_bound.map_or(0, |b| b.saturating_add(1)));
-        put_varint(&mut buf, s.exact_ops.map_or(0, |b| b as u64 + 1));
-        put_varint(&mut buf, s.pure_loops.len() as u64);
-        for &pc in &s.pure_loops {
-            put_varint(&mut buf, pc as u64);
-        }
+        buf.put_varint(s.ops_bound.map_or(0, |b| b.saturating_add(1)));
+        buf.put_varint(s.exact_ops.map_or(0, |b| u64::from(b) + 1));
+        put_set(buf, &s.pure_loops);
         buf.put_u8(s.ret_kind as u8);
-    }
+    });
     buf.freeze()
 }
 
@@ -746,86 +468,42 @@ pub fn encode_summaries(t: &SummaryTable) -> Bytes {
 ///
 /// [`VmError::Decode`] on malformed input.
 pub fn decode_summaries(mut buf: Bytes) -> Result<SummaryTable, VmError> {
-    let nf = get_varint(&mut buf)? as usize;
-    if nf > u16::MAX as usize {
-        return Err(err("too many summaries"));
-    }
-    let mut funcs = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        if buf.remaining() < 2 {
-            return Err(err("truncated summary"));
-        }
-        let hop = match buf.get_u8() {
-            0 => HopBehavior::HopFree,
-            1 => HopBehavior::AtMostOnce,
-            2 => HopBehavior::MayNavigate,
-            t => return Err(err(&format!("bad hop behavior {t}"))),
-        };
-        let flags = buf.get_u8();
+    use SumKind::*;
+    let funcs = buf.read_seq(MAX_TABLE, |buf| {
+        let hop = buf.read_tag(
+            "hop behavior",
+            &[HopBehavior::HopFree, HopBehavior::AtMostOnce, HopBehavior::MayNavigate],
+        )?;
+        let flags = buf.read_u8()?;
         if flags >= 1 << 5 {
-            return Err(err("bad summary flags"));
+            return Err(err(format!("bad summary flags {flags:#x}")));
         }
-        let node_reads = get_u16_set(&mut buf)?;
-        let node_writes = get_u16_set(&mut buf)?;
-        let node_must_writes = get_u16_set(&mut buf)?;
-        let calls = get_u16_set(&mut buf)?;
-        let ops_bound = match get_varint(&mut buf)? {
-            0 => None,
-            n => Some(n - 1),
-        };
-        let exact_ops = match get_varint(&mut buf)? {
-            0 => None,
-            n if n <= u64::from(u32::MAX) => Some((n - 1) as u32),
-            _ => return Err(err("exact_ops out of range")),
-        };
-        let nl = get_varint(&mut buf)? as usize;
-        if nl > 1 << 24 {
-            return Err(err("absurd pure-loop count"));
-        }
-        let mut pure_loops = std::collections::BTreeSet::new();
-        for _ in 0..nl {
-            let pc = get_varint(&mut buf)?;
-            if pc > u64::from(u32::MAX) {
-                return Err(err("pure-loop pc out of range"));
-            }
-            pure_loops.insert(pc as u32);
-        }
-        if !buf.has_remaining() {
-            return Err(err("truncated summary"));
-        }
-        let ret_kind = match buf.get_u8() {
-            0 => SumKind::Top,
-            1 => SumKind::Null,
-            2 => SumKind::Bool,
-            3 => SumKind::Int,
-            4 => SumKind::Float,
-            5 => SumKind::Str,
-            6 => SumKind::Mat,
-            7 => SumKind::Blob,
-            8 => SumKind::Arr,
-            9 => SumKind::Link,
-            t => return Err(err(&format!("bad summary kind {t}"))),
-        };
-        funcs.push(FnSummary {
+        Ok(FnSummary {
             hop,
             may_create: flags & 1 != 0,
             may_sched: flags & 2 != 0,
             may_halt: flags & 4 != 0,
             may_native: flags & 8 != 0,
             recursive: flags & 16 != 0,
-            node_reads,
-            node_writes,
-            node_must_writes,
-            calls,
-            ops_bound,
-            exact_ops,
-            pure_loops,
-            ret_kind,
-        });
-    }
-    if buf.has_remaining() {
-        return Err(err("trailing bytes after summaries"));
-    }
+            node_reads: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
+            node_writes: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
+            node_must_writes: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
+            calls: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
+            ops_bound: buf.read_varint()?.checked_sub(1),
+            exact_ops: match buf.read_varint()?.checked_sub(1) {
+                None => None,
+                Some(n) => Some(
+                    u32::try_from(n).map_err(|_| err(format!("exact_ops {n} overflows u32")))?,
+                ),
+            },
+            pure_loops: get_set(buf, MAX_SEQ, Bytes::read_u32)?,
+            ret_kind: buf.read_tag(
+                "summary kind",
+                &[Top, Null, Bool, Int, Float, Str, Mat, Blob, Arr, Link],
+            )?,
+        })
+    })?;
+    buf.finish("summaries")?;
     Ok(SummaryTable { funcs })
 }
 
@@ -833,9 +511,9 @@ pub fn decode_summaries(mut buf: Bytes) -> Result<SummaryTable, VmError> {
 mod tests {
     use super::*;
     use crate::bytecode::Builder;
+    use msgr_check::{check, codec_corruption, Source};
 
-    #[test]
-    fn summaries_round_trip() {
+    fn sample_summary() -> FnSummary {
         let mut s = FnSummary {
             hop: HopBehavior::AtMostOnce,
             may_create: true,
@@ -851,21 +529,33 @@ mod tests {
         s.node_must_writes.insert(9);
         s.calls.insert(0);
         s.pure_loops.extend([4, 40]);
-        let t = SummaryTable { funcs: vec![FnSummary::default(), s] };
+        s
+    }
+
+    #[test]
+    fn summaries_round_trip() {
+        let mut widest = sample_summary();
+        widest.exact_ops = Some(u32::MAX);
+        let t = SummaryTable { funcs: vec![FnSummary::default(), sample_summary(), widest] };
         let bytes = encode_summaries(&t);
         assert_eq!(decode_summaries(bytes).unwrap(), t);
     }
 
     #[test]
-    fn summaries_reject_trailing_and_truncated_bytes() {
-        let t = SummaryTable { funcs: vec![FnSummary::default()] };
-        let good = encode_summaries(&t);
-        let mut long = BytesMut::new();
-        long.put_slice(&good);
-        long.put_u8(0);
-        assert!(decode_summaries(long.freeze()).is_err());
-        let short = good.slice(0..good.len() - 1);
-        assert!(decode_summaries(short).is_err());
+    fn summary_sets_must_arrive_sorted() {
+        let mut buf = BytesMut::new();
+        buf.put_varint(1); // one summary
+        buf.put_u8(0); // hop-free
+        buf.put_u8(0); // no flags
+        buf.put_seq([9u64, 1].into_iter(), |buf, v| buf.put_varint(v)); // node_reads, descending
+        for _ in 0..3 {
+            buf.put_varint(0); // the other three sets
+        }
+        buf.put_varint(0); // ops_bound
+        buf.put_varint(0); // exact_ops
+        buf.put_varint(0); // pure_loops
+        buf.put_u8(0); // ret_kind
+        assert!(decode_summaries(buf.freeze()).is_err());
     }
 
     fn sample_values() -> Vec<Value> {
@@ -884,10 +574,10 @@ mod tests {
             Value::str("héllo ∆"),
             Value::Mat(Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])),
             Value::Blob(Bytes::from(vec![0u8, 1, 2, 255])),
-            Value::Arr(std::sync::Arc::new(vec![
+            Value::Arr(Arc::new(vec![
                 Value::Int(1),
                 Value::str("two"),
-                Value::Arr(std::sync::Arc::new(vec![Value::Null])),
+                Value::Arr(Arc::new(vec![Value::Null])),
             ])),
             Value::Link(LinkInstance(u64::MAX)),
         ]
@@ -901,12 +591,21 @@ mod tests {
             let mut bytes = buf.freeze();
             let back = get_value(&mut bytes).unwrap();
             assert_eq!(back, v, "round trip failed for {v:?}");
-            assert!(!bytes.has_remaining());
+            assert!(bytes.is_empty());
         }
     }
 
     #[test]
-    fn messenger_round_trip() {
+    fn oversized_matrix_is_an_error_not_an_allocation() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(5);
+        buf.put_varint(u32::MAX.into());
+        buf.put_varint(u32::MAX.into());
+        buf.put_f64(1.0);
+        assert!(get_value(&mut buf.freeze()).is_err());
+    }
+
+    fn sample_messenger() -> MessengerState {
         let mut b = Builder::new();
         let f = b.function("main", 1, 2, vec![Op::Ret]);
         let p = b.finish(f);
@@ -920,33 +619,26 @@ mod tests {
             locals: vec![Value::Mat(Matrix::zeros(2, 2))],
             stack: vec![],
         });
-        let bytes = encode_messenger(&m);
-        let back = decode_messenger(bytes).unwrap();
-        assert_eq!(back, m);
+        m
     }
 
     #[test]
-    fn truncation_never_panics() {
-        let mut b = Builder::new();
-        let f = b.function("main", 0, 0, vec![Op::Halt]);
-        let p = b.finish(f);
-        let m = MessengerState::launch(&p, MessengerId(1), &[]).unwrap();
-        let full = encode_messenger(&m);
-        for cut in 0..full.len() {
-            let slice = full.slice(..cut);
-            assert!(decode_messenger(slice).is_err(), "cut at {cut} decoded");
-        }
+    fn messenger_round_trip() {
+        let m = sample_messenger();
+        assert_eq!(decode_messenger(encode_messenger(&m)).unwrap(), m);
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut b = Builder::new();
-        let f = b.function("main", 0, 0, vec![Op::Halt]);
-        let p = b.finish(f);
-        let m = MessengerState::launch(&p, MessengerId(1), &[]).unwrap();
-        let mut buf = BytesMut::from(&encode_messenger(&m)[..]);
-        buf.put_u8(0xAB);
-        assert!(decode_messenger(buf.freeze()).is_err());
+        let mut long = BytesMut::from(&encode_messenger(&sample_messenger())[..]);
+        long.put_u8(0xAB);
+        assert!(decode_messenger(long.freeze()).is_err());
+        let mut long = BytesMut::from(&encode_program(&rich_program())[..]);
+        long.put_u8(0);
+        assert!(decode_program(long.freeze()).is_err());
+        let mut long = BytesMut::from(&encode_summaries(&SummaryTable::default())[..]);
+        long.put_u8(0);
+        assert!(decode_summaries(long.freeze()).is_err());
     }
 
     fn rich_program() -> Program {
@@ -1021,39 +713,100 @@ mod tests {
     }
 
     #[test]
-    fn program_truncation_never_panics() {
-        let p = rich_program();
-        let full = encode_program(&p);
-        for cut in 0..full.len() {
-            assert!(decode_program(full.slice(..cut)).is_err(), "cut {cut} decoded");
+    fn out_of_width_operands_are_rejected_not_truncated() {
+        // One function `main` whose single op is Const(0x1_0005): the
+        // operand must not come back as Const(5).
+        let mut buf = BytesMut::new();
+        buf.put_varint(0); // consts
+        buf.put_varint(1); // funcs
+        buf.put_str("main");
+        buf.put_u8(0); // arity
+        buf.put_varint(0); // n_slots
+        buf.put_varint(1); // code length
+        buf.put_u8(0); // Const
+        buf.put_varint(0x1_0005);
+        for _ in 0..4 {
+            buf.put_varint(0); // lines, hop specs, create specs, entry
         }
+        let bytes = buf.freeze();
+        assert!(decode_program(bytes.clone()).is_err());
+        // The same bytes with an in-range operand are a program.
+        let mut ok = bytes.to_vec();
+        let at = ok.len() - 4 - 3;
+        assert_eq!(&ok[at..at + 3], &[0x85, 0x80, 0x04]);
+        ok.splice(at..at + 3, [0x05]);
+        assert_eq!(decode_program(Bytes::from(ok)).unwrap().funcs[0].code, vec![Op::Const(5)]);
     }
 
     #[test]
     fn nan_vtime_rejected() {
         let mut buf = BytesMut::new();
-        put_varint(&mut buf, 1); // id
-        put_varint(&mut buf, 2); // program
-        put_f64(&mut buf, f64::NAN);
+        buf.put_varint(1); // id
+        buf.put_varint(2); // program
+        buf.put_f64(f64::NAN);
         buf.put_u8(0);
-        put_varint(&mut buf, 0);
+        buf.put_varint(0);
         assert!(decode_messenger(buf.freeze()).is_err());
     }
 
-    #[test]
-    fn varint_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            let mut b = buf.freeze();
-            assert_eq!(get_varint(&mut b).unwrap(), v);
+    /// Every value kind, nested at most `depth` arrays deep.
+    fn arb_value(s: &mut Source, depth: usize) -> Value {
+        match s.draw(if depth == 0 { 8 } else { 9 }) {
+            0 => Value::Null,
+            1 => Value::Bool(s.any_bool()),
+            2 => Value::Int(s.any_i64()),
+            3 => Value::Float(s.any_finite_f64()),
+            4 => Value::str(s.string(0..12, "ab∆")),
+            5 => {
+                let (rows, cols) = (s.u32_in(0..4), s.u32_in(0..4));
+                let data = (0..rows * cols).map(|_| s.any_finite_f64()).collect();
+                Value::Mat(Matrix::from_vec(rows, cols, data))
+            }
+            6 => Value::Link(LinkInstance(s.any_u64())),
+            7 => Value::Blob(Bytes::from(s.vec_with(0..12, |s| s.any_u8()))),
+            _ => Value::Arr(Arc::new(s.vec_with(0..4, |s| arb_value(s, depth - 1)))),
         }
     }
 
+    fn arb_set<T: Ord>(s: &mut Source, mut item: impl FnMut(&mut Source) -> T) -> BTreeSet<T> {
+        s.vec_with(0..4, &mut item).into_iter().collect()
+    }
+
     #[test]
-    fn zigzag_round_trip() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 123456, -654321] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
+    fn corruption_never_passes_for_the_original() {
+        // The shared property (`msgr_check::codec_corruption`) over all
+        // three vm codecs: truncated, or damaged in any one byte, an
+        // encoding is rejected or decodes to exactly what it now says.
+        check("vm_codec_corruption", |s| {
+            let mut m = sample_messenger();
+            m.anti = s.any_bool();
+            m.frames[0].locals = s.vec_with(0..5, |s| arb_value(s, 2));
+            m.frames[1].stack = s.vec_with(0..3, |s| arb_value(s, 1));
+            codec_corruption(s, &encode_messenger(&m), |b| {
+                decode_messenger(b.into()).ok().map(|m| encode_messenger(&m).to_vec())
+            })?;
+
+            let mut p = rich_program();
+            p.consts.extend(s.vec_with(0..3, |s| arb_value(s, 1)));
+            p.funcs[0].lines = s.vec_with(0..3, |s| s.any_u32());
+            codec_corruption(s, &encode_program(&p), |b| {
+                decode_program(b.into()).ok().map(|p| encode_program(&p).to_vec())
+            })?;
+
+            let funcs = s.vec_with(0..3, |s| FnSummary {
+                hop: *s.pick(&[HopBehavior::HopFree, HopBehavior::MayNavigate]),
+                may_sched: s.any_bool(),
+                may_native: s.any_bool(),
+                node_reads: arb_set(s, |s| s.any_u16()),
+                calls: arb_set(s, |s| s.any_u16()),
+                ops_bound: s.any_bool().then(|| s.u64_in(0..1 << 40)),
+                exact_ops: s.any_bool().then(|| s.any_u32()),
+                pure_loops: arb_set(s, |s| s.any_u32()),
+                ..sample_summary()
+            });
+            codec_corruption(s, &encode_summaries(&SummaryTable { funcs }), |b| {
+                decode_summaries(b.into()).ok().map(|t| encode_summaries(&t).to_vec())
+            })
+        });
     }
 }
