@@ -113,8 +113,9 @@ impl Default for CostModel {
 pub enum Succession {
     /// The pre-control-plane rule: the deterministic next-alive daemon
     /// acts on its *own* failure-detector verdict. Correct only while
-    /// every daemon's membership view agrees; kept for the ablation
-    /// baseline (`BENCH_0009.json`).
+    /// every daemon's membership view agrees; nothing ships with it —
+    /// `recovery_props` keeps it exercised as the baseline the quorum
+    /// rule is compared against.
     Deterministic,
     /// A kill is *proposed* by suspecting observers and acted on only
     /// once a majority of the surviving acceptors accepts the burial
@@ -235,8 +236,8 @@ impl RecoveryPolicy {
 /// Frame-batching budget: how many payload frames headed for the same
 /// peer one effect flush may coalesce into a single [`crate::wire::Wire::Batch`]
 /// envelope. Batching is off by default (`max_frames == 0`) so the
-/// pre-batching wire timings stay bit-identical; benches and chaos
-/// suites opt in explicitly.
+/// pre-batching wire timings stay bit-identical; only tests opt in (the
+/// chaos suites and the apps' failover tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum frames per batch. `0` or `1` disables coalescing.
@@ -252,7 +253,7 @@ impl BatchPolicy {
         BatchPolicy { max_frames: 0, max_bytes: 0 }
     }
 
-    /// The default opt-in budget used by benches and chaos suites.
+    /// The opt-in budget the tests use.
     pub fn on() -> Self {
         BatchPolicy { max_frames: 16, max_bytes: 16 * 1024 }
     }
@@ -347,12 +348,12 @@ pub struct ClusterConfig {
     /// Hand messenger state over by move on same-daemon hops instead of
     /// encode/decode through the platform loopback. Off by default: the
     /// sim's uniform cost accounting and the reliable transport both
-    /// want every hop on the wire path. The threads platform and the
-    /// lane bench opt in.
+    /// want every hop on the wire path. No platform sets it: today only
+    /// `batch_props`' threaded-ring tests turn it on.
     pub local_move: bool,
     /// How a victim's heir is chosen when a permanent kill is detected:
     /// by majority decree ([`Succession::Quorum`], the default) or by
-    /// the deterministic next-alive rule kept for the ablation baseline.
+    /// the deterministic next-alive rule kept as a test baseline.
     /// Overridable via the `MSGR_SUCCESSION` environment variable.
     pub succession: Succession,
     /// Checkpoint replication factor `k`: every checkpoint version is

@@ -27,6 +27,11 @@ fn bad(msg: String) -> VmError {
     VmError::Decode(msg)
 }
 
+#[cold]
+fn truncated() -> VmError {
+    VmError::Decode("truncated input".to_string())
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -75,7 +80,7 @@ impl Bytes {
     #[inline]
     pub fn read_u8(&mut self) -> Result<u8, VmError> {
         if self.start == self.end {
-            return Err(bad("truncated input".to_string()));
+            return Err(truncated());
         }
         let b = self.data[self.start];
         self.start += 1;
@@ -116,8 +121,17 @@ impl Bytes {
     /// encoding would let a corrupted byte decode to the same value).
     #[inline]
     pub fn read_varint(&mut self) -> Result<u64, VmError> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
+        match self.read_u8()? {
+            byte @ 0..=0x7f => Ok(u64::from(byte)),
+            byte => self.read_varint_tail(byte),
+        }
+    }
+
+    /// The second and later groups of a varint whose first byte was
+    /// `first` (continuation bit set).
+    fn read_varint_tail(&mut self, first: u8) -> Result<u64, VmError> {
+        let mut v = u64::from(first & 0x7f);
+        for shift in (7..64).step_by(7) {
             let byte = self.read_u8()?;
             let group = u64::from(byte & 0x7f);
             // The tenth group can only hold bit 63: anything above would
@@ -128,7 +142,7 @@ impl Bytes {
             }
             v |= group << shift;
             if byte & 0x80 == 0 {
-                if byte == 0 && shift != 0 {
+                if byte == 0 {
                     return Err(bad("varint is not minimally encoded".to_string()));
                 }
                 return Ok(v);
@@ -240,18 +254,16 @@ impl Bytes {
         Ok(Bytes { data: self.data.clone(), start: r.start, end: r.end })
     }
 
-    /// Read a length-prefixed UTF-8 string.
+    /// Read a length-prefixed UTF-8 string, borrowed from the buffer so
+    /// the caller copies it once, into whatever owns it.
     ///
     /// # Errors
     ///
     /// [`VmError::Decode`] on truncation or invalid UTF-8.
-    pub fn read_str(&mut self) -> Result<String, VmError> {
+    pub fn read_str(&mut self) -> Result<&str, VmError> {
         let n = self.read_varint()?;
         let r = self.take(self.fits(n, 1)?)?;
-        match std::str::from_utf8(&self.data[r]) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(_) => Err(bad("invalid utf8".to_string())),
-        }
+        std::str::from_utf8(&self.data[r]).map_err(|_| bad("invalid utf8".to_string()))
     }
 
     /// Require that everything has been read.
@@ -285,7 +297,7 @@ impl Bytes {
     #[inline]
     fn take(&mut self, n: usize) -> Result<std::ops::Range<usize>, VmError> {
         if self.len() < n {
-            return Err(bad("truncated input".to_string()));
+            return Err(truncated());
         }
         let r = self.start..self.start + n;
         self.start = r.end;
@@ -485,7 +497,7 @@ mod tests {
         assert_eq!(r.read_bool(), Ok(true));
         assert_eq!(r.read_f64(), Ok(2.5));
         assert_eq!(r.read_zigzag(), Ok(-654_321));
-        assert_eq!(r.read_str().as_deref(), Ok("héllo"));
+        assert_eq!(r.read_str(), Ok("héllo"));
         let before = r.clone();
         let tail = r.read_bytes().unwrap();
         assert_eq!(&*tail, b"abc");

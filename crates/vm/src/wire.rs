@@ -380,7 +380,7 @@ pub fn decode_program(mut buf: Bytes) -> Result<Program, VmError> {
     let consts = buf.read_seq(MAX_TABLE, get_value)?;
     let funcs = buf.read_seq(MAX_TABLE, |buf| {
         Ok(Function {
-            name: buf.read_str()?,
+            name: buf.read_str()?.to_owned(),
             arity: buf.read_u8()?,
             n_slots: buf.read_u16()?,
             code: buf.read_seq(MAX_SEQ, get_op)?,
