@@ -288,10 +288,6 @@ impl Wire {
 // (`msgr_vm::bytes`): a truncated or corrupted buffer yields
 // `VmError::Decode`, never a panic.
 
-fn err(msg: String) -> VmError {
-    VmError::Decode(msg)
-}
-
 pub(crate) fn put_daemon(buf: &mut BytesMut, d: DaemonId) {
     buf.put_varint(d.0.into());
 }
@@ -424,7 +420,7 @@ fn get_ctrl(buf: &mut Bytes) -> Result<CtrlMsg, VmError> {
             cur_sent_min: get_vt(buf)?,
         },
         4 => CtrlMsg::Advance { gvt: get_vt(buf)? },
-        t => return Err(err(format!("unknown ctrl tag {t}"))),
+        t => return Err(VmError::Decode(format!("unknown ctrl tag {t}"))),
     })
 }
 
@@ -443,9 +439,9 @@ fn get_ctrl_payload<T>(
 ) -> Result<T, VmError> {
     let payload = buf.read_bytes()?;
     let mut r: &[u8] = &payload;
-    let v = read(&mut r).map_err(|e| err(format!("{what}: {e}")))?;
+    let v = read(&mut r).map_err(|e| VmError::Decode(format!("{what}: {e}")))?;
     if !r.is_empty() {
-        return Err(err(format!("trailing bytes in {what} payload")));
+        return Err(VmError::Decode(format!("trailing bytes in {what} payload")));
     }
     Ok(v)
 }
@@ -563,7 +559,7 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
         4 => Wire::GvtKick,
         5 => {
             if ctx != Ctx::Top {
-                return Err(err("nested transport envelope".to_string()));
+                return Err(VmError::Decode("nested transport envelope".to_string()));
             }
             Wire::Data {
                 src: get_daemon(buf)?,
@@ -574,7 +570,7 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
         }
         6 => {
             if ctx != Ctx::Top {
-                return Err(err("ack inside transport envelope".to_string()));
+                return Err(VmError::Decode("ack inside transport envelope".to_string()));
             }
             Wire::Ack {
                 src: get_daemon(buf)?,
@@ -589,11 +585,11 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
         }
         9 => {
             if ctx == Ctx::InBatch {
-                return Err(err("batch inside batch".to_string()));
+                return Err(VmError::Decode("batch inside batch".to_string()));
             }
             let frames = buf.read_seq(MAX_SEQ, |buf| get_frame(buf, Ctx::InBatch))?;
             if frames.len() < 2 {
-                return Err(err("batch of fewer than two frames".to_string()));
+                return Err(VmError::Decode("batch of fewer than two frames".to_string()));
             }
             Wire::Batch(frames)
         }
@@ -616,7 +612,7 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
             holder: get_daemon(buf)?,
             ver: buf.read_u32()?,
         },
-        t => return Err(err(format!("unknown frame tag {t}"))),
+        t => return Err(VmError::Decode(format!("unknown frame tag {t}"))),
     })
 }
 

@@ -38,10 +38,6 @@ pub const MAX_TABLE: usize = u16::MAX as usize;
 /// count to the bytes that remain, which is the bound that matters.
 pub const MAX_SEQ: usize = 1 << 24;
 
-fn err(msg: String) -> VmError {
-    VmError::Decode(msg)
-}
-
 // ---- values --------------------------------------------------------------
 
 /// Append `v` to `buf`.
@@ -108,7 +104,7 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value, VmError> {
         6 => Value::Link(LinkInstance(buf.read_varint()?)),
         7 => Value::Blob(buf.read_bytes()?),
         8 => Value::Arr(Arc::new(buf.read_seq(MAX_SEQ, get_value)?)),
-        t => return Err(err(format!("unknown value tag {t}"))),
+        t => return Err(VmError::Decode(format!("unknown value tag {t}"))),
     })
 }
 
@@ -125,7 +121,7 @@ pub fn put_vt(buf: &mut BytesMut, vt: Vt) {
 pub fn get_vt(buf: &mut Bytes) -> Result<Vt, VmError> {
     let t = buf.read_f64()?;
     if t.is_nan() {
-        return Err(err("NaN virtual time".to_string()));
+        return Err(VmError::Decode("NaN virtual time".to_string()));
     }
     Ok(Vt::new(t))
 }
@@ -258,7 +254,7 @@ fn get_op(buf: &mut Bytes) -> Result<Op, VmError> {
     use Op::*;
     fn jump(buf: &mut Bytes) -> Result<i32, VmError> {
         let o = buf.read_zigzag()?;
-        i32::try_from(o).map_err(|_| err(format!("jump offset {o} overflows i32")))
+        i32::try_from(o).map_err(|_| VmError::Decode(format!("jump offset {o} overflows i32")))
     }
     Ok(match buf.read_u8()? {
         0 => Const(buf.read_u16()?),
@@ -300,7 +296,7 @@ fn get_op(buf: &mut Bytes) -> Result<Op, VmError> {
         34 => MakeArr,
         35 => IndexGet,
         36 => IndexSet,
-        t => return Err(err(format!("unknown op tag {t}"))),
+        t => return Err(VmError::Decode(format!("unknown op tag {t}"))),
     })
 }
 
@@ -406,7 +402,7 @@ pub fn decode_program(mut buf: Bytes) -> Result<Program, VmError> {
     })?;
     let entry = FuncId(buf.read_u16()?);
     if usize::from(entry.0) >= funcs.len() {
-        return Err(err("entry function out of range".to_string()));
+        return Err(VmError::Decode("entry function out of range".to_string()));
     }
     buf.finish("program")?;
     Ok(Program { consts, funcs, hop_specs, create_specs, entry })
@@ -427,7 +423,7 @@ fn get_set<T: Ord>(
 ) -> Result<BTreeSet<T>, VmError> {
     let items = buf.read_seq(max, read)?;
     if !items.windows(2).all(|w| w[0] < w[1]) {
-        return Err(err("summary set is not strictly ascending".to_string()));
+        return Err(VmError::Decode("summary set is not strictly ascending".to_string()));
     }
     Ok(items.into_iter().collect())
 }
@@ -476,7 +472,7 @@ pub fn decode_summaries(mut buf: Bytes) -> Result<SummaryTable, VmError> {
         )?;
         let flags = buf.read_u8()?;
         if flags >= 1 << 5 {
-            return Err(err(format!("bad summary flags {flags:#x}")));
+            return Err(VmError::Decode(format!("bad summary flags {flags:#x}")));
         }
         Ok(FnSummary {
             hop,
@@ -493,7 +489,8 @@ pub fn decode_summaries(mut buf: Bytes) -> Result<SummaryTable, VmError> {
             exact_ops: match buf.read_varint()?.checked_sub(1) {
                 None => None,
                 Some(n) => Some(
-                    u32::try_from(n).map_err(|_| err(format!("exact_ops {n} overflows u32")))?,
+                    u32::try_from(n)
+                        .map_err(|_| VmError::Decode(format!("exact_ops {n} overflows u32")))?,
                 ),
             },
             pure_loops: get_set(buf, MAX_SEQ, Bytes::read_u32)?,
