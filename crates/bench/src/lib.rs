@@ -89,29 +89,6 @@ fn quantile_fields(stats: &msgr_sim::Stats, key: &str) -> String {
     }
 }
 
-/// When the `MSGR_BENCH_TRACE` environment variable names a directory,
-/// write `run.trace`'s JSONL there as `<figure>.jsonl` (per-figure trace
-/// capture for the flight-recorder tooling). Silently a no-op otherwise.
-pub fn capture_trace(figure: &str, trace: Option<&msgr_core::Trace>) {
-    let Ok(dir) = std::env::var("MSGR_BENCH_TRACE") else {
-        return;
-    };
-    let Some(trace) = trace else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{figure}.jsonl")), trace.to_jsonl());
-    }
-}
-
-/// `true` iff per-figure trace capture is requested ([`capture_trace`]).
-/// Benchmarks enable `cfg.trace` only under this flag so the recorder
-/// never perturbs normal timing runs.
-pub fn trace_requested() -> bool {
-    std::env::var("MSGR_BENCH_TRACE").is_ok()
-}
-
 /// The processor counts the paper sweeps (1 to 32).
 pub const PAPER_PROCS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
@@ -444,15 +421,8 @@ pub fn ablation_faults() -> String {
     for loss in [0.0f64, 0.01, 0.05, 0.10] {
         let mut cfg = ClusterConfig::new(procs);
         cfg.faults = FaultPlan::lossy(loss);
-        if trace_requested() {
-            cfg.trace = msgr_core::TraceConfig::on();
-        }
         let msgr = mandel_msgr::run_sim(&work, procs, &calib, cfg).expect("messenger run");
         assert_eq!(msgr.checksum, expected, "image corrupted at loss={loss}");
-        capture_trace(
-            &format!("ablation_faults_loss{:02}", (loss * 100.0) as u32),
-            msgr.trace.as_ref(),
-        );
 
         let mut pcfg = msgr_pvm::PvmSimConfig::new(procs);
         pcfg.faults = FaultPlan::lossy(loss);
@@ -506,9 +476,6 @@ pub fn ablation_recovery() -> String {
         let mut cfg = ClusterConfig::new(procs);
         cfg.seed = 42;
         cfg.faults = plan;
-        if trace_requested() {
-            cfg.trace = msgr_core::TraceConfig::on();
-        }
         mandel_msgr::run_sim(&work, procs, &calib, cfg).expect("messenger run")
     };
 
@@ -526,7 +493,6 @@ pub fn ablation_recovery() -> String {
         assert_eq!(r.checksum, expected, "image corrupted with kill at {at_ms} ms");
         assert_eq!(r.stats.counter("kills"), 1, "kill at {at_ms} ms never fired");
         assert_eq!(r.stats.counter("restores"), 1, "no failover for kill at {at_ms} ms");
-        capture_trace(&format!("ablation_recovery_kill{at_ms}ms"), r.trace.as_ref());
         runs.push(format!(
             concat!(
                 "    {{\"kill_at_ms\": {}, \"seconds\": {:.6}, \"slowdown\": {:.4}, ",

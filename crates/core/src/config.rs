@@ -208,68 +208,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-impl RecoveryPolicy {
-    /// The defaults, with the failure-detector thresholds overridable
-    /// from the environment: `MSGR_FD_SUSPECT` / `MSGR_FD_DEAD`, both in
-    /// *milliseconds* of simulated time (see DESIGN.md §5). Values that
-    /// would invert the suspect < dead ordering are ignored — a detector
-    /// that declares death before suspicion is a configuration error,
-    /// not a policy.
-    pub fn from_env() -> Self {
-        fn env_ms(key: &str) -> Option<SimTime> {
-            std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok()).map(|ms| ms * MILLI)
-        }
-        let mut p = RecoveryPolicy::default();
-        if let Some(t) = env_ms("MSGR_FD_SUSPECT") {
-            p.suspect_after = t;
-        }
-        if let Some(t) = env_ms("MSGR_FD_DEAD") {
-            p.dead_after = t;
-        }
-        if p.suspect_after == 0 || p.dead_after <= p.suspect_after {
-            return RecoveryPolicy::default();
-        }
-        p
-    }
-}
-
-/// Frame-batching budget: how many payload frames headed for the same
-/// peer one effect flush may coalesce into a single [`crate::wire::Wire::Batch`]
-/// envelope. Batching is off by default (`max_frames == 0`) so the
-/// pre-batching wire timings stay bit-identical; only tests opt in (the
-/// chaos suites and the apps' failover tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum frames per batch. `0` or `1` disables coalescing.
-    pub max_frames: usize,
-    /// Maximum summed payload wire bytes per batch; a frame that would
-    /// push a batch past this budget starts a new batch.
-    pub max_bytes: u64,
-}
-
-impl BatchPolicy {
-    /// Batching disabled: every frame travels in its own envelope.
-    pub fn off() -> Self {
-        BatchPolicy { max_frames: 0, max_bytes: 0 }
-    }
-
-    /// The opt-in budget the tests use.
-    pub fn on() -> Self {
-        BatchPolicy { max_frames: 16, max_bytes: 16 * 1024 }
-    }
-
-    /// `true` iff this policy can ever coalesce two frames.
-    pub fn enabled(&self) -> bool {
-        self.max_frames >= 2
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::off()
-    }
-}
-
 /// Whether the GVT service runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VtService {
@@ -326,13 +264,6 @@ pub struct ClusterConfig {
     /// daemon records typed [`msgr_trace::TraceEvent`]s into a bounded
     /// ring that the platform merges into the run report.
     pub trace: msgr_trace::TraceConfig,
-    /// Execution lanes per daemon: logical nodes are sharded across this
-    /// many run queues by a pure hash of `(gid, seed)`. Dispatch across
-    /// lanes is by global arrival order, so lane count never changes the
-    /// execution order on `sim` — see DESIGN.md §9. Default 1.
-    pub lanes: usize,
-    /// Frame-batching budget (off by default).
-    pub batch: BatchPolicy,
     /// Execution engine ([`ExecMode::Interp`] unless overridden via the
     /// `MSGR_EXEC` environment variable or `msgr run --exec`).
     pub exec: ExecMode,
@@ -342,19 +273,16 @@ pub struct ClusterConfig {
     /// daemons (node-variable snapshot elision). On by default; both
     /// engines stay observationally identical either way, so this knob
     /// only changes wall-clock throughput and the `analysis_*` metrics.
-    /// Overridable via the `MSGR_ANALYSIS` environment variable
-    /// (`0`/`off` disables).
     pub analysis: bool,
     /// Hand messenger state over by move on same-daemon hops instead of
     /// encode/decode through the platform loopback. Off by default: the
     /// sim's uniform cost accounting and the reliable transport both
     /// want every hop on the wire path. No platform sets it: today only
-    /// `batch_props`' threaded-ring tests turn it on.
+    /// the threaded-ring test in `tests/cluster.rs` turns it on.
     pub local_move: bool,
     /// How a victim's heir is chosen when a permanent kill is detected:
     /// by majority decree ([`Succession::Quorum`], the default) or by
     /// the deterministic next-alive rule kept as a test baseline.
-    /// Overridable via the `MSGR_SUCCESSION` environment variable.
     pub succession: Succession,
     /// Checkpoint replication factor `k`: every checkpoint version is
     /// pushed to the `k` next-alive successor daemons *before* its
@@ -365,9 +293,8 @@ pub struct ClusterConfig {
     /// (`phase_ledger` trace events) and op-count-triggered VM PC
     /// sampling (`pc_sample` events). Off by default; profiling charges
     /// nothing to the cost model, so simulated results are bit-identical
-    /// with it on or off. Overridable via the `MSGR_PROFILE` environment
-    /// variable (`1`/`on` enables). Requires tracing (platforms enable
-    /// the recorder automatically when this is set).
+    /// with it on or off. Requires tracing (platforms enable the
+    /// recorder automatically when this is set).
     pub profile: bool,
     /// Sampling interval for the VM PC profiler, in executed bytecode
     /// ops per sample. Only consulted when `profile` is set.
@@ -375,7 +302,9 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A configuration for `daemons` hosts with paper-era defaults.
+    /// A configuration for `daemons` hosts with paper-era defaults. The
+    /// one ambient input is `MSGR_EXEC`, which `scripts/ci.sh` uses to
+    /// re-run whole suites on the compiled engine.
     ///
     /// # Panics
     ///
@@ -396,36 +325,26 @@ impl ClusterConfig {
             segment_fuel: msgr_vm::interp::DEFAULT_FUEL,
             faults: FaultPlan::none(),
             retransmit: RetransmitPolicy::default(),
-            recovery: RecoveryPolicy::from_env(),
+            recovery: RecoveryPolicy::default(),
             checkpoint_dir: None,
             trace: msgr_trace::TraceConfig::default(),
-            lanes: 1,
-            batch: BatchPolicy::off(),
             exec: std::env::var("MSGR_EXEC")
                 .ok()
                 .and_then(|s| ExecMode::parse(&s))
                 .unwrap_or_default(),
-            analysis: !matches!(
-                std::env::var("MSGR_ANALYSIS").ok().as_deref(),
-                Some("0") | Some("off") | Some("false")
-            ),
+            analysis: true,
             local_move: false,
-            succession: std::env::var("MSGR_SUCCESSION")
-                .ok()
-                .and_then(|s| Succession::parse(&s))
-                .unwrap_or_default(),
+            succession: Succession::default(),
             replication: 1,
-            profile: matches!(
-                std::env::var("MSGR_PROFILE").ok().as_deref(),
-                Some("1") | Some("on") | Some("true")
-            ),
+            profile: false,
             profile_interval: 4096,
         }
     }
 
-    /// The number of execution lanes, clamped to at least one.
+    // Only caller: `benchmark/src/main.rs::provenance`.
+    #[doc(hidden)]
     pub fn lane_count(&self) -> usize {
-        self.lanes.max(1)
+        1
     }
 
     /// The checkpoint replication factor, clamped to at least one.
@@ -433,10 +352,10 @@ impl ClusterConfig {
         self.replication.max(1)
     }
 
-    /// `true` iff outgoing payload frames may be coalesced into
-    /// [`crate::wire::Wire::Batch`] envelopes.
+    // Only caller: `benchmark/src/main.rs::provenance`.
+    #[doc(hidden)]
     pub fn batching(&self) -> bool {
-        self.batch.enabled()
+        false
     }
 
     /// `true` iff daemons must run the reliable ack/retransmit transport
@@ -470,34 +389,20 @@ mod tests {
         assert!(c.faults.is_none(), "faults must default to none");
         assert!(!c.reliable(), "transport must default to off");
         assert!(!c.trace.enabled, "tracing must default to off");
-        assert_eq!(c.lane_count(), 1, "lanes must default to 1");
-        assert!(!c.batching(), "batching must default to off");
         assert!(!c.local_move, "move-hops must default to off");
         if std::env::var("MSGR_EXEC").is_err() {
             assert_eq!(c.exec, ExecMode::Interp, "execution must default to interp");
         }
         assert_eq!(ExecMode::parse("compiled"), Some(ExecMode::Compiled));
         assert_eq!(ExecMode::parse("jit"), None);
-        if std::env::var("MSGR_SUCCESSION").is_err() {
-            assert_eq!(c.succession, Succession::Quorum, "succession must default to quorum");
-        }
+        assert_eq!(c.succession, Succession::Quorum, "succession must default to quorum");
         assert_eq!(c.replica_count(), 1, "replication must default to k=1");
         assert_eq!(Succession::parse("deterministic"), Some(Succession::Deterministic));
         assert_eq!(Succession::parse("raft"), None);
-        if std::env::var("MSGR_PROFILE").is_err() {
-            assert!(!c.profile, "profiling must default to off");
-        }
+        assert!(c.analysis, "analysis must default to on");
+        assert!(!c.profile, "profiling must default to off");
+        assert_eq!(c.recovery, RecoveryPolicy::default());
         assert!(c.profile_interval > 0, "sampling interval must be positive");
-    }
-
-    #[test]
-    fn batch_policy_thresholds() {
-        assert!(!BatchPolicy::off().enabled());
-        assert!(!BatchPolicy { max_frames: 1, max_bytes: 1024 }.enabled());
-        assert!(BatchPolicy::on().enabled());
-        let mut c = ClusterConfig::new(2);
-        c.lanes = 0;
-        assert_eq!(c.lane_count(), 1, "lanes=0 is treated as 1");
     }
 
     #[test]
@@ -520,30 +425,6 @@ mod tests {
         assert!(r.suspect_after >= 2 * r.heartbeat_every, "suspect only after missed beats");
         assert!(r.dead_after > r.suspect_after, "dead strictly after suspect");
         assert!(r.checkpoint_every > 0);
-    }
-
-    #[test]
-    fn fd_thresholds_obey_env_overrides() {
-        // Serialize against anything else reading the vars: set, read,
-        // restore in one test so no parallel ClusterConfig::new observes
-        // a half-configured detector.
-        std::env::set_var("MSGR_FD_SUSPECT", "90");
-        std::env::set_var("MSGR_FD_DEAD", "300");
-        let r = RecoveryPolicy::from_env();
-        assert_eq!(r.suspect_after, 90 * MILLI);
-        assert_eq!(r.dead_after, 300 * MILLI);
-        assert_eq!(r.heartbeat_every, RecoveryPolicy::default().heartbeat_every);
-        // An inverted pair (dead <= suspect) falls back to defaults.
-        std::env::set_var("MSGR_FD_DEAD", "90");
-        assert_eq!(RecoveryPolicy::from_env(), RecoveryPolicy::default());
-        // Garbage is ignored, not fatal.
-        std::env::set_var("MSGR_FD_DEAD", "soon");
-        let r = RecoveryPolicy::from_env();
-        assert_eq!(r.suspect_after, 90 * MILLI);
-        assert_eq!(r.dead_after, RecoveryPolicy::default().dead_after);
-        std::env::remove_var("MSGR_FD_SUSPECT");
-        std::env::remove_var("MSGR_FD_DEAD");
-        assert_eq!(RecoveryPolicy::from_env(), RecoveryPolicy::default());
     }
 
     #[test]

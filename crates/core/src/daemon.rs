@@ -489,16 +489,22 @@ impl Directory for HashMap<Value, (DaemonId, NodeRef)> {
 
 type NodeVars = HashMap<Arc<str>, Value>;
 
-/// The virtual-time floor a payload frame pins: losing or resurrecting
-/// it (via retransmit or checkpoint restore) re-injects work at this
-/// virtual time. Control frames and anti-messengers pin nothing.
-fn frame_vtime(w: &Wire) -> Vt {
+/// The live messenger a frame carries, looking through a transport
+/// envelope. Control frames and anti-messengers carry none.
+fn carried(w: &Wire) -> Option<&Migration> {
     match w {
-        Wire::Migrate(m) if !m.anti => m.vtime,
-        Wire::Create(cn) => cn.messenger.vtime,
-        Wire::Batch(frames) => frames.iter().map(frame_vtime).fold(Vt::INFINITY, Vt::min),
-        _ => Vt::INFINITY,
+        Wire::Migrate(m) if !m.anti => Some(m),
+        Wire::Create(cn) => Some(&cn.messenger),
+        Wire::Data { frame, .. } => carried(frame),
+        _ => None,
     }
+}
+
+/// The virtual-time floor a frame pins: losing or resurrecting
+/// it (via retransmit or checkpoint restore) re-injects work at this
+/// virtual time.
+fn frame_vtime(w: &Wire) -> Vt {
+    carried(w).map_or(Vt::INFINITY, |m| m.vtime)
 }
 
 /// One transport channel as a checkpoint holds it: the `(sender,
@@ -531,131 +537,6 @@ fn get_chan(buf: &mut Bytes) -> Result<Chan, VmError> {
     ))
 }
 
-/// The lane a logical node is pinned to: a pure function of the node id,
-/// the cluster seed, and the lane count (splitmix64 finalizer). Every
-/// runnable at one node always lands in the same lane, so per-node FIFO
-/// and non-preemption survive sharding; different seeds shuffle the
-/// node → lane map so no fixed placement is baked into programs.
-pub fn lane_of(gid: NodeRef, seed: u64, lanes: usize) -> usize {
-    if lanes <= 1 {
-        return 0;
-    }
-    let mut x = seed
-        ^ (gid.creator as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ gid.seq.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x % lanes as u64) as usize
-}
-
-/// The daemon's sharded run queues: one FIFO per lane, with every push
-/// stamped by a global arrival counter.
-///
-/// Two dispatch orders are offered (see DESIGN.md §9):
-/// * [`LaneSet::pop_global`] serves the *globally oldest* runnable (the
-///   minimum arrival stamp over all lane heads). Because stamps are
-///   assigned at push time and lane assignment never delays a head past
-///   a younger stamp in another lane, this order is identical to a
-///   single FIFO queue for **every** lane count — which is what makes
-///   `sim` traces byte-identical between `lanes=1` and `lanes=4`.
-/// * [`LaneSet::pop_rotating`] drains lanes round-robin, taking from the
-///   next non-empty lane when the preferred one is dry (a "steal"). The
-///   threads platform uses it so each wakeup sweeps lane-by-lane.
-struct LaneSet {
-    lanes: Vec<VecDeque<(u64, Runnable)>>,
-    seed: u64,
-    arrivals: u64,
-    len: usize,
-}
-
-impl LaneSet {
-    fn new(lanes: usize, seed: u64) -> Self {
-        LaneSet {
-            lanes: (0..lanes.max(1)).map(|_| VecDeque::new()).collect(),
-            seed,
-            arrivals: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, r: Runnable) {
-        let l = lane_of(r.at, self.seed, self.lanes.len());
-        self.arrivals += 1;
-        self.lanes[l].push_back((self.arrivals, r));
-        self.len += 1;
-    }
-
-    fn pop_global(&mut self) -> Option<Runnable> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(&(stamp, _)) = lane.front() {
-                if best.is_none_or(|(s, _)| stamp < s) {
-                    best = Some((stamp, i));
-                }
-            }
-        }
-        let (_, i) = best?;
-        self.len -= 1;
-        self.lanes[i].pop_front().map(|(_, r)| r)
-    }
-
-    /// Pop the head of the lane at `*cursor`, falling through to the
-    /// next non-empty lane. Returns the runnable and whether it was
-    /// stolen from a lane other than the preferred one.
-    fn pop_rotating(&mut self, cursor: &mut usize) -> Option<(Runnable, bool)> {
-        let n = self.lanes.len();
-        for k in 0..n {
-            let i = (*cursor + k) % n;
-            if let Some((_, r)) = self.lanes[i].pop_front() {
-                *cursor = (i + 1) % n;
-                self.len -= 1;
-                return Some((r, k != 0));
-            }
-        }
-        None
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Runnable> {
-        self.lanes.iter().flatten().map(|(_, r)| r)
-    }
-
-    /// Every queued runnable in global arrival order — the canonical
-    /// (lane-count-independent) order checkpoints serialize in.
-    fn iter_arrival(&self) -> Vec<&Runnable> {
-        let mut v: Vec<&(u64, Runnable)> = self.lanes.iter().flatten().collect();
-        v.sort_by_key(|(stamp, _)| *stamp);
-        v.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Keep only runnables matching `f`; returns how many were removed.
-    fn retain(&mut self, mut f: impl FnMut(&Runnable) -> bool) -> usize {
-        let before = self.len;
-        for lane in &mut self.lanes {
-            lane.retain(|(_, r)| f(r));
-        }
-        self.len = self.lanes.iter().map(VecDeque::len).sum();
-        before - self.len
-    }
-
-    fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.clear();
-        }
-        self.len = 0;
-    }
-}
-
 /// One MESSENGERS daemon.
 pub struct Daemon {
     id: DaemonId,
@@ -669,9 +550,8 @@ pub struct Daemon {
     link_seq: u64,
     msgr_seq: u64,
     rr: usize,
-    lanes: LaneSet,
-    /// Round-robin cursor for [`LaneSet::pop_rotating`] (threads drain).
-    lane_cursor: usize,
+    /// Ready messengers, served first-in first-out.
+    ready: VecDeque<Runnable>,
     pending: PendingQueue<Runnable>,
     // Optimistic-mode queue, ordered by the Time-Warp event key
     // (vtime, messenger id) so tie-breaking matches straggler detection.
@@ -729,7 +609,7 @@ impl std::fmt::Debug for Daemon {
         f.debug_struct("Daemon")
             .field("id", &self.id)
             .field("nodes", &self.nodes.len())
-            .field("ready", &self.lanes.len())
+            .field("ready", &self.ready.len())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -754,10 +634,9 @@ impl Daemon {
         let recovery = cfg.recovery_armed();
         let n = cfg.daemons;
         let trace_cfg = cfg.trace.clone();
-        let lanes = LaneSet::new(cfg.lane_count(), cfg.seed);
         let ctrl = (recovery && n >= 2).then(|| msgr_ctrl::Quorum::new(id.0, n as u16));
         // Gossip peer picks get their own fork so adding an exchange
-        // never perturbs transport jitter or lane sharding.
+        // never perturbs transport jitter.
         let gossip_rng = DetRng::new(cfg.seed).fork(0x605_5190 ^ u64::from(id.0));
         let prof = cfg.profile.then(|| Box::new(Prof::new(cfg.profile_interval)));
         let mut d = Daemon {
@@ -772,8 +651,7 @@ impl Daemon {
             link_seq: 0,
             msgr_seq: 0,
             rr: 0,
-            lanes,
-            lane_cursor: 0,
+            ready: VecDeque::new(),
             pending: PendingQueue::new(),
             opt_queue: std::collections::BTreeMap::new(),
             part: Participant::new(id.0),
@@ -837,7 +715,7 @@ impl Daemon {
     // them touches the simulation cost model or the flight recorder's
     // event stream shape (ledgers/samples are *extra* events).
 
-    /// A messenger became runnable in a lane.
+    /// A messenger joined the ready queue.
     fn prof_enqueue(&mut self, mid: u64) {
         let rt = self.rec.now();
         if let Some(p) = self.prof.as_mut() {
@@ -855,7 +733,7 @@ impl Daemon {
         }
     }
 
-    /// A messenger was popped from a lane for execution.
+    /// A messenger was popped from the ready queue for execution.
     fn prof_dequeue(&mut self, mid: u64) {
         let rt = self.rec.now();
         if let Some(p) = self.prof.as_mut() {
@@ -943,27 +821,14 @@ impl Daemon {
     }
 
     /// Platform hook (sim): credit `ns` of in-flight transport time to
-    /// every messenger carried inside `wire`, before the frame is
+    /// the messenger carried inside `wire`, before the frame is
     /// processed. Anti-messengers carry no ledger.
     pub fn profile_transport(&mut self, wire: &Wire, ns: u64) {
-        fn walk(p: &mut Prof, w: &Wire, ns: u64) {
-            match w {
-                Wire::Migrate(m) if !m.anti => p.credit_transport(m.id.0, ns),
-                Wire::Create(c) => p.credit_transport(c.messenger.id.0, ns),
-                Wire::Batch(ws) => {
-                    for w in ws {
-                        walk(p, w, ns);
-                    }
-                }
-                Wire::Data { frame, .. } => walk(p, frame, ns),
-                _ => {}
-            }
-        }
         if ns == 0 {
             return;
         }
-        if let Some(p) = self.prof.as_mut() {
-            walk(p, wire, ns);
+        if let (Some(p), Some(m)) = (self.prof.as_mut(), carried(wire)) {
+            p.credit_transport(m.id.0, ns);
         }
     }
 
@@ -978,20 +843,20 @@ impl Daemon {
     /// Whether any messenger is ready to execute right now.
     pub fn has_work(&self) -> bool {
         match self.cfg.vt_mode {
-            VtMode::Conservative => !self.lanes.is_empty(),
-            VtMode::Optimistic => !self.opt_queue.is_empty() || !self.lanes.is_empty(),
+            VtMode::Conservative => !self.ready.is_empty(),
+            VtMode::Optimistic => !self.opt_queue.is_empty() || !self.ready.is_empty(),
         }
     }
 
     /// Whether anything (ready or suspended) exists on this daemon.
     pub fn has_any_messengers(&self) -> bool {
-        !self.lanes.is_empty() || !self.pending.is_empty() || !self.opt_queue.is_empty()
+        !self.ready.is_empty() || !self.pending.is_empty() || !self.opt_queue.is_empty()
     }
 
     /// The minimum virtual time over all local messengers — this
     /// daemon's contribution to GVT.
     pub fn local_min(&self) -> Vt {
-        let ready_min = self.lanes.iter().map(|r| r.state.vtime).fold(Vt::INFINITY, Vt::min);
+        let ready_min = self.ready.iter().map(|r| r.state.vtime).fold(Vt::INFINITY, Vt::min);
         let pending_min = self.pending.min_wake().unwrap_or(Vt::INFINITY);
         let opt_min = self.opt_queue.keys().next().map(|(t, _)| *t).unwrap_or(Vt::INFINITY);
         ready_min.min(pending_min).min(opt_min)
@@ -1105,7 +970,7 @@ impl Daemon {
             VtMode::Conservative => {
                 if r.state.vtime <= self.part.gvt() {
                     self.prof_enqueue(r.state.id.0);
-                    self.lanes.push(r);
+                    self.ready.push_back(r);
                 } else {
                     self.prof_park(r.state.id.0);
                     self.pending.push(r.state.vtime, r);
@@ -1382,17 +1247,6 @@ impl Daemon {
                 self.gvt_begin(fx);
                 0
             }
-            Wire::Batch(frames) => {
-                // One unwrap cost for the shared envelope, then the
-                // inner frames are processed in coalescing order —
-                // exactly what would have happened had they arrived as
-                // individual frames back-to-back.
-                let mut cost = c.gvt_msg_ns;
-                for f in frames {
-                    cost += self.on_wire_inner(now, f, fx);
-                }
-                cost
-            }
         }
     }
 
@@ -1409,85 +1263,8 @@ impl Daemon {
     /// one would defeat it. Loopback sends also pass through — except
     /// under recovery, where a frame in flight to *this* daemon must
     /// survive this daemon's own death (it sits in the checkpointed
-    /// Coalesce this effect batch's payload sends: consecutive-per-peer
-    /// `Migrate`/`Create`/`Unlink` frames headed for the same destination
-    /// collapse into one [`Wire::Batch`] envelope, within the configured
-    /// [`crate::BatchPolicy`] budget. Control traffic (GVT, acks,
-    /// heartbeats, evictions) passes through untouched, and a batch is
-    /// only formed when it actually merges two or more frames. A no-op
-    /// unless `cfg.batching()`.
-    ///
-    /// Runs *before* [`Daemon::seal_effects`]: under the reliable
-    /// transport the whole batch is then sealed into a single
-    /// [`Wire::Data`] envelope with one sequence number, so exactly-once
-    /// delivery of every inner frame follows from exactly-once delivery
-    /// of the envelope (the batch retransmits and acks as a unit).
-    pub fn coalesce_sends(&mut self, fx: &mut Vec<Effect>) {
-        if !self.cfg.batching() {
-            return;
-        }
-        let pol = self.cfg.batch;
-        let header = self.cfg.costs.wire_header_bytes;
-        enum Slot {
-            Done(Effect),
-            // dst, frames, summed inner bytes, summed stand-alone bytes
-            Open(DaemonId, Vec<Wire>, u64, u64),
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(fx.len());
-        let mut open: std::collections::BTreeMap<u16, usize> = std::collections::BTreeMap::new();
-        for e in fx.drain(..) {
-            let batchable = matches!(
-                &e,
-                Effect::Send { wire: Wire::Migrate(_) | Wire::Create(_) | Wire::Unlink { .. }, .. }
-            );
-            if !batchable {
-                slots.push(Slot::Done(e));
-                continue;
-            }
-            let Effect::Send { dst, wire } = e else { unreachable!() };
-            let inner = wire.wire_bytes(4);
-            let alone = wire.wire_bytes(header);
-            if let Some(&i) = open.get(&dst.0) {
-                if let Slot::Open(_, frames, inner_sum, alone_sum) = &mut slots[i] {
-                    if frames.len() < pol.max_frames && *inner_sum + inner <= pol.max_bytes {
-                        frames.push(wire);
-                        *inner_sum += inner;
-                        *alone_sum += alone;
-                        continue;
-                    }
-                }
-                // Budget exhausted: close the running batch and start a
-                // fresh one at this frame's position.
-                open.remove(&dst.0);
-            }
-            let i = slots.len();
-            slots.push(Slot::Open(dst, vec![wire], inner, alone));
-            open.insert(dst.0, i);
-        }
-        for slot in slots {
-            match slot {
-                Slot::Done(e) => fx.push(e),
-                Slot::Open(dst, mut frames, _, alone_sum) => {
-                    if frames.len() < 2 {
-                        let wire = frames.pop().expect("open slot holds one frame");
-                        fx.push(Effect::Send { dst, wire });
-                        continue;
-                    }
-                    let n = frames.len() as u64;
-                    let batch = Wire::Batch(frames);
-                    let saved = alone_sum.saturating_sub(batch.wire_bytes(header));
-                    self.stats.bump(Metric::BatchFlushes);
-                    self.stats.add(Metric::BatchFrames, n);
-                    self.stats.add(Metric::BatchBytesSaved, saved);
-                    fx.push(Effect::Send { dst, wire: batch });
-                }
-            }
-        }
-    }
-
     /// retransmit buffer like any other frame).
     pub fn seal_effects(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
-        self.coalesce_sends(fx);
         if self.xport.is_none() {
             return;
         }
@@ -1567,30 +1344,12 @@ impl Daemon {
         if u.attempts >= policy.max_attempts {
             let u = p.unacked.remove(&seq).expect("present");
             self.stats.bump(Metric::XportGaveUp);
-            // If the frame carried live messengers (possibly several,
-            // when a batch was sealed into one envelope), they are now
-            // lost for good: keep the population ledger honest and
-            // surface faults so no run under a sane policy silently
-            // passes.
-            fn collect_lost(w: &Wire, out: &mut Vec<MessengerId>) {
-                match w {
-                    Wire::Migrate(m) if !m.anti => out.push(m.id),
-                    Wire::Create(cn) => out.push(cn.messenger.id),
-                    Wire::Batch(frames) => {
-                        for f in frames {
-                            collect_lost(f, out);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let mut lost = Vec::new();
-            if let Wire::Data { frame, .. } = &u.frame {
-                collect_lost(frame, &mut lost);
-            }
-            for id in lost {
+            // If the frame carried a live messenger, it is now lost for
+            // good: keep the population ledger honest and surface a
+            // fault so no run under a sane policy silently passes.
+            if let Some(m) = carried(&u.frame) {
                 fx.push(Effect::Fault {
-                    messenger: id,
+                    messenger: m.id,
                     error: format!(
                         "delivery to d{} abandoned after {} attempts",
                         chan.0, u.attempts
@@ -1735,9 +1494,7 @@ impl Daemon {
         if let Some(x) = &self.xport {
             for p in x.send.values() {
                 for u in p.unacked.values() {
-                    if let Wire::Data { frame, .. } = &u.frame {
-                        m = m.min(frame_vtime(frame));
-                    }
+                    m = m.min(frame_vtime(&u.frame));
                 }
             }
         }
@@ -2055,11 +1812,9 @@ impl Daemon {
                 vmwire::put_value(buf, &l.peer_name);
             });
         });
-        // Every parked messenger, in deterministic dequeue order. Lanes
-        // serialize in global arrival order, so the snapshot bytes are
-        // independent of the lane count.
+        // Every parked messenger, in deterministic dequeue order.
         let mut parked: Vec<(NodeRef, Option<LinkInstance>, Bytes)> = Vec::new();
-        for r in self.lanes.iter_arrival() {
+        for r in &self.ready {
             parked.push((r.at, r.last, vmwire::encode_messenger(&r.state)));
         }
         let mut pend = Vec::new();
@@ -2176,9 +1931,7 @@ impl Daemon {
         }
         for (_, _, unacked) in &send_chans {
             for (_, f) in unacked {
-                if let Wire::Data { frame, .. } = f {
-                    floor = floor.min(frame_vtime(frame));
-                }
+                floor = floor.min(frame_vtime(f));
             }
         }
 
@@ -2266,7 +2019,7 @@ impl Daemon {
     /// was never acknowledged or committed, so the survivors' retransmit
     /// buffers and the checkpoint together reconstruct it exactly once.
     pub fn gut(&mut self) {
-        self.lanes.clear();
+        self.ready.clear();
         self.pending = PendingQueue::new();
         self.opt_queue.clear();
         self.tw.clear();
@@ -2294,7 +2047,7 @@ impl Daemon {
 
     /// Whether any queued messenger currently sits at `gid`.
     fn node_occupied(&self, gid: NodeRef) -> bool {
-        self.lanes.iter().any(|r| r.at == gid) || self.opt_queue.values().any(|r| r.at == gid)
+        self.ready.iter().any(|r| r.at == gid) || self.opt_queue.values().any(|r| r.at == gid)
     }
 
     fn delete_node(&mut self, gid: NodeRef, fx: &mut Vec<Effect>) {
@@ -2304,7 +2057,9 @@ impl Daemon {
             }
             self.stats.bump(Metric::NodesDeleted);
             // Messengers stranded at the node die.
-            let killed_ready = self.lanes.retain(|r| r.at != gid);
+            let ready_before = self.ready.len();
+            self.ready.retain(|r| r.at != gid);
+            let killed_ready = ready_before - self.ready.len();
             let killed_pending = self.pending.drain_matching(|r| r.at == gid).len();
             let opt_keys: Vec<(Vt, u64)> =
                 self.opt_queue.iter().filter(|(_, r)| r.at == gid).map(|(k, _)| *k).collect();
@@ -2368,7 +2123,7 @@ impl Daemon {
             while let Some((_, r)) = self.pending.pop_runnable(gvt) {
                 self.rec.emit(r.state.vtime.as_f64(), EventKind::MsgrRevive { mid: r.state.id.0 });
                 self.prof_enqueue(r.state.id.0);
-                self.lanes.push(r);
+                self.ready.push_back(r);
             }
         } else {
             for node in self.tw.values_mut() {
@@ -2416,8 +2171,10 @@ impl Daemon {
             self.stats.bump(Metric::Annihilations);
             return;
         }
-        // 1b. In the ready lanes?
-        if self.lanes.retain(|r| r.state.id != id) > 0 {
+        // 1b. In the ready queue?
+        let ready_before = self.ready.len();
+        self.ready.retain(|r| r.state.id != id);
+        if self.ready.len() < ready_before {
             fx.push(Effect::LiveDelta(-1));
             self.stats.bump(Metric::Annihilations);
             return;
@@ -2487,36 +2244,8 @@ impl Daemon {
 
     /// Execute one non-preemptive segment. Returns its reference-CPU
     /// cost, or `None` if nothing is runnable.
-    ///
-    /// Dispatch across lanes is by global arrival order, so the
-    /// execution order is independent of the lane count — the property
-    /// the `sim` determinism gate checks.
     pub fn run_segment(&mut self, dir: &dyn Directory, fx: &mut Vec<Effect>) -> Option<u64> {
         let cost = self.run_segment_inner(dir, fx)?;
-        self.stage_durable(fx);
-        Some(cost)
-    }
-
-    /// Execute one non-preemptive segment, draining lanes round-robin
-    /// instead of in global arrival order. Used by the threads platform,
-    /// where each wakeup sweeps lane-by-lane; serving from a lane other
-    /// than the rotation's preferred one counts as a `lane_steals`.
-    /// Conservative mode only (the threads platform rejects optimistic
-    /// configs); identical to [`Daemon::run_segment`] at `lanes = 1`.
-    pub fn run_segment_rotating(
-        &mut self,
-        dir: &dyn Directory,
-        fx: &mut Vec<Effect>,
-    ) -> Option<u64> {
-        debug_assert_eq!(self.cfg.vt_mode, VtMode::Conservative);
-        let mut cursor = self.lane_cursor;
-        let (run, stolen) = self.lanes.pop_rotating(&mut cursor)?;
-        self.lane_cursor = cursor;
-        if stolen {
-            self.stats.bump(Metric::LaneSteals);
-        }
-        self.prof_dequeue(run.state.id.0);
-        let cost = self.execute(run, dir, fx, false);
         self.stage_durable(fx);
         Some(cost)
     }
@@ -2524,14 +2253,14 @@ impl Daemon {
     fn run_segment_inner(&mut self, dir: &dyn Directory, fx: &mut Vec<Effect>) -> Option<u64> {
         match self.cfg.vt_mode {
             VtMode::Conservative => {
-                let run = self.lanes.pop_global()?;
+                let run = self.ready.pop_front()?;
                 self.prof_dequeue(run.state.id.0);
                 Some(self.execute(run, dir, fx, false))
             }
             VtMode::Optimistic => {
                 // Drain any conservative-path leftovers first (ready is
                 // unused in optimistic mode except via injection races).
-                if let Some(run) = self.lanes.pop_global() {
+                if let Some(run) = self.ready.pop_front() {
                     self.prof_dequeue(run.state.id.0);
                     return Some(self.execute(run, dir, fx, true));
                 }

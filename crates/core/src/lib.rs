@@ -68,10 +68,10 @@ pub mod wire;
 
 pub use ckpt::{CheckpointStore, FileStore, MemStore};
 pub use config::{
-    BatchPolicy, ClusterConfig, CostModel, ExecMode, NetKind, RecoveryPolicy, RetransmitPolicy,
-    Succession, VtMode,
+    ClusterConfig, CostModel, ExecMode, NetKind, RecoveryPolicy, RetransmitPolicy, Succession,
+    VtMode,
 };
-pub use daemon::{lane_of, CodeCache, Daemon, Effect, RegisterOutcome};
+pub use daemon::{CodeCache, Daemon, Effect, RegisterOutcome};
 pub use ids::{DaemonId, NodeRef};
 pub use platform::sim::{SimCluster, SimReport};
 pub use platform::threads::{ThreadCluster, ThreadReport};

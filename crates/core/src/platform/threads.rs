@@ -393,12 +393,7 @@ fn run_daemon(
             apply(&mut fx, &senders, &live, &faults, &dir);
         }
         if daemon.has_work() {
-            // Rotating drain: round-robin over the execution lanes (with
-            // work-stealing from the next non-empty lane), then coalesce
-            // the resulting burst of small frames into per-peer batches
-            // so each flush costs one channel send instead of many.
-            daemon.run_segment_rotating(&dir, &mut fx);
-            daemon.coalesce_sends(&mut fx);
+            daemon.run_segment(&dir, &mut fx);
             apply(&mut fx, &senders, &live, &faults, &dir);
             continue;
         }

@@ -6,9 +6,9 @@
 //! *measures* that decomposition: while profiling is enabled
 //! ([`crate::ClusterConfig::profile`]), every resident messenger owns a
 //! [`Ledger`] that the daemon charges as the messenger moves through its
-//! lifecycle — queued in a lane, verified on receive, executing in the
-//! VM, being encoded for a hop, in flight on the wire, parked on virtual
-//! time, or stalled behind a crash recovery. At the messenger's terminal
+//! lifecycle — waiting in the ready queue, verified on receive, executing
+//! in the VM, being encoded for a hop, in flight on the wire, parked on
+//! virtual time, or stalled behind a crash recovery. At the messenger's terminal
 //! local disposition (retire, fault, or hop away) the ledger is emitted
 //! as one `phase_ledger` trace event; partial sender-side ledgers tie
 //! outgoing replicas back to their parent so the post-hoc analysis in
@@ -34,12 +34,12 @@ pub struct Ledger {
     /// The messenger id at arrival/injection (parks re-identify the
     /// continuation; this keeps the inbound transport join key).
     pub born: u64,
-    /// When the messenger last became runnable in a lane (`None` while
+    /// When the messenger last joined the ready queue (`None` while
     /// executing, parked, or in flight).
     pub enq: Option<u64>,
     /// When the messenger parked on virtual time (`None` otherwise).
     pub park_start: Option<u64>,
-    /// Runnable-in-lane wait.
+    /// Wait in the ready queue.
     pub queue: u64,
     /// Receive-time verification work.
     pub verify: u64,
@@ -127,7 +127,7 @@ impl Prof {
         self.ledgers.entry(mid).or_insert_with(|| Ledger::new(mid))
     }
 
-    /// A messenger became runnable in a lane at `now`: close any open
+    /// A messenger joined the ready queue at `now`: close any open
     /// park window, open the queue window, and absorb transport credit
     /// the platform recorded for its in-flight leg.
     pub fn on_enqueue(&mut self, mid: u64, now: u64) {
@@ -140,8 +140,8 @@ impl Prof {
         l.enq = Some(now);
     }
 
-    /// A messenger parked on virtual time at `now` (it is *not* in a
-    /// lane; GVT will revive it).
+    /// A messenger parked on virtual time at `now` (it is *not* in the
+    /// ready queue; GVT will revive it).
     pub fn on_park(&mut self, mid: u64, now: u64) {
         let credit = self.transport.remove(&mid).unwrap_or(0);
         let l = self.ledger(mid);
@@ -149,7 +149,7 @@ impl Prof {
         l.park_start = Some(now);
     }
 
-    /// A messenger was popped from a lane for execution at `now`: close
+    /// A messenger was popped from the ready queue at `now`: close
     /// the queue window.
     pub fn on_dequeue(&mut self, mid: u64, now: u64) {
         let l = self.ledger(mid);

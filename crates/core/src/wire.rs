@@ -9,7 +9,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use msgr_vm::bytes::{Bytes, BytesMut};
-use msgr_vm::wire::{get_value, get_vt, put_value, put_vt, MAX_SEQ};
+use msgr_vm::wire::{get_value, get_vt, put_value, put_vt};
 
 use msgr_gvt::CtrlMsg;
 use msgr_vm::{LinkInstance, MessengerId, Value, VmError, Vt};
@@ -132,16 +132,6 @@ pub enum Wire {
         /// Its current membership epoch.
         epoch: u64,
     },
-    /// A coalesced flush: several payload frames bound for the same peer
-    /// travel under one physical header. Built by the daemon's effect
-    /// coalescer when [`crate::BatchPolicy`] allows; the receiver unpacks
-    /// and processes the inner frames in order. A batch never contains
-    /// `Data`, `Ack`, or another `Batch` (the codec rejects all three),
-    /// but a whole batch may itself be enveloped in one `Data` frame —
-    /// the reliable transport then acks and retransmits the flush as a
-    /// unit, so exactly-once delivery of every inner frame follows from
-    /// exactly-once delivery of the envelope.
-    Batch(Vec<Wire>),
     /// Membership change: `victim` has been declared permanently dead and
     /// its logical nodes re-homed to its successor. Broadcast by the
     /// successor (reliably — eviction must not be lost) after it restores
@@ -227,11 +217,9 @@ impl Wire {
                 Wire::Create(_) => "data:create",
                 Wire::Unlink { .. } => "data:unlink",
                 Wire::Gvt(_) => "data:gvt",
-                Wire::Batch(_) => "data:batch",
                 _ => "data",
             },
             Wire::Ack { .. } => "ack",
-            Wire::Batch(_) => "batch",
             Wire::Beat { .. } => "beat",
             Wire::Evict { .. } => "evict",
             Wire::Ctrl { .. } => "ctrl",
@@ -256,9 +244,6 @@ impl Wire {
             // only src + chan + seq are extra bytes.
             Wire::Data { frame, .. } => frame.wire_bytes(header) + 14,
             Wire::Ack { .. } => header + 22,
-            // One shared physical header for the whole flush; each inner
-            // frame pays only 4 bytes of framing instead of `header`.
-            Wire::Batch(frames) => header + 2 + frames.iter().map(|f| f.wire_bytes(4)).sum::<u64>(),
             Wire::Beat { .. } => header + 10,
             Wire::Evict { .. } => header + 18,
             Wire::Ctrl { msg, .. } => {
@@ -498,10 +483,6 @@ fn put_frame(buf: &mut BytesMut, w: &Wire) {
             buf.put_varint(*epoch);
             put_vt(buf, *floor);
         }
-        Wire::Batch(frames) => {
-            buf.put_u8(9);
-            buf.put_seq(frames.iter(), put_frame);
-        }
         Wire::Ctrl { from, msg } => {
             buf.put_u8(10);
             put_daemon(buf, *from);
@@ -528,20 +509,11 @@ fn put_frame(buf: &mut BytesMut, w: &Wire) {
     }
 }
 
-/// Where in the frame tree the decoder currently sits — transport frames
-/// nest one level at most: `Data(Batch(payload*))` is the deepest legal
-/// shape.
-#[derive(Clone, Copy, PartialEq)]
-enum Ctx {
-    /// Top-level frame: anything goes.
-    Top,
-    /// Inside a `Data` envelope: no `Data`, no `Ack`.
-    InData,
-    /// Inside a `Batch`: no `Data`, no `Ack`, no `Batch`.
-    InBatch,
-}
-
-fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
+/// Decode one frame. Transport frames nest one level at most:
+/// `in_data` is set for the payload of a [`Wire::Data`] envelope, where
+/// another `Data` or an `Ack` is malformed. Tag 9 is unassigned and
+/// must stay rejected, not reused (`tests/wire_format.rs` holds it).
+fn get_frame(buf: &mut Bytes, in_data: bool) -> Result<Wire, VmError> {
     Ok(match buf.read_u8()? {
         0 => Wire::Migrate(get_migration(buf)?),
         1 => Wire::Create(Box::new(CreateNode {
@@ -558,18 +530,18 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
         3 => Wire::Gvt(get_ctrl(buf)?),
         4 => Wire::GvtKick,
         5 => {
-            if ctx != Ctx::Top {
+            if in_data {
                 return Err(VmError::Decode("nested transport envelope".to_string()));
             }
             Wire::Data {
                 src: get_daemon(buf)?,
                 chan: get_daemon(buf)?,
                 seq: buf.read_varint()?,
-                frame: Box::new(get_frame(buf, Ctx::InData)?),
+                frame: Box::new(get_frame(buf, true)?),
             }
         }
         6 => {
-            if ctx != Ctx::Top {
+            if in_data {
                 return Err(VmError::Decode("ack inside transport envelope".to_string()));
             }
             Wire::Ack {
@@ -582,16 +554,6 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
         7 => Wire::Beat { from: get_daemon(buf)?, epoch: buf.read_varint()? },
         8 => {
             Wire::Evict { victim: get_daemon(buf)?, epoch: buf.read_varint()?, floor: get_vt(buf)? }
-        }
-        9 => {
-            if ctx == Ctx::InBatch {
-                return Err(VmError::Decode("batch inside batch".to_string()));
-            }
-            let frames = buf.read_seq(MAX_SEQ, |buf| get_frame(buf, Ctx::InBatch))?;
-            if frames.len() < 2 {
-                return Err(VmError::Decode("batch of fewer than two frames".to_string()));
-            }
-            Wire::Batch(frames)
         }
         10 => Wire::Ctrl {
             from: get_daemon(buf)?,
@@ -627,11 +589,10 @@ pub fn encode_frame(w: &Wire) -> Bytes {
 ///
 /// # Errors
 ///
-/// [`VmError::Decode`] on any malformed input, including trailing bytes,
-/// transport frames nested inside a [`Wire::Data`] envelope, and
-/// `Data`/`Ack`/`Batch` frames inside a [`Wire::Batch`].
+/// [`VmError::Decode`] on any malformed input, including trailing bytes
+/// and transport frames nested inside a [`Wire::Data`] envelope.
 pub fn decode_frame(mut buf: Bytes) -> Result<Wire, VmError> {
-    let w = get_frame(&mut buf, Ctx::Top)?;
+    let w = get_frame(&mut buf, false)?;
     buf.finish("frame")?;
     Ok(w)
 }
@@ -752,20 +713,6 @@ mod tests {
             Wire::Beat { from: DaemonId(4), epoch: 2 },
             Wire::Evict { victim: DaemonId(1), epoch: 3, floor: Vt::new(7.5) },
             Wire::Evict { victim: DaemonId(6), epoch: 1, floor: Vt::INFINITY },
-            Wire::Batch(vec![
-                Wire::Migrate(mig(16, 0)),
-                Wire::Unlink { node: NodeRef::new(1, 2), inst: LinkInstance(3) },
-                Wire::Gvt(CtrlMsg::Cut { round: 1 }),
-            ]),
-            Wire::Data {
-                src: DaemonId(2),
-                chan: DaemonId(3),
-                seq: 7,
-                frame: Box::new(Wire::Batch(vec![
-                    Wire::Migrate(mig(8, 0)),
-                    Wire::Migrate(mig(9, 0)),
-                ])),
-            },
             Wire::Ctrl {
                 from: DaemonId(1),
                 msg: msgr_ctrl::PaxosMsg::Prepare {
@@ -851,46 +798,6 @@ mod tests {
             frame: Box::new(Wire::Ack { src: DaemonId(0), chan: DaemonId(1), cum: 0, seq: 0 }),
         };
         assert!(decode_frame(encode_frame(&ack_in_data)).is_err(), "Ack in Data must not decode");
-    }
-
-    #[test]
-    fn batch_shares_one_header() {
-        let a = Wire::Migrate(mig(100, 0));
-        let b = Wire::Unlink { node: NodeRef::new(0, 0), inst: LinkInstance(1) };
-        let batch = Wire::Batch(vec![a.clone(), b.clone()]);
-        let separate = a.wire_bytes(64) + b.wire_bytes(64);
-        assert!(batch.wire_bytes(64) < separate, "a batch must save header bytes");
-        assert_eq!(batch.kind(), "batch");
-        let data =
-            Wire::Data { src: DaemonId(0), chan: DaemonId(1), seq: 1, frame: Box::new(batch) };
-        assert_eq!(data.kind(), "data:batch");
-    }
-
-    #[test]
-    fn batch_nesting_rejected() {
-        let leaf = Wire::Migrate(mig(1, 0));
-        for bad in [
-            Wire::Batch(vec![leaf.clone(), Wire::Batch(vec![leaf.clone(), leaf.clone()])]),
-            Wire::Batch(vec![
-                leaf.clone(),
-                Wire::Data {
-                    src: DaemonId(0),
-                    chan: DaemonId(1),
-                    seq: 1,
-                    frame: Box::new(leaf.clone()),
-                },
-            ]),
-            Wire::Batch(vec![
-                leaf.clone(),
-                Wire::Ack { src: DaemonId(0), chan: DaemonId(1), cum: 0, seq: 0 },
-            ]),
-        ] {
-            assert!(decode_frame(encode_frame(&bad)).is_err(), "{bad:?} must not decode");
-        }
-        // Undersized batches are malformed too: the coalescer never emits
-        // a batch that saves nothing.
-        let single = Wire::Batch(vec![leaf.clone()]);
-        assert!(decode_frame(encode_frame(&single)).is_err(), "1-frame batch must not decode");
     }
 
     #[test]

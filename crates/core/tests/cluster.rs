@@ -3,9 +3,9 @@
 
 use msgr_core::config::{NetKind, VtMode};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{ClusterConfig, ClusterError, SimCluster, ThreadCluster};
+use msgr_core::{ClusterConfig, ClusterError, DaemonId, SimCluster, ThreadCluster};
 use msgr_lang::compile;
-use msgr_vm::{Value, Vt};
+use msgr_vm::{Dir, Value, Vt};
 
 fn sim(n: usize) -> SimCluster {
     let mut cfg = ClusterConfig::new(n);
@@ -498,6 +498,89 @@ fn threads_file_backed_checkpoints() {
         assert_eq!(snap[0], 1, "daemon {d}: snapshot format version");
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn threads_ring_with_local_moves_visits_exactly_once() {
+    // 16 walkers on a 16-node ring laid out in contiguous per-daemon
+    // blocks, so 3 of every 4 hops stay on one daemon and take the
+    // `local_move` handover instead of the codec.
+    let prog = compile(
+        r#"walk(passes) {
+            int i = 0;
+            node int visits;
+            visits = visits + 1;
+            while (i < passes) {
+                hop(ll = "ring"; ldir = +);
+                visits = visits + 1;
+                i = i + 1;
+            }
+        }"#,
+    )
+    .unwrap();
+    let (daemons, nodes, walkers, passes) = (4usize, 16usize, 16usize, 12i64);
+    let mut cfg = ClusterConfig::new(daemons);
+    cfg.local_move = true;
+    let mut c = ThreadCluster::new(cfg).unwrap();
+    let mut topo = LogicalTopology::new();
+    for i in 0..nodes {
+        topo.node(Value::str(format!("p{i}")), DaemonId((i / (nodes / daemons)) as u16));
+    }
+    for i in 0..nodes {
+        topo.link(
+            Value::str(format!("p{i}")),
+            Value::str(format!("p{}", (i + 1) % nodes)),
+            Value::str("ring"),
+            Dir::Forward,
+        );
+    }
+    c.build(&topo).unwrap();
+    let pid = c.register_program(&prog);
+    for m in 0..walkers {
+        c.inject_at(&Value::str(format!("p{m}")), pid, &[Value::Int(passes)]).unwrap();
+    }
+    let report = c.run().unwrap();
+    assert!(report.faults.is_empty(), "{:?}", report.faults);
+    let visits: i64 = (0..nodes)
+        .filter_map(|i| c.node_var_by_name(&Value::str(format!("p{i}")), "visits"))
+        .filter_map(|v| v.as_int().ok())
+        .sum();
+    assert_eq!(visits, walkers as i64 * (passes + 1));
+    assert_eq!(report.stats.counter("terminated"), walkers as u64);
+}
+
+#[test]
+fn threads_scatter_reaches_every_spoke_exactly_once() {
+    // A hub on daemon 0 replicating to 8 spokes that all live on daemon
+    // 1: every burst is 8 frames to one peer, and each must land once.
+    let prog = compile(
+        r#"scatter() {
+            node int seen;
+            hop(ll = "out"; ldir = +);
+            seen = seen + 1;
+        }"#,
+    )
+    .unwrap();
+    let (spokes, scatters) = (8usize, 8usize);
+    let mut c = ThreadCluster::new(ClusterConfig::new(2)).unwrap();
+    let mut topo = LogicalTopology::new();
+    topo.node(Value::str("hub"), DaemonId(0));
+    for i in 0..spokes {
+        topo.node(Value::str(format!("s{i}")), DaemonId(1));
+        topo.link(Value::str("hub"), Value::str(format!("s{i}")), Value::str("out"), Dir::Forward);
+    }
+    c.build(&topo).unwrap();
+    let pid = c.register_program(&prog);
+    for _ in 0..scatters {
+        c.inject_at(&Value::str("hub"), pid, &[]).unwrap();
+    }
+    let report = c.run().unwrap();
+    assert!(report.faults.is_empty(), "{:?}", report.faults);
+    let seen: i64 = (0..spokes)
+        .filter_map(|i| c.node_var_by_name(&Value::str(format!("s{i}")), "seen"))
+        .filter_map(|v| v.as_int().ok())
+        .sum();
+    assert_eq!(seen, (scatters * spokes) as i64);
 }
 
 #[test]

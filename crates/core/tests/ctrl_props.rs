@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{BatchPolicy, ClusterConfig, ClusterError, DaemonId, ExecMode, SimCluster};
+use msgr_core::{ClusterConfig, ClusterError, DaemonId, ExecMode, SimCluster};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_trace::{EventKind, Trace};
 use msgr_vm::{Dir, Value};
@@ -66,8 +66,6 @@ struct Scenario {
     seed: u64,
     plan: FaultPlan,
     replication: usize,
-    lanes: usize,
-    batch: bool,
     exec: ExecMode,
     trace: bool,
     trace_capacity: Option<usize>,
@@ -99,8 +97,6 @@ fn arb_double_kill_scenario(s: &mut Source) -> Scenario {
             ..FaultPlan::none()
         },
         replication: 2,
-        lanes: s.usize_in(1..5),
-        batch: s.bool_with(0.5),
         exec: if s.bool_with(0.5) { ExecMode::Compiled } else { ExecMode::Interp },
         trace: false,
         trace_capacity: None,
@@ -133,11 +129,7 @@ fn ring_cluster(sc: &Scenario, program: &str) -> Result<SimCluster, String> {
     cfg.seed = sc.seed;
     cfg.faults = sc.plan.clone();
     cfg.replication = sc.replication;
-    cfg.lanes = sc.lanes;
     cfg.exec = sc.exec;
-    if sc.batch {
-        cfg.batch = BatchPolicy::on();
-    }
     cfg.trace.enabled = sc.trace;
     if let Some(cap) = sc.trace_capacity {
         cfg.trace.capacity = cap;
@@ -224,8 +216,6 @@ fn losing_every_checkpoint_copy_is_a_typed_error() {
             ..FaultPlan::none()
         },
         replication: 1,
-        lanes: 1,
-        batch: false,
         exec: ExecMode::Interp,
         trace: false,
         trace_capacity: None,
@@ -277,8 +267,6 @@ fn quorum_double_kill_traces_are_byte_identical() {
                 ..FaultPlan::none()
             },
             replication: 2,
-            lanes: s.usize_in(1..5),
-            batch: s.bool_with(0.5),
             exec: if s.bool_with(0.5) { ExecMode::Compiled } else { ExecMode::Interp },
             trace: true,
             trace_capacity: None,
@@ -300,27 +288,17 @@ fn quorum_double_kill_traces_are_byte_identical() {
     });
 }
 
-/// Flight-recorder drop accounting across `Daemon::gut()`: a killed
-/// daemon's ring survives volatile-state destruction, so its pre-crash
-/// window — the gossip exchanges and frames it was mid-way through —
-/// must reach the merged trace even when a tiny ring capacity forces
-/// oldest-event drops. Runs the same seeded double-kill chaos scenario
-/// twice: once with a roomy ring (zero drops, the reference emission
-/// stream) and once with a 96-event ring, then checks the small run
-/// kept exactly the **newest** suffix of every daemon's stream and
-/// counted every evicted event.
-#[test]
-fn recorder_drop_accounting_survives_gut_mid_gossip() {
-    let sc = |capacity: Option<usize>| Scenario {
+/// The lossy double-kill run the two tests below share.
+fn gut_mid_gossip(seed: u64, trace_capacity: Option<usize>) -> Scenario {
+    Scenario {
         daemons: 5,
         nodes: 10,
         msgrs: 4,
         passes: 12,
-        seed: 0xC0FFEE ^ fault_seed(),
+        seed,
         // Loss heavy enough that fire-and-forget control traffic (GVT
         // advances, decree learns) goes missing regularly, leaving the
-        // stale windows that anti-entropy exists to heal — so the run
-        // demonstrably *merges* digests, not just pushes them.
+        // stale windows that anti-entropy exists to heal.
         plan: FaultPlan {
             drop_p: 0.15,
             dup_p: 0.0,
@@ -329,12 +307,25 @@ fn recorder_drop_accounting_survives_gut_mid_gossip() {
             crashes: vec![CrashEvent::kill(2, 50 * MILLI), CrashEvent::kill(3, 120 * MILLI)],
         },
         replication: 2,
-        lanes: 1,
-        batch: false,
         exec: ExecMode::Interp,
         trace: true,
-        trace_capacity: capacity,
-    };
+        trace_capacity,
+    }
+}
+
+/// Flight-recorder drop accounting across `Daemon::gut()`: a killed
+/// daemon's ring survives volatile-state destruction, so its pre-crash
+/// window — the gossip exchanges and frames it was mid-way through —
+/// must reach the merged trace even when a tiny ring capacity forces
+/// oldest-event drops. Runs the same seeded double-kill chaos scenario
+/// twice: once with a roomy ring (zero drops, the reference emission
+/// stream) and once with a 96-event ring, then checks the small run
+/// kept exactly the **newest** suffix of every daemon's stream and
+/// counted every evicted event. That holds on every schedule, so
+/// `MSGR_FAULT_SEED` is mixed into the seed.
+#[test]
+fn recorder_drop_accounting_survives_gut_mid_gossip() {
+    let sc = |capacity| gut_mid_gossip(0xC0FFEE ^ fault_seed(), capacity);
     let full = run_ring(&sc(None), VT_WALK).expect("reference run completes");
     let small = run_ring(&sc(Some(96)), VT_WALK).expect("bounded run completes");
     let full = full.trace.expect("reference trace");
@@ -384,10 +375,18 @@ fn recorder_drop_accounting_survives_gut_mid_gossip() {
             "daemon {victim}'s pre-crash window was lost with its volatile state"
         );
     }
+}
 
-    // The window the kill interrupts is a live gossip exchange: the
-    // reference trace must show the anti-entropy schedule running.
-    let counts: std::collections::HashMap<&str, u64> = full.counts().into_iter().collect();
+/// The window those kills interrupt is a live gossip exchange: the
+/// anti-entropy schedule demonstrably *merges* a digest, not just pushes
+/// them. Whether a lost advance leaves a stale window before the run
+/// ends depends on the draw, so this is a statement about one schedule:
+/// the seed is fixed, not mixed with `MSGR_FAULT_SEED`.
+#[test]
+fn lossy_double_kill_run_merges_a_gossip_digest() {
+    let run = run_ring(&gut_mid_gossip(0xC0FFEE, None), VT_WALK).expect("run completes");
+    let counts: std::collections::HashMap<&str, u64> =
+        run.trace.expect("trace").counts().into_iter().collect();
     assert!(
         counts.get("gossip_merge").copied().unwrap_or(0) > 0,
         "quorum-mode chaos run never merged a gossip digest; got {counts:?}"
@@ -426,8 +425,6 @@ fn soak_cascading_kills_with_replicated_checkpoints() {
             ],
         },
         replication: 2,
-        lanes: 4,
-        batch: true,
         exec: ExecMode::Compiled,
         trace: false,
         trace_capacity: None,

@@ -189,6 +189,59 @@ fn chaos_every_messenger_completes_exactly_once() {
     });
 }
 
+/// Each injection at a star's hub replicates to every leaf in one burst,
+/// so several frames leave for the same peer back to back — the shape
+/// the ring walks above never produce.
+const SCATTER: &str = r#"
+scatter() {
+    node int seen;
+    hop(ll = "spoke");
+    seen = seen + 1;
+}
+"#;
+
+#[test]
+fn chaos_scatter_delivers_exactly_once() {
+    check_with(chaos_cases(), "chaos_scatter_delivers_exactly_once", |s| {
+        let daemons = s.usize_in(2..6);
+        // At least two leaves per daemon: every burst sends every peer
+        // more than one frame.
+        let leaves = s.usize_in(2 * daemons..17);
+        let injections = s.usize_in(2..9);
+        let topo = LogicalTopology::star(leaves, daemons);
+        let mut cfg = ClusterConfig::new(daemons);
+        cfg.seed = s.any_u64() ^ fault_seed();
+        cfg.faults = arb_rates(s);
+        let mut cluster = SimCluster::new(cfg);
+        cluster.build(&topo).map_err(|e| e.to_string())?;
+        let pid =
+            cluster.register_program(&msgr_lang::compile(SCATTER).map_err(|e| e.to_string())?);
+        for _ in 0..injections {
+            cluster.inject_at(&Value::str("hub"), pid, &[]).map_err(|e| e.to_string())?;
+        }
+        let report = cluster.run().map_err(|e| e.to_string())?;
+        let mut seen = 0i64;
+        for k in 0..leaves {
+            if let Some(Value::Int(v)) =
+                cluster.node_var_by_name(&Value::str(format!("leaf{k}")), "seen")
+            {
+                seen += v;
+            }
+        }
+        prop_assert!(report.faults.is_empty(), "unexpected faults: {:?}", report.faults);
+        prop_assert_eq!(report.live_leak, 0);
+        prop_assert_eq!(seen, (injections * leaves) as i64);
+        prop_assert_eq!(report.stats.counter("xport_gave_up"), 0);
+        let sent = report.stats.counter("xport_sent");
+        prop_assert_eq!(report.stats.counter("xport_acked"), sent);
+        // Leaf k lives on daemon k % daemons, so all but every
+        // `daemons`-th replica crosses the transport.
+        let remote = injections * (leaves - leaves.div_ceil(daemons));
+        prop_assert!(sent >= remote as u64, "only {sent} frames for {remote} remote replicas");
+        Ok(())
+    });
+}
+
 #[test]
 fn chaos_crash_restart_preserves_every_messenger() {
     check_with(chaos_cases(), "chaos_crash_restart_preserves_every_messenger", |s| {

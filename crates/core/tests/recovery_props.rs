@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{BatchPolicy, ClusterConfig, DaemonId, ExecMode, SimCluster, Succession};
+use msgr_core::{ClusterConfig, DaemonId, ExecMode, SimCluster, Succession};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_vm::{Dir, Value};
 
@@ -64,19 +64,15 @@ struct Scenario {
     passes: i64,
     seed: u64,
     plan: FaultPlan,
-    lanes: usize,
-    batch: bool,
     exec: ExecMode,
 }
 
 /// A cluster of 2–8 daemons with one permanent worker kill (never daemon
 /// 0 — it hosts the GVT coordinator) somewhere in the first ~200 ms,
 /// i.e. anywhere from "before the first checkpoint" to "mid-run".
-/// Execution lanes, frame batching, and the execution engine are drawn
-/// too: recovery must be indifferent to all three (a batch acks and
-/// retransmits as a unit, so a kill mid-batch loses and restores whole
-/// batches, never fragments; a compiled messenger checkpoints, dies,
-/// and restores with the same wire state as an interpreted one).
+/// The execution engine is drawn too: recovery must be indifferent to it
+/// (a compiled messenger checkpoints, dies, and restores with the same
+/// wire state as an interpreted one).
 fn arb_kill_scenario(s: &mut Source) -> Scenario {
     let daemons = s.usize_in(2..9);
     let victim = s.u32_in(1..daemons as u32);
@@ -90,8 +86,6 @@ fn arb_kill_scenario(s: &mut Source) -> Scenario {
             crashes: vec![CrashEvent::kill(victim, s.u64_in(0..200 * MILLI))],
             ..FaultPlan::none()
         },
-        lanes: s.usize_in(1..5),
-        batch: s.bool_with(0.5),
         exec: if s.bool_with(0.5) { ExecMode::Compiled } else { ExecMode::Interp },
     }
 }
@@ -130,11 +124,7 @@ fn run_ring_with(
     let mut cfg = ClusterConfig::new(sc.daemons);
     cfg.seed = sc.seed;
     cfg.faults = sc.plan.clone();
-    cfg.lanes = sc.lanes;
     cfg.exec = sc.exec;
-    if sc.batch {
-        cfg.batch = BatchPolicy::on();
-    }
     // These walks finish in well under a million events; a run that
     // needs more is stalled, and the tight budget turns "hang for the
     // full default budget" into a fast, seeded counterexample.
@@ -291,8 +281,6 @@ fn soak_survives_cascading_permanent_kills() {
                 CrashEvent::kill(7, 150 * MILLI),
             ],
         },
-        lanes: 4,
-        batch: true,
         exec: ExecMode::Compiled,
     };
     let r = run_ring(&sc, WALK).expect("run completes");
@@ -316,8 +304,6 @@ fn recovery_smoke_mid_run_kill() {
         passes: 40,
         seed: 0xD1E,
         plan: FaultPlan { crashes: vec![CrashEvent::kill(2, 50 * MILLI)], ..FaultPlan::none() },
-        lanes: 1,
-        batch: false,
         exec: ExecMode::Interp,
     };
     let r = run_ring(&sc, WALK).expect("run completes");
@@ -346,8 +332,6 @@ fn recovery_smoke_mid_run_kill_compiled() {
         passes: 40,
         seed: 0xD1E,
         plan: FaultPlan { crashes: vec![CrashEvent::kill(2, 50 * MILLI)], ..FaultPlan::none() },
-        lanes: 1,
-        batch: false,
         exec,
     };
     let r = run_ring(&sc(ExecMode::Compiled), WALK).expect("run completes");

@@ -111,15 +111,16 @@ fn arb_paxos(s: &mut Source) -> PaxosMsg {
     }
 }
 
-/// One frame of any kind, transport envelopes and batches included.
+/// One frame of any of the 13 kinds, transport envelopes included. Arms
+/// are numbered by wire tag; the draws with no arm (0–4, and 9, which
+/// is unassigned) yield one of the five payload kinds.
 fn arb_frame(s: &mut Source) -> Wire {
-    let batch = |s: &mut Source| Wire::Batch(s.vec_with(2..5, arb_payload_frame));
-    match s.draw(15) {
+    match s.draw(14) {
         5 => Wire::Data {
             src: DaemonId(s.any_u16()),
             chan: DaemonId(s.any_u16()),
             seq: s.any_u64(),
-            frame: Box::new(if s.any_bool() { batch(s) } else { arb_payload_frame(s) }),
+            frame: Box::new(arb_payload_frame(s)),
         },
         6 => Wire::Ack {
             src: DaemonId(s.any_u16()),
@@ -129,7 +130,6 @@ fn arb_frame(s: &mut Source) -> Wire {
         },
         7 => Wire::Beat { from: DaemonId(s.any_u16()), epoch: s.any_u64() },
         8 => Wire::Evict { victim: DaemonId(s.any_u16()), epoch: s.any_u64(), floor: arb_vt(s) },
-        9 => batch(s),
         10 => Wire::Ctrl { from: DaemonId(s.any_u16()), msg: arb_paxos(s) },
         11 => Wire::Gossip {
             from: DaemonId(s.any_u16()),

@@ -256,7 +256,7 @@ pub enum EventKind {
         /// replica: the id of the parent that spawned it (0 for full
         /// ledgers). Partial ledgers carry only the encode phase.
         parent: u64,
-        /// Time runnable in a lane before execution started.
+        /// Time in the ready queue before execution started.
         queue: u64,
         /// Receive-time verification work attributed to this messenger.
         verify: u64,

@@ -129,11 +129,13 @@ metrics! {
     CkptReplicas = "ckpt_replicas": Counter, Count;
     CkptReplicaBytes = "ckpt_replica_bytes": Counter, Bytes;
     CkptReplicaAcks = "ckpt_replica_acks": Counter, Count;
-    // ---- execution lanes + frame batching ----
+    // ---- retired, never emitted ----
+    // Only caller: `benchmark/src/metrics.rs` PER_LAYER row `core.lane_steals`.
     LaneSteals = "lane_steals": Counter, Count;
+    // Only caller: `benchmark/src/metrics.rs` PER_LAYER row `core.batch_frames`.
     BatchFrames = "batch_frames": Counter, Count;
+    // Only caller: `benchmark/src/metrics.rs` PER_LAYER row `core.batch_flushes`.
     BatchFlushes = "batch_flushes": Counter, Count;
-    BatchBytesSaved = "batch_bytes_saved": Counter, Bytes;
     // ---- compiled execution (code registry) ----
     CompilePrograms = "compile_programs": Counter, Count;
     CompileSuperinsts = "compile_superinsts": Counter, Count;
@@ -224,8 +226,5 @@ mod tests {
         let s: &'static str = Metric::Hops.into();
         assert_eq!(s, "hops");
         assert_eq!(Metric::Hops.to_string(), "hops");
-        assert_eq!(Metric::BatchBytesSaved.unit(), Unit::Bytes);
-        assert_eq!(Metric::LaneSteals.kind(), MetricKind::Counter);
-        assert_eq!(Metric::from_name("batch_flushes"), Some(Metric::BatchFlushes));
     }
 }

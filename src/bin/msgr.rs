@@ -36,7 +36,7 @@
 //!                          (next-alive rule, the ablation baseline)
 //!     --profile            cost-attribution profiling: per-messenger
 //!                          phase ledgers + VM pc samples ride the trace
-//!                          stream (implies tracing; also MSGR_PROFILE=1)
+//!                          stream (implies tracing)
 //! msgr trace  record  script.mc --out FILE [run options]
 //! msgr trace  summary FILE                   # validate + summarize
 //!                                            # (exit 1 if rings truncated)
@@ -598,7 +598,7 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         }
         // The platform constructor forces tracing on when profiling: the
         // phase ledgers travel in the trace stream.
-        cfg.profile = cfg.profile || profile;
+        cfg.profile = profile;
         match ThreadCluster::new(cfg) {
             Ok(c) => drive!(c, wall_seconds, "wall seconds"),
             Err(e) => fail(e),
@@ -623,7 +623,7 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         if trace_out.is_some() || has_kill {
             cfg.trace = TraceConfig::on();
         }
-        cfg.profile = cfg.profile || profile;
+        cfg.profile = profile;
         let mut cluster = SimCluster::new(cfg);
         if let Some(t) = &topology {
             if let Err(e) = cluster.build(t) {

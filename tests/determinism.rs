@@ -96,27 +96,13 @@ fn counters_fnv(stats: &Stats) -> u64 {
 }
 
 #[test]
-fn mandel_matches_pre_lanes_golden() {
-    // Pinned from the commit immediately before the execution-lanes /
-    // frame-batching PR: with the default config (lanes=1, batching
-    // off, local moves off) the sharded scheduler must reproduce the
-    // pre-PR run bit for bit — image checksum, f64 simulated time, and
-    // every counter. If a scheduler change legitimately alters these,
-    // re-capture the goldens in the same PR and say so in its log.
-    //
-    // Counter-FNV re-captured in the compiled-execution PR: the code
-    // registry now reports `compile_*` counters in the merged stats
-    // (compilation happens at register time in both exec modes, so the
-    // golden is still exec-mode independent). Checksum and simulated
-    // seconds are unchanged — compilation charges no simulated time.
-    //
-    // Counter-FNV re-captured again in the interprocedural-analysis PR
-    // for the same reason: the registry now reports `analysis_*`
-    // counters (summaries, inlined calls, typed loops, elided
-    // snapshots), also charged at register time in both exec modes —
-    // `exec_mode_never_changes_sim_traces` still proves the merged
-    // counter set is engine-independent. Checksum and simulated
-    // seconds are unchanged.
+fn mandel_default_config_matches_golden() {
+    // What `ClusterConfig::new(4)` + seed 42 produces, bit for bit: image
+    // checksum, f64 simulated time, and every counter. The counter FNV
+    // also covers the register-time `compile_*` / `analysis_*` counters,
+    // which are charged identically in both exec modes. If a scheduler
+    // change legitimately alters these, re-capture the goldens in the
+    // same PR and say so in its log.
     let calib = Calib::default();
     let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
     let mut cfg = ClusterConfig::new(4);
@@ -132,8 +118,8 @@ fn mandel_matches_pre_lanes_golden() {
 }
 
 #[test]
-fn matmul_matches_pre_lanes_golden() {
-    // Companion golden to `mandel_matches_pre_lanes_golden`, pinning the
+fn matmul_default_config_matches_golden() {
+    // Companion golden to `mandel_default_config_matches_golden`, pinning the
     // matmul product bits and simulated time under the default config.
     let calib = Calib::default();
     let scene = MatmulScene::new(2, 16);
@@ -148,40 +134,6 @@ fn matmul_matches_pre_lanes_golden() {
     }
     assert_eq!(ph, 0xcb4ff733ed730fb1, "product bits drifted from baseline");
     assert_eq!(r.seconds.to_bits(), 0x3faeb851eb851eb8, "simulated seconds drifted from baseline");
-}
-
-#[test]
-fn lane_count_never_changes_sim_traces() {
-    // Lane assignment is a pure function of gid + seed and the sim
-    // scheduler dispatches lanes in global arrival order, so the merged
-    // flight-recorder trace must be byte-identical JSONL at lanes=1 and
-    // lanes=4 — sharding is a threads-platform throughput structure,
-    // never an observable behavior change.
-    let calib = Calib::default();
-    let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
-    let run = |lanes: usize| {
-        let mut cfg = ClusterConfig::new(4);
-        cfg.seed = 42;
-        cfg.lanes = lanes;
-        cfg.trace = messengers::core::TraceConfig::on();
-        mandel_msgr::run_sim(&work, 4, &calib, cfg).expect("run")
-    };
-    let base = run(1);
-    let sharded = run(4);
-    assert_eq!(base.checksum, sharded.checksum, "image must be lane-count independent");
-    assert_eq!(
-        base.seconds.to_bits(),
-        sharded.seconds.to_bits(),
-        "simulated time must be lane-count independent"
-    );
-    assert_eq!(
-        counters(&base.stats),
-        counters(&sharded.stats),
-        "counters must be lane-count independent"
-    );
-    let a = base.trace.as_ref().expect("trace enabled").to_jsonl();
-    let b = sharded.trace.as_ref().expect("trace enabled").to_jsonl();
-    assert!(a == b, "merged trace JSONL differs between lanes=1 and lanes=4");
 }
 
 #[test]
@@ -212,7 +164,7 @@ fn mandel_golden_holds_under_compiled_execution() {
 fn matmul_golden_holds_under_compiled_execution() {
     // Companion to `mandel_golden_holds_under_compiled_execution`: the
     // matmul product bits and simulated time pinned by
-    // `matmul_matches_pre_lanes_golden` must be engine-independent.
+    // `matmul_default_config_matches_golden` must be engine-independent.
     let calib = Calib::default();
     let scene = MatmulScene::new(2, 16);
     let a = test_matrix(scene.n(), 1);
