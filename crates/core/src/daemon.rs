@@ -22,273 +22,20 @@ use msgr_gvt::{
 use msgr_sim::{DetRng, SimTime, Stats};
 use msgr_trace::{EventKind, FlightRecorder, Metric, TraceEvent};
 use msgr_vm::{
-    interp, wire as vmwire, Dir, EvalCreate, EvalHop, EvalLink, LinkInstance, MessengerId,
-    MessengerState, NativeCtx, NativeRegistry, NetVar, Program, ProgramId, Value, VmError, Vt,
-    Yield,
+    interp, wire as vmwire, Dir, EvalCreate, EvalCreateItem, EvalHop, EvalLink, LinkInstance,
+    MessengerId, MessengerState, NativeCtx, NativeRegistry, NetVar, Program, ProgramId, Value,
+    VmError, Vt, Yield,
 };
 
-use crate::config::{ClusterConfig, RetransmitPolicy, Succession, VtMode};
+// `msgr_core::daemon::CodeCache` is the path `tests/wire_format.rs` pins.
+pub use crate::codes::CodeCache;
+use crate::codes::Entry;
+use crate::config::{ClusterConfig, ExecMode, RetransmitPolicy, Succession, VtMode};
 use crate::ids::{DaemonId, NodeRef};
 use crate::logical::{LinkRec, LogicalNode, Orient};
-use crate::profiling::Prof;
+use crate::profiling::{Ledger, Prof};
 use crate::topology::DaemonTopology;
 use crate::wire::{self as wirecodec, CreateNode, Migration, Wire};
-
-/// The cluster-wide code registry — the paper's shared file system: "code
-/// does not need to be carried between nodes but can be loaded as
-/// necessary" (§4).
-///
-/// This is also the trust boundary for mobile code: every program runs
-/// through the `msgr-analyze` bytecode verifier at registration.
-/// Programs that fail are *quarantined* — they keep their content id
-/// (so a messenger referencing one can exist, and its refusal is
-/// observable in-run), but no daemon will ever execute them.
-#[derive(Clone)]
-pub struct CodeCache {
-    map: Arc<RwLock<HashMap<ProgramId, Arc<Program>>>>,
-    compiled: Arc<RwLock<HashMap<ProgramId, Arc<msgr_vm::CompiledProgram>>>>,
-    summaries: Arc<RwLock<HashMap<ProgramId, Arc<msgr_vm::SummaryTable>>>>,
-    rejected: Arc<RwLock<HashMap<ProgramId, Quarantined>>>,
-    stats: Arc<RwLock<Stats>>,
-    /// Whether registration runs the interprocedural effect analysis
-    /// and compiles with its summaries (`ClusterConfig::analysis`).
-    analysis: bool,
-}
-
-impl Default for CodeCache {
-    fn default() -> Self {
-        CodeCache {
-            map: Arc::default(),
-            compiled: Arc::default(),
-            summaries: Arc::default(),
-            rejected: Arc::default(),
-            stats: Arc::default(),
-            analysis: true,
-        }
-    }
-}
-
-/// What [`CodeCache::register_outcome`] did with a program — platforms
-/// turn this into `compile` / `code_hit` trace events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegisterOutcome {
-    /// Verified and compiled into closures (first sighting of the body).
-    Compiled {
-        /// Functions compiled.
-        funcs: u64,
-        /// Superinstructions fused across all functions.
-        superinsts: u64,
-        /// Headline facts from the interprocedural effect analysis;
-        /// `None` when the cluster registered with analysis disabled.
-        analysis: Option<AnalysisFacts>,
-    },
-    /// The content hash was already compiled (cache hit).
-    CacheHit,
-    /// Refused by the verifier or the compiler.
-    Quarantined,
-}
-
-/// What the whole-program analysis proved about a freshly registered
-/// body — surfaced in the `code_analysis` trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalysisFacts {
-    /// Functions proven hop-free.
-    pub hop_free: u64,
-    /// Fused loops licensed for the typed register file.
-    pub typed_loops: u64,
-}
-
-impl RegisterOutcome {
-    /// The trace events this outcome corresponds to (quarantines surface
-    /// later, as in-run faults, not at registration).
-    pub fn trace_events(self, prog: ProgramId) -> Vec<EventKind> {
-        match self {
-            RegisterOutcome::Compiled { funcs, superinsts, analysis } => {
-                let mut out = vec![EventKind::CodeCompile { prog: prog.0, funcs, superinsts }];
-                if let Some(a) = analysis {
-                    out.push(EventKind::CodeAnalysis {
-                        prog: prog.0,
-                        hop_free: a.hop_free,
-                        typed_loops: a.typed_loops,
-                    });
-                }
-                out
-            }
-            RegisterOutcome::CacheHit => vec![EventKind::CodeCacheHit { prog: prog.0 }],
-            RegisterOutcome::Quarantined => Vec::new(),
-        }
-    }
-}
-
-/// A program the verifier refused, kept for inspection alongside the
-/// reason it was refused.
-#[derive(Clone)]
-struct Quarantined {
-    program: Arc<Program>,
-    reason: String,
-}
-
-impl std::fmt::Debug for CodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CodeCache({} programs, {} quarantined)",
-            self.map.read().unwrap().len(),
-            self.rejected.read().unwrap().len()
-        )
-    }
-}
-
-impl CodeCache {
-    /// An empty cache (interprocedural analysis enabled).
-    pub fn new() -> Self {
-        CodeCache::default()
-    }
-
-    /// An empty cache with the effect analysis switched on or off —
-    /// platforms pass `ClusterConfig::analysis` here.
-    pub fn with_analysis(analysis: bool) -> Self {
-        CodeCache { analysis, ..CodeCache::default() }
-    }
-
-    /// Register a program; returns its content id.
-    ///
-    /// The program is verified first, then — verification is exactly the
-    /// precondition the closure compiler assumes — compiled into
-    /// closures, once per content hash no matter how many messengers
-    /// carry the body or which [`crate::config::ExecMode`] the cluster
-    /// runs (compiling unconditionally keeps `compile_*` metrics and
-    /// trace events mode-invariant). An unverifiable or uncompilable
-    /// program is quarantined rather than stored: its id is still
-    /// returned (ids are content hashes; refusing to mint one hides
-    /// nothing), but [`CodeCache::get`] will never hand it out and
-    /// daemons fault any messenger that tries to run it.
-    pub fn register(&self, program: &Program) -> ProgramId {
-        self.register_outcome(program).0
-    }
-
-    /// [`CodeCache::register`], also reporting what happened.
-    pub fn register_outcome(&self, program: &Program) -> (ProgramId, RegisterOutcome) {
-        let id = program.id();
-        if self.map.read().unwrap().contains_key(&id) {
-            self.stats.write().unwrap().bump(Metric::CompileCacheHits);
-            return (id, RegisterOutcome::CacheHit);
-        }
-        let quarantine = |reason: String| {
-            self.rejected
-                .write()
-                .unwrap()
-                .entry(id)
-                .or_insert_with(|| Quarantined { program: Arc::new(program.clone()), reason });
-        };
-        match msgr_analyze::verify(program) {
-            Ok(_) => {
-                // Whole-program effect summaries: computed once per
-                // content hash, handed to the compiler (call fusion,
-                // typed loops) and kept for the daemons (snapshot
-                // elision). The table lives *outside* the program, so
-                // content ids are analysis-invariant.
-                let summaries = self.analysis.then(|| Arc::new(msgr_analyze::summarize(program)));
-                match msgr_vm::compile::compile_with_summaries(program, summaries.as_deref()) {
-                    Ok(cp) => {
-                        let funcs = cp.func_count() as u64;
-                        let superinsts = cp.superinstructions();
-                        let analysis = summaries.as_ref().map(|t| AnalysisFacts {
-                            hop_free: t.hop_free_funcs(),
-                            typed_loops: cp.typed_loops(),
-                        });
-                        {
-                            let mut s = self.stats.write().unwrap();
-                            s.bump(Metric::CompilePrograms);
-                            s.add(Metric::CompileSuperinsts, superinsts);
-                            s.add(Metric::CompileSteps, cp.steps());
-                            if summaries.is_some() {
-                                s.bump(Metric::AnalysisSummaries);
-                                s.add(Metric::AnalysisInlinedCalls, cp.inlined_calls());
-                                s.add(Metric::AnalysisTypedLoops, cp.typed_loops());
-                            }
-                        }
-                        if let Some(t) = summaries {
-                            self.summaries.write().unwrap().insert(id, t);
-                        }
-                        self.compiled.write().unwrap().insert(id, Arc::new(cp));
-                        self.map
-                            .write()
-                            .unwrap()
-                            .entry(id)
-                            .or_insert_with(|| Arc::new(program.clone()));
-                        (id, RegisterOutcome::Compiled { funcs, superinsts, analysis })
-                    }
-                    Err(e) => {
-                        quarantine(format!("compile failed: {e}"));
-                        (id, RegisterOutcome::Quarantined)
-                    }
-                }
-            }
-            Err(diags) => {
-                let reason = diags.iter().map(|d| d.render(program)).collect::<Vec<_>>().join("; ");
-                quarantine(reason);
-                (id, RegisterOutcome::Quarantined)
-            }
-        }
-    }
-
-    /// The closure-compiled form of a verified program.
-    pub fn get_compiled(&self, id: ProgramId) -> Option<Arc<msgr_vm::CompiledProgram>> {
-        self.compiled.read().unwrap().get(&id).cloned()
-    }
-
-    /// The interprocedural effect summaries of a verified program
-    /// (`None` when the registry runs with analysis disabled).
-    pub fn get_summary(&self, id: ProgramId) -> Option<Arc<msgr_vm::SummaryTable>> {
-        self.summaries.read().unwrap().get(&id).cloned()
-    }
-
-    /// Snapshot of the registry's `compile_*` counters, merged into
-    /// platform reports alongside the per-daemon stats.
-    pub fn stats(&self) -> Stats {
-        self.stats.read().unwrap().clone()
-    }
-
-    /// Look up a *verified* program. Quarantined programs are invisible
-    /// here — use [`CodeCache::rejection`] to see why one was refused.
-    pub fn get(&self, id: ProgramId) -> Option<Arc<Program>> {
-        self.map.read().unwrap().get(&id).cloned()
-    }
-
-    /// Order-independent fingerprint of every verified program body —
-    /// the code-registry hash carried in anti-entropy gossip digests, so
-    /// daemons can detect registry divergence without shipping code.
-    pub fn content_hash(&self) -> u64 {
-        self.map
-            .read()
-            .unwrap()
-            .keys()
-            .fold(0u64, |h, id| h ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Why `id` was quarantined, if it was.
-    pub fn rejection(&self, id: ProgramId) -> Option<String> {
-        self.rejected.read().unwrap().get(&id).map(|q| q.reason.clone())
-    }
-
-    /// Look up a program *even if quarantined*. Injection paths use
-    /// this so a refusal surfaces as an in-run fault (with the
-    /// `verify_rejected` counter bumped) instead of a registration
-    /// error — the daemon, not the shell, is the trust boundary.
-    pub fn get_any(&self, id: ProgramId) -> Option<Arc<Program>> {
-        self.get(id).or_else(|| self.rejected.read().unwrap().get(&id).map(|q| q.program.clone()))
-    }
-
-    /// Whether any registered program suspends on virtual time.
-    pub fn any_uses_virtual_time(&self) -> bool {
-        self.map.read().unwrap().values().any(|p| {
-            p.funcs.iter().any(|f| {
-                f.code.iter().any(|op| matches!(op, msgr_vm::Op::SchedAbs | msgr_vm::Op::SchedDlt))
-            })
-        })
-    }
-}
 
 /// A messenger queued for execution at a node of this daemon.
 #[derive(Debug, Clone, PartialEq)]
@@ -537,6 +284,27 @@ fn get_chan(buf: &mut Bytes) -> Result<Chan, VmError> {
     ))
 }
 
+/// Why a messenger ceased to exist on this daemon; [`Daemon::bury`] maps
+/// each cause to its counter, its trace event and its effects.
+enum Death {
+    /// Ran to completion.
+    Retired,
+    /// Killed by an error: unverifiable or unknown code, undecodable
+    /// state, a VM error, a statement the virtual-time mode forbids.
+    Fault(String),
+    /// A `hop` or `create` matched no destination (§2.1: replicated to
+    /// zero, it ceases to exist); the counter says which statement.
+    NoMatch(Metric),
+    /// Its destination node is gone.
+    DeadLetter,
+    /// Cancelled by its anti-messenger (Time Warp).
+    Annihilated,
+    /// Queued at a node that was deleted under it.
+    Stranded,
+    /// Lost in flight: the transport gave up delivering it to `chan`.
+    Abandoned { chan: DaemonId, attempts: u32 },
+}
+
 /// One MESSENGERS daemon.
 pub struct Daemon {
     id: DaemonId,
@@ -742,37 +510,37 @@ impl Daemon {
         }
     }
 
-    /// Emit the finished ledger for `mid` as a `phase_ledger` event and
-    /// drop it. `parent` is 0 except for sender-side partial ledgers.
+    /// Emit `l` as the `phase_ledger` event of `mid`. `parent` is 0
+    /// except for sender-side partial ledgers.
+    fn emit_ledger(&mut self, mid: u64, parent: u64, l: &Ledger, vt: f64) {
+        self.stats.bump(Metric::ProfLedgers);
+        self.rec.emit(
+            vt,
+            EventKind::PhaseLedger {
+                mid,
+                born: l.born,
+                parent,
+                queue: l.queue,
+                verify: l.verify,
+                exec: l.exec,
+                enc: l.enc,
+                xport: l.xport,
+                park: l.park,
+                stall: l.stall,
+                total: l.total(),
+            },
+        );
+    }
+
+    /// Emit the finished ledger of `mid`, if it has one here, and drop it.
     fn prof_retire(&mut self, mid: u64, vt: f64) {
-        if self.prof.is_none() {
+        let Some(p) = self.prof.as_mut() else {
             return;
-        }
-        let taken = self.prof.as_mut().and_then(|p| {
-            let credit = p.transport.remove(&mid).unwrap_or(0);
-            p.take(mid).map(|mut l| {
-                l.xport += credit;
-                l
-            })
-        });
-        if let Some(l) = taken {
-            self.stats.bump(Metric::ProfLedgers);
-            self.rec.emit(
-                vt,
-                EventKind::PhaseLedger {
-                    mid,
-                    born: l.born,
-                    parent: 0,
-                    queue: l.queue,
-                    verify: l.verify,
-                    exec: l.exec,
-                    enc: l.enc,
-                    xport: l.xport,
-                    park: l.park,
-                    stall: l.stall,
-                    total: l.total(),
-                },
-            );
+        };
+        let credit = p.transport.remove(&mid).unwrap_or(0);
+        if let Some(mut l) = p.take(mid) {
+            l.xport += credit;
+            self.emit_ledger(mid, 0, &l, vt);
         }
     }
 
@@ -781,26 +549,9 @@ impl Daemon {
     /// the messenger that forked it so `msgr profile` can stitch the
     /// cross-daemon critical path.
     fn prof_fork(&mut self, mid: u64, parent: u64, enc: u64, vt: f64) {
-        if self.prof.is_none() {
-            return;
+        if self.prof.is_some() {
+            self.emit_ledger(mid, parent, &Ledger { enc, ..Ledger::new(mid) }, vt);
         }
-        self.stats.bump(Metric::ProfLedgers);
-        self.rec.emit(
-            vt,
-            EventKind::PhaseLedger {
-                mid,
-                born: mid,
-                parent,
-                queue: 0,
-                verify: 0,
-                exec: 0,
-                enc,
-                xport: 0,
-                park: 0,
-                stall: 0,
-                total: enc,
-            },
-        );
     }
 
     /// Charge receive-side work (`verify` or `enc`) to `mid`'s ledger.
@@ -1123,109 +874,32 @@ impl Daemon {
                 self.part.on_receive(m.epoch, m.vtime);
                 self.stats.bump(Metric::MigrationsIn);
                 if m.anti {
-                    self.annihilate(m.id, fx);
+                    self.annihilate(m.id, m.vtime, fx);
                     return c.gvt_msg_ns;
                 }
-                let cost = c.hop_recv_ns + m.bytes.len() as u64 * c.per_byte_copy_ns;
-                // Receive-side attribution: fixed accept/verify overhead
-                // vs byte-proportional decode.
-                self.prof_charge_recv(
-                    m.id.0,
-                    c.hop_recv_ns,
-                    m.bytes.len() as u64 * c.per_byte_copy_ns,
-                );
-                let vt = m.vtime.as_f64();
-                match vmwire::decode_messenger(m.bytes) {
-                    Ok(state) => {
-                        if self.anti_pending.remove(&m.id) {
-                            // The anti-messenger got here first.
-                            fx.push(Effect::LiveDelta(-1));
-                            self.stats.bump(Metric::Annihilations);
-                            self.prof_retire(m.id.0, vt);
-                        } else if let Some(reason) = self.codes.rejection(state.program) {
-                            // Refuse quarantined code at the door — a
-                            // migrating messenger never even enqueues.
-                            self.stats.bump(Metric::VerifyRejected);
-                            fx.push(Effect::Fault {
-                                messenger: m.id,
-                                error: format!(
-                                    "program {} failed verification: {reason}",
-                                    state.program
-                                ),
-                            });
-                            fx.push(Effect::LiveDelta(-1));
-                            self.prof_retire(m.id.0, vt);
-                        } else if self.nodes.contains_key(&m.to.1) {
-                            self.rec
-                                .emit(state.vtime.as_f64(), EventKind::MsgrArrive { mid: m.id.0 });
-                            self.enqueue(Runnable { state, at: m.to.1, last: m.via });
-                        } else {
-                            // Destination node was deleted in flight.
-                            fx.push(Effect::LiveDelta(-1));
-                            self.stats.bump(Metric::DeadLetters);
-                            self.prof_retire(m.id.0, vt);
-                        }
-                    }
-                    Err(e) => {
-                        fx.push(Effect::Fault { messenger: m.id, error: e.to_string() });
-                        fx.push(Effect::LiveDelta(-1));
-                        self.prof_retire(m.id.0, vt);
-                    }
-                }
-                cost
+                self.admit(m, false, fx)
             }
             Wire::Create(cn) => {
+                let cn = *cn;
                 self.part.on_receive(cn.messenger.epoch, cn.messenger.vtime);
                 self.stats.bump(Metric::RemoteCreates);
                 let mut node = LogicalNode::new(cn.gid, cn.name.clone());
                 node.links.push(LinkRec {
                     inst: cn.inst,
-                    name: cn.link_name.clone(),
+                    name: cn.link_name,
                     orient: cn.orient_at_new,
                     peer: cn.origin,
-                    peer_name: cn.origin_name.clone(),
+                    peer_name: cn.origin_name,
                 });
                 self.nodes.insert(cn.gid, node);
                 if cn.name != Value::Null {
-                    fx.push(Effect::DirectoryAdd {
-                        name: cn.name.clone(),
-                        daemon: self.id,
-                        node: cn.gid,
-                    });
+                    fx.push(Effect::DirectoryAdd { name: cn.name, daemon: self.id, node: cn.gid });
                 }
-                let cost = c.create_node_ns
-                    + c.hop_recv_ns
-                    + cn.messenger.bytes.len() as u64 * c.per_byte_copy_ns;
-                self.prof_charge_recv(
-                    cn.messenger.id.0,
-                    c.create_node_ns + c.hop_recv_ns,
-                    cn.messenger.bytes.len() as u64 * c.per_byte_copy_ns,
-                );
-                let vt = cn.messenger.vtime.as_f64();
-                match vmwire::decode_messenger(cn.messenger.bytes.clone()) {
-                    Ok(state) => {
-                        if let Some(reason) = self.codes.rejection(state.program) {
-                            self.stats.bump(Metric::VerifyRejected);
-                            fx.push(Effect::Fault {
-                                messenger: cn.messenger.id,
-                                error: format!(
-                                    "program {} failed verification: {reason}",
-                                    state.program
-                                ),
-                            });
-                            fx.push(Effect::LiveDelta(-1));
-                            self.prof_retire(cn.messenger.id.0, vt);
-                        } else {
-                            self.enqueue(Runnable { state, at: cn.gid, last: Some(cn.inst) });
-                        }
-                    }
-                    Err(e) => {
-                        fx.push(Effect::Fault { messenger: cn.messenger.id, error: e.to_string() });
-                        fx.push(Effect::LiveDelta(-1));
-                        self.prof_retire(cn.messenger.id.0, vt);
-                    }
-                }
-                cost
+                // It lands on the node just built, whatever the inner
+                // frame says.
+                let landing =
+                    Migration { to: (self.id, cn.gid), via: Some(cn.inst), ..cn.messenger };
+                self.admit(landing, true, fx)
             }
             Wire::Unlink { node, inst } => {
                 if let Some(n) = self.nodes.get_mut(&node) {
@@ -1248,6 +922,82 @@ impl Daemon {
                 0
             }
         }
+    }
+
+    /// The receive path of every live messenger, whether it arrives on a
+    /// `Migrate` or (`created`) with the node a `Create` just built:
+    /// decode → quarantine check → node check → enqueue. Returns the CPU
+    /// cost of accepting it.
+    fn admit(&mut self, m: Migration, created: bool, fx: &mut Vec<Effect>) -> u64 {
+        let c = self.cfg.costs;
+        let fixed = if created { c.create_node_ns + c.hop_recv_ns } else { c.hop_recv_ns };
+        let copy = m.bytes.len() as u64 * c.per_byte_copy_ns;
+        // Receive-side attribution: fixed accept/verify overhead vs
+        // byte-proportional decode.
+        self.prof_charge_recv(m.id.0, fixed, copy);
+        let cause = match vmwire::decode_messenger(m.bytes) {
+            Err(e) => Death::Fault(e.to_string()),
+            // The anti-messenger got here first.
+            Ok(_) if self.anti_pending.remove(&m.id) => Death::Annihilated,
+            Ok(state) => match self.codes.rejection(state.program) {
+                // Refuse quarantined code at the door — a migrating
+                // messenger never even enqueues.
+                Some(reason) => self.refusal(state.program, &reason),
+                None if self.nodes.contains_key(&m.to.1) => {
+                    // A created messenger's arrival is the creation of
+                    // its node; the stream has never carried an `arrive`
+                    // for it.
+                    if !created {
+                        self.rec.emit(state.vtime.as_f64(), EventKind::MsgrArrive { mid: m.id.0 });
+                    }
+                    self.enqueue(Runnable { state, at: m.to.1, last: m.via });
+                    return fixed + copy;
+                }
+                // Destination node was deleted in flight.
+                None => Death::DeadLetter,
+            },
+        };
+        self.bury(m.id, m.vtime, cause, fx);
+        fixed + copy
+    }
+
+    /// A quarantined program reached this daemon: count the refusal and
+    /// name it as the cause of death.
+    fn refusal(&mut self, program: ProgramId, reason: &str) -> Death {
+        self.stats.bump(Metric::VerifyRejected);
+        Death::Fault(format!("program {program} failed verification: {reason}"))
+    }
+
+    /// Retire one messenger — the only place the live census drops by
+    /// one. The cause picks the counter, the trace event and whether the
+    /// platform hears an [`Effect::Fault`]; the census, the profiler
+    /// ledger and their order are the same for every death.
+    fn bury(&mut self, mid: MessengerId, vt: Vt, cause: Death, fx: &mut Vec<Effect>) {
+        let fault = Some(EventKind::MsgrFault { mid: mid.0 });
+        let (counter, event, error) = match cause {
+            Death::Retired => {
+                (Metric::Terminated, Some(EventKind::MsgrRetire { mid: mid.0 }), None)
+            }
+            Death::NoMatch(counter) => (counter, None, None),
+            Death::DeadLetter => (Metric::DeadLetters, None, None),
+            Death::Annihilated => (Metric::Annihilations, None, None),
+            Death::Stranded => (Metric::StrandedKilled, None, None),
+            Death::Fault(error) => (Metric::Faults, fault, Some(error)),
+            Death::Abandoned { chan, attempts } => (
+                Metric::Faults,
+                fault,
+                Some(format!("delivery to d{} abandoned after {attempts} attempts", chan.0)),
+            ),
+        };
+        if let Some(error) = error {
+            fx.push(Effect::Fault { messenger: mid, error });
+        }
+        fx.push(Effect::LiveDelta(-1));
+        self.stats.bump(counter);
+        if let Some(kind) = event {
+            self.rec.emit(vt.as_f64(), kind);
+        }
+        self.prof_retire(mid.0, vt.as_f64());
     }
 
     // ---- reliable transport (sender side) ----------------------------------
@@ -1348,14 +1098,7 @@ impl Daemon {
             // good: keep the population ledger honest and surface a
             // fault so no run under a sane policy silently passes.
             if let Some(m) = carried(&u.frame) {
-                fx.push(Effect::Fault {
-                    messenger: m.id,
-                    error: format!(
-                        "delivery to d{} abandoned after {} attempts",
-                        chan.0, u.attempts
-                    ),
-                });
-                fx.push(Effect::LiveDelta(-1));
+                self.bury(m.id, m.vtime, Death::Abandoned { chan, attempts: u.attempts }, fx);
             }
             self.stage_durable(fx);
             return self.cfg.costs.gvt_msg_ns;
@@ -2057,19 +1800,19 @@ impl Daemon {
             }
             self.stats.bump(Metric::NodesDeleted);
             // Messengers stranded at the node die.
-            let ready_before = self.ready.len();
+            let parked = self.pending.drain_matching(|r| r.at == gid);
+            let dead: Vec<(MessengerId, Vt)> = self
+                .ready
+                .iter()
+                .chain(self.opt_queue.values())
+                .chain(parked.iter().map(|(_, r)| r))
+                .filter(|r| r.at == gid)
+                .map(|r| (r.state.id, r.state.vtime))
+                .collect();
             self.ready.retain(|r| r.at != gid);
-            let killed_ready = ready_before - self.ready.len();
-            let killed_pending = self.pending.drain_matching(|r| r.at == gid).len();
-            let opt_keys: Vec<(Vt, u64)> =
-                self.opt_queue.iter().filter(|(_, r)| r.at == gid).map(|(k, _)| *k).collect();
-            for k in &opt_keys {
-                self.opt_queue.remove(k);
-            }
-            let killed = (killed_ready + killed_pending + opt_keys.len()) as i64;
-            if killed > 0 {
-                fx.push(Effect::LiveDelta(-killed));
-                self.stats.add(Metric::StrandedKilled, killed as u64);
+            self.opt_queue.retain(|_, r| r.at != gid);
+            for (mid, vt) in dead {
+                self.bury(mid, vt, Death::Stranded, fx);
             }
         }
     }
@@ -2156,42 +1899,26 @@ impl Daemon {
 
     // ---- annihilation (optimistic) -----------------------------------------------
 
-    fn annihilate(&mut self, id: MessengerId, fx: &mut Vec<Effect>) {
-        // 1. Still suspended here?
-        let hit = self.pending.drain_matching(|r| r.state.id == id);
-        if !hit.is_empty() {
-            fx.push(Effect::LiveDelta(-1));
-            self.stats.bump(Metric::Annihilations);
-            return;
-        }
+    fn annihilate(&mut self, id: MessengerId, vt: Vt, fx: &mut Vec<Effect>) {
+        // 1. Still queued here — suspended, optimistic or ready?
         let opt_key = self.opt_queue.keys().find(|(_, i)| *i == id.0).copied();
-        if let Some(k) = opt_key {
-            self.opt_queue.remove(&k);
-            fx.push(Effect::LiveDelta(-1));
-            self.stats.bump(Metric::Annihilations);
-            return;
-        }
-        // 1b. In the ready queue?
-        let ready_before = self.ready.len();
-        self.ready.retain(|r| r.state.id != id);
-        if self.ready.len() < ready_before {
-            fx.push(Effect::LiveDelta(-1));
-            self.stats.bump(Metric::Annihilations);
-            return;
-        }
-        // 2. Already processed at one of our nodes? Roll it back.
-        let found = self.tw.iter().find(|(_, log)| log.contains_input(id.0)).map(|(gid, _)| *gid);
-        if let Some(gid) = found {
-            let rb = self.tw.get_mut(&gid).and_then(|log| log.annihilate_processed(id.0));
-            if let Some(rb) = rb {
-                self.apply_rollback(gid, rb, fx);
-                fx.push(Effect::LiveDelta(-1));
-                self.stats.bump(Metric::Annihilations);
+        let ready_at = self.ready.iter().position(|r| r.state.id == id);
+        let queued = !self.pending.drain_matching(|r| r.state.id == id).is_empty()
+            || opt_key.and_then(|k| self.opt_queue.remove(&k)).is_some()
+            || ready_at.and_then(|i| self.ready.remove(i)).is_some();
+        if !queued {
+            // 2. Already processed at one of our nodes? Roll it back.
+            let found = self.tw.iter().find(|(_, log)| log.contains_input(id.0)).map(|(g, _)| *g);
+            let rb =
+                found.and_then(|g| Some((g, self.tw.get_mut(&g)?.annihilate_processed(id.0)?)));
+            let Some((gid, rb)) = rb else {
+                // 3. The anti-messenger overtook its positive: stash it.
+                self.anti_pending.insert(id);
                 return;
-            }
+            };
+            self.apply_rollback(gid, rb, fx);
         }
-        // 3. The anti-messenger overtook its positive: stash it.
-        self.anti_pending.insert(id);
+        self.bury(id, vt, Death::Annihilated, fx);
     }
 
     fn apply_rollback(
@@ -2219,7 +1946,7 @@ impl Daemon {
         for cancel in rb.cancel {
             let dst = DaemonId(cancel.dest);
             if dst == self.id {
-                self.annihilate(MessengerId(cancel.id), fx);
+                self.annihilate(MessengerId(cancel.id), cancel.ts, fx);
             } else {
                 self.part.on_send(cancel.ts);
                 self.stats.bump(Metric::AntiSent);
@@ -2291,77 +2018,52 @@ impl Daemon {
         optimistic: bool,
     ) -> u64 {
         let c = self.cfg.costs;
-        let Some(node) = self.nodes.get(&run.at) else {
-            fx.push(Effect::LiveDelta(-1));
-            self.stats.bump(Metric::DeadLetters);
-            self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-            return c.gvt_msg_ns;
+        let (mid, at, pid) = (run.state.id, run.at, run.state.program);
+        let found = match (self.nodes.get(&at), self.codes.lookup(pid)) {
+            (None, _) => Err(Death::DeadLetter),
+            (Some(node), Some(Entry::Loaded(code))) => Ok((node, code)),
+            (Some(_), Some(Entry::Quarantined { reason, .. })) => Err(self.refusal(pid, &reason)),
+            (Some(_), None) => Err(Death::Fault(format!("program {pid} not in code registry"))),
         };
-        let Some(program) = self.codes.get(run.state.program) else {
-            let error = match self.codes.rejection(run.state.program) {
-                Some(reason) => {
-                    self.stats.bump(Metric::VerifyRejected);
-                    format!("program {} failed verification: {reason}", run.state.program)
-                }
-                None => format!("program {} not in code registry", run.state.program),
-            };
-            fx.push(Effect::Fault { messenger: run.state.id, error });
-            fx.push(Effect::LiveDelta(-1));
-            self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-            return c.gvt_msg_ns;
-        };
-        // In compiled mode the closure form must exist for every
-        // verified program (registration compiles unconditionally); a
-        // hole here is a registry corruption, surfaced like unknown code.
-        let compiled = match self.cfg.exec {
-            crate::config::ExecMode::Interp => None,
-            crate::config::ExecMode::Compiled => match self.codes.get_compiled(run.state.program) {
-                Some(cp) => Some(cp),
-                None => {
-                    fx.push(Effect::Fault {
-                        messenger: run.state.id,
-                        error: format!("program {} has no compiled form", run.state.program),
-                    });
-                    fx.push(Effect::LiveDelta(-1));
-                    self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-                    return c.gvt_msg_ns;
-                }
-            },
+        let (node, code) = match found {
+            Ok(found) => found,
+            Err(cause) => {
+                self.bury(mid, run.state.vtime, cause, fx);
+                return c.gvt_msg_ns;
+            }
         };
 
         // Time-Warp bookkeeping: snapshot before execution. A program
         // the effect analysis proved write-free (no node-variable
         // stores, no natives) cannot change `node.vars`, so its
         // pre-state snapshot is provably redundant and elided.
-        let key = (run.state.vtime, run.state.id.0);
-        let (snapshot, input_copy) = if optimistic {
-            let pre =
-                if self.codes.get_summary(run.state.program).is_some_and(|t| t.node_write_free()) {
-                    self.stats.bump(Metric::AnalysisSnapshotsElided);
-                    None
-                } else {
-                    Some(node.vars.clone())
-                };
-            (Some(pre), Some(run.clone()))
-        } else {
-            (None, None)
-        };
+        let key = (run.state.vtime, mid.0);
+        let tw_entry = optimistic.then(|| {
+            let pre = if code.summary.as_ref().is_some_and(|t| t.node_write_free()) {
+                self.stats.bump(Metric::AnalysisSnapshotsElided);
+                None
+            } else {
+                Some(node.vars.clone())
+            };
+            (pre, run.clone())
+        });
 
-        let node_name = node.name.clone();
         let fuel = self.cfg.segment_fuel;
-        let natives = self.natives.read().unwrap().clone();
         let address = self.id.0;
         let prof_t0 = self.prof.as_ref().map(|p| p.now(self.rec.now()));
         // Scoped mutable borrow of the node's variables for the VM.
         let (yielded, ops, native_ns, nv_log, samples) = {
-            let node = self.nodes.get_mut(&run.at).expect("checked above");
+            // Natives are registered through `&mut` cluster methods
+            // before the run, so nothing waits to write during a segment.
+            let natives = self.natives.read().expect("native registry lock poisoned");
+            let node = self.nodes.get_mut(&at).expect("checked above");
             let mut env = SegEnv {
+                node_name: node.name.clone(),
                 vars: &mut node.vars,
                 natives: &natives,
                 address,
-                node_name: node_name.clone(),
                 last: run.last,
-                mid: run.state.id,
+                mid,
                 vtime: run.state.vtime,
                 ops: 0,
                 native_ns: 0,
@@ -2369,19 +2071,26 @@ impl Daemon {
                 sample_every: self.prof.as_ref().map_or(0, |p| p.interval),
                 samples: BTreeMap::new(),
             };
-            let y = match &compiled {
-                None => interp::run(&program, &mut run.state, &mut env, fuel),
-                Some(cp) => msgr_vm::compile::run(cp, &program, &mut run.state, &mut env, fuel),
+            let y = match self.cfg.exec {
+                ExecMode::Interp => interp::run(&code.program, &mut run.state, &mut env, fuel),
+                ExecMode::Compiled => msgr_vm::compile::run(
+                    &code.compiled,
+                    &code.program,
+                    &mut run.state,
+                    &mut env,
+                    fuel,
+                ),
             };
             (y, env.ops, env.native_ns, env.nv_log, env.samples)
         };
+        let vt = run.state.vtime;
         for (is_write, var) in nv_log.into_iter().flatten() {
             let kind = if is_write {
                 EventKind::NodeVarWrite { var }
             } else {
                 EventKind::NodeVarRead { var }
             };
-            self.rec.emit(run.state.vtime.as_f64(), kind);
+            self.rec.emit(vt.as_f64(), kind);
         }
         let mut cost = ops * c.per_op_ns + native_ns;
         self.stats.bump(Metric::Segments);
@@ -2394,115 +2103,81 @@ impl Daemon {
         if let Some(t0) = prof_t0 {
             let rt = self.rec.now();
             let p = self.prof.as_mut().expect("prof_t0 implies profiler");
-            let exec_ns = if p.wallclock() {
-                p.now(rt).saturating_sub(t0)
-            } else {
-                ops * c.per_op_ns + native_ns
-            };
-            p.ledger(run.state.id.0).exec += exec_ns;
-            if !samples.is_empty() {
-                let mut by_line: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-                for ((func, pc), n) in samples {
-                    let line = program
-                        .funcs
-                        .get(func as usize)
-                        .and_then(|f| f.line_at(pc as usize))
-                        .unwrap_or(0);
-                    *by_line.entry((func, line)).or_insert(0) += n;
-                }
-                for ((func, line), count) in by_line {
-                    self.stats.add(Metric::ProfSamples, count);
-                    self.rec.emit(
-                        run.state.vtime.as_f64(),
-                        EventKind::PcSample { prog: run.state.program.0, func, line, count },
-                    );
-                }
+            let exec_ns = if p.wallclock() { p.now(rt).saturating_sub(t0) } else { cost };
+            p.ledger(mid.0).exec += exec_ns;
+            let mut by_line: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+            for ((func, pc), n) in samples {
+                let line = code
+                    .program
+                    .funcs
+                    .get(func as usize)
+                    .and_then(|f| f.line_at(pc as usize))
+                    .unwrap_or(0);
+                *by_line.entry((func, line)).or_insert(0) += n;
+            }
+            for ((func, line), count) in by_line {
+                self.stats.add(Metric::ProfSamples, count);
+                self.rec.emit(vt.as_f64(), EventKind::PcSample { prog: pid.0, func, line, count });
             }
         }
 
         let mut sent: Vec<SentRef> = Vec::new();
-        match yielded {
-            Ok(y) => {
-                cost += self.handle_yield(run.clone(), y, &program, dir, fx, &mut sent);
-            }
+        cost += match yielded {
+            Ok(y) => self.handle_yield(run, y, &code.program, dir, fx, &mut sent),
             Err(e) => {
-                fx.push(Effect::Fault { messenger: run.state.id, error: e.to_string() });
-                fx.push(Effect::LiveDelta(-1));
-                self.stats.bump(Metric::Faults);
-                self.rec
-                    .emit(run.state.vtime.as_f64(), EventKind::MsgrFault { mid: run.state.id.0 });
-                self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
+                self.bury(mid, vt, Death::Fault(e.to_string()), fx);
+                0
             }
-        }
+        };
 
-        if let (Some(pre_state), Some(input)) = (snapshot, input_copy) {
-            let log = self.tw.entry(run.at).or_default();
-            log.record(TwEntry { key, pre_state, input, sent });
+        if let Some((pre_state, input)) = tw_entry {
+            self.tw.entry(at).or_default().record(TwEntry { key, pre_state, input, sent });
         }
         cost
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Act on the segment's outcome. The messenger arrives here by
+    /// value: it is buried, re-enqueued, or handed on to its
+    /// destinations, never copied.
     fn handle_yield(
         &mut self,
-        run: Runnable,
+        mut run: Runnable,
         y: Yield,
         program: &Program,
         dir: &dyn Directory,
         fx: &mut Vec<Effect>,
         sent: &mut Vec<SentRef>,
     ) -> u64 {
-        match y {
-            Yield::Terminated(_) => {
-                fx.push(Effect::LiveDelta(-1));
-                self.stats.bump(Metric::Terminated);
-                self.rec
-                    .emit(run.state.vtime.as_f64(), EventKind::MsgrRetire { mid: run.state.id.0 });
-                self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-                0
+        let (mid, vt) = (run.state.id, run.state.vtime);
+        let cause = match y {
+            Yield::Terminated(_) => Death::Retired,
+            Yield::SchedDlt(dt) if dt < 0.0 => {
+                Death::Fault("negative virtual-time delta".to_string())
             }
+            Yield::Create(_) if self.cfg.vt_mode == VtMode::Optimistic => Death::Fault(
+                "optimistic mode requires a static logical network (create)".to_string(),
+            ),
             Yield::SchedAbs(t) => {
-                let mut next = run;
-                next.state.vtime = next.state.vtime.max(t);
-                self.resuspend(next, fx, sent);
-                0
+                run.state.vtime = vt.max(t);
+                self.resuspend(run, sent);
+                return 0;
             }
             Yield::SchedDlt(dt) => {
-                if dt < 0.0 {
-                    fx.push(Effect::Fault {
-                        messenger: run.state.id,
-                        error: "negative virtual-time delta".to_string(),
-                    });
-                    fx.push(Effect::LiveDelta(-1));
-                    self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-                    return 0;
-                }
-                let mut next = run;
-                next.state.vtime = next.state.vtime.plus(dt);
-                self.resuspend(next, fx, sent);
-                0
+                run.state.vtime = vt.plus(dt);
+                self.resuspend(run, sent);
+                return 0;
             }
-            Yield::Hop(eh) => self.do_hop(run, &eh, false, program, dir, fx, sent),
-            Yield::Delete(eh) => self.do_hop(run, &eh, true, program, dir, fx, sent),
-            Yield::Create(ec) => {
-                if self.cfg.vt_mode == VtMode::Optimistic {
-                    fx.push(Effect::Fault {
-                        messenger: run.state.id,
-                        error: "optimistic mode requires a static logical network (create)"
-                            .to_string(),
-                    });
-                    fx.push(Effect::LiveDelta(-1));
-                    self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-                    return 0;
-                }
-                self.do_create(run, &ec, program, fx)
-            }
-        }
+            Yield::Hop(eh) => return self.do_hop(run, &eh, false, program, dir, fx, sent),
+            Yield::Delete(eh) => return self.do_hop(run, &eh, true, program, dir, fx, sent),
+            Yield::Create(ec) => return self.do_create(run, &ec, program, fx, sent),
+        };
+        self.bury(mid, vt, cause, fx);
+        0
     }
 
     /// Re-enqueue a suspended continuation under a fresh id (so that a
     /// Time-Warp rollback can cancel it like any other send).
-    fn resuspend(&mut self, mut next: Runnable, _fx: &mut [Effect], sent: &mut Vec<SentRef>) {
+    fn resuspend(&mut self, mut next: Runnable, sent: &mut Vec<SentRef>) {
         let old = next.state.id.0;
         next.state.id = self.alloc_mid();
         if let Some(p) = self.prof.as_mut() {
@@ -2519,6 +2194,64 @@ impl Daemon {
         self.enqueue(next);
     }
 
+    /// The send path of every live messenger, whether it leaves on a
+    /// `hop`/`delete` or (`create`) towards a node a `create` is about to
+    /// build: mint the replica's id, then hand the state over by move or
+    /// encode it into the [`Migration`] the caller puts on the wire.
+    /// Returns the CPU cost and that migration (`None` when the replica
+    /// was moved and is already queued here).
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch(
+        &mut self,
+        parent: MessengerId,
+        mut state: MessengerState,
+        to: (DaemonId, NodeRef),
+        via: Option<LinkInstance>,
+        create: bool,
+        code_bytes: u64,
+        fx: &mut Vec<Effect>,
+        sent: &mut Vec<SentRef>,
+    ) -> (u64, Option<Migration>) {
+        let c = self.cfg.costs;
+        state.id = self.alloc_mid();
+        let (id, vtime) = (state.id, state.vtime);
+        sent.push(SentRef { id: id.0, dest: to.0 .0, ts: vtime });
+        // Same-process hop: hand the state over by move instead of
+        // encode → wire → decode. Only when the destination is this
+        // daemon, transport is direct (no reliable-delivery seq to
+        // burn), and we are in Conservative mode outside recovery —
+        // the Mattern counters stay balanced because neither
+        // on_send nor on_receive fires for a moved hop.
+        let moved = self.cfg.local_move
+            && !create
+            && to.0 == self.id
+            && self.xport.is_none()
+            && !self.recovery
+            && self.cfg.vt_mode == VtMode::Conservative;
+        let bytes = if moved { Bytes::new() } else { vmwire::encode_messenger(&state) };
+        let wire_bytes = if moved { 0 } else { bytes.len() as u64 + code_bytes };
+        let fixed = if create { c.create_node_ns + c.hop_send_ns } else { c.hop_send_ns };
+        let cost = fixed + bytes.len() as u64 * c.per_byte_copy_ns;
+        self.prof_fork(id.0, parent.0, cost, vtime.as_f64());
+        self.rec
+            .emit(vtime.as_f64(), EventKind::MsgrHop { mid: id.0, to: to.0 .0, bytes: wire_bytes });
+        if moved {
+            if self.nodes.contains_key(&to.1) {
+                self.rec.emit(vtime.as_f64(), EventKind::MsgrArrive { mid: id.0 });
+                self.enqueue(Runnable { state, at: to.1, last: via });
+            } else {
+                // Destination node vanished between match and move.
+                self.bury(id, vtime, Death::DeadLetter, fx);
+            }
+            return (cost, None);
+        }
+        self.part.on_send(vtime);
+        self.stats.bump(Metric::MigrationsOut);
+        self.stats.add(Metric::MigrationBytes, wire_bytes);
+        let epoch = self.part.stamp();
+        (cost, Some(Migration { id, vtime, epoch, anti: false, to, via, bytes, code_bytes }))
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn do_hop(
         &mut self,
@@ -2530,17 +2263,12 @@ impl Daemon {
         fx: &mut Vec<Effect>,
         sent: &mut Vec<SentRef>,
     ) -> u64 {
-        let c = self.cfg.costs;
-        let mut cost = 0u64;
+        let (mid, vt, at) = (run.state.id, run.state.vtime, run.at);
         self.stats.bump(if delete { Metric::Deletes } else { Metric::Hops });
 
         if delete && self.cfg.vt_mode == VtMode::Optimistic {
-            fx.push(Effect::Fault {
-                messenger: run.state.id,
-                error: "optimistic mode requires a static logical network (delete)".to_string(),
-            });
-            fx.push(Effect::LiveDelta(-1));
-            self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
+            let error = "optimistic mode requires a static logical network (delete)";
+            self.bury(mid, vt, Death::Fault(error.to_string()), fx);
             return 0;
         }
 
@@ -2552,7 +2280,7 @@ impl Daemon {
                 dests.push((None, d, n));
             }
             self.stats.bump(Metric::VirtualHops);
-        } else if let Some(node) = self.nodes.get(&run.at) {
+        } else if let Some(node) = self.nodes.get(&at) {
             for l in node.matching_links(eh) {
                 dests.push((Some(l.inst), l.peer.0, l.peer.1));
             }
@@ -2564,113 +2292,55 @@ impl Daemon {
         // before any singleton collection can remove it.
         let mut deferred_unlinks: Vec<Effect> = Vec::new();
         if delete {
-            let insts: Vec<LinkInstance> = dests.iter().filter_map(|d| d.0).collect();
-            if let Some(node) = self.nodes.get_mut(&run.at) {
-                for inst in &insts {
-                    node.unlink(*inst);
-                }
-            }
             for (inst, daemon, peer) in dests.iter().filter_map(|(i, d, n)| i.map(|i| (i, *d, *n)))
             {
+                if let Some(node) = self.nodes.get_mut(&at) {
+                    node.unlink(inst);
+                }
                 deferred_unlinks
                     .push(Effect::Send { dst: daemon, wire: Wire::Unlink { node: peer, inst } });
             }
             // The current node may have become an empty singleton.
-            let now_singleton = self.nodes.get(&run.at).is_some_and(|n| n.is_singleton());
-            if now_singleton && run.at != self.init && !self.node_occupied(run.at) {
-                self.delete_node(run.at, fx);
+            let now_singleton = self.nodes.get(&at).is_some_and(|n| n.is_singleton());
+            if now_singleton && at != self.init && !self.node_occupied(at) {
+                self.delete_node(at, fx);
             }
         }
 
-        if dests.is_empty() {
+        let Some(last) = dests.len().checked_sub(1) else {
             fx.append(&mut deferred_unlinks);
             // Replicate to zero destinations: the messenger ceases to
             // exist (§2.1 hop semantics).
-            fx.push(Effect::LiveDelta(-1));
-            self.stats.bump(Metric::HopNoMatch);
-            self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-            return cost;
-        }
+            self.bury(mid, vt, Death::NoMatch(Metric::HopNoMatch), fx);
+            return 0;
+        };
 
-        fx.push(Effect::LiveDelta(dests.len() as i64 - 1));
-        if dests.len() > 1 {
+        fx.push(Effect::LiveDelta(last as i64));
+        if last > 0 {
             self.rec.emit(
-                run.state.vtime.as_f64(),
-                EventKind::MsgrFork { mid: run.state.id.0, replicas: dests.len() as u64 },
+                vt.as_f64(),
+                EventKind::MsgrFork { mid: mid.0, replicas: dests.len() as u64 },
             );
         }
         let code_bytes = if self.cfg.carry_code { program.wire_bytes() } else { 0 };
-        for (via, daemon, node) in dests {
-            let mut replica = run.state.clone();
-            replica.id = self.alloc_mid();
-            // Same-process hop: hand the state over by move instead of
-            // encode → wire → decode. Only when the destination is this
-            // daemon, transport is direct (no reliable-delivery seq to
-            // burn), and we are in Conservative mode outside recovery —
-            // the Mattern counters stay balanced because neither
-            // on_send nor on_receive fires for a moved hop.
-            if self.cfg.local_move
-                && daemon == self.id
-                && self.xport.is_none()
-                && !self.recovery
-                && self.cfg.vt_mode == VtMode::Conservative
-            {
-                cost += c.hop_send_ns;
-                self.prof_fork(replica.id.0, run.state.id.0, c.hop_send_ns, replica.vtime.as_f64());
-                self.rec.emit(
-                    replica.vtime.as_f64(),
-                    EventKind::MsgrHop { mid: replica.id.0, to: daemon.0, bytes: 0 },
-                );
-                sent.push(SentRef { id: replica.id.0, dest: daemon.0, ts: replica.vtime });
-                if self.nodes.contains_key(&node) {
-                    self.rec
-                        .emit(replica.vtime.as_f64(), EventKind::MsgrArrive { mid: replica.id.0 });
-                    self.enqueue(Runnable { state: replica, at: node, last: via });
-                } else {
-                    // Destination node vanished between match and move.
-                    fx.push(Effect::LiveDelta(-1));
-                    self.stats.bump(Metric::DeadLetters);
-                }
-                continue;
+        let mut cost = 0u64;
+        let mut state = Some(run.state);
+        for (i, (via, daemon, node)) in dests.into_iter().enumerate() {
+            // The last destination takes the state itself: a
+            // single-destination hop copies nothing.
+            let replica = if i == last { state.take() } else { state.clone() };
+            let replica = replica.expect("only the last destination takes the state");
+            let (ns, migration) =
+                self.dispatch(mid, replica, (daemon, node), via, false, code_bytes, fx, sent);
+            cost += ns;
+            if let Some(m) = migration {
+                fx.push(Effect::Send { dst: daemon, wire: Wire::Migrate(m) });
             }
-            let bytes = vmwire::encode_messenger(&replica);
-            cost += c.hop_send_ns + bytes.len() as u64 * c.per_byte_copy_ns;
-            self.prof_fork(
-                replica.id.0,
-                run.state.id.0,
-                c.hop_send_ns + bytes.len() as u64 * c.per_byte_copy_ns,
-                replica.vtime.as_f64(),
-            );
-            self.rec.emit(
-                replica.vtime.as_f64(),
-                EventKind::MsgrHop {
-                    mid: replica.id.0,
-                    to: daemon.0,
-                    bytes: bytes.len() as u64 + code_bytes,
-                },
-            );
-            self.part.on_send(replica.vtime);
-            self.stats.bump(Metric::MigrationsOut);
-            self.stats.add(Metric::MigrationBytes, bytes.len() as u64 + code_bytes);
-            sent.push(SentRef { id: replica.id.0, dest: daemon.0, ts: replica.vtime });
-            fx.push(Effect::Send {
-                dst: daemon,
-                wire: Wire::Migrate(Migration {
-                    id: replica.id,
-                    vtime: replica.vtime,
-                    epoch: self.part.stamp(),
-                    anti: false,
-                    to: (daemon, node),
-                    via,
-                    bytes,
-                    code_bytes,
-                }),
-            });
         }
         fx.extend(deferred_unlinks);
         // The hopping messenger itself is gone from this daemon: its
         // local ledger is complete.
-        self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
+        self.prof_retire(mid.0, vt.as_f64());
         cost
     }
 
@@ -2680,112 +2350,80 @@ impl Daemon {
         ec: &EvalCreate,
         program: &Program,
         fx: &mut Vec<Effect>,
+        sent: &mut Vec<SentRef>,
     ) -> u64 {
-        let c = self.cfg.costs;
-        let mut cost = 0u64;
+        let (mid, vt, at) = (run.state.id, run.state.vtime, run.at);
         self.stats.bump(Metric::Creates);
-        let origin_name = match self.nodes.get(&run.at) {
-            Some(n) => n.name.clone(),
-            None => {
-                fx.push(Effect::LiveDelta(-1));
-                self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-                return cost;
-            }
+        let Some(origin_name) = self.nodes.get(&at).map(|n| n.name.clone()) else {
+            self.bury(mid, vt, Death::DeadLetter, fx);
+            return 0;
         };
-        let code_bytes = if self.cfg.carry_code { program.wire_bytes() } else { 0 };
-        let mut replicas = 0i64;
 
+        let mut targets: Vec<(&EvalCreateItem, DaemonId)> = Vec::new();
         for item in &ec.items {
             let matches = self.topo.matches(self.id, &item.dn, &item.dl, item.ddir);
-            if matches.is_empty() {
-                continue;
-            }
-            let chosen: Vec<DaemonId> = if ec.all {
-                matches
-            } else {
+            if ec.all {
+                targets.extend(matches.into_iter().map(|d| (item, d)));
+            } else if !matches.is_empty() {
                 // Deterministic round-robin among the matching daemons
                 // (the paper defers the selection rule to [FBDM98]).
-                let pick = matches[self.rr % matches.len()];
+                targets.push((item, matches[self.rr % matches.len()]));
                 self.rr += 1;
-                vec![pick]
-            };
-            for daemon in chosen {
-                replicas += 1;
-                let gid = self.alloc_node();
-                let inst = self.alloc_link();
-                let node_name = item.ln.clone().unwrap_or(Value::Null);
-                let link_name = item.ll.clone().unwrap_or(Value::Null);
-                // Orientation at the origin: `+` points origin → new.
-                let orient_origin = match item.ldir {
-                    Dir::Forward => Orient::Out,
-                    Dir::Backward => Orient::In,
-                    Dir::Any => Orient::Undirected,
-                };
-                if let Some(n) = self.nodes.get_mut(&run.at) {
-                    n.links.push(LinkRec {
-                        inst,
-                        name: link_name.clone(),
-                        orient: orient_origin,
-                        peer: (daemon, gid),
-                        peer_name: node_name.clone(),
-                    });
-                }
-                let mut replica = run.state.clone();
-                replica.id = self.alloc_mid();
-                let bytes = vmwire::encode_messenger(&replica);
-                cost += c.create_node_ns + c.hop_send_ns + bytes.len() as u64 * c.per_byte_copy_ns;
-                self.prof_fork(
-                    replica.id.0,
-                    run.state.id.0,
-                    c.create_node_ns + c.hop_send_ns + bytes.len() as u64 * c.per_byte_copy_ns,
-                    replica.vtime.as_f64(),
-                );
-                self.rec.emit(
-                    replica.vtime.as_f64(),
-                    EventKind::MsgrHop {
-                        mid: replica.id.0,
-                        to: daemon.0,
-                        bytes: bytes.len() as u64 + code_bytes,
-                    },
-                );
-                self.part.on_send(replica.vtime);
-                self.stats.bump(Metric::MigrationsOut);
-                self.stats.add(Metric::MigrationBytes, bytes.len() as u64 + code_bytes);
-                fx.push(Effect::Send {
-                    dst: daemon,
-                    wire: Wire::Create(Box::new(CreateNode {
-                        gid,
-                        name: node_name,
-                        origin: (self.id, run.at),
-                        origin_name: origin_name.clone(),
-                        inst,
-                        link_name,
-                        orient_at_new: orient_origin.reversed(),
-                        messenger: Migration {
-                            id: replica.id,
-                            vtime: replica.vtime,
-                            epoch: self.part.stamp(),
-                            anti: false,
-                            to: (daemon, gid),
-                            via: Some(inst),
-                            bytes,
-                            code_bytes,
-                        },
-                    })),
-                });
             }
         }
-        fx.push(Effect::LiveDelta(replicas - 1));
-        if replicas > 1 {
-            self.rec.emit(
-                run.state.vtime.as_f64(),
-                EventKind::MsgrFork { mid: run.state.id.0, replicas: replicas as u64 },
-            );
+        let Some(last) = targets.len().checked_sub(1) else {
+            self.bury(mid, vt, Death::NoMatch(Metric::CreateNoMatch), fx);
+            return 0;
+        };
+
+        let code_bytes = if self.cfg.carry_code { program.wire_bytes() } else { 0 };
+        let mut cost = 0u64;
+        let mut state = Some(run.state);
+        for (i, (item, daemon)) in targets.into_iter().enumerate() {
+            let gid = self.alloc_node();
+            let inst = self.alloc_link();
+            let node_name = item.ln.clone().unwrap_or(Value::Null);
+            let link_name = item.ll.clone().unwrap_or(Value::Null);
+            // Orientation at the origin: `+` points origin → new.
+            let orient_origin = match item.ldir {
+                Dir::Forward => Orient::Out,
+                Dir::Backward => Orient::In,
+                Dir::Any => Orient::Undirected,
+            };
+            if let Some(n) = self.nodes.get_mut(&at) {
+                n.links.push(LinkRec {
+                    inst,
+                    name: link_name.clone(),
+                    orient: orient_origin,
+                    peer: (daemon, gid),
+                    peer_name: node_name.clone(),
+                });
+            }
+            let replica = if i == last { state.take() } else { state.clone() };
+            let replica = replica.expect("only the last destination takes the state");
+            let (ns, migration) =
+                self.dispatch(mid, replica, (daemon, gid), Some(inst), true, code_bytes, fx, sent);
+            cost += ns;
+            fx.push(Effect::Send {
+                dst: daemon,
+                wire: Wire::Create(Box::new(CreateNode {
+                    gid,
+                    name: node_name,
+                    origin: (self.id, at),
+                    origin_name: origin_name.clone(),
+                    inst,
+                    link_name,
+                    orient_at_new: orient_origin.reversed(),
+                    messenger: migration.expect("a create is never moved"),
+                })),
+            });
         }
-        if replicas == 0 {
-            self.stats.bump(Metric::CreateNoMatch);
+        fx.push(Effect::LiveDelta(last as i64));
+        if last > 0 {
+            self.rec
+                .emit(vt.as_f64(), EventKind::MsgrFork { mid: mid.0, replicas: last as u64 + 1 });
         }
-        self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
+        self.prof_retire(mid.0, vt.as_f64());
         cost
     }
 }

@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod ckpt;
+pub mod codes;
 pub mod config;
 pub mod daemon;
 pub mod ids;
@@ -67,11 +68,12 @@ pub mod topology;
 pub mod wire;
 
 pub use ckpt::{CheckpointStore, FileStore, MemStore};
+pub use codes::{CodeCache, RegisterOutcome};
 pub use config::{
     ClusterConfig, CostModel, ExecMode, NetKind, RecoveryPolicy, RetransmitPolicy, Succession,
     VtMode,
 };
-pub use daemon::{CodeCache, Daemon, Effect, RegisterOutcome};
+pub use daemon::{Daemon, Effect};
 pub use ids::{DaemonId, NodeRef};
 pub use platform::sim::{SimCluster, SimReport};
 pub use platform::threads::{ThreadCluster, ThreadReport};

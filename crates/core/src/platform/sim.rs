@@ -20,8 +20,9 @@ use msgr_trace::{EventKind, Metric, Trace};
 use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
 use crate::ckpt::{CheckpointStore, MemStore, ReplicatedStore};
+use crate::codes::CodeCache;
 use crate::config::{ClusterConfig, NetKind, VtMode, VtService};
-use crate::daemon::{CodeCache, Daemon, Effect};
+use crate::daemon::{Daemon, Effect};
 use crate::ids::{DaemonId, NodeRef};
 use crate::topology::{DaemonTopology, LogicalTopology};
 use crate::wire::Wire;

@@ -22,8 +22,9 @@ use msgr_trace::{Metric, Trace};
 use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
 use crate::ckpt::{CheckpointStore, FileStore};
+use crate::codes::CodeCache;
 use crate::config::{ClusterConfig, VtMode, VtService};
-use crate::daemon::{CodeCache, Daemon, Directory, Effect};
+use crate::daemon::{Daemon, Directory, Effect};
 use crate::ids::{DaemonId, NodeRef};
 use crate::topology::{DaemonTopology, LogicalTopology};
 use crate::wire::Wire;

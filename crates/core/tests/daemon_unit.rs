@@ -14,6 +14,7 @@ use msgr_core::ids::{DaemonId, NodeRef};
 use msgr_core::logical::{LinkRec, Orient};
 use msgr_core::topology::DaemonTopology;
 use msgr_core::wire::{Migration, Wire};
+use msgr_core::EventKind;
 use msgr_gvt::CtrlMsg;
 use msgr_sim::{CrashEvent, FaultPlan, MILLI};
 use msgr_vm::{wire as vmwire, MessengerId, MessengerState, NativeRegistry, Value, Vt};
@@ -132,18 +133,7 @@ fn missing_program_faults_at_execution() {
 #[test]
 fn unlink_wire_collects_singletons() {
     let (mut d, _codes) = mk_daemon(0, ClusterConfig::new(1));
-    let leaf = d.build_node(Value::str("leaf"));
-    let inst = d.alloc_link();
-    d.install_link(
-        leaf,
-        LinkRec {
-            inst,
-            name: Value::str("tether"),
-            orient: Orient::Undirected,
-            peer: (DaemonId(0), d.init_node()),
-            peer_name: Value::str("init"),
-        },
-    );
+    let (leaf, inst) = tethered_leaf(&mut d);
     let mut fx = Vec::new();
     d.on_wire(Wire::Unlink { node: leaf, inst }, &mut fx);
     assert!(d.node(leaf).is_none(), "singleton must be deleted");
@@ -352,4 +342,247 @@ fn damaged_checkpoints_are_errors_not_panics() {
     }
     huge.put_varint(u64::MAX);
     assert!(restore(&huge).is_err());
+}
+
+// ---- one lifecycle: every way a messenger dies goes through one door ----
+
+fn run(d: &mut Daemon, fx: &mut Vec<Effect>) {
+    let dir: HashMap<Value, (DaemonId, NodeRef)> = HashMap::new();
+    d.run_segment(&dir, fx).expect("one segment");
+}
+
+fn launched(d: &mut Daemon, codes: &CodeCache, src: &str) -> MessengerId {
+    let prog = msgr_lang::compile(src).unwrap();
+    codes.register(&prog);
+    d.launch(&prog, &[], d.init_node()).unwrap()
+}
+
+/// A node tethered to `init` by one link, so one `Unlink` frame makes
+/// it a collectable singleton.
+fn tethered_leaf(d: &mut Daemon) -> (NodeRef, msgr_vm::LinkInstance) {
+    let leaf = d.build_node(Value::str("leaf"));
+    let inst = d.alloc_link();
+    d.install_link(
+        leaf,
+        LinkRec {
+            inst,
+            name: Value::str("tether"),
+            orient: Orient::Undirected,
+            peer: (DaemonId(0), d.init_node()),
+            peer_name: Value::str("init"),
+        },
+    );
+    (leaf, inst)
+}
+
+/// One way to kill one messenger on daemon 0.
+struct Case {
+    cause: &'static str,
+    /// The counter this cause owns (`faults` for the fault causes).
+    counter: &'static str,
+    fault: bool,
+    cfg: fn(&mut ClusterConfig),
+    /// Drive the daemon until the messenger is dead; returns its id.
+    kill: fn(&mut Daemon, &CodeCache, &mut Vec<Effect>) -> MessengerId,
+}
+
+const DEATHS: &[Case] = &[
+    Case {
+        cause: "retired",
+        counter: "terminated",
+        fault: false,
+        cfg: |_| {},
+        kill: |d, codes, fx| {
+            let mid = launched(d, codes, "main() { node int ran; ran = 1; }");
+            run(d, fx);
+            mid
+        },
+    },
+    Case {
+        cause: "fault: undecodable state",
+        counter: "faults",
+        fault: true,
+        cfg: |_| {},
+        kill: |d, _, fx| {
+            let m = MessengerState::launch(&trivial_program(), MessengerId(7), &[]).unwrap();
+            let Wire::Migrate(mut frame) = migration_for(d, &m, 0) else { unreachable!() };
+            frame.bytes = Bytes::from_static(&[0xFF, 0x00, 0x13]);
+            d.on_wire(Wire::Migrate(frame), fx);
+            m.id
+        },
+    },
+    Case {
+        cause: "fault: quarantined program at the door",
+        counter: "faults",
+        fault: true,
+        cfg: |_| {},
+        kill: |d, codes, fx| {
+            let mut b = msgr_vm::Builder::new();
+            let f = b.function("main", 0, 0, vec![msgr_vm::Op::Jump(100)]);
+            let bad = b.finish(f);
+            codes.register(&bad);
+            let m = MessengerState::launch(&bad, MessengerId::compose(1, 1), &[]).unwrap();
+            d.on_wire(migration_for(d, &m, 0), fx);
+            assert_eq!(d.stats().counter("verify_rejected"), 1);
+            m.id
+        },
+    },
+    Case {
+        cause: "fault: unknown program",
+        counter: "faults",
+        fault: true,
+        cfg: |_| {},
+        kill: |d, _, fx| {
+            let foreign = msgr_lang::compile("main() { return 1; }").unwrap();
+            let mid = d.launch(&foreign, &[], d.init_node()).unwrap();
+            run(d, fx);
+            mid
+        },
+    },
+    Case {
+        cause: "fault: negative virtual-time delta",
+        counter: "faults",
+        fault: true,
+        cfg: |_| {},
+        kill: |d, codes, fx| {
+            let mid = launched(d, codes, "main() { M_sched_time_dlt(0.0 - 1.0); }");
+            run(d, fx);
+            mid
+        },
+    },
+    Case {
+        cause: "fault: create under Time Warp",
+        counter: "faults",
+        fault: true,
+        cfg: |cfg| cfg.vt_mode = VtMode::Optimistic,
+        kill: |d, codes, fx| {
+            let mid = launched(d, codes, r#"main() { create(ln = "n"; ll = "l"); }"#);
+            run(d, fx);
+            mid
+        },
+    },
+    Case {
+        cause: "no-match",
+        counter: "hop_no_match",
+        fault: false,
+        cfg: |_| {},
+        kill: |d, codes, fx| {
+            let mid = launched(d, codes, r#"main() { hop(ll = "nowhere"); }"#);
+            run(d, fx);
+            mid
+        },
+    },
+    Case {
+        cause: "dead-letter",
+        counter: "dead_letters",
+        fault: false,
+        cfg: |_| {},
+        kill: |d, codes, fx| {
+            let prog = trivial_program();
+            codes.register(&prog);
+            let m = MessengerState::launch(&prog, MessengerId::compose(1, 1), &[]).unwrap();
+            let Wire::Migrate(mut frame) = migration_for(d, &m, 0) else { unreachable!() };
+            frame.to.1 = NodeRef::new(9, 999); // never existed
+            d.on_wire(Wire::Migrate(frame), fx);
+            m.id
+        },
+    },
+    Case {
+        cause: "annihilated",
+        counter: "annihilations",
+        fault: false,
+        cfg: |cfg| cfg.vt_mode = VtMode::Optimistic,
+        kill: |d, codes, fx| {
+            let prog = trivial_program();
+            codes.register(&prog);
+            let m = MessengerState::launch(&prog, MessengerId::compose(1, 9), &[]).unwrap();
+            d.on_wire(migration_for(d, &m, 0), fx);
+            let Wire::Migrate(mut anti) = migration_for(d, &m, 0) else { unreachable!() };
+            (anti.anti, anti.bytes) = (true, Bytes::new());
+            d.on_wire(Wire::Migrate(anti), fx);
+            m.id
+        },
+    },
+    Case {
+        cause: "stranded",
+        counter: "stranded_killed",
+        fault: false,
+        cfg: |_| {},
+        kill: |d, codes, fx| {
+            // Park a messenger on virtual time at a leaf, then cut the
+            // leaf's last link: the singleton is collected under it.
+            let (leaf, inst) = tethered_leaf(d);
+            let prog = msgr_lang::compile("main() { M_sched_time_abs(7.5); }").unwrap();
+            codes.register(&prog);
+            d.launch(&prog, &[], leaf).unwrap();
+            run(d, fx);
+            d.on_wire(Wire::Unlink { node: leaf, inst }, fx);
+            assert!(d.node(leaf).is_none() && !d.has_any_messengers());
+            MessengerId::compose(0, 2) // the park re-identified the continuation
+        },
+    },
+    Case {
+        cause: "abandoned",
+        counter: "faults",
+        fault: true,
+        cfg: |cfg| {
+            cfg.faults = FaultPlan::lossy(0.5);
+            cfg.retransmit.max_attempts = 1;
+        },
+        kill: |d, codes, fx| {
+            let init = d.init_node();
+            let inst = d.alloc_link();
+            d.install_link(
+                init,
+                LinkRec {
+                    inst,
+                    name: Value::str("out"),
+                    orient: Orient::Undirected,
+                    peer: (DaemonId(1), NodeRef::new(1, 0)),
+                    peer_name: Value::str("init"),
+                },
+            );
+            launched(d, codes, r#"main() { hop(ll = "out"); }"#);
+            run(d, fx);
+            d.seal_effects(MILLI, fx);
+            let timer = fx.iter().find_map(|e| match e {
+                Effect::Timer { src, chan, seq, .. } => Some((*src, *chan, *seq)),
+                _ => None,
+            });
+            let (src, chan, seq) = timer.expect("sealing arms a retransmit timer");
+            d.on_timer(40 * MILLI, src, chan, seq, fx);
+            assert_eq!(d.stats().counter("xport_gave_up"), 1);
+            MessengerId::compose(0, 2) // the replica the hop minted
+        },
+    },
+];
+
+#[test]
+fn every_death_goes_through_one_door() {
+    for case in DEATHS {
+        let mut cfg = ClusterConfig::new(2);
+        cfg.trace = msgr_core::TraceConfig::on();
+        cfg.profile = true;
+        (case.cfg)(&mut cfg);
+        let (mut d, codes) = mk_daemon(0, cfg);
+        let mut fx = Vec::new();
+        let dead = (case.kill)(&mut d, &codes, &mut fx);
+        let (_, events, _) = d.take_trace();
+        let count = |ev: &str| events.iter().filter(|e| e.kind.name() == ev).count();
+        let cause = case.cause;
+
+        let census = fx.iter().filter(|e| **e == Effect::LiveDelta(-1)).count();
+        assert_eq!(census, 1, "{cause}: exactly one LiveDelta(-1) in {fx:?}");
+        assert_eq!(d.stats().counter(case.counter), 1, "{cause}: `{}`", case.counter);
+        let faults = usize::from(case.fault);
+        let reported = fx.iter().filter(|e| matches!(e, Effect::Fault { .. })).count();
+        assert_eq!(reported, faults, "{cause}: Effect::Fault in {fx:?}");
+        assert_eq!(d.stats().counter("faults"), faults as u64, "{cause}: `faults` counter");
+        assert_eq!(count("fault"), faults, "{cause}: `fault` events");
+        let ledgers = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::PhaseLedger { mid, .. } if mid == dead.0))
+            .count();
+        assert_eq!(ledgers, 1, "{cause}: one phase_ledger for {dead:?} in {events:?}");
+    }
 }

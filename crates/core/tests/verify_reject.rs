@@ -59,6 +59,8 @@ fn daemon_refuses_quarantined_program_in_run() {
     assert_eq!(report.faults.len(), 1, "faults: {:?}", report.faults);
     assert!(report.faults[0].1.contains("failed verification"), "fault: {}", report.faults[0].1);
     assert!(report.faults[0].1.contains("V002"), "fault: {}", report.faults[0].1);
+    // The counter and the report agree: a refusal is a fault like any other.
+    assert_eq!(report.stats.counter("faults"), report.faults.len() as u64);
     // Accounting stays clean and the good messenger ran to completion.
     assert_eq!(report.live_leak, 0);
     assert_eq!(c.node_var(1, &Value::str("init"), "ok"), Some(Value::Int(1)));

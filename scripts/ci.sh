@@ -95,9 +95,11 @@ echo "== compiled execution: CLI run + suites re-run on the compiled engine =="
 # interpreter: the 256-case differential suite (crates/vm/tests/
 # diff_props.rs) and the cross-engine goldens already ran with the
 # workspace tests above. Here the CLI plumbing gets a real run
-# (--exec compiled, then the MSGR_EXEC override), and the tier-1 app
-# tests, the goldens and the profiler's invariants re-run once entirely
-# on the compiled engine.
+# (--exec compiled, then the MSGR_EXEC override), and the daemon's own
+# suites (unit, cluster, verifier refusal, the three chaos suites), the
+# tier-1 app tests, the goldens and the profiler's invariants re-run
+# once entirely on the compiled engine.
+MSGR_EXEC=compiled cargo test -q --offline -p msgr-core
 MSGR_EXEC=compiled cargo test -q --offline -p msgr-apps
 MSGR_EXEC=compiled cargo test -q --offline --test determinism
 MSGR_EXEC=compiled cargo test -q --offline --test profile

@@ -165,3 +165,49 @@ fn threads_platform_profiles_on_the_monotonic_clock() {
         assert_eq!(l.phases[4], 0, "threads platform cannot attribute transport in-flight time");
     }
 }
+
+#[test]
+fn a_stranded_messenger_still_hands_in_its_ledger() {
+    // A sleeper parks on virtual time at a node it created; a second
+    // messenger then burns the node's only link while leaving over it,
+    // so the singleton is collected with the sleeper still parked there.
+    // The sleeper's ledger must reach the trace like any other death's.
+    const STRAND: &str = r#"
+    main(who) {
+        if (who == 0) {
+            create(ln = "out"; ll = "cord"; dn = 1);
+            M_sched_time_abs(50.0);
+        } else {
+            M_sched_time_abs(1.0);   /* until the sleeper has parked */
+            hop(ll = "cord");
+            delete(ll = "cord");
+        }
+    }
+    "#;
+    let mut cluster = SimCluster::new(cfg(true));
+    let pid = cluster.register_program(&messengers::lang::compile(STRAND).expect("compile"));
+    for who in 0..2 {
+        cluster.inject(0, pid, &[Value::Int(who)]).expect("inject");
+    }
+    let rep = cluster.run().expect("run");
+    assert!(rep.faults.is_empty(), "faults: {:?}", rep.faults);
+    assert_eq!(rep.live_leak, 0);
+    assert_eq!(rep.stats.counter("stranded_killed"), 1, "the delete hop strands the sleeper");
+    let trace = rep.trace.expect("tracing on");
+    let sleeper = trace
+        .events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::MsgrPark { mid, wake } if wake > 1.0 => Some(mid),
+            _ => None,
+        })
+        .expect("the sleeper parked");
+    let ledgers = trace
+        .events
+        .iter()
+        .filter(
+            |e| matches!(e.kind, EventKind::PhaseLedger { mid, parent: 0, .. } if mid == sleeper),
+        )
+        .count();
+    assert_eq!(ledgers, 1, "a stranded messenger yields exactly one phase_ledger");
+}
