@@ -118,6 +118,32 @@ fn mandel_default_config_matches_golden() {
 }
 
 #[test]
+fn killed_mandel_matches_golden() {
+    // The one golden that loses a checkpoint *holder*: daemon 3 is
+    // daemon 2's ring successor, so killing both before either death is
+    // detected restores daemon 2 from its second replica (k = 2) and
+    // adopts its transport channels on daemon 4 — the scenario of
+    // `mandel_msgr::tests::sim_survives_killing_worker_and_its_replica_holder`.
+    let calib = Calib::default();
+    let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
+    let mut cfg = ClusterConfig::new(6);
+    cfg.seed = 7;
+    cfg.replication = 2;
+    cfg.faults = FaultPlan {
+        crashes: vec![CrashEvent::kill(2, 3 * MILLI), CrashEvent::kill(3, 5 * MILLI)],
+        ..FaultPlan::none()
+    };
+    let run = mandel_msgr::run_sim(&work, 6, &calib, cfg).expect("run");
+    assert_eq!(run.stats.counter("restores"), 2, "both victims must be restored");
+    assert_eq!(
+        run.seconds.to_bits(),
+        0x3fe0a6531b30072f,
+        "simulated seconds drifted from baseline"
+    );
+    assert_eq!(counters_fnv(&run.stats), 0x8865a5fe90d3de4d, "counters drifted from baseline");
+}
+
+#[test]
 fn matmul_default_config_matches_golden() {
     // Companion golden to `mandel_default_config_matches_golden`, pinning the
     // matmul product bits and simulated time under the default config.
