@@ -1,52 +1,143 @@
-//! Checkpoint storage: where daemon snapshots survive their owner.
+//! Checkpoints: the snapshot byte format, and where snapshots survive
+//! their owner.
 //!
 //! The recovery model is pessimistic (output-commit): a daemon's durable
 //! effects are released only together with a snapshot that can replay
 //! them, so the store is the single source of truth after a permanent
-//! death. The simulation platform keeps snapshots in host memory that
-//! outlives the simulated daemon ([`MemStore`]); the threads platform
-//! writes them to disk ([`FileStore`]) when the cluster is configured
-//! with a checkpoint directory.
+//! death. `Snapshot` is the one place that knows how a daemon's durable
+//! state is laid out in bytes — writer and reader side by side. The
+//! simulation platform keeps snapshots `k`-replicated in host memory that
+//! outlives the simulated daemons ([`ReplicatedStore`]); the threads
+//! platform writes them to disk ([`FileStore`]) when the cluster is
+//! configured with a checkpoint directory.
 
-use msgr_vm::bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use crate::ids::DaemonId;
+use msgr_vm::bytes::{Bytes, BytesMut};
+use msgr_vm::{wire as vmwire, LinkInstance, MessengerState, VmError, Vt};
 
-/// Durable storage for per-daemon checkpoint snapshots. One slot per
-/// daemon: a new snapshot atomically replaces the previous one (the
-/// classic last-checkpoint discipline — nothing older is ever needed,
-/// because the flush preceding each snapshot committed everything the
-/// snapshot covers).
-pub trait CheckpointStore {
-    /// Replace daemon `d`'s snapshot.
-    fn put(&mut self, d: DaemonId, snapshot: Bytes);
-    /// Fetch daemon `d`'s latest snapshot, if it ever checkpointed.
-    fn get(&self, d: DaemonId) -> Option<Bytes>;
+use crate::ids::{DaemonId, NodeRef};
+use crate::logical::{LinkRec, LogicalNode};
+use crate::wire as wirecodec;
+use crate::xport::Channels;
+
+/// Snapshot format version.
+const VERSION: u8 = 1;
+
+/// A daemon's durable state as one checkpoint holds it. Borrowed from
+/// the live daemon when written, owned when read back.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Snapshot<'a> {
+    /// The id counters: next node, link and messenger sequence numbers,
+    /// and the `create` round-robin cursor.
+    pub(crate) counters: [u64; 4],
+    /// Logical nodes with their variables and links, in any order.
+    pub(crate) nodes: Vec<Cow<'a, LogicalNode>>,
+    /// Every parked or queued messenger, in dequeue order: the node it is
+    /// at, the link it arrived on, and its state.
+    pub(crate) parked: Vec<(NodeRef, Option<LinkInstance>, Cow<'a, MessengerState>)>,
+    /// The transport channels; `None` when the transport is off.
+    pub(crate) channels: Option<Cow<'a, Channels>>,
 }
 
-/// In-memory store — "durable" relative to the simulated cluster, i.e.
-/// it lives in the host simulator, not in any simulated daemon.
-#[derive(Debug, Default)]
-pub struct MemStore {
-    slots: HashMap<u16, Bytes>,
+fn put_node(buf: &mut BytesMut, n: &LogicalNode) {
+    wirecodec::put_node_ref(buf, n.gid);
+    vmwire::put_value(buf, &n.name);
+    let mut keys: Vec<&Arc<str>> = n.vars.keys().collect();
+    keys.sort();
+    buf.put_seq(keys.into_iter(), |buf, k| {
+        buf.put_str(k);
+        vmwire::put_value(buf, &n.vars[k]);
+    });
+    buf.put_seq(n.links.iter(), |buf, l| {
+        buf.put_varint(l.inst.0);
+        vmwire::put_value(buf, &l.name);
+        wirecodec::put_orient(buf, l.orient);
+        wirecodec::put_endpoint(buf, l.peer);
+        vmwire::put_value(buf, &l.peer_name);
+    });
 }
 
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        MemStore::default()
+fn get_node(buf: &mut Bytes) -> Result<LogicalNode, VmError> {
+    let mut node = LogicalNode::new(wirecodec::get_node_ref(buf)?, vmwire::get_value(buf)?);
+    let vars = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+        Ok((Arc::from(buf.read_str()?), vmwire::get_value(buf)?))
+    })?;
+    node.vars.extend(vars);
+    node.links = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+        Ok(LinkRec {
+            inst: LinkInstance(buf.read_varint()?),
+            name: vmwire::get_value(buf)?,
+            orient: wirecodec::get_orient(buf)?,
+            peer: wirecodec::get_endpoint(buf)?,
+            peer_name: vmwire::get_value(buf)?,
+        })
+    })?;
+    Ok(node)
+}
+
+#[deny(clippy::cast_possible_truncation)]
+impl Snapshot<'_> {
+    /// Serialize canonically: nodes ordered by id, variables by name, so
+    /// equal states yield equal bytes.
+    pub(crate) fn encode(mut self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(1024);
+        buf.put_u8(VERSION);
+        for c in self.counters {
+            buf.put_varint(c);
+        }
+        self.nodes.sort_by_key(|n| n.gid);
+        buf.put_seq(self.nodes.iter(), |buf, n| put_node(buf, n));
+        buf.put_seq(self.parked.iter(), |buf, (at, last, state)| {
+            wirecodec::put_node_ref(buf, *at);
+            wirecodec::put_via(buf, *last);
+            buf.put_bytes(&vmwire::encode_messenger(state));
+        });
+        buf.put_bool(self.channels.is_some());
+        if let Some(channels) = &self.channels {
+            channels.put(&mut buf);
+        }
+        buf.freeze()
     }
-}
 
-impl CheckpointStore for MemStore {
-    fn put(&mut self, d: DaemonId, snapshot: Bytes) {
-        self.slots.insert(d.0, snapshot);
+    /// The inverse of [`Snapshot::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] on an unknown version or any malformed input,
+    /// trailing bytes included.
+    pub(crate) fn decode(mut buf: Bytes) -> Result<Snapshot<'static>, VmError> {
+        let ver = buf.read_u8()?;
+        if ver != VERSION {
+            return Err(VmError::Decode(format!("unknown checkpoint version {ver}")));
+        }
+        let mut counters = [0; 4];
+        for c in &mut counters {
+            *c = buf.read_varint()?;
+        }
+        let nodes = buf.read_seq(vmwire::MAX_SEQ, |buf| get_node(buf).map(Cow::Owned))?;
+        let parked = buf.read_seq(vmwire::MAX_SEQ, |buf| {
+            Ok((
+                wirecodec::get_node_ref(buf)?,
+                wirecodec::get_via(buf)?,
+                Cow::Owned(vmwire::decode_messenger(buf.read_bytes()?)?),
+            ))
+        })?;
+        let channels =
+            if buf.read_bool()? { Some(Cow::Owned(Channels::get(&mut buf)?)) } else { None };
+        buf.finish("checkpoint")?;
+        Ok(Snapshot { counters, nodes, parked, channels })
     }
 
-    fn get(&self, d: DaemonId) -> Option<Bytes> {
-        self.slots.get(&d.0).cloned()
+    /// The minimum virtual time a restore of this snapshot resurrects:
+    /// every parked messenger plus every frame its channels retain.
+    pub(crate) fn floor(&self) -> Vt {
+        let parked = self.parked.iter().map(|(_, _, m)| m.vtime).fold(Vt::INFINITY, Vt::min);
+        let floor = |c: &Cow<Channels>| c.floor_of_unacked().min(c.floor_of_held());
+        self.channels.as_ref().map_or(parked, |c| parked.min(floor(c)))
     }
 }
 
@@ -83,10 +174,11 @@ impl FileStore {
             let _ = std::fs::rename(&tmp, self.dir.join(name));
         }
     }
-}
 
-impl CheckpointStore for FileStore {
-    fn put(&mut self, d: DaemonId, snapshot: Bytes) {
+    /// Replace daemon `d`'s snapshot. One slot per daemon: nothing older
+    /// than the last checkpoint is ever needed, because the flush
+    /// preceding each snapshot committed everything it covers.
+    pub fn put(&mut self, d: DaemonId, snapshot: Bytes) {
         let tmp = self.dir.join(format!("daemon-{}.ckpt.tmp", d.0));
         // Failures degrade to "no checkpoint", which recovery treats as
         // a daemon that never checkpointed — safe, just lossier.
@@ -95,26 +187,21 @@ impl CheckpointStore for FileStore {
         }
     }
 
-    fn get(&self, d: DaemonId) -> Option<Bytes> {
+    /// Fetch daemon `d`'s latest snapshot, if it ever checkpointed.
+    pub fn get(&self, d: DaemonId) -> Option<Bytes> {
         std::fs::read(self.path(d)).ok().map(Bytes::from)
     }
 }
 
-/// A `k`-replicated view over a [`CheckpointStore`]: every snapshot
-/// version is held by up to `k` *holder* daemons (the owner's next-alive
-/// successors, plus the platform's own copy under the owner itself), and
-/// a holder's copies die with it — [`ReplicatedStore::fail`] models the
-/// loss of everything a dead daemon held. Recovery reads the
-/// highest-version copy on a *live* holder, so it survives losing the
-/// victim and up to `k - 1` replica holders in the same fault plan.
-///
-/// The inner store keeps the "current snapshot per slot" discipline;
-/// replication bookkeeping (who holds which version) lives here, keyed
-/// `(owner, holder)` so a platform can install write-ahead copies as
-/// [`crate::wire::Wire::CkptPush`] frames arrive.
-#[derive(Debug)]
-pub struct ReplicatedStore<S> {
-    inner: S,
+/// `k`-replicated snapshot storage: every snapshot version is held by up
+/// to `k` *holder* daemons (the owner's next-alive successors) plus the
+/// owner itself, and a holder's copies die with it —
+/// [`ReplicatedStore::fail`] models the loss of everything a dead daemon
+/// held. Recovery reads the highest-version copy on a *live* holder, so
+/// it survives losing the victim and up to `k - 1` replica holders in the
+/// same fault plan.
+#[derive(Debug, Default)]
+pub struct ReplicatedStore {
     /// `(owner, holder) → (version, snapshot)`; only the latest version
     /// per holder is kept (the last-checkpoint discipline).
     replicas: HashMap<(u16, u16), (u32, Bytes)>,
@@ -122,17 +209,7 @@ pub struct ReplicatedStore<S> {
     failed: Vec<u16>,
 }
 
-impl<S: CheckpointStore> ReplicatedStore<S> {
-    /// Wrap `inner`; no replicas, no failures.
-    pub fn new(inner: S) -> Self {
-        ReplicatedStore { inner, replicas: HashMap::new(), failed: Vec::new() }
-    }
-
-    /// Access the wrapped store (e.g. [`FileStore::put_blob`]).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
+impl ReplicatedStore {
     /// Install version `ver` of `owner`'s snapshot on `holder`. Stale
     /// versions (≤ the holder's current one) are ignored; installs on a
     /// failed holder are dropped — a dead daemon accepts nothing.
@@ -190,46 +267,56 @@ impl<S: CheckpointStore> ReplicatedStore<S> {
     }
 }
 
-impl<S: CheckpointStore> CheckpointStore for ReplicatedStore<S> {
-    /// The owner's own copy: versionless writes go to the inner store
-    /// *and* count as a replica under the owner itself (lost on
-    /// [`ReplicatedStore::fail`], like any other holder's copy).
-    fn put(&mut self, d: DaemonId, snapshot: Bytes) {
-        self.inner.put(d, snapshot);
-    }
-
-    /// The best surviving copy: a live replica if any holder survives,
-    /// else the inner store's copy *unless the owner is failed* (the
-    /// primary slot models storage on the owner's host).
-    fn get(&self, d: DaemonId) -> Option<Bytes> {
-        if let Some((_, snap)) = self.best(d) {
-            return Some(snap);
-        }
-        if self.failed.contains(&d.0) {
-            return None;
-        }
-        self.inner.get(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mem_store_round_trips_and_replaces() {
-        let mut s = MemStore::new();
-        assert!(s.get(DaemonId(1)).is_none());
-        s.put(DaemonId(1), Bytes::from(vec![1, 2, 3]));
-        assert_eq!(s.get(DaemonId(1)).unwrap().as_ref(), &[1, 2, 3]);
-        s.put(DaemonId(1), Bytes::from(vec![9]));
-        assert_eq!(s.get(DaemonId(1)).unwrap().as_ref(), &[9], "new snapshot replaces old");
-        assert!(s.get(DaemonId(2)).is_none(), "slots are per daemon");
+    fn snapshot_round_trips_canonically() {
+        let program = msgr_lang::compile("main() { M_sched_time_abs(2.5); }").unwrap();
+        let mut state = MessengerState::launch(&program, msgr_vm::MessengerId(7), &[]).unwrap();
+        state.vtime = Vt::new(2.5);
+        let mut nodes: Vec<LogicalNode> = (1..=3)
+            .map(|i| LogicalNode::new(NodeRef::new(0, i), msgr_vm::Value::Int(i as i64)))
+            .collect();
+        nodes[1].set_var("b", msgr_vm::Value::Bool(true));
+        nodes[1].set_var("a", msgr_vm::Value::str("x"));
+        nodes[1].links.push(LinkRec {
+            inst: LinkInstance(5),
+            name: msgr_vm::Value::Null,
+            orient: crate::logical::Orient::In,
+            peer: (DaemonId(2), NodeRef::new(2, 9)),
+            peer_name: msgr_vm::Value::str("far"),
+        });
+        for channels in [None, Some(Cow::Owned(Channels::default()))] {
+            let snap = Snapshot {
+                counters: [3, 5, 7, 1],
+                nodes: nodes.iter().map(Cow::Borrowed).collect(),
+                parked: vec![(nodes[2].gid, Some(LinkInstance(5)), Cow::Borrowed(&state))],
+                channels,
+            };
+            let bytes = snap.clone().encode();
+            let back = Snapshot::decode(bytes.clone()).expect("decodes");
+            assert_eq!(back, snap, "decode(encode(x)) = x");
+            assert_eq!(back.floor(), Vt::new(2.5));
+            assert_eq!(back.encode().as_ref(), bytes.as_ref(), "encode(decode(b)) = b");
+            // Node order is not part of the state: the bytes are canonical.
+            let mut shuffled = snap.clone();
+            shuffled.nodes.reverse();
+            assert_eq!(shuffled.encode().as_ref(), bytes.as_ref());
+            // A trailing byte or another version is refused.
+            let mut long = bytes.as_ref().to_vec();
+            long.push(0);
+            assert!(Snapshot::decode(long.into()).is_err());
+            let mut other = bytes.as_ref().to_vec();
+            other[0] = VERSION + 1;
+            assert!(Snapshot::decode(other.into()).is_err());
+        }
     }
 
     #[test]
     fn replicated_store_survives_holder_loss() {
-        let mut s = ReplicatedStore::new(MemStore::new());
+        let mut s = ReplicatedStore::default();
         let owner = DaemonId(2);
         // Version 1 on the owner itself and holders 3 and 4 (k = 2).
         s.install(owner, DaemonId(2), 1, Bytes::from(vec![1]));
@@ -245,7 +332,6 @@ mod tests {
         // Holder 3 dies too: fall back to holder 4's v1.
         s.fail(DaemonId(3));
         assert_eq!(s.best(owner).unwrap(), (1, Bytes::from(vec![1])));
-        assert_eq!(s.get(owner).unwrap().as_ref(), &[1]);
         // A push to a dead holder is dropped, and stale versions lose.
         s.install(owner, DaemonId(3), 9, Bytes::from(vec![9]));
         s.install(owner, DaemonId(4), 0, Bytes::from(vec![0]));
@@ -253,12 +339,11 @@ mod tests {
         // Last holder dies: nothing survives anywhere.
         s.fail(DaemonId(4));
         assert!(s.best(owner).is_none());
-        assert!(s.get(owner).is_none(), "failed owner must not resurrect the inner slot");
     }
 
     #[test]
     fn replicated_store_ties_break_toward_lowest_holder() {
-        let mut s = ReplicatedStore::new(MemStore::new());
+        let mut s = ReplicatedStore::default();
         let owner = DaemonId(0);
         s.install(owner, DaemonId(5), 3, Bytes::from(vec![5]));
         s.install(owner, DaemonId(1), 3, Bytes::from(vec![1]));

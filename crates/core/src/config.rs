@@ -5,24 +5,9 @@
 //! Ethernet — so that the *shape* of the evaluation figures reproduces.
 //! See `EXPERIMENTS.md` for the calibration discussion.
 
-use msgr_sim::{FaultPlan, SimTime, MILLI};
-
 /// Which network model the simulation platform uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NetKind {
-    /// 10 Mbit/s shared-bus Ethernet.
-    Ethernet10,
-    /// 100 Mbit/s shared-bus Ethernet — the testbed implied by the
-    /// paper's absolute runtimes (see EXPERIMENTS.md calibration notes).
-    Ethernet100,
-    /// Full-duplex switched network with the given per-port bits/second.
-    Switched {
-        /// Per-port bandwidth in bits per second.
-        bandwidth_bps: f64,
-    },
-    /// Infinite bandwidth, fixed latency (ablations and fast tests).
-    Ideal,
-}
+pub use msgr_sim::NetKind;
+use msgr_sim::{FaultPlan, SimTime, MILLI};
 
 /// Conservative vs optimistic virtual time (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -8,13 +8,11 @@
 //! at a time via [`Daemon::run_segment`]; both return the reference-CPU
 //! cost of the work so the simulation can charge it to the host.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::{Arc, RwLock};
 
-use msgr_vm::bytes::{Bytes, BytesMut};
-use std::sync::RwLock;
-
-use std::collections::BTreeMap;
+use msgr_vm::bytes::Bytes;
 
 use msgr_gvt::{
     Coordinator, CoordinatorAction, CtrlMsg, Participant, PendingQueue, SentRef, TwEntry, TwNode,
@@ -27,15 +25,18 @@ use msgr_vm::{
     VmError, Vt, Yield,
 };
 
+use crate::ckpt::Snapshot;
 // `msgr_core::daemon::CodeCache` is the path `tests/wire_format.rs` pins.
 pub use crate::codes::CodeCache;
 use crate::codes::Entry;
-use crate::config::{ClusterConfig, ExecMode, RetransmitPolicy, Succession, VtMode};
+use crate::config::{ClusterConfig, ExecMode, Succession, VtMode};
 use crate::ids::{DaemonId, NodeRef};
 use crate::logical::{LinkRec, LogicalNode, Orient};
+use crate::members::Members;
 use crate::profiling::{Ledger, Prof};
 use crate::topology::DaemonTopology;
-use crate::wire::{self as wirecodec, CreateNode, Migration, Wire};
+use crate::wire::{CreateNode, Migration, Wire};
+use crate::xport::{carried, frame_vtime, Redirect, TimerOutcome, Xport};
 
 /// A messenger queued for execution at a node of this daemon.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,118 +110,6 @@ pub enum Effect {
     },
 }
 
-// ---- reliable transport ----------------------------------------------------
-
-/// An unacknowledged [`Wire::Data`] frame held for retransmission. The
-/// envelope keeps the fully serialized payload — for a migrating
-/// messenger this *is* its last snapshot, so a crash of the receiving
-/// daemon merely delays the retransmit that re-injects the messenger.
-#[derive(Debug, Clone)]
-struct Unacked {
-    frame: Wire,
-    attempts: u32,
-    first_sent: SimTime,
-    /// Backed-off delay to arm on the *next* retransmission.
-    rto: SimTime,
-}
-
-#[derive(Debug, Default)]
-struct PeerSend {
-    next_seq: u64,
-    unacked: BTreeMap<u64, Unacked>,
-}
-
-#[derive(Debug, Default)]
-struct PeerRecv {
-    /// Highest sequence delivered with no gaps.
-    cum: u64,
-    /// Out-of-order frames held back until the gap below them fills, so
-    /// delivery stays FIFO per pair even when the network reorders.
-    /// Anything `<= cum` or currently held here is a duplicate.
-    held: BTreeMap<u64, Wire>,
-}
-
-/// Per-daemon reliable-delivery state: sequence numbers, retransmission
-/// buffers, and receive-side resequencing. Exists only when the cluster
-/// config has an active fault plan; otherwise frames travel bare exactly
-/// as they always did.
-///
-/// Both maps are keyed by the *channel* — the original `(sender,
-/// receiver)` pair — not by the physical peer. At steady state the two
-/// coincide; after a failover the successor adopts the dead daemon's
-/// channels under their original keys, so sequencing (and therefore
-/// exactly-once delivery) survives re-homing.
-#[derive(Debug)]
-struct Xport {
-    policy: RetransmitPolicy,
-    rng: DetRng,
-    send: BTreeMap<(u16, u16), PeerSend>,
-    recv: BTreeMap<(u16, u16), PeerRecv>,
-}
-
-impl Xport {
-    fn new(policy: RetransmitPolicy, rng: DetRng) -> Self {
-        Xport { policy, rng, send: BTreeMap::new(), recv: BTreeMap::new() }
-    }
-
-    fn jitter(&mut self) -> SimTime {
-        if self.policy.jitter > 0 {
-            self.rng.below(self.policy.jitter)
-        } else {
-            0
-        }
-    }
-
-    /// Accept an incoming data frame. Returns `true` if it is fresh
-    /// (never seen before), stashing it for in-order delivery.
-    fn accept(&mut self, src: DaemonId, chan: DaemonId, seq: u64, frame: Wire) -> bool {
-        let r = self.recv.entry((src.0, chan.0)).or_default();
-        if seq <= r.cum || r.held.contains_key(&seq) {
-            return false;
-        }
-        r.held.insert(seq, frame);
-        true
-    }
-
-    /// Pop the next in-order frame on channel `(src, chan)`, if the
-    /// sequence has no gap below it.
-    fn next_ready(&mut self, src: DaemonId, chan: DaemonId) -> Option<Wire> {
-        let r = self.recv.get_mut(&(src.0, chan.0))?;
-        let frame = r.held.remove(&(r.cum + 1))?;
-        r.cum += 1;
-        Some(frame)
-    }
-
-    fn recv_cum(&self, src: DaemonId, chan: DaemonId) -> u64 {
-        self.recv.get(&(src.0, chan.0)).map_or(0, |r| r.cum)
-    }
-
-    /// Process an ack: drop everything `<= cum` plus the specific `seq`.
-    /// Returns the first-send times of newly acknowledged frames.
-    fn ack(&mut self, src: DaemonId, chan: DaemonId, cum: u64, seq: u64) -> Vec<SimTime> {
-        let Some(p) = self.send.get_mut(&(src.0, chan.0)) else {
-            return Vec::new();
-        };
-        let mut acked = Vec::new();
-        while let Some((&s, _)) = p.unacked.first_key_value() {
-            if s > cum {
-                break;
-            }
-            acked.push(p.unacked.remove(&s).expect("key just observed").first_sent);
-        }
-        if seq > cum {
-            if let Some(u) = p.unacked.remove(&seq) {
-                acked.push(u.first_sent);
-            }
-        }
-        acked
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.send.values().map(|p| p.unacked.len() as u64).sum()
-    }
-}
-
 /// Name → location resolution for virtual hops, provided by the
 /// platform.
 pub trait Directory {
@@ -235,54 +124,6 @@ impl Directory for HashMap<Value, (DaemonId, NodeRef)> {
 }
 
 type NodeVars = HashMap<Arc<str>, Value>;
-
-/// The live messenger a frame carries, looking through a transport
-/// envelope. Control frames and anti-messengers carry none.
-fn carried(w: &Wire) -> Option<&Migration> {
-    match w {
-        Wire::Migrate(m) if !m.anti => Some(m),
-        Wire::Create(cn) => Some(&cn.messenger),
-        Wire::Data { frame, .. } => carried(frame),
-        _ => None,
-    }
-}
-
-/// The virtual-time floor a frame pins: losing or resurrecting
-/// it (via retransmit or checkpoint restore) re-injects work at this
-/// virtual time.
-fn frame_vtime(w: &Wire) -> Vt {
-    carried(w).map_or(Vt::INFINITY, |m| m.vtime)
-}
-
-/// One transport channel as a checkpoint holds it: the `(sender,
-/// receiver)` key, the sequence mark (next to send, or highest delivered
-/// in order), and the frames it retains by sequence number.
-type Chan = ((u16, u16), u64, Vec<(u64, Wire)>);
-
-fn put_chan<'a>(
-    buf: &mut BytesMut,
-    (s, c): (u16, u16),
-    mark: u64,
-    frames: impl ExactSizeIterator<Item = (u64, &'a Wire)>,
-) {
-    buf.put_varint(s.into());
-    buf.put_varint(c.into());
-    buf.put_varint(mark);
-    buf.put_seq(frames, |buf, (seq, frame)| {
-        buf.put_varint(seq);
-        buf.put_bytes(&wirecodec::encode_frame(frame));
-    });
-}
-
-fn get_chan(buf: &mut Bytes) -> Result<Chan, VmError> {
-    Ok((
-        (buf.read_u16()?, buf.read_u16()?),
-        buf.read_varint()?,
-        buf.read_seq(vmwire::MAX_SEQ, |buf| {
-            Ok((buf.read_varint()?, wirecodec::decode_frame(buf.read_bytes()?)?))
-        })?,
-    ))
-}
 
 /// Why a messenger ceased to exist on this daemon; [`Daemon::bury`] maps
 /// each cause to its counter, its trace event and its effects.
@@ -323,7 +164,7 @@ pub struct Daemon {
     pending: PendingQueue<Runnable>,
     // Optimistic-mode queue, ordered by the Time-Warp event key
     // (vtime, messenger id) so tie-breaking matches straggler detection.
-    opt_queue: std::collections::BTreeMap<(Vt, u64), Runnable>,
+    opt_queue: BTreeMap<(Vt, u64), Runnable>,
     part: Participant,
     coord: Option<Coordinator>,
     tw: HashMap<NodeRef, TwNode<Option<NodeVars>, Runnable>>,
@@ -332,33 +173,20 @@ pub struct Daemon {
     // ---- crash recovery (active only when `cfg.recovery_armed()`) ----
     /// Recovery armed: the fault plan can kill a daemon permanently.
     recovery: bool,
-    /// Monotone membership view: `alive[d]` flips to `false` exactly once.
-    alive: Vec<bool>,
-    /// Failure-detector soft state (reset whenever the peer is heard).
-    suspect: Vec<bool>,
-    /// When each peer was last heard from (any frame, incl. heartbeats).
-    last_heard: Vec<SimTime>,
-    /// Membership epoch: number of evictions this daemon knows of.
-    mem_epoch: u64,
+    /// Membership view and failure-detector state.
+    members: Members,
     /// Quorum control plane: one single-decree Paxos instance per
     /// `(victim, seq)`. `Some` only when recovery is armed on a cluster
     /// of at least two (a singleton has no quorum to consult).
     ctrl: Option<msgr_ctrl::Quorum>,
     /// Seeded peer-pick stream for the anti-entropy gossip schedule.
     gossip_rng: DetRng,
-    /// Every eviction this daemon knows of, as `(victim, floor)` — the
-    /// gossip digest's membership payload.
-    evictions: Vec<(u16, f64)>,
     /// Highest GVT estimate seen (via the coordinator or gossip hints).
     gvt_hint: f64,
     /// Output-commit stage: durable effects held back until the next
     /// checkpoint flush, so a death between checkpoints rolls back
     /// cleanly (the work re-executes from the snapshot, exactly once).
     stage: Vec<Effect>,
-    /// Deferred transport acks `(src, chan, seq)`: sent only at the
-    /// checkpoint flush, so a sender drops a frame from its retransmit
-    /// buffer only once the delivery is pinned in a snapshot here.
-    pending_acks: Vec<(DaemonId, DaemonId, u64)>,
     /// Minimum virtual time pinned in this daemon's last checkpoint —
     /// the floor a restore can resurrect; GVT must never pass it.
     last_ckpt_min: Vt,
@@ -421,23 +249,18 @@ impl Daemon {
             rr: 0,
             ready: VecDeque::new(),
             pending: PendingQueue::new(),
-            opt_queue: std::collections::BTreeMap::new(),
+            opt_queue: BTreeMap::new(),
             part: Participant::new(id.0),
             coord,
             tw: HashMap::new(),
             anti_pending: HashSet::new(),
             xport,
             recovery,
-            alive: vec![true; n],
-            suspect: vec![false; n],
-            last_heard: vec![0; n],
-            mem_epoch: 0,
+            members: Members::new(n),
             ctrl,
             gossip_rng,
-            evictions: Vec::new(),
             gvt_hint: 0.0,
             stage: Vec::new(),
-            pending_acks: Vec::new(),
             last_ckpt_min: Vt::INFINITY,
             stats: Stats::new(),
             rec: FlightRecorder::new(id.0, &trace_cfg),
@@ -761,28 +584,17 @@ impl Daemon {
                 let mut cost = c.gvt_msg_ns;
                 // The physical transmitter is whoever owns the channel's
                 // sender slot (the sender itself at steady state).
-                let from = self.owner(src);
+                let from = self.members.owner(src);
                 self.heard_from(now, from);
-                let mut ready = Vec::new();
-                let cum;
-                {
-                    let Some(x) = self.xport.as_mut() else {
-                        // Transport disabled: treat the envelope as
-                        // transparent (only reachable by hand-fed frames
-                        // in tests).
-                        return cost + self.on_wire_inner(now, *frame, fx);
-                    };
-                    let fresh = x.accept(src, chan, seq, *frame);
-                    // Resequence: everything deliverable in order comes
-                    // out now.
-                    if fresh {
-                        while let Some(f) = x.next_ready(src, chan) {
-                            ready.push(f);
-                        }
-                    } else {
-                        self.stats.bump(Metric::XportDupDropped);
-                    }
-                    cum = x.recv_cum(src, chan);
+                let Some(x) = self.xport.as_mut() else {
+                    // Transport disabled: treat the envelope as
+                    // transparent (only reachable by hand-fed frames
+                    // in tests).
+                    return cost + self.on_wire_inner(now, *frame, fx);
+                };
+                let delivery = x.on_data(src, chan, seq, *frame);
+                if !delivery.fresh {
+                    self.stats.bump(Metric::XportDupDropped);
                 }
                 if self.recovery {
                     // Output commit: the ack goes out only once the
@@ -790,28 +602,28 @@ impl Daemon {
                     // retransmit buffer stays the log of every frame not
                     // yet durable here.
                     self.stats.bump(Metric::AcksDeferred);
-                    self.pending_acks.push((src, chan, seq));
+                    x.defer_ack(src, chan, seq);
                 } else {
                     // Ack every copy — the ack for an earlier copy may
                     // itself have been lost.
+                    let cum = delivery.cum;
                     fx.push(Effect::Send { dst: from, wire: Wire::Ack { src, chan, cum, seq } });
                 }
-                for f in ready {
+                for f in delivery.ready {
                     cost += self.on_wire_inner(now, f, fx);
                 }
                 cost
             }
             Wire::Ack { src, chan, cum, seq } => {
-                let from = self.owner(chan);
+                let from = self.members.owner(chan);
                 self.heard_from(now, from);
                 if let Some(x) = self.xport.as_mut() {
-                    let mut acked = 0;
-                    for first_sent in x.ack(src, chan, cum, seq) {
+                    let acked = x.on_ack(src, chan, cum, seq);
+                    for &first_sent in &acked {
                         self.stats.bump(Metric::XportAcked);
                         self.stats.record(Metric::XportDeliveryNs, now.saturating_sub(first_sent));
-                        acked += 1;
                     }
-                    if acked > 0 {
+                    if !acked.is_empty() {
                         self.rec.emit_sys(EventKind::FrameAck { chan: chan.0, seq });
                     }
                 }
@@ -1015,50 +827,35 @@ impl Daemon {
     /// survive this daemon's own death (it sits in the checkpointed
     /// retransmit buffer like any other frame).
     pub fn seal_effects(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
-        if self.xport.is_none() {
+        let Some(x) = self.xport.as_mut() else {
             return;
-        }
+        };
         self.rec.set_now(now);
         let mut timers = Vec::new();
         for e in fx.iter_mut() {
             let Effect::Send { dst, wire } = e else {
                 continue;
             };
-            if matches!(
+            let payload = matches!(
                 wire,
-                Wire::Data { .. }
-                    | Wire::Ack { .. }
-                    | Wire::GvtKick
-                    | Wire::Beat { .. }
-                    | Wire::Ctrl { .. }
-                    | Wire::Gossip { .. }
-                    | Wire::CkptPush { .. }
-                    | Wire::CkptAck { .. }
-            ) {
-                continue;
-            }
-            if *dst == self.id && !self.recovery {
+                Wire::Migrate(_)
+                    | Wire::Create(_)
+                    | Wire::Unlink { .. }
+                    | Wire::Gvt(_)
+                    | Wire::Evict { .. }
+            );
+            if !payload || (*dst == self.id && !self.recovery) {
                 continue;
             }
             let chan = *dst;
-            let route = self.owner(chan);
-            let x = self.xport.as_mut().expect("checked above");
-            let p = x.send.entry((self.id.0, chan.0)).or_default();
-            p.next_seq += 1;
-            let seq = p.next_seq;
             let inner = std::mem::replace(wire, Wire::GvtKick);
-            let data = Wire::Data { src: self.id, chan, seq, frame: Box::new(inner) };
-            let frame_bytes = data.wire_bytes(self.cfg.costs.wire_header_bytes);
-            let rto = x.policy.rto;
-            let delay = rto + x.jitter();
-            let p = x.send.entry((self.id.0, chan.0)).or_default();
-            p.unacked
-                .insert(seq, Unacked { frame: data.clone(), attempts: 1, first_sent: now, rto });
+            let (data, seq, delay) = x.seal(self.id, chan, inner, now);
+            let bytes = data.wire_bytes(self.cfg.costs.wire_header_bytes);
             *wire = data;
-            *dst = route;
+            *dst = self.members.owner(chan);
             timers.push(Effect::Timer { src: self.id, chan, seq, delay });
             self.stats.bump(Metric::XportSent);
-            self.rec.emit_sys(EventKind::FrameSend { chan: chan.0, seq, bytes: frame_bytes });
+            self.rec.emit_sys(EventKind::FrameSend { chan: chan.0, seq, bytes });
         }
         fx.extend(timers);
     }
@@ -1079,39 +876,25 @@ impl Daemon {
         fx: &mut Vec<Effect>,
     ) -> u64 {
         self.rec.set_now(now);
-        let route = self.owner(chan);
-        let key = (src.0, chan.0);
-        let Some(x) = self.xport.as_mut() else {
-            return 0;
-        };
-        let policy = x.policy;
-        if !x.send.get(&key).is_some_and(|p| p.unacked.contains_key(&seq)) {
-            return 0; // acked in the meantime: stale timer, no work
-        }
-        let jitter = x.jitter();
-        let p = x.send.get_mut(&key).expect("checked above");
-        let u = p.unacked.get_mut(&seq).expect("checked above");
-        if u.attempts >= policy.max_attempts {
-            let u = p.unacked.remove(&seq).expect("present");
-            self.stats.bump(Metric::XportGaveUp);
-            // If the frame carried a live messenger, it is now lost for
-            // good: keep the population ledger honest and surface a
-            // fault so no run under a sane policy silently passes.
-            if let Some(m) = carried(&u.frame) {
-                self.bury(m.id, m.vtime, Death::Abandoned { chan, attempts: u.attempts }, fx);
+        match self.xport.as_mut().map_or(TimerOutcome::Stale, |x| x.on_timer(src, chan, seq)) {
+            TimerOutcome::Stale => return 0, // acked in the meantime: no work
+            TimerOutcome::GaveUp { frame, attempts } => {
+                self.stats.bump(Metric::XportGaveUp);
+                // If the frame carried a live messenger, it is now lost for
+                // good: keep the population ledger honest and surface a
+                // fault so no run under a sane policy silently passes.
+                if let Some(m) = carried(&frame) {
+                    self.bury(m.id, m.vtime, Death::Abandoned { chan, attempts }, fx);
+                }
+                self.stage_durable(fx);
             }
-            self.stage_durable(fx);
-            return self.cfg.costs.gvt_msg_ns;
+            TimerOutcome::Resend { frame, attempt, delay } => {
+                self.stats.bump(Metric::XportRetransmits);
+                self.rec.emit_sys(EventKind::FrameRetransmit { chan: chan.0, seq, attempt });
+                fx.push(Effect::Send { dst: self.members.owner(chan), wire: frame });
+                fx.push(Effect::Timer { src, chan, seq, delay });
+            }
         }
-        u.attempts += 1;
-        let attempt = u.attempts;
-        let delay = u.rto + jitter;
-        u.rto = (u.rto * 2).min(policy.max_rto);
-        let frame = u.frame.clone();
-        self.stats.bump(Metric::XportRetransmits);
-        self.rec.emit_sys(EventKind::FrameRetransmit { chan: chan.0, seq, attempt });
-        fx.push(Effect::Send { dst: route, wire: frame });
-        fx.push(Effect::Timer { src, chan, seq, delay });
         self.cfg.costs.gvt_msg_ns
     }
 
@@ -1129,60 +912,24 @@ impl Daemon {
     /// outstanding work: the run is not quiescent while anything is
     /// staged.
     pub fn staged_work(&self) -> u64 {
-        (self.stage.len() + self.pending_acks.len()) as u64
+        (self.stage.len() + self.xport.as_ref().map_or(0, Xport::deferred_acks)) as u64
     }
 
     /// This daemon's membership epoch (number of evictions it knows of).
     pub fn mem_epoch(&self) -> u64 {
-        self.mem_epoch
+        self.members.epoch()
     }
 
     /// Whether this daemon's membership view considers `d` alive.
     pub fn is_peer_alive(&self, d: DaemonId) -> bool {
-        self.alive.get(d.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// The current owner of daemon id `d`: `d` itself while alive, else
-    /// the next alive daemon by id (mod cluster size) — the deterministic
-    /// successor rule every daemon agrees on once membership views
-    /// converge.
-    fn owner(&self, d: DaemonId) -> DaemonId {
-        if self.alive.get(d.0 as usize).copied().unwrap_or(true) {
-            return d;
-        }
-        let n = self.cfg.daemons as u16;
-        for k in 1..n {
-            let cand = (d.0 + k) % n;
-            if self.alive[cand as usize] {
-                return DaemonId(cand);
-            }
-        }
-        d
-    }
-
-    /// The successor that must take over `victim`'s state if it dies
-    /// *now* (ignores whether the view already has `victim` dead).
-    fn successor_of(&self, victim: DaemonId) -> DaemonId {
-        let n = self.cfg.daemons as u16;
-        for k in 1..n {
-            let cand = (victim.0 + k) % n;
-            if self.alive[cand as usize] {
-                return DaemonId(cand);
-            }
-        }
-        victim
+        self.members.is_alive(d)
     }
 
     /// Refresh the failure detector: `d` was just heard from.
     fn heard_from(&mut self, now: SimTime, d: DaemonId) {
-        if !self.recovery || d == self.id {
-            return;
+        if self.recovery {
+            self.members.heard(now, d);
         }
-        let i = d.0 as usize;
-        if now > self.last_heard[i] {
-            self.last_heard[i] = now;
-        }
-        self.suspect[i] = false;
     }
 
     /// Under recovery, divert durable effects (payload sends, census
@@ -1193,25 +940,23 @@ impl Daemon {
         if !self.recovery {
             return;
         }
-        let mut keep = Vec::with_capacity(fx.len());
-        for e in fx.drain(..) {
-            let durable = match &e {
-                Effect::Send { wire, .. } => {
-                    matches!(wire, Wire::Migrate(_) | Wire::Create(_) | Wire::Unlink { .. })
-                }
-                Effect::LiveDelta(_)
-                | Effect::Fault { .. }
-                | Effect::DirectoryAdd { .. }
-                | Effect::DirectoryRemove { .. } => true,
-                Effect::Timer { .. } | Effect::Recover { .. } => false,
-            };
-            if durable {
+        let durable = |e: &Effect| match e {
+            Effect::Send { wire, .. } => {
+                matches!(wire, Wire::Migrate(_) | Wire::Create(_) | Wire::Unlink { .. })
+            }
+            Effect::LiveDelta(_)
+            | Effect::Fault { .. }
+            | Effect::DirectoryAdd { .. }
+            | Effect::DirectoryRemove { .. } => true,
+            Effect::Timer { .. } | Effect::Recover { .. } => false,
+        };
+        for e in std::mem::take(fx) {
+            if durable(&e) {
                 self.stage.push(e);
             } else {
-                keep.push(e);
+                fx.push(e);
             }
         }
-        *fx = keep;
     }
 
     /// This daemon's contribution to GVT: the queue minimum plus — under
@@ -1234,14 +979,7 @@ impl Daemon {
                 m = m.min(frame_vtime(wire));
             }
         }
-        if let Some(x) = &self.xport {
-            for p in x.send.values() {
-                for u in p.unacked.values() {
-                    m = m.min(frame_vtime(&u.frame));
-                }
-            }
-        }
-        m
+        self.xport.as_ref().map_or(m, |x| m.min(x.channels().floor_of_unacked()))
     }
 
     /// The minimum virtual time pinned by a snapshot taken right now:
@@ -1249,15 +987,8 @@ impl Daemon {
     /// resequencing buffers (their senders drop them once our deferred
     /// acks go out, so after the flush this snapshot is their only copy).
     fn snapshot_floor(&self) -> Vt {
-        let mut m = self.local_min();
-        if let Some(x) = &self.xport {
-            for r in x.recv.values() {
-                for f in r.held.values() {
-                    m = m.min(frame_vtime(f));
-                }
-            }
-        }
-        m
+        let m = self.local_min();
+        self.xport.as_ref().map_or(m, |x| m.min(x.channels().floor_of_held()))
     }
 
     /// One failure-detector round: emit heartbeats to every peer still in
@@ -1272,33 +1003,16 @@ impl Daemon {
             return 0;
         }
         self.rec.set_now(now);
-        let pol = self.cfg.recovery;
-        for d in 0..self.cfg.daemons as u16 {
-            let i = d as usize;
-            if d == self.id.0 || !self.alive[i] {
-                continue;
-            }
-            fx.push(Effect::Send {
-                dst: DaemonId(d),
-                wire: Wire::Beat { from: self.id, epoch: self.mem_epoch },
-            });
-        }
+        let (from, epoch) = (self.id, self.members.epoch());
+        let beat = |dst| Effect::Send { dst, wire: Wire::Beat { from, epoch } };
+        fx.extend(self.members.peers(from).map(beat));
         self.stats.bump(Metric::FdBeats);
-        let mut verdicts = Vec::new();
-        for d in 0..self.cfg.daemons as u16 {
-            let i = d as usize;
-            if d == self.id.0 || !self.alive[i] {
-                continue;
-            }
-            let silence = now.saturating_sub(self.last_heard[i]);
-            if silence >= pol.dead_after {
-                verdicts.push(DaemonId(d));
-            } else if silence >= pol.suspect_after && !self.suspect[i] {
-                self.suspect[i] = true;
-                self.stats.bump(Metric::FdSuspects);
-            }
+        let (dead, suspected) = self.members.verdicts(now, self.id, &self.cfg.recovery);
+        if suspected > 0 {
+            // (Adding zero would still create the counter.)
+            self.stats.add(Metric::FdSuspects, suspected);
         }
-        for v in verdicts {
+        for v in dead {
             match self.cfg.succession {
                 Succession::Deterministic => self.declare_dead(v, fx),
                 Succession::Quorum => self.propose_eviction(v, fx),
@@ -1309,7 +1023,8 @@ impl Daemon {
             // peer per tick. Epidemic push-pull converges a new fact to
             // every daemon in O(log n) ticks even if the originating
             // broadcast was lost.
-            if let Some(peer) = msgr_ctrl::pick_peer(&mut self.gossip_rng, self.id.0, &self.alive) {
+            let alive = self.members.alive_mask();
+            if let Some(peer) = msgr_ctrl::pick_peer(&mut self.gossip_rng, self.id.0, alive) {
                 self.stats.bump(Metric::GossipPushes);
                 let digest = self.digest();
                 fx.push(Effect::Send {
@@ -1327,7 +1042,7 @@ impl Daemon {
     /// frames heal by re-proposal at a higher ballot rather than by
     /// retransmission.
     fn propose_eviction(&mut self, victim: DaemonId, fx: &mut Vec<Effect>) {
-        if !self.alive[victim.0 as usize] {
+        if !self.members.is_alive(victim) {
             return;
         }
         let Some(ctrl) = self.ctrl.as_mut() else {
@@ -1337,7 +1052,7 @@ impl Daemon {
         // died before restoring, open the next instance; if the decree's
         // heir is alive, re-send `Learn` in case it never heard it.
         let seq = match ctrl.decided_for(victim.0) {
-            Some((seq, d)) if self.alive[d.successor as usize] => {
+            Some((seq, d)) if self.members.is_alive(DaemonId(d.successor)) => {
                 let inst = msgr_ctrl::InstanceId { victim: victim.0, seq };
                 if let Some(learn) = ctrl.learn_msg(inst) {
                     self.stats.bump(Metric::CtrlFrames);
@@ -1351,19 +1066,19 @@ impl Daemon {
             Some((seq, _)) => seq + 1,
             None => 0,
         };
-        let heir = self.successor_of(victim);
+        let heir = self.members.successor_of(victim);
         if heir == victim {
             return; // no live successor: nothing a decree could order
         }
         let decree = msgr_ctrl::Decree {
             victim: victim.0,
             successor: heir.0,
-            epoch: (self.mem_epoch + 1) as u32,
+            epoch: (self.members.epoch() + 1) as u32,
         };
         let inst = msgr_ctrl::InstanceId { victim: victim.0, seq };
         self.stats.bump(Metric::CtrlProposals);
         self.rec.emit_sys(EventKind::CtrlPropose { victim: victim.0, seq });
-        let step = self.ctrl.as_mut().expect("checked above").propose(inst, decree);
+        let step = ctrl.propose(inst, decree);
         self.dispatch_ctrl(step, fx);
     }
 
@@ -1395,7 +1110,7 @@ impl Daemon {
             successor: decree.successor,
             seq: inst.seq,
         });
-        if !self.alive[decree.victim as usize] || decree.successor != self.id.0 {
+        if !self.members.is_alive(DaemonId(decree.victim)) || decree.successor != self.id.0 {
             return;
         }
         self.stats.bump(Metric::FdDeaths);
@@ -1405,8 +1120,8 @@ impl Daemon {
     /// This daemon's current anti-entropy digest.
     fn digest(&self) -> msgr_ctrl::Digest {
         msgr_ctrl::Digest {
-            mem_epoch: self.mem_epoch as u32,
-            evictions: self.evictions.clone(),
+            mem_epoch: self.members.epoch() as u32,
+            evictions: self.members.evictions().to_vec(),
             code_hash: self.codes.content_hash(),
             gvt: self.gvt_hint,
         }
@@ -1421,11 +1136,11 @@ impl Daemon {
         self.stats.bump(Metric::GossipMerges);
         self.rec.emit_sys(EventKind::GossipMerge { from: from.0 });
         for &(victim, floor) in &d.evictions {
-            if victim != self.id.0 && self.alive.get(victim as usize).copied().unwrap_or(false) {
+            if victim != self.id.0 && self.members.is_alive(DaemonId(victim)) {
                 self.apply_evict(DaemonId(victim), u64::from(d.mem_epoch), Vt::new(floor), fx);
             }
         }
-        self.mem_epoch = self.mem_epoch.max(u64::from(d.mem_epoch));
+        self.members.ratchet(u64::from(d.mem_epoch));
         if d.code_hash != self.codes.content_hash() {
             self.stats.bump(Metric::GossipCodeMismatch);
         }
@@ -1442,10 +1157,7 @@ impl Daemon {
     /// waits for the successor's `Evict` frame, because only the restore
     /// knows the checkpoint floor GVT must respect.
     fn declare_dead(&mut self, victim: DaemonId, fx: &mut Vec<Effect>) {
-        if !self.alive[victim.0 as usize] {
-            return;
-        }
-        if self.successor_of(victim) != self.id {
+        if !self.members.is_alive(victim) || self.members.successor_of(victim) != self.id {
             return;
         }
         self.stats.bump(Metric::FdDeaths);
@@ -1457,21 +1169,12 @@ impl Daemon {
     /// coordinator — evict it from the GVT round with the restored
     /// checkpoint's `floor`.
     fn apply_evict(&mut self, victim: DaemonId, epoch: u64, floor: Vt, fx: &mut Vec<Effect>) {
-        if !self.recovery || victim == self.id {
+        if !self.recovery || victim == self.id || !self.members.evict(victim, epoch, floor) {
             return;
         }
-        let i = victim.0 as usize;
-        if !self.alive[i] {
-            self.mem_epoch = self.mem_epoch.max(epoch);
-            return;
-        }
-        self.alive[i] = false;
-        self.suspect[i] = false;
-        self.mem_epoch = (self.mem_epoch + 1).max(epoch);
-        self.evictions.push((victim.0, floor.as_f64()));
         self.stats.bump(Metric::Evictions);
         self.rec.emit_sys(EventKind::GvtEvict { victim: victim.0, floor: floor.as_f64() });
-        let heir = self.owner(victim);
+        let heir = self.members.owner(victim);
         for n in self.nodes.values_mut() {
             for l in n.links.iter_mut() {
                 if l.peer.0 == victim {
@@ -1479,18 +1182,9 @@ impl Daemon {
                 }
             }
         }
-        if self.coord.is_some() {
-            let action = self.coord.as_mut().expect("checked above").evict(victim.0, floor);
-            match action {
-                CoordinatorAction::Wait => {}
-                CoordinatorAction::PollAll { round } => {
-                    self.broadcast_gvt(CtrlMsg::Poll { round }, fx);
-                }
-                CoordinatorAction::Advance { gvt } => {
-                    self.stats.bump(Metric::GvtRounds);
-                    self.broadcast_gvt(CtrlMsg::Advance { gvt }, fx);
-                }
-            }
+        if let Some(coord) = self.coord.as_mut() {
+            let action = coord.evict(victim.0, floor);
+            self.coordinate(action, fx);
         }
     }
 
@@ -1507,10 +1201,8 @@ impl Daemon {
         }
         self.rec.set_now(now);
         let mut out = std::mem::take(&mut self.stage);
-        for (src, chan, seq) in std::mem::take(&mut self.pending_acks) {
-            let cum = self.xport.as_ref().map_or(0, |x| x.recv_cum(src, chan));
-            let route = self.owner(src);
-            out.push(Effect::Send { dst: route, wire: Wire::Ack { src, chan, cum, seq } });
+        for (src, ack) in self.xport.iter_mut().flat_map(Xport::flush_acks) {
+            out.push(Effect::Send { dst: self.members.owner(src), wire: ack });
         }
         self.seal_effects(now, &mut out);
         fx.append(&mut out);
@@ -1521,75 +1213,24 @@ impl Daemon {
     /// queued messenger, id counters, and the transport channels
     /// (retransmit buffers and resequencing state) — into one snapshot
     /// the platform stores. [`Daemon::restore_from`] is the inverse.
-    #[deny(clippy::cast_possible_truncation)]
     pub fn checkpoint_snapshot(&mut self) -> Bytes {
-        debug_assert!(
-            self.stage.is_empty() && self.pending_acks.is_empty(),
-            "checkpoint_flush must precede checkpoint_snapshot"
-        );
-        let mut buf = BytesMut::with_capacity(1024);
-        buf.put_u8(1); // snapshot format version
-        buf.put_varint(self.node_seq);
-        buf.put_varint(self.link_seq);
-        buf.put_varint(self.msgr_seq);
-        buf.put_varint(self.rr as u64);
-        // Logical nodes, canonically ordered by id.
-        let mut gids: Vec<NodeRef> = self.nodes.keys().copied().collect();
-        gids.sort();
-        buf.put_seq(gids.into_iter(), |buf, gid| {
-            let n = &self.nodes[&gid];
-            wirecodec::put_node_ref(buf, gid);
-            vmwire::put_value(buf, &n.name);
-            let mut keys: Vec<&Arc<str>> = n.vars.keys().collect();
-            keys.sort();
-            buf.put_seq(keys.into_iter(), |buf, k| {
-                buf.put_str(k);
-                vmwire::put_value(buf, &n.vars[k]);
-            });
-            buf.put_seq(n.links.iter(), |buf, l| {
-                buf.put_varint(l.inst.0);
-                vmwire::put_value(buf, &l.name);
-                wirecodec::put_orient(buf, l.orient);
-                wirecodec::put_daemon(buf, l.peer.0);
-                wirecodec::put_node_ref(buf, l.peer.1);
-                vmwire::put_value(buf, &l.peer_name);
-            });
-        });
+        debug_assert!(self.staged_work() == 0, "checkpoint_flush must precede checkpoint_snapshot");
         // Every parked messenger, in deterministic dequeue order.
-        let mut parked: Vec<(NodeRef, Option<LinkInstance>, Bytes)> = Vec::new();
-        for r in &self.ready {
-            parked.push((r.at, r.last, vmwire::encode_messenger(&r.state)));
+        let pending: Vec<_> = std::iter::from_fn(|| self.pending.pop_min()).collect();
+        let queued = (self.ready.iter().chain(pending.iter().map(|(_, r)| r)))
+            .chain(self.opt_queue.values());
+        let out = Snapshot {
+            counters: [self.node_seq, self.link_seq, self.msgr_seq, self.rr as u64],
+            nodes: self.nodes.values().map(Cow::Borrowed).collect(),
+            parked: queued.map(|r| (r.at, r.last, Cow::Borrowed(&r.state))).collect(),
+            channels: self.xport.as_ref().map(|x| Cow::Borrowed(x.channels())),
         }
-        let mut pend = Vec::new();
-        while let Some((wake, r)) = self.pending.pop_min() {
-            parked.push((r.at, r.last, vmwire::encode_messenger(&r.state)));
-            pend.push((wake, r));
-        }
-        for (wake, r) in pend {
+        .encode();
+        for (wake, r) in pending {
             self.pending.push(wake, r);
-        }
-        for r in self.opt_queue.values() {
-            parked.push((r.at, r.last, vmwire::encode_messenger(&r.state)));
-        }
-        buf.put_seq(parked.into_iter(), |buf, (at, last, state)| {
-            wirecodec::put_node_ref(buf, at);
-            wirecodec::put_via(buf, last);
-            buf.put_bytes(&state);
-        });
-        // Transport channels: the retransmit buffers double as the redo
-        // log of every send not yet durable at its receiver.
-        buf.put_bool(self.xport.is_some());
-        if let Some(x) = &self.xport {
-            buf.put_seq(x.send.iter(), |buf, (&key, p)| {
-                put_chan(buf, key, p.next_seq, p.unacked.iter().map(|(&seq, u)| (seq, &u.frame)));
-            });
-            buf.put_seq(x.recv.iter(), |buf, (&key, r)| {
-                put_chan(buf, key, r.cum, r.held.iter().map(|(&seq, f)| (seq, f)));
-            });
         }
         self.last_ckpt_min = self.snapshot_floor();
         self.stats.bump(Metric::Checkpoints);
-        let out = buf.freeze();
         self.stats.add(Metric::CheckpointBytes, out.len() as u64);
         self.rec.emit_sys(EventKind::Checkpoint { bytes: out.len() as u64 });
         out
@@ -1619,118 +1260,42 @@ impl Daemon {
         fx: &mut Vec<Effect>,
     ) -> Result<(), VmError> {
         self.rec.set_now(now);
-        let mut buf = bytes;
-        let ver = buf.read_u8()?;
-        if ver != 1 {
-            return Err(VmError::Decode(format!("unknown checkpoint version {ver}")));
-        }
         // The victim's id counters die with it: NodeRefs and messenger
         // ids embed their creator, so the successor keeps minting from
         // its own sequences without collision.
-        for _ in 0..4 {
-            buf.read_varint()?;
-        }
-        let nodes = buf.read_seq(vmwire::MAX_SEQ, |buf| {
-            let mut node = LogicalNode::new(wirecodec::get_node_ref(buf)?, vmwire::get_value(buf)?);
-            let vars = buf.read_seq(vmwire::MAX_SEQ, |buf| {
-                Ok((Arc::from(buf.read_str()?), vmwire::get_value(buf)?))
-            })?;
-            node.vars.extend(vars);
-            node.links = buf.read_seq(vmwire::MAX_SEQ, |buf| {
-                Ok(LinkRec {
-                    inst: LinkInstance(buf.read_varint()?),
-                    name: vmwire::get_value(buf)?,
-                    orient: wirecodec::get_orient(buf)?,
-                    peer: (wirecodec::get_daemon(buf)?, wirecodec::get_node_ref(buf)?),
-                    peer_name: vmwire::get_value(buf)?,
-                })
-            })?;
-            Ok(node)
-        })?;
-        let msgrs = buf.read_seq(vmwire::MAX_SEQ, |buf| {
-            Ok((
-                wirecodec::get_node_ref(buf)?,
-                wirecodec::get_via(buf)?,
-                vmwire::decode_messenger(buf.read_bytes()?)?,
-            ))
-        })?;
-        let (send_chans, recv_chans) = if buf.read_bool()? {
-            (buf.read_seq(vmwire::MAX_SEQ, get_chan)?, buf.read_seq(vmwire::MAX_SEQ, get_chan)?)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        buf.finish("checkpoint")?;
-
-        // The floor: everything this restore resurrects, whether queued,
-        // held out-of-order, or waiting in a retransmit buffer.
-        let mut floor = Vt::INFINITY;
-        for (_, _, state) in &msgrs {
-            floor = floor.min(state.vtime);
-        }
-        for (_, _, held) in &recv_chans {
-            for (_, f) in held {
-                floor = floor.min(frame_vtime(f));
-            }
-        }
-        for (_, _, unacked) in &send_chans {
-            for (_, f) in unacked {
-                floor = floor.min(frame_vtime(f));
-            }
-        }
+        let snap = Snapshot::decode(bytes)?;
+        let floor = snap.floor();
 
         // Evict first so `owner()` sees the new membership for every
         // rebinding below (this also feeds the coordinator, if local).
-        self.apply_evict(victim, self.mem_epoch + 1, floor, fx);
+        self.apply_evict(victim, self.members.epoch() + 1, floor, fx);
 
         // Restored nodes keep their gids, so the platform rebinds its
         // existing directory entries (victim → this daemon) rather than
         // this daemon republishing: a node the victim never published
         // (e.g. its `init` node) must not enter the directory now.
-        let restored_nodes = nodes.len() as u64;
-        let restored_msgrs = msgrs.len() as u64;
-        for mut node in nodes {
+        let restored_nodes = snap.nodes.len() as u64;
+        let restored_msgrs = snap.parked.len() as u64;
+        for node in snap.nodes {
+            let mut node = node.into_owned();
             for l in node.links.iter_mut() {
-                let o = self.owner(l.peer.0);
-                l.peer.0 = o;
+                l.peer.0 = self.members.owner(l.peer.0);
             }
             self.stats.bump(Metric::RestoredNodes);
             self.nodes.insert(node.gid, node);
         }
-        for (at, last, state) in msgrs {
+        for (at, last, state) in snap.parked {
             self.stats.bump(Metric::RestoredMessengers);
             if let Some(p) = self.prof.as_mut() {
                 // The platform charges the recovery latency to these
                 // revived messengers once it is known (`profile_recovery_stall`).
                 p.restored.push(state.id.0);
             }
-            self.enqueue(Runnable { state, at, last });
+            self.enqueue(Runnable { state: state.into_owned(), at, last });
         }
-        if let Some(x) = self.xport.as_mut() {
-            let policy = x.policy;
-            let mut resend = Vec::new();
-            for ((s, c), next_seq, unacked) in send_chans {
-                let p = x.send.entry((s, c)).or_default();
-                p.next_seq = p.next_seq.max(next_seq);
-                for (seq, frame) in unacked {
-                    let rto = policy.rto;
-                    p.unacked.insert(
-                        seq,
-                        Unacked { frame: frame.clone(), attempts: 1, first_sent: now, rto },
-                    );
-                    resend.push((DaemonId(s), DaemonId(c), seq, frame));
-                }
-            }
-            for ((s, c), cum, held) in recv_chans {
-                let r = x.recv.entry((s, c)).or_default();
-                r.cum = r.cum.max(cum);
-                for (seq, frame) in held {
-                    r.held.insert(seq, frame);
-                }
-            }
-            for (src, chan, seq, frame) in resend {
-                let jitter = self.xport.as_mut().expect("checked above").jitter();
-                let delay = self.cfg.retransmit.rto + jitter;
-                let route = self.owner(chan);
+        if let (Some(x), Some(channels)) = (self.xport.as_mut(), snap.channels) {
+            for Redirect { src, chan, seq, frame, delay } in x.adopt(channels.into_owned(), now) {
+                let route = self.members.owner(chan);
                 self.stats.bump(Metric::XportRedirected);
                 self.rec.emit_sys(EventKind::FrameRedirect { chan: chan.0, seq, to: route.0 });
                 fx.push(Effect::Send { dst: route, wire: frame });
@@ -1744,15 +1309,8 @@ impl Daemon {
             nodes: restored_nodes,
             messengers: restored_msgrs,
         });
-        for (d, &alive) in (0u16..).zip(&self.alive) {
-            if d == self.id.0 || !alive {
-                continue;
-            }
-            fx.push(Effect::Send {
-                dst: DaemonId(d),
-                wire: Wire::Evict { victim, epoch: self.mem_epoch, floor },
-            });
-        }
+        let evict = Wire::Evict { victim, epoch: self.members.epoch(), floor };
+        fx.extend(self.members.peers(self.id).map(|dst| Effect::Send { dst, wire: evict.clone() }));
         Ok(())
     }
 
@@ -1768,17 +1326,15 @@ impl Daemon {
         self.tw.clear();
         self.nodes.clear();
         self.stage.clear();
-        self.pending_acks.clear();
         self.anti_pending.clear();
         self.last_ckpt_min = Vt::INFINITY;
         if let Some(x) = self.xport.as_mut() {
-            x.send.clear();
-            x.recv.clear();
+            x.clear();
         }
         if let Some(q) = self.ctrl.as_mut() {
             q.reset();
         }
-        self.evictions.clear();
+        self.members.clear_evictions();
         if let Some(p) = self.prof.as_mut() {
             // The dead daemon's live ledgers die with its messengers;
             // the restored copies start fresh on the successor.
@@ -1837,16 +1393,20 @@ impl Daemon {
                 let Some(coord) = self.coord.as_mut() else {
                     return;
                 };
-                match coord.on_ack(&ack) {
-                    CoordinatorAction::Wait => {}
-                    CoordinatorAction::PollAll { round } => {
-                        self.broadcast_gvt(CtrlMsg::Poll { round }, fx);
-                    }
-                    CoordinatorAction::Advance { gvt } => {
-                        self.stats.bump(Metric::GvtRounds);
-                        self.broadcast_gvt(CtrlMsg::Advance { gvt }, fx);
-                    }
-                }
+                let action = coord.on_ack(&ack);
+                self.coordinate(action, fx);
+            }
+        }
+    }
+
+    /// Carry out what the GVT coordinator decided.
+    fn coordinate(&mut self, action: CoordinatorAction, fx: &mut Vec<Effect>) {
+        match action {
+            CoordinatorAction::Wait => {}
+            CoordinatorAction::PollAll { round } => self.broadcast_gvt(CtrlMsg::Poll { round }, fx),
+            CoordinatorAction::Advance { gvt } => {
+                self.stats.bump(Metric::GvtRounds);
+                self.broadcast_gvt(CtrlMsg::Advance { gvt }, fx);
             }
         }
     }
@@ -1876,12 +1436,8 @@ impl Daemon {
     }
 
     fn broadcast_gvt(&mut self, msg: CtrlMsg, fx: &mut Vec<Effect>) {
-        for d in 0..self.cfg.daemons as u16 {
-            if !self.alive[d as usize] {
-                continue;
-            }
-            fx.push(Effect::Send { dst: DaemonId(d), wire: Wire::Gvt(msg.clone()) });
-        }
+        let all = self.members.alive();
+        fx.extend(all.map(|dst| Effect::Send { dst, wire: Wire::Gvt(msg.clone()) }));
     }
 
     /// (Coordinator only.) Start a GVT round; returns `false` if this
@@ -2056,7 +1612,7 @@ impl Daemon {
             // Natives are registered through `&mut` cluster methods
             // before the run, so nothing waits to write during a segment.
             let natives = self.natives.read().expect("native registry lock poisoned");
-            let node = self.nodes.get_mut(&at).expect("checked above");
+            let node = self.nodes.get_mut(&at).expect("the node was found above");
             let mut env = SegEnv {
                 node_name: node.name.clone(),
                 vars: &mut node.vars,

@@ -62,12 +62,14 @@ pub mod config;
 pub mod daemon;
 pub mod ids;
 pub mod logical;
+pub(crate) mod members;
 pub mod platform;
 pub mod profiling;
 pub mod topology;
 pub mod wire;
+pub(crate) mod xport;
 
-pub use ckpt::{CheckpointStore, FileStore, MemStore};
+pub use ckpt::FileStore;
 pub use codes::{CodeCache, RegisterOutcome};
 pub use config::{
     ClusterConfig, CostModel, ExecMode, NetKind, RecoveryPolicy, RetransmitPolicy, Succession,

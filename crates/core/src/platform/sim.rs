@@ -13,15 +13,14 @@ use std::sync::Arc;
 use std::sync::RwLock;
 
 use msgr_sim::{
-    Cpu, DetRng, Engine, FaultInjector, FrameFate, HostId, IdealNet, NetModel, SharedBus, SimTime,
-    Stats, Switched, MILLI,
+    Cpu, DetRng, Engine, FaultInjector, FrameFate, HostId, NetModel, SimTime, Stats, MILLI,
 };
 use msgr_trace::{EventKind, Metric, Trace};
 use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
-use crate::ckpt::{CheckpointStore, MemStore, ReplicatedStore};
+use crate::ckpt::ReplicatedStore;
 use crate::codes::CodeCache;
-use crate::config::{ClusterConfig, NetKind, VtMode, VtService};
+use crate::config::{ClusterConfig, VtMode, VtService};
 use crate::daemon::{Daemon, Effect};
 use crate::ids::{DaemonId, NodeRef};
 use crate::topology::{DaemonTopology, LogicalTopology};
@@ -52,7 +51,7 @@ struct World {
     /// holder's copies die with it. Recovery reads the best copy on a
     /// live holder, so it survives losing the victim together with up to
     /// `k - 1` of its replica holders.
-    ckpt: ReplicatedStore<MemStore>,
+    ckpt: ReplicatedStore,
     /// Per-daemon snapshot version counters (monotone; replica staleness
     /// is resolved by version, not arrival order).
     ckpt_ver: Vec<u32>,
@@ -92,6 +91,13 @@ impl World {
     fn has_unrestored_kill(&self) -> bool {
         (0..self.daemons.len()).any(|i| self.down_until[i] == SimTime::MAX && !self.restored[i])
     }
+
+    /// Record a platform-level event in daemon `d`'s flight recorder.
+    fn emit(&mut self, d: DaemonId, at: SimTime, kind: EventKind) {
+        let rec = self.daemons[d.0 as usize].recorder_mut();
+        rec.set_now(at);
+        rec.emit_sys(kind);
+    }
 }
 
 type En = Engine<World>;
@@ -124,25 +130,19 @@ fn apply_effects(en: &mut En, w: &mut World, src: DaemonId, at: SimTime, mut fx:
                     // arrived. Charge the network, schedule nothing.
                     let _ = w.net.transfer(at, src_h, dst_h, bytes);
                     w.stats.bump(Metric::NetFramesLost);
-                    let rec = w.daemons[src.0 as usize].recorder_mut();
-                    rec.set_now(at);
-                    rec.emit_sys(EventKind::NetDrop { to: dst.0 });
+                    w.emit(src, at, EventKind::NetDrop { to: dst.0 });
                     continue;
                 }
                 if fate.copies == 2 {
                     w.stats.bump(Metric::NetFramesDuplicated);
-                    let rec = w.daemons[src.0 as usize].recorder_mut();
-                    rec.set_now(at);
-                    rec.emit_sys(EventKind::NetDup { to: dst.0 });
+                    w.emit(src, at, EventKind::NetDup { to: dst.0 });
                 }
                 let mut wire = Some(wire);
                 for k in 0..fate.copies as usize {
                     let extra = fate.delays[k];
                     if extra > 0 {
                         w.stats.bump(Metric::NetFramesDelayed);
-                        let rec = w.daemons[src.0 as usize].recorder_mut();
-                        rec.set_now(at);
-                        rec.emit_sys(EventKind::NetDelay { to: dst.0, by: extra });
+                        w.emit(src, at, EventKind::NetDelay { to: dst.0, by: extra });
                     }
                     let arrival = w.net.transfer(at, src_h, dst_h, bytes).saturating_add(extra);
                     w.in_flight += 1;
@@ -177,8 +177,49 @@ fn apply_effects(en: &mut En, w: &mut World, src: DaemonId, at: SimTime, mut fx:
     }
 }
 
+/// Whether daemon `d` is up and may act on the event being handled. A
+/// crashed daemon ignores the world until its restart instant, so `retry`
+/// (the same event) is scheduled for then; a permanently dead one never
+/// acts again, so the event is dropped.
+fn up(
+    en: &mut En,
+    w: &mut World,
+    d: DaemonId,
+    retry: impl FnOnce(&mut En, &mut World) + 'static,
+) -> bool {
+    let resume = w.down_until[d.0 as usize];
+    if resume != SimTime::MAX && resume > en.now() {
+        en.schedule_at(resume, retry);
+    }
+    resume <= en.now()
+}
+
+/// Charge `cost` to daemon `d`'s CPU from `now` and apply `fx` when it
+/// finishes — unless the daemon is killed in between, which destroys the
+/// uncommitted batch along with the rest of its volatile state (senders'
+/// retransmit buffers and the last checkpoint still hold whatever caused
+/// it, so the successor replays it after failover). `productive` work
+/// (a frame accepted, a segment run) also counts towards the completion
+/// time and is followed by a look for more.
+fn charge(en: &mut En, w: &mut World, d: DaemonId, cost: u64, fx: Vec<Effect>, productive: bool) {
+    let (_, end) = w.cpus[d.0 as usize].run(en.now(), cost);
+    if productive {
+        w.last_work = w.last_work.max(end);
+    }
+    en.schedule_at(end, move |en, w| {
+        if w.down_until[d.0 as usize] == SimTime::MAX {
+            return;
+        }
+        apply_effects(en, w, d, en.now(), fx);
+        if productive {
+            tick(en, w, d);
+        }
+    });
+}
+
 /// A retransmission timer fired on daemon `holder` for the channel
-/// `(src, chan)`, frame `seq`.
+/// `(src, chan)`, frame `seq`. A dead holder's timers die with it (the
+/// successor re-armed its own); a crashed one retransmits on restart.
 fn timer_fire(
     en: &mut En,
     w: &mut World,
@@ -187,59 +228,36 @@ fn timer_fire(
     chan: DaemonId,
     seq: u64,
 ) {
-    let now = en.now();
-    let i = holder.0 as usize;
-    if w.down_until[i] == SimTime::MAX {
-        return; // permanently dead: the successor re-armed its own timers
-    }
-    if w.down_until[i] > now {
-        // The sender itself is crashed: it can't retransmit until it
-        // restarts. Defer the timer to the restart instant.
-        let resume = w.down_until[i];
-        en.schedule_at(resume, move |en, w| timer_fire(en, w, holder, src, chan, seq));
+    if !up(en, w, holder, move |en, w| timer_fire(en, w, holder, src, chan, seq)) {
         return;
     }
     let mut fx = Vec::new();
-    let cost = w.daemons[i].on_timer(now, src, chan, seq, &mut fx);
-    if cost == 0 && fx.is_empty() {
-        return; // stale timer: the frame was acked long ago
+    let cost = w.daemons[holder.0 as usize].on_timer(en.now(), src, chan, seq, &mut fx);
+    // A stale timer (the frame was acked long ago) costs nothing.
+    if cost != 0 || !fx.is_empty() {
+        charge(en, w, holder, cost, fx, false);
     }
-    let (_, end) = w.cpus[i].run(now, cost);
-    en.schedule_at(end, move |en, w| {
-        // A kill between the timer firing and the CPU finishing destroys
-        // the retransmission along with the rest of the volatile state.
-        if w.down_until[holder.0 as usize] == SimTime::MAX {
-            return;
-        }
-        apply_effects(en, w, holder, en.now(), fx);
-    });
 }
 
 fn deliver(en: &mut En, w: &mut World, src: DaemonId, dst: DaemonId, sent_at: SimTime, wire: Wire) {
     w.in_flight -= 1;
     let now = en.now();
     let i = dst.0 as usize;
-    if w.down_until[i] > now {
-        if w.down_until[i] == SimTime::MAX {
-            // Permanently dead: every frame addressed to it — loopback
-            // included — is lost. The reliable transport re-routes the
-            // retransmission to the successor once the eviction lands.
-            w.stats.bump(Metric::CrashFramesLost);
-            return;
-        }
-        if src == dst {
+    let down = w.down_until[i];
+    if down > now {
+        if down != SimTime::MAX && src == dst {
             // A daemon's hand-off to itself never touches the wire: it
             // is daemon memory, and fail-recover semantics preserve
             // daemon memory across a crash. Park it until the restart.
-            let resume = w.down_until[i];
             w.in_flight += 1;
-            en.schedule_at(resume, move |en, w| deliver(en, w, src, dst, sent_at, wire));
-            return;
+            en.schedule_at(down, move |en, w| deliver(en, w, src, dst, sent_at, wire));
+        } else {
+            // Lost in flight. To a crashed daemon, the sender's
+            // retransmission timer re-delivers it after the restart; to a
+            // permanently dead one (loopback included), the retransmission
+            // is re-routed to the successor once the eviction lands.
+            w.stats.bump(Metric::CrashFramesLost);
         }
-        // The destination daemon is crashed: the frame is lost in
-        // flight. Under the reliable transport the sender's
-        // retransmission timer will re-deliver it after the restart.
-        w.stats.bump(Metric::CrashFramesLost);
         return;
     }
     let mut fx = Vec::new();
@@ -247,33 +265,15 @@ fn deliver(en: &mut En, w: &mut World, src: DaemonId, dst: DaemonId, sent_at: Si
     // messenger carried in this frame (a no-op with profiling off).
     w.daemons[i].profile_transport(&wire, now.saturating_sub(sent_at));
     let cost = w.daemons[i].on_wire_at(now, wire, &mut fx);
-    let (_, end) = w.cpus[i].run(now, cost);
-    w.last_work = w.last_work.max(end);
-    en.schedule_at(end, move |en, w| {
-        // A kill between frame acceptance and the CPU finishing destroys
-        // the uncommitted effect batch with the daemon; the sender's
-        // retransmit buffer still holds the frame, so the successor
-        // re-receives it after failover.
-        if w.down_until[dst.0 as usize] == SimTime::MAX {
-            return;
-        }
-        apply_effects(en, w, dst, en.now(), fx);
-        tick(en, w, dst);
-    });
+    charge(en, w, dst, cost, fx, true);
 }
 
 fn tick(en: &mut En, w: &mut World, d: DaemonId) {
-    let now = en.now();
-    let i = d.0 as usize;
-    if w.down_until[i] == SimTime::MAX {
-        return; // permanently dead
-    }
-    if w.down_until[i] > now {
-        // Crashed: resume exactly at the restart instant.
-        let resume = w.down_until[i];
-        en.schedule_at(resume, move |en, w| tick(en, w, d));
+    if !up(en, w, d, move |en, w| tick(en, w, d)) {
         return;
     }
+    let now = en.now();
+    let i = d.0 as usize;
     if !w.cpus[i].idle_at(now) {
         let resume = w.cpus[i].busy_until();
         en.schedule_at(resume, move |en, w| tick(en, w, d));
@@ -287,21 +287,9 @@ fn tick(en: &mut En, w: &mut World, d: DaemonId) {
     let directory = std::mem::take(&mut w.directory);
     let cost = w.daemons[i].run_segment(&directory, &mut fx);
     w.directory = directory;
-    let Some(cost) = cost else {
-        return;
-    };
-    let (_, end) = w.cpus[i].run(now, cost);
-    w.last_work = w.last_work.max(end);
-    en.schedule_at(end, move |en, w| {
-        // A kill mid-segment erases the segment's effects: the messenger
-        // that ran it is back in the last checkpoint, so the successor
-        // replays the whole segment instead.
-        if w.down_until[d.0 as usize] == SimTime::MAX {
-            return;
-        }
-        apply_effects(en, w, d, en.now(), fx);
-        tick(en, w, d);
-    });
+    if let Some(cost) = cost {
+        charge(en, w, d, cost, fx, true);
+    }
 }
 
 fn gvt_tick(en: &mut En, w: &mut World) {
@@ -331,12 +319,12 @@ fn kill(en: &mut En, w: &mut World, d: DaemonId) {
     // `gut`: the recorder deliberately survives the kill, so the last
     // window of pre-crash events — including this one — reaches the
     // merged trace.
-    let rec = w.daemons[i].recorder_mut();
-    rec.set_now(en.now());
-    rec.emit_sys(EventKind::Kill);
+    w.emit(d, en.now(), EventKind::Kill);
     w.daemons[i].gut();
-    // Every checkpoint replica this daemon held dies with its host.
+    // Every checkpoint replica this daemon held dies with its host, and
+    // so does its checkpoint cadence.
     w.ckpt.fail(d);
+    w.ckpt_live[i] = false;
     // If the cluster had quiesced, the heartbeat and checkpoint chains
     // wound down — but the kill itself creates new work (the victim's
     // unrestored checkpoint), so failure detection must come back.
@@ -416,24 +404,16 @@ fn checkpoint_now(en: &mut En, w: &mut World, d: DaemonId) {
 
 /// Periodic per-daemon checkpoint cadence (recovery-armed runs only).
 fn ckpt_tick(en: &mut En, w: &mut World, d: DaemonId) {
-    let i = d.0 as usize;
-    let now = en.now();
-    if w.down_until[i] == SimTime::MAX {
-        w.ckpt_live[i] = false;
-        return; // dead: its cadence dies with it
-    }
-    if w.down_until[i] > now {
-        let resume = w.down_until[i];
-        en.schedule_at(resume, move |en, w| ckpt_tick(en, w, d));
+    if !up(en, w, d, move |en, w| ckpt_tick(en, w, d)) {
         return;
     }
     checkpoint_now(en, w, d);
     if !w.outstanding() {
-        w.ckpt_live[i] = false;
+        w.ckpt_live[d.0 as usize] = false;
         return; // computation finished; let the queue drain
     }
     let every = w.cfg.recovery.checkpoint_every.max(MILLI / 2);
-    en.schedule_at(now.saturating_add(every), move |en, w| ckpt_tick(en, w, d));
+    en.schedule_at(en.now().saturating_add(every), move |en, w| ckpt_tick(en, w, d));
     tick(en, w, d);
 }
 
@@ -468,7 +448,7 @@ fn recover(en: &mut En, w: &mut World, successor: DaemonId, victim: DaemonId) {
         return;
     }
     w.restored[vi] = true;
-    let Some(snap) = w.ckpt.get(victim) else {
+    let Some((_, snap)) = w.ckpt.best(victim) else {
         w.fatal = Some(ClusterError::CheckpointLost { victim, replicas: w.cfg.replica_count() });
         return;
     };
@@ -600,14 +580,7 @@ impl SimCluster {
             })
             .collect();
         let cpus = (0..cfg.daemons).map(|_| Cpu::new(cfg.cpu_speed)).collect();
-        let net: Box<dyn NetModel> = match cfg.net {
-            NetKind::Ethernet10 => Box::new(SharedBus::ethernet_10mbit()),
-            NetKind::Ethernet100 => Box::new(SharedBus::ethernet_100mbit()),
-            NetKind::Switched { bandwidth_bps } => {
-                Box::new(Switched::new(cfg.daemons, bandwidth_bps, MILLI / 10, 60))
-            }
-            NetKind::Ideal => Box::new(IdealNet::new(MILLI / 10)),
-        };
+        let net = cfg.net.build(cfg.daemons);
         // Fault draws get their own RNG stream, forked off the run seed,
         // so enabling faults never perturbs other randomized choices.
         let injector = (!cfg.faults.is_none())
@@ -628,7 +601,7 @@ impl SimCluster {
                 faults: Vec::new(),
                 injector,
                 down_until,
-                ckpt: ReplicatedStore::new(MemStore::new()),
+                ckpt: ReplicatedStore::default(),
                 ckpt_ver: vec![0; n],
                 restored: vec![false; n],
                 killed_at: vec![None; n],
@@ -901,9 +874,7 @@ impl SimCluster {
         if self.world.cfg.trace.enabled {
             // Close the run-wide root span at the reported completion
             // instant, before the recorders are drained below.
-            let rec = self.world.daemons[0].recorder_mut();
-            rec.set_now(completed);
-            rec.emit_sys(EventKind::SpanEnd { name: "run".to_string() });
+            self.world.emit(DaemonId(0), completed, EventKind::SpanEnd { name: "run".to_string() });
         }
         let trace = self.world.cfg.trace.enabled.then(|| {
             let parts = self.world.daemons.iter_mut().map(Daemon::take_trace).collect();
@@ -928,18 +899,14 @@ impl SimCluster {
     /// No-op when tracing is off. Apps bracket phases (e.g. "inject",
     /// "compute") so the Chrome export shows them as nested slices.
     pub fn trace_span_begin(&mut self, name: &str) {
-        let now = self.engine.now();
-        let rec = self.world.daemons[0].recorder_mut();
-        rec.set_now(now);
-        rec.emit_sys(EventKind::SpanBegin { name: name.to_string() });
+        let kind = EventKind::SpanBegin { name: name.to_string() };
+        self.world.emit(DaemonId(0), self.engine.now(), kind);
     }
 
     /// Close the innermost span opened by [`SimCluster::trace_span_begin`].
     pub fn trace_span_end(&mut self, name: &str) {
-        let now = self.engine.now();
-        let rec = self.world.daemons[0].recorder_mut();
-        rec.set_now(now);
-        rec.emit_sys(EventKind::SpanEnd { name: name.to_string() });
+        let kind = EventKind::SpanEnd { name: name.to_string() };
+        self.world.emit(DaemonId(0), self.engine.now(), kind);
     }
 
     /// The simulated time so far, in seconds.

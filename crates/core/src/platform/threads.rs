@@ -21,7 +21,7 @@ use msgr_sim::Stats;
 use msgr_trace::{Metric, Trace};
 use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
-use crate::ckpt::{CheckpointStore, FileStore};
+use crate::ckpt::FileStore;
 use crate::codes::CodeCache;
 use crate::config::{ClusterConfig, VtMode, VtService};
 use crate::daemon::{Daemon, Directory, Effect};

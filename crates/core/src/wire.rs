@@ -273,20 +273,20 @@ impl Wire {
 // (`msgr_vm::bytes`): a truncated or corrupted buffer yields
 // `VmError::Decode`, never a panic.
 
-pub(crate) fn put_daemon(buf: &mut BytesMut, d: DaemonId) {
+fn put_daemon(buf: &mut BytesMut, d: DaemonId) {
     buf.put_varint(d.0.into());
 }
 
-pub(crate) fn get_daemon(buf: &mut Bytes) -> Result<DaemonId, VmError> {
+fn get_daemon(buf: &mut Bytes) -> Result<DaemonId, VmError> {
     buf.read_u16().map(DaemonId)
 }
 
-fn put_endpoint(buf: &mut BytesMut, (d, n): (DaemonId, NodeRef)) {
+pub(crate) fn put_endpoint(buf: &mut BytesMut, (d, n): (DaemonId, NodeRef)) {
     put_daemon(buf, d);
     put_node_ref(buf, n);
 }
 
-fn get_endpoint(buf: &mut Bytes) -> Result<(DaemonId, NodeRef), VmError> {
+pub(crate) fn get_endpoint(buf: &mut Bytes) -> Result<(DaemonId, NodeRef), VmError> {
     Ok((get_daemon(buf)?, get_node_ref(buf)?))
 }
 

@@ -473,7 +473,7 @@ fn threads_virtual_time_alternation() {
 
 #[test]
 fn threads_file_backed_checkpoints() {
-    use msgr_core::{CheckpointStore, DaemonId, FileStore};
+    use msgr_core::{DaemonId, FileStore};
     let dir = std::env::temp_dir().join(format!("msgr-threads-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let prog = compile(

@@ -344,6 +344,83 @@ fn damaged_checkpoints_are_errors_not_panics() {
     assert!(restore(&huge).is_err());
 }
 
+/// Every frame kind that names a daemon, naming one the 3-daemon cluster
+/// does not have — plus a decree and an eviction whose *victim* it is.
+fn frames_naming_daemon_99() -> Vec<Wire> {
+    use msgr_ctrl::{ballot, Decree, Digest, InstanceId, PaxosMsg};
+    let ghost = DaemonId(99);
+    let inst = InstanceId { victim: 99, seq: 0 };
+    let digest = Digest { mem_epoch: 0, evictions: vec![(99, 0.5)], code_hash: 0, gvt: 0.0 };
+    vec![
+        Wire::Beat { from: ghost, epoch: 0 },
+        Wire::Ctrl { from: ghost, msg: PaxosMsg::Prepare { inst, ballot: ballot(1, 99) } },
+        Wire::Ctrl {
+            from: DaemonId(0),
+            msg: PaxosMsg::Learn { inst, decree: Decree { victim: 99, successor: 1, epoch: 1 } },
+        },
+        Wire::Gossip { from: ghost, reply: true, digest },
+        Wire::CkptPush { owner: ghost, ver: 1, snapshot: Bytes::from_static(&[1, 2, 3]) },
+        Wire::CkptAck { owner: DaemonId(1), holder: ghost, ver: 1 },
+        Wire::Data {
+            src: ghost,
+            chan: DaemonId(1),
+            seq: 1,
+            frame: Box::new(Wire::Unlink {
+                node: NodeRef::new(9, 9),
+                inst: msgr_vm::LinkInstance(1),
+            }),
+        },
+        Wire::Ack { src: DaemonId(1), chan: ghost, cum: 1, seq: 1 },
+        Wire::Evict { victim: ghost, epoch: 7, floor: Vt::ZERO },
+    ]
+}
+
+/// The membership view of a 3-daemon cluster is untouched.
+fn assert_membership_untouched(d: &Daemon, fx: &[Effect], what: &str) {
+    assert_eq!(d.mem_epoch(), 0, "{what}: epoch moved");
+    assert!(d.is_peer_alive(DaemonId(0)) && d.is_peer_alive(DaemonId(2)), "{what}: peer evicted");
+    assert!(!d.is_peer_alive(DaemonId(99)), "{what}: daemon 99 joined the cluster");
+    assert!(!fx.iter().any(|e| matches!(e, Effect::Recover { .. })), "{what}: failover in {fx:?}");
+}
+
+#[test]
+fn frames_naming_a_daemon_outside_the_cluster_do_not_panic() {
+    // On a recovery-armed daemon every one of these reaches the failure
+    // detector or the membership view with an id no `u16` codec can
+    // bound by the cluster size.
+    for frame in frames_naming_daemon_99() {
+        let what = format!("{frame:?}");
+        let (mut d, _) = mk_daemon(1, armed_cfg());
+        let mut fx = Vec::new();
+        d.on_wire_at(MILLI, frame, &mut fx);
+        assert_membership_untouched(&d, &fx, &what);
+    }
+}
+
+#[test]
+fn an_eviction_of_daemon_99_held_in_a_checkpoint_channel_does_not_panic() {
+    // Well-formed but damaged: daemon 0's snapshot holds, out of order on
+    // channel 1 → 0, an `Evict` naming a daemon that never existed. The
+    // heir adopts the channel; filling the gap below releases the frame.
+    let (mut d, _) = mk_daemon(0, armed_cfg());
+    let mut fx = Vec::new();
+    let evict = Wire::Evict { victim: DaemonId(99), epoch: 7, floor: Vt::ZERO };
+    let held = Wire::Data { src: DaemonId(1), chan: DaemonId(0), seq: 2, frame: Box::new(evict) };
+    d.on_wire_at(MILLI, held, &mut fx);
+    d.checkpoint_flush(2 * MILLI, &mut fx);
+    let snap = d.checkpoint_snapshot();
+
+    let (mut heir, _) = mk_daemon(1, armed_cfg());
+    let mut fx = Vec::new();
+    heir.restore_from(DaemonId(0), snap, 3 * MILLI, &mut fx).expect("well-formed snapshot");
+    assert_eq!(heir.mem_epoch(), 1, "the restore evicts daemon 0");
+    let gap = Wire::Unlink { node: NodeRef::new(9, 9), inst: msgr_vm::LinkInstance(1) };
+    let fill = Wire::Data { src: DaemonId(1), chan: DaemonId(0), seq: 1, frame: Box::new(gap) };
+    heir.on_wire_at(4 * MILLI, fill, &mut fx);
+    assert_eq!(heir.mem_epoch(), 1, "the released eviction must be ignored");
+    assert!(heir.is_peer_alive(DaemonId(2)) && !heir.is_peer_alive(DaemonId(99)));
+}
+
 // ---- one lifecycle: every way a messenger dies goes through one door ----
 
 fn run(d: &mut Daemon, fx: &mut Vec<Effect>) {

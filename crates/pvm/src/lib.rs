@@ -32,9 +32,10 @@ pub mod sim;
 pub mod threads;
 
 pub use buf::{Buf, UnpackError};
-pub use sim::{
-    PvmCostModel, PvmError, PvmNet, PvmReport, PvmSim, PvmSimConfig, Status, Task, TaskCtx,
-};
+/// Network model selection: the same type as `msgr-core`'s `NetKind`, so
+/// the two systems are always compared on the same medium.
+pub use msgr_sim::NetKind as PvmNet;
+pub use sim::{PvmCostModel, PvmError, PvmReport, PvmSim, PvmSimConfig, Status, Task, TaskCtx};
 pub use threads::{PvmThreads, ThreadTaskCtx, ThreadsReport};
 
 /// A PVM task identifier.

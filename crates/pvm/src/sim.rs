@@ -20,13 +20,10 @@
 
 use std::collections::VecDeque;
 
-use msgr_sim::{
-    Cpu, DetRng, Engine, FaultPlan, HostId, IdealNet, NetModel, SharedBus, SimTime, Stats,
-    Switched, MILLI,
-};
+use msgr_sim::{Cpu, DetRng, Engine, FaultPlan, HostId, NetModel, SimTime, Stats};
 use msgr_trace::Metric;
 
-use crate::{Buf, Message, Recv, Tag, TaskId};
+use crate::{Buf, Message, PvmNet, Recv, Tag, TaskId};
 
 /// What a task does next.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,22 +47,6 @@ pub trait Task: Send {
     /// Run until the next blocking point. `msg` is `None` on first entry
     /// and `Some` when a requested message has been delivered.
     fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status;
-}
-
-/// Network model selection (matches `msgr-core`'s cluster options).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PvmNet {
-    /// 10 Mbit/s shared Ethernet.
-    Ethernet10,
-    /// 100 Mbit/s shared Ethernet (the calibrated default testbed).
-    Ethernet100,
-    /// Switched, per-port bits/second.
-    Switched {
-        /// Per-port bandwidth.
-        bandwidth_bps: f64,
-    },
-    /// Ideal network.
-    Ideal,
 }
 
 /// CPU cost constants, in reference nanoseconds.
@@ -395,14 +376,7 @@ impl PvmSim {
             "PVM 3.3 cannot survive a pvmd crash; crash events are only \
              meaningful on the MESSENGERS cluster"
         );
-        let net: Box<dyn NetModel> = match cfg.net {
-            PvmNet::Ethernet10 => Box::new(SharedBus::ethernet_10mbit()),
-            PvmNet::Ethernet100 => Box::new(SharedBus::ethernet_100mbit()),
-            PvmNet::Switched { bandwidth_bps } => {
-                Box::new(Switched::new(cfg.hosts, bandwidth_bps, MILLI / 10, 60))
-            }
-            PvmNet::Ideal => Box::new(IdealNet::new(MILLI / 10)),
-        };
+        let net = cfg.net.build(cfg.hosts);
         let cpus = (0..cfg.hosts).map(|_| Cpu::new(cfg.cpu_speed)).collect();
         let rng = (cfg.faults.drop_p > 0.0).then(|| DetRng::new(cfg.seed).fork(0xFA17));
         PvmSim {
@@ -996,7 +970,7 @@ mod tests {
     #[should_panic(expected = "pvmd crash")]
     fn crash_plans_are_rejected() {
         let mut cfg = PvmSimConfig::new(2);
-        cfg.faults.crashes.push(msgr_sim::CrashEvent::transient(0, 0, MILLI));
+        cfg.faults.crashes.push(msgr_sim::CrashEvent::transient(0, 0, msgr_sim::MILLI));
         let _ = PvmSim::new(cfg);
     }
 

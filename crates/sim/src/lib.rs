@@ -41,7 +41,7 @@ mod stats;
 pub use cpu::Cpu;
 pub use engine::{Engine, SimTime};
 pub use fault::{CrashEvent, FaultInjector, FaultPlan, FrameFate};
-pub use net::{HostId, IdealNet, NetModel, NetStats, SharedBus, Switched};
+pub use net::{HostId, IdealNet, NetKind, NetModel, NetStats, SharedBus, Switched};
 pub use rng::DetRng;
 pub use stats::{install_key_validator, Counter, Histogram, Stats};
 

@@ -10,7 +10,7 @@
 //! All models guarantee FIFO delivery per `(src, dst)` pair, which the
 //! daemon protocol in `msgr-core` relies on.
 
-use crate::SimTime;
+use crate::{SimTime, MILLI};
 
 /// Identifier of a simulated host (0-based, dense).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,6 +47,43 @@ pub trait NetModel {
 
     /// Traffic statistics so far.
     fn stats(&self) -> NetStats;
+}
+
+/// Which network model a simulated cluster runs on. MESSENGERS
+/// (`msgr_core::NetKind`) and the PVM baseline (`msgr_pvm::PvmNet`) both
+/// re-export this one type, so the two systems are always compared on
+/// the same medium.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NetKind {
+    /// 10 Mbit/s shared-bus Ethernet.
+    Ethernet10,
+    /// 100 Mbit/s shared-bus Ethernet — the testbed implied by the
+    /// paper's absolute runtimes (see EXPERIMENTS.md calibration notes).
+    Ethernet100,
+    /// Full-duplex switched network with the given per-port bits/second.
+    Switched {
+        /// Per-port bandwidth in bits per second.
+        bandwidth_bps: f64,
+    },
+    /// Infinite bandwidth, fixed latency (ablations and fast tests).
+    Ideal,
+}
+
+impl NetKind {
+    /// The model instance for a cluster of `hosts` hosts.
+    pub fn build(self, hosts: usize) -> Box<dyn NetModel> {
+        match self {
+            // 1 ms end-to-end message latency (UDP stack + interrupt +
+            // backoff slack), 60 bytes of framing per message.
+            NetKind::Ethernet10 => Box::new(SharedBus::new(10e6, MILLI, 60)),
+            // A late-90s 100BaseT hub: 0.5 ms end-to-end latency.
+            NetKind::Ethernet100 => Box::new(SharedBus::new(100e6, MILLI / 2, 60)),
+            NetKind::Switched { bandwidth_bps } => {
+                Box::new(Switched::new(hosts, bandwidth_bps, MILLI / 10, 60))
+            }
+            NetKind::Ideal => Box::new(IdealNet::new(MILLI / 10)),
+        }
+    }
 }
 
 fn frame_time(bytes: u64, bandwidth_bps: f64) -> SimTime {
@@ -86,19 +123,6 @@ impl SharedBus {
             busy_until: 0,
             stats: NetStats::default(),
         }
-    }
-
-    /// 10 Mbit/s shared Ethernet, 1 ms end-to-end message latency (UDP
-    /// stack + interrupt + backoff slack), 60 bytes of framing per
-    /// message.
-    pub fn ethernet_10mbit() -> Self {
-        SharedBus::new(10e6, crate::MILLI, 60)
-    }
-
-    /// 100 Mbit/s shared Ethernet (late-90s 100BaseT hub), 0.5 ms
-    /// end-to-end latency.
-    pub fn ethernet_100mbit() -> Self {
-        SharedBus::new(100e6, crate::MILLI / 2, 60)
     }
 }
 
@@ -247,7 +271,7 @@ mod tests {
 
     #[test]
     fn shared_bus_loopback_is_free() {
-        let mut bus = SharedBus::ethernet_10mbit();
+        let mut bus = NetKind::Ethernet10.build(2);
         assert_eq!(bus.transfer(42, H0, H0, 1 << 20), 42);
         // Medium untouched: a real transfer starts immediately.
         let a = bus.transfer(42, H0, H1, 0);
@@ -296,8 +320,8 @@ mod tests {
 
     #[test]
     fn ethernet_presets_are_ordered_by_speed() {
-        let mut e10 = SharedBus::ethernet_10mbit();
-        let mut e100 = SharedBus::ethernet_100mbit();
+        let mut e10 = NetKind::Ethernet10.build(2);
+        let mut e100 = NetKind::Ethernet100.build(2);
         let t10 = e10.transfer(0, H0, H1, 100_000);
         let t100 = e100.transfer(0, H0, H1, 100_000);
         assert!(t100 < t10, "100 Mbit must be faster: {t100} vs {t10}");
@@ -306,7 +330,7 @@ mod tests {
     #[test]
     fn fifo_per_pair_holds_on_all_models() {
         let mut models: Vec<Box<dyn NetModel>> = vec![
-            Box::new(SharedBus::ethernet_10mbit()),
+            NetKind::Ethernet10.build(4),
             Box::new(Switched::new(4, 10e6, crate::MILLI, 60)),
             Box::new(IdealNet::new(crate::MILLI)),
         ];

@@ -11,7 +11,7 @@
 //!    stray string key into a debug-assertion failure; release builds
 //!    are unaffected.
 //!
-//! Adding a metric means adding one line to the [`metrics!`] table —
+//! Adding a metric means adding one line to the `metrics!` table —
 //! name, kind, and unit in one place.
 
 /// What a metric measures.

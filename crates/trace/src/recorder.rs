@@ -9,7 +9,7 @@
 //! flight-recorder style — the most recent window before a crash is
 //! exactly what post-mortem debugging needs.
 //!
-//! The recorder survives [`gut`]-style volatile-state destruction on a
+//! The recorder survives `gut`-style volatile-state destruction on a
 //! daemon kill: the platform owns the drain, so a killed daemon's last
 //! window of events still reaches the trace ("flush on crash").
 

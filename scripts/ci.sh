@@ -50,6 +50,11 @@ if grep -rn 'env::var("MSGR_' crates/*/src src | grep -v 'MSGR_EXEC\|MSGR_CHECK_
     echo "error: runtime MSGR_* env read other than MSGR_EXEC" >&2; exit 1
 fi
 
+echo "== cargo doc -D warnings =="
+# Intra-doc links are the map between modules; a refactor that moves a
+# link target must not leave the link dangling.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== chaos: fault-injection property sweep =="
 # Two pinned fault seeds (regression anchors) plus one fresh seed per CI
 # run. MSGR_FAULT_SEED perturbs every cluster seed in the chaos suites
