@@ -16,7 +16,7 @@ use msgr_apps::matmul::{
     max_abs_diff, multiply_reference, sequential_seconds, test_matrix, MatmulScene,
 };
 use msgr_apps::{mandel_msgr, mandel_pvm, matmul_msgr, matmul_pvm};
-use msgr_core::config::{VtMode, VtService};
+use msgr_core::config::VtMode;
 use msgr_core::ClusterConfig;
 use msgr_pvm::PvmNet;
 
@@ -298,7 +298,6 @@ pub fn ablation_gvt() -> Table {
     ] {
         let mut cfg = ClusterConfig::new(9);
         cfg.vt_mode = mode;
-        cfg.vt_service = VtService::On;
         cfg.gvt_interval = interval_ms * 1_000_000;
         let run = matmul_msgr::run_sim(scene, &a, &b, &calib, cfg).expect("run");
         assert!(max_abs_diff(&run.product, &reference) < 1e-6);

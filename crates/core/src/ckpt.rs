@@ -8,12 +8,10 @@
 //! state is laid out in bytes — writer and reader side by side. The
 //! simulation platform keeps snapshots `k`-replicated in host memory that
 //! outlives the simulated daemons ([`ReplicatedStore`]); the threads
-//! platform writes them to disk ([`FileStore`]) when the cluster is
-//! configured with a checkpoint directory.
+//! platform rejects every fault plan and takes no checkpoints.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use msgr_vm::bytes::{Bytes, BytesMut};
@@ -138,58 +136,6 @@ impl Snapshot<'_> {
         let parked = self.parked.iter().map(|(_, _, m)| m.vtime).fold(Vt::INFINITY, Vt::min);
         let floor = |c: &Cow<Channels>| c.floor_of_unacked().min(c.floor_of_held());
         self.channels.as_ref().map_or(parked, |c| parked.min(floor(c)))
-    }
-}
-
-/// File-backed store: one `daemon-<id>.ckpt` per daemon under the
-/// configured directory, written via a temp file + rename so a crash
-/// mid-write never corrupts the previous snapshot.
-#[derive(Debug)]
-pub struct FileStore {
-    dir: PathBuf,
-}
-
-impl FileStore {
-    /// A store rooted at `dir` (created if missing).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the directory.
-    pub fn new(dir: PathBuf) -> std::io::Result<Self> {
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileStore { dir })
-    }
-
-    fn path(&self, d: DaemonId) -> PathBuf {
-        self.dir.join(format!("daemon-{}.ckpt", d.0))
-    }
-
-    /// Persist an auxiliary artifact (e.g. the merged flight-recorder
-    /// trace) next to the checkpoints, with the same temp-file + rename
-    /// discipline. `name` must be a bare file name.
-    pub fn put_blob(&self, name: &str, bytes: &[u8]) {
-        debug_assert!(!name.contains(['/', '\\']), "blob name must be bare: {name:?}");
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        if std::fs::write(&tmp, bytes).is_ok() {
-            let _ = std::fs::rename(&tmp, self.dir.join(name));
-        }
-    }
-
-    /// Replace daemon `d`'s snapshot. One slot per daemon: nothing older
-    /// than the last checkpoint is ever needed, because the flush
-    /// preceding each snapshot committed everything it covers.
-    pub fn put(&mut self, d: DaemonId, snapshot: Bytes) {
-        let tmp = self.dir.join(format!("daemon-{}.ckpt.tmp", d.0));
-        // Failures degrade to "no checkpoint", which recovery treats as
-        // a daemon that never checkpointed — safe, just lossier.
-        if std::fs::write(&tmp, snapshot.as_ref()).is_ok() {
-            let _ = std::fs::rename(&tmp, self.path(d));
-        }
-    }
-
-    /// Fetch daemon `d`'s latest snapshot, if it ever checkpointed.
-    pub fn get(&self, d: DaemonId) -> Option<Bytes> {
-        std::fs::read(self.path(d)).ok().map(Bytes::from)
     }
 }
 
@@ -349,19 +295,5 @@ mod tests {
         s.install(owner, DaemonId(1), 3, Bytes::from(vec![1]));
         s.install(owner, DaemonId(3), 3, Bytes::from(vec![3]));
         assert_eq!(s.best(owner).unwrap(), (3, Bytes::from(vec![1])));
-    }
-
-    #[test]
-    fn file_store_round_trips() {
-        let dir = std::env::temp_dir().join(format!("msgr-ckpt-test-{}", std::process::id()));
-        let mut s = FileStore::new(dir.clone()).expect("create store dir");
-        assert!(s.get(DaemonId(0)).is_none());
-        s.put(DaemonId(0), Bytes::from(vec![42; 100]));
-        assert_eq!(s.get(DaemonId(0)).unwrap().len(), 100);
-        s.put(DaemonId(0), Bytes::from(vec![7]));
-        assert_eq!(s.get(DaemonId(0)).unwrap().as_ref(), &[7]);
-        s.put_blob("trace.jsonl", b"{}\n");
-        assert_eq!(std::fs::read(dir.join("trace.jsonl")).unwrap(), b"{}\n");
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -91,34 +91,15 @@ impl Default for CostModel {
 }
 
 /// How a dead daemon's heir is chosen when recovery is armed.
-///
-/// Both modes end with the victim's checkpoint restored exactly once;
-/// they differ in who is trusted to decide that the victim is dead.
+// Only reader: `benchmark/src/main.rs::provenance`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Succession {
-    /// The pre-control-plane rule: the deterministic next-alive daemon
-    /// acts on its *own* failure-detector verdict. Correct only while
-    /// every daemon's membership view agrees; nothing ships with it —
-    /// `recovery_props` keeps it exercised as the baseline the quorum
-    /// rule is compared against.
-    Deterministic,
     /// A kill is *proposed* by suspecting observers and acted on only
     /// once a majority of the surviving acceptors accepts the burial
     /// decree (single-decree Paxos, `msgr-ctrl`). A wrong failure
     /// detector can then never cause a split-brain double restore.
     #[default]
     Quorum,
-}
-
-impl Succession {
-    /// Parse a CLI/env spelling (`deterministic` | `quorum`).
-    pub fn parse(s: &str) -> Option<Succession> {
-        match s {
-            "deterministic" => Some(Succession::Deterministic),
-            "quorum" => Some(Succession::Quorum),
-            _ => None,
-        }
-    }
 }
 
 /// Retransmission policy of the reliable-delivery layer, active only
@@ -154,57 +135,6 @@ impl Default for RetransmitPolicy {
     }
 }
 
-/// Failure-detection and checkpoint cadence of the crash-recovery
-/// subsystem, active only when the cluster's [`FaultPlan`] contains a
-/// permanent kill (`down_for: None`).
-///
-/// All times are simulated time. The defaults keep a comfortable margin
-/// over the retransmission layer: a peer is suspected only after two
-/// missed heartbeats and declared dead only after an outage longer than
-/// any transient crash the chaos suites schedule, so fail-recover
-/// windows never trigger spurious failover.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Interval between heartbeat rounds. Liveness is also refreshed by
-    /// any data/ack traffic from a peer (heartbeats piggyback on the
-    /// reliable transport's envelopes).
-    pub heartbeat_every: SimTime,
-    /// Silence after which a peer is *suspected* (soft state, reported
-    /// in `Stats` only).
-    pub suspect_after: SimTime,
-    /// Silence after which a peer is declared *dead* — monotone: a dead
-    /// peer never rejoins. Must exceed the longest transient crash
-    /// window plus one heartbeat, or failover fires on a host that was
-    /// about to restart.
-    pub dead_after: SimTime,
-    /// Interval between checkpoint snapshots of each daemon's durable
-    /// state (node variables, parked messengers, transport channels).
-    pub checkpoint_every: SimTime,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            heartbeat_every: 20 * MILLI,
-            suspect_after: 60 * MILLI,
-            dead_after: 240 * MILLI,
-            checkpoint_every: 40 * MILLI,
-        }
-    }
-}
-
-/// Whether the GVT service runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VtService {
-    /// Enabled iff any registered program uses `M_sched_time_*`.
-    #[default]
-    Auto,
-    /// Always run GVT rounds.
-    On,
-    /// Never run GVT rounds (programs that suspend will stall).
-    Off,
-}
-
 /// Full cluster configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
@@ -217,8 +147,6 @@ pub struct ClusterConfig {
     pub cpu_speed: f64,
     /// Virtual-time mode.
     pub vt_mode: VtMode,
-    /// GVT service switch.
-    pub vt_service: VtService,
     /// Interval between GVT rounds (simulated time).
     pub gvt_interval: SimTime,
     /// Carry full program code on every migration (the WAVE-style
@@ -238,13 +166,6 @@ pub struct ClusterConfig {
     pub faults: FaultPlan,
     /// Retransmission policy used when `faults` is active.
     pub retransmit: RetransmitPolicy,
-    /// Failure-detection and checkpoint cadence, used when `faults`
-    /// contains a permanent kill.
-    pub recovery: RecoveryPolicy,
-    /// Directory for file-backed checkpoints on the threads platform.
-    /// `None` (the default) keeps checkpoints in memory (simulation) or
-    /// disables them (threads).
-    pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Flight-recorder tracing. Disabled by default; when enabled every
     /// daemon records typed [`msgr_trace::TraceEvent`]s into a bounded
     /// ring that the platform merges into the run report.
@@ -266,8 +187,8 @@ pub struct ClusterConfig {
     /// the threaded-ring test in `tests/cluster.rs` turns it on.
     pub local_move: bool,
     /// How a victim's heir is chosen when a permanent kill is detected:
-    /// by majority decree ([`Succession::Quorum`], the default) or by
-    /// the deterministic next-alive rule kept as a test baseline.
+    /// by majority decree ([`Succession::Quorum`], the only rule).
+    // Only reader: `benchmark/src/main.rs::provenance`.
     pub succession: Succession,
     /// Checkpoint replication factor `k`: every checkpoint version is
     /// pushed to the `k` next-alive successor daemons *before* its
@@ -281,9 +202,6 @@ pub struct ClusterConfig {
     /// with it on or off. Requires tracing (platforms enable the
     /// recorder automatically when this is set).
     pub profile: bool,
-    /// Sampling interval for the VM PC profiler, in executed bytecode
-    /// ops per sample. Only consulted when `profile` is set.
-    pub profile_interval: u64,
 }
 
 impl ClusterConfig {
@@ -301,7 +219,6 @@ impl ClusterConfig {
             net: NetKind::Ethernet100,
             cpu_speed: 1.0,
             vt_mode: VtMode::Conservative,
-            vt_service: VtService::Auto,
             gvt_interval: 15 * MILLI,
             carry_code: false,
             costs: CostModel::default(),
@@ -310,8 +227,6 @@ impl ClusterConfig {
             segment_fuel: msgr_vm::interp::DEFAULT_FUEL,
             faults: FaultPlan::none(),
             retransmit: RetransmitPolicy::default(),
-            recovery: RecoveryPolicy::default(),
-            checkpoint_dir: None,
             trace: msgr_trace::TraceConfig::default(),
             exec: std::env::var("MSGR_EXEC")
                 .ok()
@@ -322,7 +237,6 @@ impl ClusterConfig {
             succession: Succession::default(),
             replication: 1,
             profile: false,
-            profile_interval: 4096,
         }
     }
 
@@ -363,31 +277,61 @@ impl ClusterConfig {
 mod tests {
     use super::*;
 
+    /// Destructured without `..` on purpose: a new field does not compile
+    /// until it is listed here with its default and the reason it exists
+    /// (setter, paper ablation, test seam, or benchmark/ — the same rows as
+    /// DESIGN.md's config ledger).
     #[test]
     fn defaults_are_paper_era() {
         let c = ClusterConfig::new(8);
-        assert_eq!(c.daemons, 8);
-        assert_eq!(c.net, NetKind::Ethernet100);
-        assert_eq!(c.cpu_speed, 1.0);
-        assert_eq!(c.vt_mode, VtMode::Conservative);
-        assert!(c.costs.per_op_ns > 0);
-        assert!(c.faults.is_none(), "faults must default to none");
         assert!(!c.reliable(), "transport must default to off");
-        assert!(!c.trace.enabled, "tracing must default to off");
-        assert!(!c.local_move, "move-hops must default to off");
+        let ClusterConfig {
+            daemons,      // setter: `ClusterConfig::new`'s argument
+            net,          // paper ablation (Fig. 12): apps, bench
+            cpu_speed,    // paper ablation (Fig. 12(b)): bench
+            vt_mode,      // paper ablation (§2.2): apps::swarm, examples/matmul
+            gvt_interval, // paper ablation: bench `ablation_gvt`
+            carry_code,   // paper ablation (WAVE): bench `ablation_carrycode`
+            costs,        // paper ablation: the calibrated cost model
+            seed,         // setter: `msgr run --seed`, bench
+            max_events,   // test seam: the only way to reach `Stalled`
+            segment_fuel, // test seam: the only way to reach the fuel fault
+            faults,       // setter: `msgr run --faults`, bench
+            retransmit,   // test seam: `max_attempts` reaches `Death::Abandoned`
+            trace,        // setter: `msgr run --trace`, benchmark/src/probes.rs
+            exec,         // named by benchmark/; setter: `msgr run --exec`
+            analysis,     // named by benchmark/
+            local_move,   // named by benchmark/
+            succession,   // named by benchmark/
+            replication,  // named by benchmark/; setter: `msgr run --replication`
+            profile,      // setter: `msgr run --profile`, benchmark/src/probes.rs
+        } = c;
+        let msgr_trace::TraceConfig {
+            enabled,  // the switch the `trace` setters flip
+            capacity, // test seam: the only way to reach ring truncation
+        } = trace;
+        assert_eq!(daemons, 8);
+        assert_eq!(net, NetKind::Ethernet100);
+        assert_eq!(cpu_speed, 1.0);
+        assert_eq!(vt_mode, VtMode::Conservative);
+        assert_eq!(gvt_interval, 15 * MILLI);
+        assert!(!carry_code, "code must travel by registry id");
+        assert_eq!(costs, CostModel::default());
+        assert_eq!(seed, 0x5EED);
+        assert!(max_events > 0 && segment_fuel > 0);
+        assert!(faults.is_none(), "faults must default to none");
+        assert_eq!(retransmit, RetransmitPolicy::default());
+        assert!(!enabled && capacity > 0, "tracing must default to off");
         if std::env::var("MSGR_EXEC").is_err() {
-            assert_eq!(c.exec, ExecMode::Interp, "execution must default to interp");
+            assert_eq!(exec, ExecMode::Interp, "execution must default to interp");
         }
+        assert!(analysis, "analysis must default to on");
+        assert!(!local_move, "move-hops must default to off");
+        assert_eq!(succession, Succession::Quorum);
+        assert_eq!(replication, 1, "replication must default to k=1");
+        assert!(!profile, "profiling must default to off");
         assert_eq!(ExecMode::parse("compiled"), Some(ExecMode::Compiled));
         assert_eq!(ExecMode::parse("jit"), None);
-        assert_eq!(c.succession, Succession::Quorum, "succession must default to quorum");
-        assert_eq!(c.replica_count(), 1, "replication must default to k=1");
-        assert_eq!(Succession::parse("deterministic"), Some(Succession::Deterministic));
-        assert_eq!(Succession::parse("raft"), None);
-        assert!(c.analysis, "analysis must default to on");
-        assert!(!c.profile, "profiling must default to off");
-        assert_eq!(c.recovery, RecoveryPolicy::default());
-        assert!(c.profile_interval > 0, "sampling interval must be positive");
     }
 
     #[test]
@@ -401,15 +345,6 @@ mod tests {
         assert!(!c.recovery_armed(), "transient crashes must not arm recovery");
         c.faults.crashes.push(msgr_sim::CrashEvent::kill(1, 10 * MILLI));
         assert!(c.recovery_armed(), "a permanent kill arms recovery");
-    }
-
-    #[test]
-    fn recovery_policy_defaults_are_ordered() {
-        let r = RecoveryPolicy::default();
-        assert!(r.heartbeat_every > 0);
-        assert!(r.suspect_after >= 2 * r.heartbeat_every, "suspect only after missed beats");
-        assert!(r.dead_after > r.suspect_after, "dead strictly after suspect");
-        assert!(r.checkpoint_every > 0);
     }
 
     #[test]

@@ -29,11 +29,11 @@ use crate::ckpt::Snapshot;
 // `msgr_core::daemon::CodeCache` is the path `tests/wire_format.rs` pins.
 pub use crate::codes::CodeCache;
 use crate::codes::Entry;
-use crate::config::{ClusterConfig, ExecMode, Succession, VtMode};
+use crate::config::{ClusterConfig, ExecMode, VtMode};
 use crate::ids::{DaemonId, NodeRef};
 use crate::logical::{LinkRec, LogicalNode, Orient};
-use crate::members::Members;
-use crate::profiling::{Ledger, Prof};
+use crate::members::{Members, DEAD_AFTER, SUSPECT_AFTER};
+use crate::profiling::{Ledger, Prof, PROFILE_INTERVAL};
 use crate::topology::DaemonTopology;
 use crate::wire::{CreateNode, Migration, Wire};
 use crate::xport::{carried, frame_vtime, Redirect, TimerOutcome, Xport};
@@ -234,7 +234,7 @@ impl Daemon {
         // Gossip peer picks get their own fork so adding an exchange
         // never perturbs transport jitter.
         let gossip_rng = DetRng::new(cfg.seed).fork(0x605_5190 ^ u64::from(id.0));
-        let prof = cfg.profile.then(|| Box::new(Prof::new(cfg.profile_interval)));
+        let prof = cfg.profile.then(Box::<Prof>::default);
         let mut d = Daemon {
             id,
             cfg,
@@ -436,11 +436,6 @@ impl Daemon {
         ready_min.min(pending_min).min(opt_min)
     }
 
-    /// The GVT this daemon currently knows.
-    pub fn known_gvt(&self) -> Vt {
-        self.part.gvt()
-    }
-
     /// Total Time-Warp rollbacks performed here.
     pub fn rollbacks(&self) -> u64 {
         self.stats.counter("rollbacks")
@@ -579,6 +574,20 @@ impl Daemon {
 
     fn on_wire_inner(&mut self, now: SimTime, wire: Wire, fx: &mut Vec<Effect>) -> u64 {
         let c = self.cfg.costs;
+        // A frame from outside the cluster is ignored, as `Members` ignores
+        // its id: a reply would address a daemon no platform has.
+        let sender = match &wire {
+            Wire::Data { src: d, .. }
+            | Wire::Beat { from: d, .. }
+            | Wire::Ctrl { from: d, .. }
+            | Wire::Gossip { from: d, .. }
+            | Wire::CkptPush { owner: d, .. }
+            | Wire::CkptAck { holder: d, .. } => Some(*d),
+            _ => None,
+        };
+        if sender.is_some_and(|d| usize::from(d.0) >= self.cfg.daemons) {
+            return c.gvt_msg_ns;
+        }
         match wire {
             Wire::Data { src, chan, seq, frame } => {
                 let mut cost = c.gvt_msg_ns;
@@ -996,8 +1005,8 @@ impl Daemon {
     /// silence. Alive → Suspect is soft (counted, reversible); Suspect →
     /// Dead is monotone and — on the victim's successor only — triggers
     /// failover via [`Effect::Recover`]. Platforms call this every
-    /// [`crate::config::RecoveryPolicy::heartbeat_every`]; a no-op unless
-    /// recovery is armed. Returns the CPU cost.
+    /// heartbeat interval; a no-op unless recovery is armed. Returns the
+    /// CPU cost.
     pub fn on_beat_tick(&mut self, now: SimTime, fx: &mut Vec<Effect>) -> u64 {
         if !self.recovery {
             return 0;
@@ -1007,31 +1016,26 @@ impl Daemon {
         let beat = |dst| Effect::Send { dst, wire: Wire::Beat { from, epoch } };
         fx.extend(self.members.peers(from).map(beat));
         self.stats.bump(Metric::FdBeats);
-        let (dead, suspected) = self.members.verdicts(now, self.id, &self.cfg.recovery);
+        let (dead, suspected) = self.members.verdicts(now, self.id, SUSPECT_AFTER, DEAD_AFTER);
         if suspected > 0 {
             // (Adding zero would still create the counter.)
             self.stats.add(Metric::FdSuspects, suspected);
         }
         for v in dead {
-            match self.cfg.succession {
-                Succession::Deterministic => self.declare_dead(v, fx),
-                Succession::Quorum => self.propose_eviction(v, fx),
-            }
+            self.propose_eviction(v, fx);
         }
-        if self.cfg.succession == Succession::Quorum {
-            // Anti-entropy: push our digest to one seeded-random alive
-            // peer per tick. Epidemic push-pull converges a new fact to
-            // every daemon in O(log n) ticks even if the originating
-            // broadcast was lost.
-            let alive = self.members.alive_mask();
-            if let Some(peer) = msgr_ctrl::pick_peer(&mut self.gossip_rng, self.id.0, alive) {
-                self.stats.bump(Metric::GossipPushes);
-                let digest = self.digest();
-                fx.push(Effect::Send {
-                    dst: DaemonId(peer),
-                    wire: Wire::Gossip { from: self.id, reply: false, digest },
-                });
-            }
+        // Anti-entropy: push our digest to one seeded-random alive peer
+        // per tick. Epidemic push-pull converges a new fact to every
+        // daemon in O(log n) ticks even if the originating broadcast was
+        // lost.
+        let alive = self.members.alive_mask();
+        if let Some(peer) = msgr_ctrl::pick_peer(&mut self.gossip_rng, self.id.0, alive) {
+            self.stats.bump(Metric::GossipPushes);
+            let digest = self.digest();
+            fx.push(Effect::Send {
+                dst: DaemonId(peer),
+                wire: Wire::Gossip { from: self.id, reply: false, digest },
+            });
         }
         self.cfg.costs.gvt_msg_ns
     }
@@ -1095,9 +1099,9 @@ impl Daemon {
     }
 
     /// A burial decree reached quorum. Only the decree-named heir acts
-    /// (preserving the single-restorer invariant the deterministic rule
-    /// had); everyone else waits for the heir's reliable `Evict`
-    /// broadcast, which carries the checkpoint floor GVT must respect.
+    /// (the single-restorer invariant); everyone else waits for the
+    /// heir's reliable `Evict` broadcast, which carries the checkpoint
+    /// floor GVT must respect.
     fn on_decree(
         &mut self,
         inst: msgr_ctrl::InstanceId,
@@ -1147,21 +1151,6 @@ impl Daemon {
         if d.gvt > self.gvt_hint {
             self.advance_gvt_local(Vt::new(d.gvt));
         }
-    }
-
-    /// The local failure detector reached a Dead verdict for `victim`.
-    /// Only the deterministic successor acts on its own verdict: it asks
-    /// the platform to run the failover ([`Effect::Recover`] →
-    /// [`Daemon::restore_from`], which also evicts locally and broadcasts
-    /// the eviction). Every other daemon — the GVT coordinator included —
-    /// waits for the successor's `Evict` frame, because only the restore
-    /// knows the checkpoint floor GVT must respect.
-    fn declare_dead(&mut self, victim: DaemonId, fx: &mut Vec<Effect>) {
-        if !self.members.is_alive(victim) || self.members.successor_of(victim) != self.id {
-            return;
-        }
-        self.stats.bump(Metric::FdDeaths);
-        fx.push(Effect::Recover { victim });
     }
 
     /// Apply a membership eviction: mark `victim` dead (monotone), rebind
@@ -1608,7 +1597,7 @@ impl Daemon {
         let address = self.id.0;
         let prof_t0 = self.prof.as_ref().map(|p| p.now(self.rec.now()));
         // Scoped mutable borrow of the node's variables for the VM.
-        let (yielded, ops, native_ns, nv_log, samples) = {
+        let (yielded, ops, native_ns, samples) = {
             // Natives are registered through `&mut` cluster methods
             // before the run, so nothing waits to write during a segment.
             let natives = self.natives.read().expect("native registry lock poisoned");
@@ -1623,8 +1612,7 @@ impl Daemon {
                 vtime: run.state.vtime,
                 ops: 0,
                 native_ns: 0,
-                nv_log: self.rec.node_vars().then(Vec::new),
-                sample_every: self.prof.as_ref().map_or(0, |p| p.interval),
+                sample_every: if self.prof.is_some() { PROFILE_INTERVAL } else { 0 },
                 samples: BTreeMap::new(),
             };
             let y = match self.cfg.exec {
@@ -1637,17 +1625,9 @@ impl Daemon {
                     fuel,
                 ),
             };
-            (y, env.ops, env.native_ns, env.nv_log, env.samples)
+            (y, env.ops, env.native_ns, env.samples)
         };
         let vt = run.state.vtime;
-        for (is_write, var) in nv_log.into_iter().flatten() {
-            let kind = if is_write {
-                EventKind::NodeVarWrite { var }
-            } else {
-                EventKind::NodeVarRead { var }
-            };
-            self.rec.emit(vt.as_f64(), kind);
-        }
         let mut cost = ops * c.per_op_ns + native_ns;
         self.stats.bump(Metric::Segments);
         self.stats.add(Metric::Ops, ops);
@@ -1997,10 +1977,6 @@ struct SegEnv<'a> {
     vtime: Vt,
     ops: u64,
     native_ns: u64,
-    /// Node-variable access log `(is_write, name)`, collected only when
-    /// node-var tracing is on (the recorder can't be borrowed while the
-    /// node's vars are) and emitted as events after the segment.
-    nv_log: Option<Vec<(bool, String)>>,
     /// PC sampling interval in executed ops (0 = sampling off).
     sample_every: u64,
     /// Sample hits for this segment, keyed `(func, pc)` — folded to
@@ -2008,21 +1984,11 @@ struct SegEnv<'a> {
     samples: BTreeMap<(u32, u32), u64>,
 }
 
-impl SegEnv<'_> {
-    fn log_nv(&mut self, is_write: bool, name: &str) {
-        if let Some(log) = self.nv_log.as_mut() {
-            log.push((is_write, name.to_string()));
-        }
-    }
-}
-
 impl interp::Env for SegEnv<'_> {
     fn node_var(&mut self, name: &str) -> Value {
-        self.log_nv(false, name);
         self.vars.get(name).cloned().unwrap_or(Value::Null)
     }
     fn set_node_var(&mut self, name: &str, v: Value) {
-        self.log_nv(true, name);
         self.vars.insert(Arc::from(name), v);
     }
     fn net_var(&mut self, var: NetVar) -> Value {
@@ -2050,11 +2016,9 @@ impl interp::Env for SegEnv<'_> {
 
 impl NativeCtx for SegEnv<'_> {
     fn node_var(&mut self, name: &str) -> Value {
-        self.log_nv(false, name);
         self.vars.get(name).cloned().unwrap_or(Value::Null)
     }
     fn set_node_var(&mut self, name: &str, v: Value) {
-        self.log_nv(true, name);
         self.vars.insert(Arc::from(name), v);
     }
     fn charge(&mut self, ref_ns: u64) {

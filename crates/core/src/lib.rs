@@ -69,11 +69,9 @@ pub mod topology;
 pub mod wire;
 pub(crate) mod xport;
 
-pub use ckpt::FileStore;
 pub use codes::{CodeCache, RegisterOutcome};
 pub use config::{
-    ClusterConfig, CostModel, ExecMode, NetKind, RecoveryPolicy, RetransmitPolicy, Succession,
-    VtMode,
+    ClusterConfig, CostModel, ExecMode, NetKind, RetransmitPolicy, Succession, VtMode,
 };
 pub use daemon::{Daemon, Effect};
 pub use ids::{DaemonId, NodeRef};

@@ -10,11 +10,20 @@
 //! decree or a damaged checkpoint — is bounded by the cluster size here,
 //! once, instead of at each index site.
 
-use msgr_sim::SimTime;
+use msgr_sim::{SimTime, MILLI};
 use msgr_vm::Vt;
 
-use crate::config::RecoveryPolicy;
 use crate::ids::DaemonId;
+
+/// Silence after which a peer is *suspected* (soft state, reported in
+/// `Stats` only): three missed heartbeats.
+pub(crate) const SUSPECT_AFTER: SimTime = 60 * MILLI;
+
+/// Silence after which a peer is declared *dead* — monotone: a dead peer
+/// never rejoins. Must exceed the longest transient crash window the chaos
+/// suites schedule plus one heartbeat, or failover fires on a host that
+/// was about to restart.
+pub(crate) const DEAD_AFTER: SimTime = 240 * MILLI;
 
 /// One daemon's view of the cluster membership.
 #[derive(Debug)]
@@ -117,13 +126,15 @@ impl Members {
 
     /// One failure-detector round at `now`: advance the suspicion state
     /// machine on the silence of every peer of `me`. Returns the peers
-    /// silent for `dead_after` or longer, and how many others just became
-    /// suspects (soft state: counted, reversible by [`Members::heard`]).
+    /// silent for `dead_after` or longer, and how many others, silent for
+    /// `suspect_after`, just became suspects (soft state: counted,
+    /// reversible by [`Members::heard`]).
     pub(crate) fn verdicts(
         &mut self,
         now: SimTime,
         me: DaemonId,
-        policy: &RecoveryPolicy,
+        suspect_after: SimTime,
+        dead_after: SimTime,
     ) -> (Vec<DaemonId>, u64) {
         let mut dead = Vec::new();
         let mut suspected = 0;
@@ -132,9 +143,9 @@ impl Members {
                 continue;
             }
             let silence = now.saturating_sub(self.last_heard[i]);
-            if silence >= policy.dead_after {
+            if silence >= dead_after {
                 dead.push(DaemonId(i as u16));
-            } else if silence >= policy.suspect_after && !self.suspect[i] {
+            } else if silence >= suspect_after && !self.suspect[i] {
                 self.suspect[i] = true;
                 suspected += 1;
             }
@@ -227,17 +238,15 @@ mod tests {
 
     #[test]
     fn silence_turns_into_suspicion_then_a_verdict() {
-        let policy =
-            RecoveryPolicy { suspect_after: 10, dead_after: 30, ..RecoveryPolicy::default() };
         let (me, mut m) = (DaemonId(0), Members::new(3));
-        assert_eq!(m.verdicts(9, me, &policy), (vec![], 0));
+        assert_eq!(m.verdicts(9, me, 10, 30), (vec![], 0));
         m.heard(8, DaemonId(2));
-        assert_eq!(m.verdicts(12, me, &policy), (vec![], 1), "daemon 1 is newly suspect");
-        assert_eq!(m.verdicts(13, me, &policy), (vec![], 0), "a suspect is counted once");
+        assert_eq!(m.verdicts(12, me, 10, 30), (vec![], 1), "daemon 1 is newly suspect");
+        assert_eq!(m.verdicts(13, me, 10, 30), (vec![], 0), "a suspect is counted once");
         m.heard(14, DaemonId(1));
-        assert_eq!(m.verdicts(24, me, &policy), (vec![], 2), "heard from: suspicion starts over");
-        assert_eq!(m.verdicts(44, me, &policy), (vec![DaemonId(1), DaemonId(2)], 0));
+        assert_eq!(m.verdicts(24, me, 10, 30), (vec![], 2), "heard from: suspicion starts over");
+        assert_eq!(m.verdicts(44, me, 10, 30), (vec![DaemonId(1), DaemonId(2)], 0));
         assert!(m.evict(DaemonId(1), 0, Vt::ZERO));
-        assert_eq!(m.verdicts(44, me, &policy), (vec![DaemonId(2)], 0), "the dead get no verdict");
+        assert_eq!(m.verdicts(44, me, 10, 30), (vec![DaemonId(2)], 0), "the dead get no verdict");
     }
 }

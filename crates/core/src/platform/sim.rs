@@ -20,12 +20,24 @@ use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value}
 
 use crate::ckpt::ReplicatedStore;
 use crate::codes::CodeCache;
-use crate::config::{ClusterConfig, VtMode, VtService};
+use crate::config::{ClusterConfig, VtMode};
 use crate::daemon::{Daemon, Effect};
 use crate::ids::{DaemonId, NodeRef};
+use crate::members::{DEAD_AFTER, SUSPECT_AFTER};
 use crate::topology::{DaemonTopology, LogicalTopology};
 use crate::wire::Wire;
 use crate::ClusterError;
+
+/// Interval between heartbeat rounds of a recovery-armed run (simulated
+/// time). Liveness is also refreshed by any data/ack traffic from a peer.
+const HEARTBEAT_EVERY: SimTime = 20 * MILLI;
+
+/// Interval between checkpoint snapshots of each daemon's durable state
+/// (node variables, parked messengers, transport channels).
+const CHECKPOINT_EVERY: SimTime = 40 * MILLI;
+
+// A peer is suspected only after missed beats, and dead strictly later.
+const _: () = assert!(SUSPECT_AFTER >= 2 * HEARTBEAT_EVERY && DEAD_AFTER > SUSPECT_AFTER);
 
 /// The world threaded through simulation events.
 struct World {
@@ -36,7 +48,6 @@ struct World {
     directory: HashMap<Value, (DaemonId, NodeRef)>,
     live: i64,
     in_flight: u64,
-    gvt_enabled: bool,
     faults: Vec<(MessengerId, String)>,
     /// Frame-fault oracle; `None` under the benign default plan, in which
     /// case none of the fault bookkeeping below is ever touched.
@@ -330,15 +341,15 @@ fn kill(en: &mut En, w: &mut World, d: DaemonId) {
     // unrestored checkpoint), so failure detection must come back.
     if !w.beats_live {
         w.beats_live = true;
-        let hb = w.cfg.recovery.heartbeat_every.max(MILLI / 2);
-        en.schedule_in(hb, beat_tick);
+        en.schedule_in(HEARTBEAT_EVERY, beat_tick);
     }
     for j in 0..w.daemons.len() {
         if j != i && w.down_until[j] != SimTime::MAX && !w.ckpt_live[j] {
             w.ckpt_live[j] = true;
-            let every = w.cfg.recovery.checkpoint_every.max(MILLI / 2);
             let dj = DaemonId(j as u16);
-            en.schedule_at(en.now().saturating_add(every), move |en, w| ckpt_tick(en, w, dj));
+            en.schedule_at(en.now().saturating_add(CHECKPOINT_EVERY), move |en, w| {
+                ckpt_tick(en, w, dj);
+            });
         }
     }
 }
@@ -412,8 +423,7 @@ fn ckpt_tick(en: &mut En, w: &mut World, d: DaemonId) {
         w.ckpt_live[d.0 as usize] = false;
         return; // computation finished; let the queue drain
     }
-    let every = w.cfg.recovery.checkpoint_every.max(MILLI / 2);
-    en.schedule_at(en.now().saturating_add(every), move |en, w| ckpt_tick(en, w, d));
+    en.schedule_at(en.now().saturating_add(CHECKPOINT_EVERY), move |en, w| ckpt_tick(en, w, d));
     tick(en, w, d);
 }
 
@@ -435,8 +445,7 @@ fn beat_tick(en: &mut En, w: &mut World) {
         w.daemons[i].on_beat_tick(now, &mut fx);
         apply_effects(en, w, d, now, fx);
     }
-    let every = w.cfg.recovery.heartbeat_every.max(MILLI / 2);
-    en.schedule_in(every, beat_tick);
+    en.schedule_in(HEARTBEAT_EVERY, beat_tick);
 }
 
 /// Failover: `successor` adopts `victim`'s last checkpoint. Runs at most
@@ -597,7 +606,6 @@ impl SimCluster {
                 directory: HashMap::new(),
                 live: 0,
                 in_flight: 0,
-                gvt_enabled: false,
                 faults: Vec::new(),
                 injector,
                 down_until,
@@ -811,17 +819,9 @@ impl SimCluster {
     /// checkpoint-replica holders are dead.
     pub fn run(&mut self) -> Result<SimReport, ClusterError> {
         // Arm the GVT service if needed.
-        let enable = match self.world.cfg.vt_service {
-            VtService::On => true,
-            VtService::Off => false,
-            VtService::Auto => {
-                self.codes.any_uses_virtual_time() || self.world.cfg.vt_mode == VtMode::Optimistic
-            }
-        };
-        if enable && !self.world.gvt_enabled {
-            self.world.gvt_enabled = true;
-        }
-        if self.world.gvt_enabled {
+        let gvt_enabled =
+            self.codes.any_uses_virtual_time() || self.world.cfg.vt_mode == VtMode::Optimistic;
+        if gvt_enabled {
             let interval = self.world.cfg.gvt_interval;
             self.engine.schedule_in(interval, gvt_tick);
         }
@@ -831,14 +831,12 @@ impl SimCluster {
             for i in 0..self.world.daemons.len() {
                 checkpoint_now(&mut self.engine, &mut self.world, DaemonId(i as u16));
             }
-            let hb = self.world.cfg.recovery.heartbeat_every.max(MILLI / 2);
             self.world.beats_live = true;
-            self.engine.schedule_in(hb, beat_tick);
-            let every = self.world.cfg.recovery.checkpoint_every.max(MILLI / 2);
+            self.engine.schedule_in(HEARTBEAT_EVERY, beat_tick);
             for i in 0..self.world.daemons.len() {
                 let d = DaemonId(i as u16);
                 self.world.ckpt_live[i] = true;
-                self.engine.schedule_at(every, move |en, w| ckpt_tick(en, w, d));
+                self.engine.schedule_at(CHECKPOINT_EVERY, move |en, w| ckpt_tick(en, w, d));
             }
         }
         let budget = self.world.cfg.max_events;
@@ -907,11 +905,6 @@ impl SimCluster {
     pub fn trace_span_end(&mut self, name: &str) {
         let kind = EventKind::SpanEnd { name: name.to_string() };
         self.world.emit(DaemonId(0), self.engine.now(), kind);
-    }
-
-    /// The simulated time so far, in seconds.
-    pub fn now_seconds(&self) -> f64 {
-        msgr_sim::to_secs(self.engine.now())
     }
 
     /// Direct access to a daemon (tests and diagnostics).

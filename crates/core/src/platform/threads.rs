@@ -21,9 +21,8 @@ use msgr_sim::Stats;
 use msgr_trace::{Metric, Trace};
 use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
-use crate::ckpt::FileStore;
 use crate::codes::CodeCache;
-use crate::config::{ClusterConfig, VtMode, VtService};
+use crate::config::{ClusterConfig, VtMode};
 use crate::daemon::{Daemon, Directory, Effect};
 use crate::ids::{DaemonId, NodeRef};
 use crate::topology::{DaemonTopology, LogicalTopology};
@@ -248,48 +247,18 @@ impl ThreadCluster {
         let (senders, receivers): (Vec<Sender<Wire>>, Vec<Receiver<Wire>>) =
             (0..n).map(|_| channel()).unzip();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let gvt_needed = match self.cfg.vt_service {
-            VtService::On => true,
-            VtService::Off => false,
-            VtService::Auto => self.codes.any_uses_virtual_time(),
-        };
-
-        // File-backed durability: with a checkpoint directory configured,
-        // every daemon periodically snapshots its durable state (node
-        // variables, parked messengers, transport channels) to
-        // `daemon-<id>.ckpt`, and once more at shutdown. Each thread owns
-        // its own store handle; the files are disjoint per daemon.
-        let ckpt_every = Duration::from_nanos(self.cfg.recovery.checkpoint_every.max(1_000_000));
-        let mut stores: Vec<Option<FileStore>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            stores.push(match &self.cfg.checkpoint_dir {
-                None => None,
-                Some(dir) => Some(FileStore::new(dir.clone()).map_err(|e| {
-                    ClusterError::Config(format!("checkpoint dir {}: {e}", dir.display()))
-                })?),
-            });
-        }
+        let gvt_needed = self.codes.any_uses_virtual_time();
 
         let start = Instant::now();
         let mut handles = Vec::with_capacity(n);
-        for ((mut daemon, rx), store) in self.daemons.drain(..).zip(receivers).zip(stores) {
+        for (mut daemon, rx) in self.daemons.drain(..).zip(receivers) {
             let senders = senders.clone();
             let shutdown = shutdown.clone();
             let live = self.live.clone();
             let faults = self.faults.clone();
             let dir = self.directory.clone();
             handles.push(std::thread::spawn(move || {
-                run_daemon(
-                    &mut daemon,
-                    rx,
-                    senders,
-                    shutdown,
-                    live,
-                    faults,
-                    dir,
-                    store,
-                    ckpt_every,
-                );
+                run_daemon(&mut daemon, rx, senders, shutdown, live, faults, dir);
                 daemon
             }));
         }
@@ -346,14 +315,6 @@ impl ThreadCluster {
             if t.dropped > 0 {
                 stats.add(Metric::TraceDropped, t.dropped);
             }
-            // With file-backed durability configured, the trace is an
-            // artifact of the run like the final checkpoints: persist it
-            // beside them so a post-mortem can read both.
-            if let Some(dir) = &self.cfg.checkpoint_dir {
-                if let Ok(store) = FileStore::new(dir.clone()) {
-                    store.put_blob("trace.jsonl", t.to_jsonl().as_bytes());
-                }
-            }
         }
         Ok(ThreadReport {
             wall_seconds: start.elapsed().as_secs_f64(),
@@ -364,7 +325,6 @@ impl ThreadCluster {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_daemon(
     daemon: &mut Daemon,
     rx: Receiver<Wire>,
@@ -373,21 +333,12 @@ fn run_daemon(
     live: Arc<AtomicI64>,
     faults: Arc<Mutex<Vec<(MessengerId, String)>>>,
     dir: SharedDirectory,
-    mut store: Option<FileStore>,
-    ckpt_every: Duration,
 ) {
     // On threads the recorder's `rt` stays 0 for trace determinism, so
     // the profiler (if on) keeps its own monotonic clock instead.
     daemon.profile_wallclock();
     let mut fx: Vec<Effect> = Vec::new();
-    let mut last_ckpt = Instant::now();
     loop {
-        if let Some(s) = store.as_mut() {
-            if last_ckpt.elapsed() >= ckpt_every {
-                s.put(daemon.id(), daemon.checkpoint_snapshot());
-                last_ckpt = Instant::now();
-            }
-        }
         // Drain the inbox.
         while let Ok(wire) = rx.try_recv() {
             daemon.on_wire(wire, &mut fx);
@@ -406,11 +357,6 @@ fn run_daemon(
             }
             Err(_) => {
                 if shutdown.load(Ordering::Relaxed) {
-                    // A final snapshot so the files reflect the finished
-                    // state (post-run inspection and cold restarts).
-                    if let Some(s) = store.as_mut() {
-                        s.put(daemon.id(), daemon.checkpoint_snapshot());
-                    }
                     return;
                 }
             }

@@ -68,13 +68,14 @@ impl Ledger {
     }
 }
 
+/// VM PC sampling interval, in executed bytecode ops per sample.
+pub(crate) const PROFILE_INTERVAL: u64 = 4096;
+
 /// Per-daemon profiler state. Lives on the daemon as
 /// `Option<Box<Prof>>`; `None` means profiling is off and every hook is
 /// a single branch.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Prof {
-    /// VM PC sampling interval (executed ops per sample).
-    pub interval: u64,
     /// Monotonic epoch for the threads platform; `None` on sim, where
     /// the flight-recorder `rt` clock is the time base.
     epoch: Option<Instant>,
@@ -89,17 +90,6 @@ pub struct Prof {
 }
 
 impl Prof {
-    /// Fresh profiler state sampling every `interval` ops.
-    pub fn new(interval: u64) -> Self {
-        Prof {
-            interval: interval.max(1),
-            epoch: None,
-            ledgers: HashMap::new(),
-            transport: HashMap::new(),
-            restored: Vec::new(),
-        }
-    }
-
     /// Switch the profiler onto real wall-clock time (threads platform,
     /// where the recorder's `rt` stays 0).
     pub fn start_wallclock(&mut self) {
@@ -209,7 +199,7 @@ mod tests {
 
     #[test]
     fn queue_and_park_windows_close_in_order() {
-        let mut p = Prof::new(4096);
+        let mut p = Prof::default();
         p.credit_transport(9, 250);
         p.on_enqueue(9, 1_000);
         p.on_dequeue(9, 1_400);
@@ -231,7 +221,7 @@ mod tests {
 
     #[test]
     fn recovery_stall_hits_only_revived_messengers() {
-        let mut p = Prof::new(1);
+        let mut p = Prof::default();
         p.on_enqueue(1, 0);
         p.restored.push(1);
         p.on_enqueue(2, 0);

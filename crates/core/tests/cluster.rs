@@ -472,35 +472,6 @@ fn threads_virtual_time_alternation() {
 }
 
 #[test]
-fn threads_file_backed_checkpoints() {
-    use msgr_core::{DaemonId, FileStore};
-    let dir = std::env::temp_dir().join(format!("msgr-threads-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let prog = compile(
-        r#"main(n) {
-            node int total;
-            total = total + n;
-        }"#,
-    )
-    .unwrap();
-    let mut cfg = ClusterConfig::new(2);
-    cfg.checkpoint_dir = Some(dir.clone());
-    let mut c = ThreadCluster::new(cfg).unwrap();
-    let pid = c.register_program(&prog);
-    c.inject(0, pid, &[Value::Int(5)]).unwrap();
-    let report = c.run().unwrap();
-    assert!(report.faults.is_empty(), "{:?}", report.faults);
-    // Every daemon wrote at least its shutdown snapshot, and the files
-    // decode as the current snapshot format.
-    let store = FileStore::new(dir.clone()).unwrap();
-    for d in 0..2u16 {
-        let snap = store.get(DaemonId(d)).expect("snapshot file exists");
-        assert_eq!(snap[0], 1, "daemon {d}: snapshot format version");
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn threads_ring_with_local_moves_visits_exactly_once() {
     // 16 walkers on a 16-node ring laid out in contiguous per-daemon
     // blocks, so 3 of every 4 hops stay on one daemon and take the

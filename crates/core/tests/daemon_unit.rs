@@ -394,6 +394,10 @@ fn frames_naming_a_daemon_outside_the_cluster_do_not_panic() {
         let mut fx = Vec::new();
         d.on_wire_at(MILLI, frame, &mut fx);
         assert_membership_untouched(&d, &fx, &what);
+        // Nor may a reply be addressed to it: both platforms index their
+        // daemons by `dst`.
+        let stray = fx.iter().find(|e| matches!(e, Effect::Send { dst, .. } if dst.0 >= 3));
+        assert!(stray.is_none(), "{what}: addressed {stray:?}");
     }
 }
 

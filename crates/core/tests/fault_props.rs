@@ -88,8 +88,8 @@ fn arb_rates(s: &mut Source) -> FaultPlan {
 
 /// Random crash/restart schedule over the scenario's daemons.
 fn arb_crashes(s: &mut Source, daemons: usize) -> Vec<CrashEvent> {
-    // Transient windows only, and well under `RecoveryPolicy::dead_after`
-    // (240 ms), so fail-recover scenarios never trip permanent failover.
+    // Transient windows only, and well under `DEAD_AFTER` (240 ms), so
+    // fail-recover scenarios never trip permanent failover.
     let mut evs = s.vec_with(1..4, |s| {
         CrashEvent::transient(
             s.u32_in(0..daemons as u32),

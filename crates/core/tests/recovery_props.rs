@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{ClusterConfig, DaemonId, ExecMode, SimCluster, Succession};
+use msgr_core::{ClusterConfig, DaemonId, ExecMode, SimCluster};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_vm::{Dir, Value};
 
@@ -184,18 +184,13 @@ fn recovery_no_lost_or_doubled_updates_under_kill() {
 }
 
 #[test]
-fn recovery_is_exactly_once_under_deterministic_succession() {
-    // The rest of this suite runs the shipped default (burial by quorum
-    // decree, k = 1). The next-alive rule behind `--succession
-    // deterministic`, and replication up to k = 3, must give the same
-    // exactly-once failover.
-    check_with(chaos_cases(), "recovery_is_exactly_once_under_deterministic_succession", |s| {
+fn recovery_is_exactly_once_at_every_replication_factor() {
+    // The rest of this suite runs k = 1. Replication up to k = 3 must
+    // give the same exactly-once failover.
+    check_with(chaos_cases(), "recovery_is_exactly_once_at_every_replication_factor", |s| {
         let sc = arb_kill_scenario(s);
         let k = s.usize_in(1..4);
-        let r = run_ring_with(&sc, WALK, |cfg| {
-            cfg.succession = Succession::Deterministic;
-            cfg.replication = k;
-        })?;
+        let r = run_ring_with(&sc, WALK, |cfg| cfg.replication = k)?;
         assert_exactly_once(&sc, &r)
     });
 }

@@ -121,17 +121,6 @@ pub enum EventKind {
         /// Daemon the frame was redirected to.
         to: u16,
     },
-    /// A messenger read a node variable (emitted only when node-var
-    /// tracing is enabled).
-    NodeVarRead {
-        /// Variable name.
-        var: String,
-    },
-    /// A messenger wrote a node variable (node-var tracing only).
-    NodeVarWrite {
-        /// Variable name.
-        var: String,
-    },
     /// The GVT coordinator started round `round`.
     GvtRound {
         /// Round number.
@@ -319,8 +308,6 @@ impl EventKind {
             EventKind::FrameAck { .. } => "ack",
             EventKind::FrameRetransmit { .. } => "retransmit",
             EventKind::FrameRedirect { .. } => "redirect",
-            EventKind::NodeVarRead { .. } => "nv_read",
-            EventKind::NodeVarWrite { .. } => "nv_write",
             EventKind::GvtRound { .. } => "gvt_round",
             EventKind::GvtAdvance { .. } => "gvt_advance",
             EventKind::GvtEvict { .. } => "gvt_evict",
@@ -404,11 +391,6 @@ impl TraceEvent {
             }
             EventKind::FrameRedirect { chan, seq, to } => {
                 let _ = write!(out, ",\"chan\":{chan},\"seq\":{seq},\"to\":{to}");
-            }
-            EventKind::NodeVarRead { var } | EventKind::NodeVarWrite { var } => {
-                out.push_str(",\"var\":\"");
-                escape_into(var, out);
-                out.push('"');
             }
             EventKind::GvtRound { round } => {
                 let _ = write!(out, ",\"round\":{round}");
@@ -545,8 +527,6 @@ impl TraceEvent {
                 seq: req_u64(j, "seq")?,
                 to: req_u16(j, "to")?,
             },
-            "nv_read" => EventKind::NodeVarRead { var: req_str(j, "var")? },
-            "nv_write" => EventKind::NodeVarWrite { var: req_str(j, "var")? },
             "gvt_round" => EventKind::GvtRound { round: req_u64(j, "round")? },
             "gvt_advance" => EventKind::GvtAdvance { gvt: req_f64(j, "to")? },
             "gvt_evict" => {
@@ -679,8 +659,6 @@ mod tests {
             EventKind::FrameAck { chan: 2, seq: 10 },
             EventKind::FrameRetransmit { chan: 2, seq: 10, attempt: 3 },
             EventKind::FrameRedirect { chan: 2, seq: 10, to: 1 },
-            EventKind::NodeVarRead { var: "visits".to_string() },
-            EventKind::NodeVarWrite { var: "a \"quoted\" name\n".to_string() },
             EventKind::GvtRound { round: 5 },
             EventKind::GvtAdvance { gvt: 0.375 },
             EventKind::GvtEvict { victim: 3, floor: 0.5 },
@@ -713,7 +691,7 @@ mod tests {
             EventKind::PcSample { prog: 0xE2D4_66F1_0A9B_3C47, func: 0, line: 7, count: 512 },
             EventKind::Kill,
             EventKind::SpanBegin { name: "compute".to_string() },
-            EventKind::SpanEnd { name: "compute".to_string() },
+            EventKind::SpanEnd { name: "a \"quoted\" name\n".to_string() },
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             roundtrip(TraceEvent {

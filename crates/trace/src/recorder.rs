@@ -25,14 +25,11 @@ pub struct TraceConfig {
     /// Ring capacity per daemon (events). When the ring is full the
     /// oldest event is dropped and counted in [`FlightRecorder::dropped`].
     pub capacity: usize,
-    /// Also record node-variable reads/writes (high volume; off by
-    /// default).
-    pub node_vars: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { enabled: false, capacity: 65_536, node_vars: false }
+        TraceConfig { enabled: false, capacity: 65_536 }
     }
 }
 
@@ -48,7 +45,6 @@ impl TraceConfig {
 pub struct FlightRecorder {
     daemon: u16,
     enabled: bool,
-    node_vars: bool,
     capacity: usize,
     seq: u64,
     now: u64,
@@ -63,7 +59,6 @@ impl FlightRecorder {
         FlightRecorder {
             daemon,
             enabled: cfg.enabled,
-            node_vars: cfg.enabled && cfg.node_vars,
             capacity: cfg.capacity.max(1),
             seq: 0,
             now: 0,
@@ -81,11 +76,6 @@ impl FlightRecorder {
     /// The daemon this recorder belongs to.
     pub fn daemon(&self) -> u16 {
         self.daemon
-    }
-
-    /// Whether node-variable accesses should be recorded.
-    pub fn node_vars(&self) -> bool {
-        self.node_vars
     }
 
     /// Stamp the platform clock used for subsequent events.
@@ -168,7 +158,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let cfg = TraceConfig { enabled: true, capacity: 3, node_vars: false };
+        let cfg = TraceConfig { enabled: true, capacity: 3 };
         let mut r = FlightRecorder::new(2, &cfg);
         for i in 0..5u64 {
             r.set_now(i * 10);

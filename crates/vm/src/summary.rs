@@ -147,11 +147,6 @@ impl SummaryTable {
     pub fn hop_free_funcs(&self) -> u64 {
         self.funcs.iter().filter(|s| s.hop == HopBehavior::HopFree).count() as u64
     }
-
-    /// Count of typed-loop licenses across all functions.
-    pub fn pure_loop_count(&self) -> u64 {
-        self.funcs.iter().map(|s| s.pure_loops.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]

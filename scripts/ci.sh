@@ -49,6 +49,18 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 if grep -rn 'env::var("MSGR_' crates/*/src src | grep -v 'MSGR_EXEC\|MSGR_CHECK_'; then
     echo "error: runtime MSGR_* env read other than MSGR_EXEC" >&2; exit 1
 fi
+# Every ClusterConfig field has a caller or a stated reason: an assignment
+# in a source directory (not `tests/`, not config.rs itself), or a row in
+# DESIGN.md's config ledger.
+ledger="$(awk '/^### Config ledger/{on=1; next} /^##/{on=0} on' DESIGN.md)"
+for field in $(awk '/^pub struct ClusterConfig/,/^}/' crates/core/src/config.rs \
+    | sed -n 's/^    pub \([a-z_]*\):.*/\1/p'); do
+    grep -rqE --include='*.rs' --exclude=config.rs "\.$field(\.[a-z_]+)* *=[^=]" \
+        crates/*/src src examples benchmark/src && continue
+    grep -qF "| \`$field\` |" <<<"$ledger" && continue
+    echo "error: ClusterConfig::$field has no setter and no DESIGN.md config-ledger row" >&2
+    exit 1
+done
 
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a

@@ -31,9 +31,6 @@
 //!     --replication K      checkpoint replication factor: each version is
 //!                          write-ahead copied to K next-alive holders
 //!                          (default 1; simulator only)
-//!     --succession MODE    who buries a dead daemon: `quorum` (majority
-//!                          decree, the default) or `deterministic`
-//!                          (next-alive rule, the ablation baseline)
 //!     --profile            cost-attribution profiling: per-messenger
 //!                          phase ledgers + VM pc samples ride the trace
 //!                          stream (implies tracing)
@@ -64,9 +61,7 @@
 use std::process::ExitCode;
 
 use messengers::core::topology::LogicalTopology;
-use messengers::core::{
-    ClusterConfig, ExecMode, SimCluster, Succession, ThreadCluster, Trace, TraceConfig,
-};
+use messengers::core::{ClusterConfig, ExecMode, SimCluster, ThreadCluster, Trace, TraceConfig};
 use messengers::sim::{CrashEvent, FaultPlan, MILLI};
 use messengers::vm::Value;
 
@@ -420,7 +415,6 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut exec: Option<ExecMode> = None;
     let mut replication: Option<usize> = None;
-    let mut succession: Option<Succession> = None;
     let mut profile = false;
 
     let mut it = opts.iter();
@@ -481,13 +475,6 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
                     }
                     replication = Some(k);
                 }
-                "--succession" => {
-                    let mode = take("`quorum` or `deterministic`")?;
-                    succession = Some(
-                        Succession::parse(&mode)
-                            .ok_or_else(|| format!("bad succession mode `{mode}`"))?,
-                    );
-                }
                 other => return Err(format!("unknown option `{other}`")),
             }
             Ok(())
@@ -517,8 +504,15 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
 
+    // Kill-bearing runs (simulator only) get tracing for free: the
+    // recovery timeline printed after the run comes out of the flight
+    // recorders.
+    let has_kill = faults.has_kills();
+
+    // The two cluster types share method names, not a trait. `$after` runs
+    // on the finished cluster `$c`, last before the exit status.
     macro_rules! drive {
-        ($cluster:expr, $run_field:ident, $unit:expr) => {{
+        ($cluster:expr, $run_field:ident, $unit:expr, |$c:ident| $after:block) => {{
             let mut cluster = $cluster;
             if let Some(t) = &topology {
                 if let Err(e) = cluster.build(t) {
@@ -551,6 +545,9 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
                             .or_else(|| cluster.node_var(0, &name, var));
                         println!("{node}.{var} = {}", v.unwrap_or(Value::Null));
                     }
+                    if has_kill {
+                        print_recovery(&report.stats, report.trace.as_ref());
+                    }
                     if profile {
                         if let Some(t) = &report.trace {
                             print!("{}", messengers::prof::Profile::from_trace(t).report());
@@ -562,6 +559,8 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
                         }
                         println!("trace: {} event(s) -> {path}", t.events.len());
                     }
+                    let $c = &cluster;
+                    $after
                     if report.faults.is_empty() {
                         ExitCode::SUCCESS
                     } else {
@@ -573,113 +572,42 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         }};
     }
 
-    let has_kill = faults.has_kills();
+    let mut cfg = ClusterConfig::new(daemons);
+    cfg.faults = faults;
+    if let Some(s) = seed {
+        cfg.seed = s;
+    }
+    if let Some(m) = exec {
+        cfg.exec = m;
+    }
+    if let Some(k) = replication {
+        cfg.replication = k;
+    }
+    if trace_out.is_some() || has_kill {
+        cfg.trace = TraceConfig::on();
+    }
+    // The platform constructor forces tracing on when profiling: the
+    // phase ledgers travel in the trace stream.
+    cfg.profile = profile;
     if threads {
         if dump {
             return fail_internal("--dump is only available on the simulation platform");
         }
-        if !faults.is_none() {
+        if cfg.reliable() {
             return fail_internal("--faults is only available on the simulation platform");
         }
-        if replication.is_some() || succession.is_some() {
-            return fail_internal(
-                "--replication/--succession are only available on the simulation platform",
-            );
+        if replication.is_some() {
+            return fail_internal("--replication is only available on the simulation platform");
         }
-        let mut cfg = ClusterConfig::new(daemons);
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        if let Some(m) = exec {
-            cfg.exec = m;
-        }
-        if trace_out.is_some() {
-            cfg.trace = TraceConfig::on();
-        }
-        // The platform constructor forces tracing on when profiling: the
-        // phase ledgers travel in the trace stream.
-        cfg.profile = profile;
         match ThreadCluster::new(cfg) {
-            Ok(c) => drive!(c, wall_seconds, "wall seconds"),
+            Ok(c) => drive!(c, wall_seconds, "wall seconds", |_c| {}),
             Err(e) => fail(e),
         }
     } else {
-        let mut cfg = ClusterConfig::new(daemons);
-        cfg.faults = faults;
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        if let Some(m) = exec {
-            cfg.exec = m;
-        }
-        if let Some(k) = replication {
-            cfg.replication = k;
-        }
-        if let Some(s) = succession {
-            cfg.succession = s;
-        }
-        // Kill-bearing runs get tracing for free: the recovery timeline
-        // the summary prints below comes out of the flight recorders.
-        if trace_out.is_some() || has_kill {
-            cfg.trace = TraceConfig::on();
-        }
-        cfg.profile = profile;
-        let mut cluster = SimCluster::new(cfg);
-        if let Some(t) = &topology {
-            if let Err(e) = cluster.build(t) {
-                return fail(e);
+        drive!(SimCluster::new(cfg), sim_seconds, "simulated seconds", |c| {
+            if dump {
+                print!("{}", c.network_dump());
             }
-        }
-        let pid = cluster.register_program(&program);
-        for inj in &injections {
-            let outcome = match inj.where_.parse::<u16>() {
-                Ok(d) => cluster.inject(d, pid, &inj.args),
-                Err(_) => cluster.inject_at(&Value::str(&inj.where_), pid, &inj.args),
-            };
-            if let Err(e) = outcome {
-                return fail(format!("inject at `{}`: {e}", inj.where_));
-            }
-        }
-        match cluster.run() {
-            Ok(report) => {
-                println!("{:.6} simulated seconds | counters:", report.sim_seconds);
-                for (k, v) in report.stats.counters() {
-                    println!("  {k}: {v}");
-                }
-                for (id, err) in &report.faults {
-                    eprintln!("fault: messenger {id}: {err}");
-                }
-                for (node, var) in &shows {
-                    let name = Value::str(node);
-                    let v = cluster
-                        .node_var_by_name(&name, var)
-                        .or_else(|| cluster.node_var(0, &name, var));
-                    println!("{node}.{var} = {}", v.unwrap_or(Value::Null));
-                }
-                if has_kill {
-                    print_recovery(&report.stats, report.trace.as_ref());
-                }
-                if profile {
-                    if let Some(t) = &report.trace {
-                        print!("{}", messengers::prof::Profile::from_trace(t).report());
-                    }
-                }
-                if let (Some(path), Some(t)) = (&trace_out, &report.trace) {
-                    if let Err(e) = std::fs::write(path, t.to_jsonl()) {
-                        return fail_internal(format!("cannot write `{path}`: {e}"));
-                    }
-                    println!("trace: {} event(s) -> {path}", t.events.len());
-                }
-                if dump {
-                    print!("{}", cluster.network_dump());
-                }
-                if report.faults.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => fail(e),
-        }
+        })
     }
 }

@@ -13,6 +13,10 @@ use messengers::prof::Profile;
 use messengers::trace::{EventKind, Trace};
 use messengers::vm::{Dir, Value};
 
+/// Inner-loop trips per pass: several sampling intervals (4096 ops) long,
+/// so every segment yields pc samples.
+const ITERS: i64 = 4096;
+
 /// A ring walker with an inner loop hot enough to trip the pc sampler.
 const WALK: &str = r#"
 walk(passes, iters) {
@@ -55,7 +59,6 @@ fn cfg(profile: bool) -> ClusterConfig {
     cfg.seed = 42;
     cfg.trace = TraceConfig::on();
     cfg.profile = profile;
-    cfg.profile_interval = 256;
     cfg
 }
 
@@ -67,7 +70,7 @@ fn run_sim(profile: bool) -> (Trace, f64, Vec<Option<Value>>) {
     let pid = cluster.register_program(&messengers::lang::compile(WALK).expect("compile"));
     for m in 0..4 {
         cluster
-            .inject_at(&Value::str(format!("p{m}")), pid, &[Value::Int(6), Value::Int(512)])
+            .inject_at(&Value::str(format!("p{m}")), pid, &[Value::Int(6), Value::Int(ITERS)])
             .expect("inject");
     }
     let rep = cluster.run().expect("run");
@@ -153,7 +156,7 @@ fn threads_platform_profiles_on_the_monotonic_clock() {
     let pid = cluster.register_program(&messengers::lang::compile(WALK).expect("compile"));
     for m in 0..4 {
         cluster
-            .inject_at(&Value::str(format!("p{m}")), pid, &[Value::Int(4), Value::Int(512)])
+            .inject_at(&Value::str(format!("p{m}")), pid, &[Value::Int(4), Value::Int(ITERS)])
             .expect("inject");
     }
     let rep = cluster.run().expect("run");
