@@ -1912,6 +1912,10 @@ impl Daemon {
             return 0;
         };
 
+        // Credit before the frames that spend it, as in `do_hop`: a replica
+        // may die on its peer before this batch of effects is applied
+        // through, and the live count must not touch zero in between.
+        fx.push(Effect::LiveDelta(last as i64));
         let code_bytes = if self.cfg.carry_code { program.wire_bytes() } else { 0 };
         let mut cost = 0u64;
         let mut state = Some(run.state);
@@ -1954,7 +1958,6 @@ impl Daemon {
                 })),
             });
         }
-        fx.push(Effect::LiveDelta(last as i64));
         if last > 0 {
             self.rec
                 .emit(vt.as_f64(), EventKind::MsgrFork { mid: mid.0, replicas: last as u64 + 1 });

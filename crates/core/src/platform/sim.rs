@@ -836,7 +836,7 @@ impl SimCluster {
             for i in 0..self.world.daemons.len() {
                 let d = DaemonId(i as u16);
                 self.world.ckpt_live[i] = true;
-                self.engine.schedule_at(CHECKPOINT_EVERY, move |en, w| ckpt_tick(en, w, d));
+                self.engine.schedule_in(CHECKPOINT_EVERY, move |en, w| ckpt_tick(en, w, d));
             }
         }
         let budget = self.world.cfg.max_events;

@@ -5,7 +5,8 @@ use msgr_core::config::{NetKind, VtMode};
 use msgr_core::topology::LogicalTopology;
 use msgr_core::{ClusterConfig, ClusterError, DaemonId, SimCluster, ThreadCluster};
 use msgr_lang::compile;
-use msgr_vm::{Dir, Value, Vt};
+use msgr_sim::{CrashEvent, FaultPlan, MILLI};
+use msgr_vm::{Dir, ProgramId, Value, Vt};
 
 fn sim(n: usize) -> SimCluster {
     let mut cfg = ClusterConfig::new(n);
@@ -650,6 +651,120 @@ fn threaded_stress_many_messengers() {
     // `rounds` hops; total landings = replicas × rounds (first landing
     // at creation, then ping-pong).
     assert_eq!(report.stats.counter("terminated"), 64);
+}
+
+/// A walker that makes `passes` hops forward along "ring" links, counting
+/// its landings in each node's `visits`.
+const RING_WALKER: &str = r#"walk(passes) {
+    int i;
+    node int visits;
+    for (i = 0; i < passes; i = i + 1) {
+        hop(ll = "ring"; ldir = +);
+        visits = visits + 1;
+    }
+}"#;
+
+/// Node `a` on daemon 0 and node `b` on daemon 1, joined into a 2-ring.
+fn two_ring() -> LogicalTopology {
+    let mut topo = LogicalTopology::new();
+    topo.node(Value::str("a"), DaemonId(0));
+    topo.node(Value::str("b"), DaemonId(1));
+    topo.link(Value::str("a"), Value::str("b"), Value::str("ring"), Dir::Forward);
+    topo.link(Value::str("b"), Value::str("a"), Value::str("ring"), Dir::Forward);
+    topo
+}
+
+/// A 2-daemon thread cluster over [`two_ring`] with [`RING_WALKER`]
+/// registered: every hop crosses threads and finds the receiver idle.
+fn bounce_pair() -> (ThreadCluster, ProgramId) {
+    let mut c = ThreadCluster::new(ClusterConfig::new(2)).unwrap();
+    c.build(&two_ring()).unwrap();
+    let pid = c.register_program(&compile(RING_WALKER).unwrap());
+    (c, pid)
+}
+
+// The next three are hang detectors for the driver's park/unpark
+// handshake: a lost wake-up shows as a test that never returns (the
+// stall deadline is 5 minutes), so none of them asserts on wall-clock.
+
+#[test]
+fn threads_short_runs_never_lose_the_last_death() {
+    // The handshake most likely to lose an unpark: the run is over within
+    // microseconds of the driver deciding to park.
+    for round in 0..300 {
+        let hops = 1 + round % 7;
+        let (mut c, pid) = bounce_pair();
+        c.inject_at(&Value::str("a"), pid, &[Value::Int(hops)]).unwrap();
+        let report = c.run().unwrap();
+        assert!(report.faults.is_empty(), "round {round}: {:?}", report.faults);
+        assert_eq!(report.stats.counter("hops"), hops as u64, "round {round}");
+        assert_eq!(report.stats.counter("terminated"), 1, "round {round}");
+    }
+}
+
+#[test]
+fn threads_run_with_nothing_injected_returns() {
+    let (mut c, _) = bounce_pair();
+    let report = c.run().unwrap();
+    assert!(report.faults.is_empty());
+    assert_eq!(report.stats.counter("terminated"), 0);
+}
+
+#[test]
+fn threads_cluster_runs_again_after_a_fresh_injection() {
+    // Daemon counters are cumulative across runs of one cluster.
+    let (mut c, pid) = bounce_pair();
+    c.inject_at(&Value::str("a"), pid, &[Value::Int(5)]).unwrap();
+    let first = c.run().unwrap();
+    assert_eq!((first.stats.counter("hops"), first.stats.counter("terminated")), (5, 1));
+    c.inject_at(&Value::str("b"), pid, &[Value::Int(4)]).unwrap();
+    let second = c.run().unwrap();
+    assert!(second.faults.is_empty(), "{:?}", second.faults);
+    assert_eq!((second.stats.counter("hops"), second.stats.counter("terminated")), (9, 2));
+}
+
+#[test]
+fn threads_panicking_native_unwinds_run_at_once() {
+    // A daemon thread that unwinds strands its messenger's credit: `live`
+    // never reaches zero. `run` must re-raise the panic rather than sit
+    // out the 5-minute stall deadline.
+    let prog = compile(
+        r#"main() {
+            hop(ll = "ring"; ldir = +);
+            boom();
+        }"#,
+    )
+    .unwrap();
+    let (mut c, _) = bounce_pair();
+    c.register_native("boom", |_, _| panic!("native blew up"));
+    let pid = c.register_program(&prog);
+    c.inject_at(&Value::str("a"), pid, &[]).unwrap();
+    let started = std::time::Instant::now();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run()));
+    let payload = outcome.expect_err("the daemon's panic must reach the caller of run()");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"native blew up"));
+    assert!(started.elapsed() < std::time::Duration::from_secs(5), "{:?}", started.elapsed());
+}
+
+#[test]
+fn sim_recovery_armed_cluster_runs_twice() {
+    // The periodic checkpoint is armed relative to `now`, so a second
+    // `run()` — the clock already past the first checkpoint period — must
+    // not schedule into the past.
+    let mut cfg = ClusterConfig::new(3);
+    cfg.faults = FaultPlan { crashes: vec![CrashEvent::kill(2, MILLI)], ..FaultPlan::none() };
+    let mut c = SimCluster::new(cfg);
+    c.build(&two_ring()).unwrap();
+    let pid = c.register_program(&compile(RING_WALKER).unwrap());
+    c.inject_at(&Value::str("a"), pid, &[Value::Int(200)]).unwrap();
+    let first = c.run().unwrap();
+    assert!(first.faults.is_empty(), "{:?}", first.faults);
+    assert!(first.sim_seconds > 0.040, "first run must outlast a checkpoint period");
+    c.inject_at(&Value::str("a"), pid, &[Value::Int(2)]).unwrap();
+    let second = c.run().unwrap();
+    assert!(second.faults.is_empty(), "{:?}", second.faults);
+    assert_eq!(second.live_leak, 0);
+    assert_eq!(c.node_var_by_name(&Value::str("a"), "visits"), Some(Value::Int(101)));
 }
 
 #[test]

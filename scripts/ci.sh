@@ -62,6 +62,15 @@ for field in $(awk '/^pub struct ClusterConfig/,/^}/' crates/core/src/config.rs 
     exit 1
 done
 
+# The threads driver waits on events (DESIGN.md §9: termination is signalled,
+# idle is spin-then-block, shutdown is a message): no poll may creep back in.
+for poll in 'thread::sleep' 'recv_timeout' 'AtomicBool'; do
+    if grep -n "$poll" crates/core/src/platform/threads.rs; then
+        echo "error: platform/threads.rs mentions $poll: wait on an event, do not poll" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a
 # link target must not leave the link dangling.
