@@ -59,11 +59,26 @@ pub struct Config {
     pub max_shrink: u32,
 }
 
+impl Config {
+    /// `cases` generated cases per property, unless `MSGR_CHECK_CASES`
+    /// is set: the environment wins over the count written in code. A
+    /// struct literal with an explicit `cases` pins the count instead.
+    pub fn with_cases(cases: u32) -> Config {
+        let env = std::env::var(CASES_ENV).ok();
+        Config { cases: case_count(env.as_deref(), cases), max_shrink: 4096 }
+    }
+}
+
 impl Default for Config {
     fn default() -> Self {
-        let cases = std::env::var(CASES_ENV).ok().and_then(|v| v.parse().ok()).unwrap_or(128);
-        Config { cases, max_shrink: 4096 }
+        Config::with_cases(128)
     }
+}
+
+/// The case count a property runs: `env` (the value of
+/// `MSGR_CHECK_CASES`) when it parses, else the count written in code.
+fn case_count(env: Option<&str>, in_code: u32) -> u32 {
+    env.and_then(|v| v.parse().ok()).unwrap_or(in_code)
 }
 
 // ---- choice source -----------------------------------------------------
@@ -641,6 +656,15 @@ mod tests {
 
     fn cfg() -> Config {
         Config { cases: 64, max_shrink: 4096 }
+    }
+
+    #[test]
+    fn the_environment_wins_over_the_in_code_case_count() {
+        assert_eq!(case_count(None, 256), 256);
+        assert_eq!(case_count(Some("4096"), 256), 4096);
+        assert_eq!(case_count(Some("8"), 256), 8);
+        assert_eq!(case_count(Some("lots"), 256), 256);
+        assert_eq!(case_count(Some(""), 256), 256);
     }
 
     #[test]

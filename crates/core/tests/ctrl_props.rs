@@ -55,7 +55,7 @@ fn fault_seed() -> u64 {
 }
 
 fn chaos_cases() -> Config {
-    Config { cases: 256, ..Config::default() }
+    Config::with_cases(256)
 }
 
 struct Scenario {

@@ -330,7 +330,7 @@ fn damaged_checkpoints_are_errors_not_panics() {
         let (mut heir, _) = mk_daemon(1, armed_cfg());
         heir.restore_from(DaemonId(0), bytes.into(), 3 * MILLI, &mut Vec::new())
     };
-    check_with(Config { cases: 32, ..Config::default() }, "damaged_checkpoints", |s| {
+    check_with(Config::with_cases(32), "damaged_checkpoints", |s| {
         codec_corruption(s, &snap, |b| restore(b).ok().map(|()| b.to_vec()))
     });
 

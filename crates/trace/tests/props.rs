@@ -39,7 +39,7 @@ walk(passes) {
 "#;
 
 fn cases() -> Config {
-    Config { cases: 256, ..Config::default() }
+    Config::with_cases(256)
 }
 
 struct Scenario {

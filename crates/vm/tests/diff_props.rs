@@ -344,17 +344,13 @@ fn case(
 
 #[test]
 fn engines_agree_on_generated_programs() {
-    check_with(Config { cases: 256, ..Config::default() }, "engines_agree", |s| {
-        case(s, compile::compile)
-    });
+    check_with(Config::with_cases(256), "engines_agree", |s| case(s, compile::compile));
 }
 
 #[test]
 #[ignore = "soak: 4096 cases; run via scripts/ci.sh --soak"]
 fn engines_agree_soak() {
-    check_with(Config { cases: 4096, ..Config::default() }, "engines_agree_soak", |s| {
-        case(s, compile::compile)
-    });
+    check_with(Config::with_cases(4096), "engines_agree_soak", |s| case(s, compile::compile));
 }
 
 #[test]
@@ -378,7 +374,7 @@ fn engines_agree_with_summaries_enabled() {
     // summary table driving inline fusion, typed loops, and bulk fuel
     // charges. Every observable — yields, errors, frames, node vars,
     // ops — must stay bit-equal to the plain interpreter.
-    check_with(Config { cases: 256, ..Config::default() }, "engines_agree_summaries", |s| {
+    check_with(Config::with_cases(256), "engines_agree_summaries", |s| {
         case(s, |p| {
             let t = msgr_analyze::summarize(p);
             compile::compile_with_summaries(p, Some(&t))
@@ -392,7 +388,7 @@ fn summaries_are_stable_across_wire_roundtrip() {
     // roundtrip of the program must reproduce the identical table, and
     // the summary codec itself must be an identity. 256 randomized
     // programs.
-    check_with(Config { cases: 256, ..Config::default() }, "summary_stability", |s| {
+    check_with(Config::with_cases(256), "summary_stability", |s| {
         let p = compile_arb(s)?;
         if msgr_analyze::verify(&p).is_err() {
             return Ok(());
@@ -460,7 +456,7 @@ fn miscompile_is_caught_by_the_generator_too() {
     // generator drifting toward arithmetic-free programs.)
     use std::sync::atomic::{AtomicBool, Ordering};
     let tripped = AtomicBool::new(false);
-    check_with(Config { cases: 256, ..Config::default() }, "miscompile_caught", |s| {
+    check_with(Config::with_cases(256), "miscompile_caught", |s| {
         let p = compile_arb(s)?;
         if msgr_analyze::verify(&p).is_err() {
             return Ok(());
