@@ -1,89 +1,28 @@
-//! The verifier core: abstract interpretation of one function's
-//! operand stack and locals over all control-flow paths.
+//! The verifier core, and the analyzer's one dataflow: abstract
+//! interpretation of one function's operand stack and locals over all
+//! control-flow paths.
 //!
-//! The abstract domain per value is a *kind* (flat lattice over the
-//! `Value` variants, `Top` = unknown) plus a *taint set* recording
+//! The abstract domain per value is a *kind* ([`SumKind`], the flat
+//! lattice over the `Value` variants) plus a *taint set* recording
 //! which node variables the value was read from and whether it has
 //! crossed a yield (`hop`/`create`/`delete`/`sched`) since. The kind
 //! feeds the hop-destination lint; the taint feeds the §2.1
 //! lost-update lint; the stack depth itself is what verification
 //! proves (no underflow, merge-point consistency, a static bound).
+//! Each per-pc state also carries the most navigation and the node
+//! variables surely written on the way there, so a function's summary
+//! is read off the same fixpoint that verifies it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use msgr_vm::Value;
-use msgr_vm::{Function, LinkPat, NetVar, NodePat, Op, Program, SumKind, SummaryTable};
+use msgr_vm::{FnSummary, Function, HopBehavior, LinkPat, NodePat, Op, Program, SumKind};
 
 use crate::Diag;
 
 /// Hard bound on the statically-proven operand-stack depth. Deeper
 /// programs are rejected (V012): a daemon must be able to preallocate.
 pub const MAX_STACK: usize = 1024;
-
-/// Flat lattice over runtime value types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// Unknown / any.
-    Top,
-    /// Definitely NULL on every path.
-    Null,
-    /// Boolean.
-    Bool,
-    /// Integer.
-    Int,
-    /// Float.
-    Float,
-    /// String.
-    Str,
-    /// Matrix block.
-    Mat,
-    /// Byte blob.
-    Blob,
-    /// Array.
-    Arr,
-    /// Link instance.
-    Link,
-}
-
-impl Kind {
-    /// Lift a summary return-kind into the verifier's lattice.
-    fn of_sum(k: SumKind) -> Kind {
-        match k {
-            SumKind::Top => Kind::Top,
-            SumKind::Null => Kind::Null,
-            SumKind::Bool => Kind::Bool,
-            SumKind::Int => Kind::Int,
-            SumKind::Float => Kind::Float,
-            SumKind::Str => Kind::Str,
-            SumKind::Mat => Kind::Mat,
-            SumKind::Blob => Kind::Blob,
-            SumKind::Arr => Kind::Arr,
-            SumKind::Link => Kind::Link,
-        }
-    }
-
-    fn of(v: &Value) -> Kind {
-        match v {
-            Value::Null => Kind::Null,
-            Value::Bool(_) => Kind::Bool,
-            Value::Int(_) => Kind::Int,
-            Value::Float(_) => Kind::Float,
-            Value::Str(_) => Kind::Str,
-            Value::Mat(_) => Kind::Mat,
-            Value::Blob(_) => Kind::Blob,
-            Value::Arr(_) => Kind::Arr,
-            Value::Link(_) => Kind::Link,
-        }
-    }
-
-    fn join(self, other: Kind) -> Kind {
-        if self == other {
-            self
-        } else {
-            Kind::Top
-        }
-    }
-}
 
 /// Taint flag: the value crossed a yield (`hop`/`create`/`sched`)
 /// since it was read from its node variable.
@@ -98,7 +37,7 @@ type Taint = BTreeMap<u16, u8>;
 
 #[derive(Debug, Clone, PartialEq)]
 struct AbsVal {
-    kind: Kind,
+    kind: SumKind,
     taint: Taint,
     /// The kind was (partly) learned from a callee's return-kind
     /// summary — distinguishes the interprocedural hop lint (N401)
@@ -108,10 +47,10 @@ struct AbsVal {
 
 impl AbsVal {
     fn top() -> AbsVal {
-        AbsVal { kind: Kind::Top, taint: Taint::new(), via_call: false }
+        AbsVal::of_kind(SumKind::Top)
     }
 
-    fn of_kind(kind: Kind) -> AbsVal {
+    fn of_kind(kind: SumKind) -> AbsVal {
         AbsVal { kind, taint: Taint::new(), via_call: false }
     }
 
@@ -136,6 +75,10 @@ fn union(a: &Taint, b: &Taint) -> Taint {
 struct State {
     stack: Vec<AbsVal>,
     locals: Vec<AbsVal>,
+    /// The most navigation on any path here.
+    hops: HopBehavior,
+    /// Node variables written on every path here.
+    writes: BTreeSet<u16>,
 }
 
 impl State {
@@ -149,6 +92,8 @@ impl State {
         Some(State {
             stack: zip(&self.stack, &other.stack),
             locals: zip(&self.locals, &other.locals),
+            hops: self.hops.max(other.hops),
+            writes: self.writes.intersection(&other.writes).copied().collect(),
         })
     }
 
@@ -172,11 +117,19 @@ impl State {
             }
         }
     }
+
+    /// Navigate `more` times after the navigation so far.
+    fn navigate(&mut self, more: HopBehavior) {
+        self.hops = match (self.hops, more) {
+            (HopBehavior::HopFree, h) | (h, HopBehavior::HopFree) => h,
+            _ => HopBehavior::MayNavigate,
+        };
+    }
 }
 
 /// One joined hop/delete destination operand: its kind, and whether
 /// the kind was learned from a callee's return-kind summary.
-pub(crate) type HopOp = Option<(Kind, bool)>;
+pub(crate) type HopOp = Option<(SumKind, bool)>;
 
 /// Everything the dataflow learned about one function.
 pub(crate) struct Flow {
@@ -188,31 +141,55 @@ pub(crate) struct Flow {
     pub hop_operands: BTreeMap<usize, (HopOp, HopOp)>,
     /// Lint diagnostics produced during interpretation (N301/N302).
     pub lints: Vec<Diag>,
+    /// The returned kind, joined over every `Ret` and falling off the
+    /// end (NULL); ⊤ when no path returns. `Halt` is not a return.
+    pub ret_kind: SumKind,
+    /// The most navigation on any path.
+    pub hop: HopBehavior,
+    /// Node variables written on every path to every exit (`Ret`,
+    /// `Halt`, falling off the end); ∅ when no exit is reachable.
+    pub must_writes: BTreeSet<u16>,
 }
 
 /// Abstractly interpret `f`, verifying stack discipline.
 ///
 /// `structural_check` must have passed: indices and jump targets are
-/// assumed in range here. With `summaries` (from
-/// [`crate::summary::summarize`]) the interpretation is
-/// *interprocedural*: call returns carry the callee's return kind, and
-/// calls to node-variable writers taint held values — enabling the
-/// N302/N401 lint family. Summaries never affect verification verdicts,
-/// only lints; [`crate::verify`] passes `None`.
+/// assumed in range here. `funcs` holds the final summary of every
+/// function `f` calls (functions are interpreted callees-first): a call
+/// returns the callee's return kind, taints held values the callee may
+/// overwrite (N302), and adds the callee's navigation and must-writes
+/// to the path's. Summaries shape kinds, taints and the read-off facts,
+/// never stack depths, so verdicts do not depend on them. `yielders`
+/// is [`may_yield`] of `p`.
 pub(crate) fn interpret(
     p: &Program,
     fi: usize,
     f: &Function,
-    summaries: Option<&SummaryTable>,
+    funcs: &[FnSummary],
+    yielders: &BTreeSet<usize>,
 ) -> Result<Flow, Vec<Diag>> {
-    let yielders = may_yield(p);
     let len = f.code.len();
     let mut states: Vec<Option<State>> = vec![None; len];
     let mut reach = vec![false; len];
     let mut max_stack = 0usize;
+    let mut hop = HopBehavior::HopFree;
+    let mut ret_kind: Option<SumKind> = None;
+    let mut must_writes: Option<BTreeSet<u16>> = None;
     let mut hop_operands: BTreeMap<usize, (HopOp, HopOp)> = BTreeMap::new();
     let mut stale_writes: BTreeSet<(usize, u16)> = BTreeSet::new();
     let mut clobbered_writes: BTreeSet<(usize, u16)> = BTreeSet::new();
+
+    // Leave the function with `writes` done on the way, returning a
+    // value of kind `ret` (`None` for `Halt`).
+    let mut exit = |writes: &BTreeSet<u16>, ret: Option<SumKind>| {
+        if let Some(k) = ret {
+            ret_kind = Some(ret_kind.map_or(k, |r| r.join(k)));
+        }
+        must_writes = Some(match must_writes.take() {
+            None => writes.clone(),
+            Some(w) => w.intersection(writes).copied().collect(),
+        });
+    };
 
     let entry = State {
         stack: Vec::new(),
@@ -220,11 +197,15 @@ pub(crate) fn interpret(
         // of a never-stored slot reads NULL at runtime, but treating it
         // as Top avoids spurious never-matches lints.
         locals: vec![AbsVal::top(); f.n_slots as usize],
+        hops: HopBehavior::HopFree,
+        writes: BTreeSet::new(),
     };
     let mut work: Vec<usize> = Vec::new();
     if len > 0 {
         states[0] = Some(entry);
         work.push(0);
+    } else {
+        exit(&entry.writes, Some(SumKind::Null));
     }
 
     while let Some(pc) = work.pop() {
@@ -251,7 +232,7 @@ pub(crate) fn interpret(
 
         match *op {
             Op::Const(i) => {
-                st.stack.push(AbsVal::of_kind(Kind::of(&p.consts[i as usize])));
+                st.stack.push(AbsVal::of_kind(SumKind::of(&p.consts[i as usize])));
             }
             Op::LoadLocal(i) => {
                 let v = st.locals[i as usize].clone();
@@ -263,7 +244,7 @@ pub(crate) fn interpret(
             }
             Op::LoadNode(i) => {
                 st.stack.push(AbsVal {
-                    kind: Kind::Top,
+                    kind: SumKind::Top,
                     taint: Taint::from([(i, 0)]),
                     via_call: false,
                 });
@@ -276,14 +257,9 @@ pub(crate) fn interpret(
                 } else if flags & CLOBBERED != 0 {
                     clobbered_writes.insert((pc, i));
                 }
+                st.writes.insert(i);
             }
-            Op::LoadNet(var) => {
-                let kind = match var {
-                    NetVar::Time => Kind::Float,
-                    NetVar::Address | NetVar::Last | NetVar::Node => Kind::Top,
-                };
-                st.stack.push(AbsVal::of_kind(kind));
-            }
+            Op::LoadNet(_) => st.stack.push(AbsVal::top()),
             Op::Dup => {
                 let v = st.stack.last().cloned();
                 match v {
@@ -306,10 +282,12 @@ pub(crate) fn interpret(
                 let b = pop!();
                 let a = pop!();
                 let kind = match (a.kind, b.kind) {
-                    (Kind::Str, _) | (_, Kind::Str) => Kind::Str,
-                    (Kind::Int, Kind::Int) => Kind::Int,
-                    (Kind::Int | Kind::Float, Kind::Int | Kind::Float) => Kind::Float,
-                    _ => Kind::Top,
+                    (SumKind::Str, _) | (_, SumKind::Str) => SumKind::Str,
+                    (SumKind::Int, SumKind::Int) => SumKind::Int,
+                    (SumKind::Int | SumKind::Float, SumKind::Int | SumKind::Float) => {
+                        SumKind::Float
+                    }
+                    _ => SumKind::Top,
                 };
                 st.stack.push(AbsVal {
                     kind,
@@ -321,9 +299,11 @@ pub(crate) fn interpret(
                 let b = pop!();
                 let a = pop!();
                 let kind = match (a.kind, b.kind) {
-                    (Kind::Int, Kind::Int) => Kind::Int,
-                    (Kind::Int | Kind::Float, Kind::Int | Kind::Float) => Kind::Float,
-                    _ => Kind::Top,
+                    (SumKind::Int, SumKind::Int) => SumKind::Int,
+                    (SumKind::Int | SumKind::Float, SumKind::Int | SumKind::Float) => {
+                        SumKind::Float
+                    }
+                    _ => SumKind::Top,
                 };
                 st.stack.push(AbsVal {
                     kind,
@@ -334,21 +314,21 @@ pub(crate) fn interpret(
             Op::Neg => {
                 let a = pop!();
                 let kind = match a.kind {
-                    Kind::Int => Kind::Int,
-                    Kind::Float | Kind::Bool => Kind::Float,
-                    _ => Kind::Top,
+                    SumKind::Int => SumKind::Int,
+                    SumKind::Float | SumKind::Bool => SumKind::Float,
+                    _ => SumKind::Top,
                 };
                 st.stack.push(AbsVal { kind, taint: a.taint, via_call: a.via_call });
             }
             Op::Not => {
                 let a = pop!();
-                st.stack.push(AbsVal { kind: Kind::Bool, taint: a.taint, via_call: false });
+                st.stack.push(AbsVal { kind: SumKind::Bool, taint: a.taint, via_call: false });
             }
             Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => {
                 let b = pop!();
                 let a = pop!();
                 st.stack.push(AbsVal {
-                    kind: Kind::Bool,
+                    kind: SumKind::Bool,
                     taint: union(&a.taint, &b.taint),
                     via_call: false,
                 });
@@ -386,21 +366,14 @@ pub(crate) fn interpret(
                 // the union of argument taints would flag fresh values
                 // computed by helpers. Under-approximate instead.
                 let _ = taint;
-                let ret = match summaries.and_then(|t| t.funcs.get(callee as usize)) {
-                    Some(cs) => {
-                        // Held values read from a node variable the
-                        // callee may write are now stale: writing them
-                        // back clobbers the callee's update (N302).
-                        st.cross_writer(&cs.node_writes);
-                        AbsVal {
-                            kind: Kind::of_sum(cs.ret_kind),
-                            taint: Taint::new(),
-                            via_call: true,
-                        }
-                    }
-                    None => AbsVal::top(),
-                };
-                st.stack.push(ret);
+                let cs = &funcs[callee as usize];
+                // Held values read from a node variable the callee may
+                // write are now stale: writing them back clobbers the
+                // callee's update (N302).
+                st.cross_writer(&cs.node_writes);
+                st.writes.extend(&cs.node_must_writes);
+                st.navigate(cs.hop);
+                st.stack.push(AbsVal { kind: cs.ret_kind, taint: Taint::new(), via_call: true });
             }
             Op::CallNative { argc, .. } => {
                 for _ in 0..argc {
@@ -409,7 +382,8 @@ pub(crate) fn interpret(
                 st.stack.push(AbsVal::top());
             }
             Op::Ret => {
-                pop!();
+                let v = pop!();
+                exit(&st.writes, Some(v.kind));
             }
             Op::Hop(i) | Op::Delete(i) => {
                 let spec = &p.hop_specs[i as usize];
@@ -430,6 +404,7 @@ pub(crate) fn interpret(
                 e.0 = joined(e.0, ln);
                 e.1 = joined(e.1, ll);
                 st.cross_yield();
+                st.navigate(HopBehavior::AtMostOnce);
             }
             Op::Create(i) => {
                 let spec = &p.create_specs[i as usize];
@@ -442,23 +417,23 @@ pub(crate) fn interpret(
                 pop!();
                 st.cross_yield();
             }
-            Op::Halt => {}
+            Op::Halt => exit(&st.writes, None),
             Op::MakeArr => {
                 let default = pop!();
                 let _n = pop!();
-                st.stack.push(AbsVal { kind: Kind::Arr, taint: default.taint, via_call: false });
+                st.stack.push(AbsVal { kind: SumKind::Arr, taint: default.taint, via_call: false });
             }
             Op::IndexGet => {
                 let _idx = pop!();
                 let arr = pop!();
-                st.stack.push(AbsVal { kind: Kind::Top, taint: arr.taint, via_call: false });
+                st.stack.push(AbsVal { kind: SumKind::Top, taint: arr.taint, via_call: false });
             }
             Op::IndexSet => {
                 let value = pop!();
                 let _idx = pop!();
                 let arr = pop!();
                 st.stack.push(AbsVal {
-                    kind: Kind::Arr,
+                    kind: SumKind::Arr,
                     taint: union(&arr.taint, &value.taint),
                     via_call: false,
                 });
@@ -475,10 +450,12 @@ pub(crate) fn interpret(
             )]);
         }
         max_stack = max_stack.max(st.stack.len());
+        hop = hop.max(st.hops);
 
         for succ in crate::cfg::successors(&f.code, pc) {
             if succ == len {
-                continue; // fall off the end: implicit return NULL
+                exit(&st.writes, Some(SumKind::Null)); // implicit return NULL
+                continue;
             }
             let merged = match &states[succ] {
                 None => st.clone(),
@@ -548,7 +525,15 @@ pub(crate) fn interpret(
             }),
     );
 
-    Ok(Flow { reach, max_stack, hop_operands, lints })
+    Ok(Flow {
+        reach,
+        max_stack,
+        hop_operands,
+        lints,
+        ret_kind: ret_kind.unwrap_or(SumKind::Top),
+        hop,
+        must_writes: must_writes.unwrap_or_default(),
+    })
 }
 
 fn joined(a: HopOp, b: HopOp) -> HopOp {
@@ -560,8 +545,10 @@ fn joined(a: HopOp, b: HopOp) -> HopOp {
 }
 
 /// Function indices that can yield (hop/create/delete/sched), directly
-/// or through calls — transitive closure over the call graph.
-fn may_yield(p: &Program) -> BTreeSet<usize> {
+/// or through calls — transitive closure over the call graph. Syntactic
+/// on purpose: unlike a summary's reachability-based `hop`, it counts
+/// an unreachable hop too.
+pub(crate) fn may_yield(p: &Program) -> BTreeSet<usize> {
     let mut set: BTreeSet<usize> = BTreeSet::new();
     for (i, f) in p.funcs.iter().enumerate() {
         if f.code.iter().any(|op| {

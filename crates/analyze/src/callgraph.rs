@@ -1,10 +1,10 @@
 //! The whole-program call graph and its strongly connected components.
 //!
-//! Summaries are computed bottom-up: callees before callers, with each
-//! SCC (mutual recursion) iterated to a fixpoint. Tarjan's algorithm
-//! emits SCCs in exactly that order — every SCC is emitted after all
-//! SCCs it calls into — so [`CallGraph::sccs`] doubles as the summary
-//! computation schedule.
+//! Functions are analyzed bottom-up: callees before callers, with each
+//! recursive SCC given one conservative joint summary before its
+//! members are interpreted. Tarjan's algorithm emits SCCs in exactly
+//! that order — every SCC is emitted after all SCCs it calls into — so
+//! [`CallGraph::sccs`] doubles as the analysis schedule.
 
 use std::collections::BTreeSet;
 

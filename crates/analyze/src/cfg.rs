@@ -19,24 +19,22 @@ pub fn jump_target(pc: usize, op: &Op) -> Option<isize> {
     Some(pc as isize + 1 + off as isize)
 }
 
-/// Successor pcs of the instruction at `pc`. A successor equal to
-/// `code.len()` is the function exit (implicit return). Call only on
-/// code whose jump targets have passed the structural check.
+/// Successor pcs of the instruction at `pc`, each once. A successor
+/// equal to `code.len()` is the function exit (implicit return). Total:
+/// a jump target outside `0..=code.len()` is not an edge (the verifier
+/// reports it as `V002`).
 pub fn successors(code: &[Op], pc: usize) -> Vec<usize> {
     let op = &code[pc];
-    match op {
-        Op::Ret | Op::Halt => Vec::new(),
-        Op::Jump(_) => vec![jump_target(pc, op).unwrap() as usize],
-        Op::JumpIfFalse(_) | Op::JumpIfTruePeek(_) | Op::JumpIfFalsePeek(_) => {
-            let t = jump_target(pc, op).unwrap() as usize;
-            if t == pc + 1 {
-                vec![pc + 1]
-            } else {
-                vec![pc + 1, t]
-            }
-        }
-        _ => vec![pc + 1],
+    let mut out = Vec::with_capacity(2);
+    if !matches!(op, Op::Ret | Op::Halt | Op::Jump(_)) {
+        out.push(pc + 1);
     }
+    if let Some(t) = jump_target(pc, op) {
+        if (0..=code.len() as isize).contains(&t) && !out.contains(&(t as usize)) {
+            out.push(t as usize);
+        }
+    }
+    out
 }
 
 /// Map `pc -> label index` for every in-range jump target of `f`, in

@@ -23,14 +23,20 @@
 //!    taint through locals and the operand stack, so recomputed values
 //!    do not trigger it.
 //!
+//! All three, and the interprocedural effect summaries the compiler
+//! consumes, come from one pass: each function is abstractly
+//! interpreted once, callees first, against its callees' summaries,
+//! and its own summary is read off that fixpoint. [`analyze`] returns
+//! everything; [`verify`] returns only the hard errors; [`summarize`]
+//! only the summaries.
+//!
 //! Diagnostics carry the function, pc, block label, and (when the
-//! compiler attached debug info) the source line. [`analyze`] returns
-//! everything; [`verify`] returns only the hard errors.
+//! compiler attached debug info) the source line.
 
 #![forbid(unsafe_code)]
 
 use msgr_vm::Value;
-use msgr_vm::{Function, Op, Program};
+use msgr_vm::{FnSummary, Function, Op, Program, SummaryTable};
 
 mod absint;
 pub mod callgraph;
@@ -127,7 +133,8 @@ pub struct FuncInfo {
     pub blocks: usize,
 }
 
-/// Everything the analyzer found: hard errors and lint warnings.
+/// Everything the analyzer found: hard errors, lint warnings, and the
+/// effect summaries read off the same pass.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// All diagnostics, errors first, in function/pc order.
@@ -135,6 +142,9 @@ pub struct Report {
     /// Per-function verifier facts (empty for functions whose dataflow
     /// was skipped because of structural errors).
     pub funcs: Vec<Option<FuncInfo>>,
+    /// One effect summary per function (see [`summary`]); conservative
+    /// for functions that failed verification.
+    pub summaries: SummaryTable,
 }
 
 impl Report {
@@ -154,7 +164,7 @@ impl Report {
     }
 }
 
-/// Verify a program: errors only, no lints.
+/// Verify a program: [`analyze`], keeping only the hard errors.
 ///
 /// Passing verification is the precondition the closure compiler
 /// (`msgr_vm::compile`) assumes: a verified program has an in-range
@@ -171,31 +181,66 @@ impl Report {
 /// The list of verification failures, each with a distinct diagnostic
 /// code, when the program must be rejected.
 pub fn verify(p: &Program) -> Result<Vec<FuncInfo>, Vec<Diag>> {
-    let report = run(p, false);
+    let report = analyze(p);
     if report.is_verified() {
         // No errors ⇒ every function completed dataflow.
         Ok(report.funcs.into_iter().map(|f| f.expect("verified function has info")).collect())
     } else {
-        Err(report.diags)
+        Err(report.diags.into_iter().filter(|d| d.severity == Severity::Error).collect())
     }
 }
 
-/// Full analysis: verifier errors plus navigation and lost-update
-/// lints.
+/// Full analysis: verifier errors, navigation and lost-update lints,
+/// and effect summaries.
 pub fn analyze(p: &Program) -> Report {
-    run(p, true)
+    run(p).0
 }
 
-fn run(p: &Program, with_lints: bool) -> Report {
-    let mut report = Report::default();
+/// The one pass behind [`verify`], [`analyze`] and [`summarize`]. SCCs
+/// of the call graph go callees-first; each member is checked
+/// structurally, then abstractly interpreted once against its callees'
+/// summaries, and its own summary is read off that fixpoint. Summaries
+/// touch kinds and taints, never stack depths, so verdicts do not
+/// depend on them.
+fn run(p: &Program) -> (Report, CallGraph) {
+    let cg = CallGraph::build(p);
+    let yielders = absint::may_yield(p);
+    let n = p.funcs.len();
+    let mut summaries = vec![FnSummary::default(); n];
+    let mut diags: Vec<Vec<Diag>> = vec![Vec::new(); n];
+    let mut infos: Vec<Option<FuncInfo>> = vec![None; n];
+    for scc in &cg.sccs {
+        // A recursive SCC keeps its conservative summary: its members
+        // are interpreted against it.
+        summary::conservative(p, &cg, scc, &mut summaries);
+        for &m in scc {
+            let (i, f) = (m as usize, &p.funcs[m as usize]);
+            structural_check(p, i, f, &mut diags[i]);
+            if !diags[i].is_empty() {
+                // Structural damage: the dataflow (and lints that
+                // consume its results) would chase invalid indices.
+                continue;
+            }
+            match absint::interpret(p, i, f, &summaries, &yielders) {
+                Ok(flow) => {
+                    lint::navigation(p, i, f, &flow, &mut diags[i]);
+                    if !cg.recursive[i] {
+                        summary::sharpen(p, i, &flow, &mut summaries);
+                    }
+                    infos[i] = Some(FuncInfo {
+                        max_stack: flow.max_stack,
+                        blocks: cfg::block_labels(f).len() + 1,
+                    });
+                    diags[i].extend(flow.lints);
+                }
+                Err(d) => diags[i].extend(d),
+            }
+        }
+    }
 
-    // Interprocedural effect summaries power the N302/N401/N402 lint
-    // family. They are lint-only here: verification verdicts must not
-    // depend on them, so `verify` skips the computation entirely.
-    let interproc = if with_lints { Some(summary::summarize_with_graph(p)) } else { None };
-    let summaries = interproc.as_ref().map(|(t, _)| t);
-
-    if p.entry.0 as usize >= p.funcs.len() {
+    let mut report =
+        Report { diags: Vec::new(), funcs: infos, summaries: SummaryTable { funcs: summaries } };
+    if p.entry.0 as usize >= n {
         report.diags.push(Diag {
             code: "V001",
             severity: Severity::Error,
@@ -204,52 +249,18 @@ fn run(p: &Program, with_lints: bool) -> Report {
             pc: None,
             line: None,
             message: format!(
-                "entry function index {} out of range (program has {} functions)",
-                p.entry.0,
-                p.funcs.len()
+                "entry function index {} out of range (program has {n} functions)",
+                p.entry.0
             ),
         });
     }
-
-    for (fi, f) in p.funcs.iter().enumerate() {
-        let before = report.diags.len();
-        structural_check(p, fi, f, &mut report.diags);
-        if report.diags.len() > before {
-            // Structural damage: the dataflow (and lints that consume
-            // its results) would chase invalid indices. Skip.
-            report.funcs.push(None);
-            continue;
-        }
-        match absint::interpret(p, fi, f, summaries) {
-            Ok(flow) => {
-                if with_lints {
-                    lint::navigation(p, fi, f, &flow, &mut report.diags);
-                }
-                report.diags.extend(flow.lints);
-                report.funcs.push(Some(FuncInfo {
-                    max_stack: flow.max_stack,
-                    blocks: cfg::block_labels(f).len() + 1,
-                }));
-            }
-            Err(diags) => {
-                report.diags.extend(diags);
-                report.funcs.push(None);
-            }
-        }
-    }
-
-    if let Some((table, cg)) = &interproc {
-        // Whole-program lint: needs every function's summary at once.
-        lint::unbounded_recursion(p, table, cg, &mut report.diags);
-    }
-
-    if !with_lints {
-        report.diags.retain(|d| d.severity == Severity::Error);
-    }
+    report.diags.extend(diags.into_iter().flatten());
+    // Whole-program lint: needs the whole call graph at once.
+    lint::unbounded_recursion(p, &cg, &mut report.diags);
     report
         .diags
         .sort_by_key(|d| (d.severity == Severity::Warning, d.func, d.pc.unwrap_or(usize::MAX)));
-    report
+    (report, cg)
 }
 
 /// Pass 1: structural validity of every instruction, reachable or not

@@ -1,9 +1,9 @@
 //! Navigation lints: warnings about messenger movement that is legal
 //! bytecode but almost certainly a logic error.
 
-use msgr_vm::{Function, Op, Program, SummaryTable};
+use msgr_vm::{Function, Op, Program, SumKind};
 
-use crate::absint::{Flow, Kind};
+use crate::absint::Flow;
 use crate::callgraph::CallGraph;
 use crate::{cfg, Diag};
 
@@ -11,8 +11,8 @@ use crate::{cfg, Diag};
 /// daemon's network looks like. `Null` is excluded for links (a NULL
 /// link operand means "unnamed" at runtime) and kept conservative for
 /// nodes; numeric and string kinds all potentially match.
-fn never_a_name(k: Kind) -> bool {
-    matches!(k, Kind::Bool | Kind::Mat | Kind::Blob | Kind::Arr)
+fn never_a_name(k: SumKind) -> bool {
+    matches!(k, SumKind::Bool | SumKind::Mat | SumKind::Blob | SumKind::Arr)
 }
 
 pub(crate) fn navigation(p: &Program, fi: usize, f: &Function, flow: &Flow, out: &mut Vec<Diag>) {
@@ -83,7 +83,7 @@ fn create_all_in_loop(p: &Program, fi: usize, f: &Function, flow: &Flow, out: &m
 /// finding is interprocedural and reports as N401.
 fn hop_never_matches(fi: usize, f: &Function, flow: &Flow, out: &mut Vec<Diag>) {
     for (&pc, &(ln, ll)) in &flow.hop_operands {
-        if let Some((k, via_call)) = ln.filter(|&(k, _)| never_a_name(k) || k == Kind::Null) {
+        if let Some((k, via_call)) = ln.filter(|&(k, _)| never_a_name(k) || k == SumKind::Null) {
             let (code, how) =
                 if via_call { ("N401", " returned by a called function") } else { ("N203", "") };
             out.push(Diag::warning(
@@ -175,17 +175,11 @@ fn dead_node_writes(p: &Program, fi: usize, f: &Function, flow: &Flow, out: &mut
 /// exit (`return`, `M_exit`, falling off the end) without first calling
 /// back into the component — the recursion is provably unbounded and
 /// the messenger will only stop when its fuel runs out.
-pub(crate) fn unbounded_recursion(
-    p: &Program,
-    summaries: &SummaryTable,
-    cg: &CallGraph,
-    out: &mut Vec<Diag>,
-) {
+pub(crate) fn unbounded_recursion(p: &Program, cg: &CallGraph, out: &mut Vec<Diag>) {
     let escapes: Vec<bool> =
         (0..p.funcs.len()).map(|i| can_exit_without_scc_call(p, cg, i)).collect();
     for (fi, f) in p.funcs.iter().enumerate() {
-        let Some(s) = summaries.funcs.get(fi) else { continue };
-        if !s.recursive {
+        if !cg.recursive[fi] {
             continue;
         }
         // The whole component must be exit-free: a single member that

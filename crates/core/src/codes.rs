@@ -22,8 +22,8 @@ use msgr_vm::{CompiledProgram, Op, Program, ProgramId, SummaryTable};
 pub struct CodeCache {
     map: Arc<RwLock<HashMap<ProgramId, Entry>>>,
     stats: Arc<RwLock<Stats>>,
-    /// Whether registration runs the interprocedural effect analysis
-    /// and compiles with its summaries (`ClusterConfig::analysis`).
+    /// Whether the compiler and daemons get the effect summaries the
+    /// verification pass reads off (`ClusterConfig::analysis`).
     analysis: bool,
 }
 
@@ -129,8 +129,11 @@ impl CodeCache {
         CodeCache::default()
     }
 
-    /// An empty cache with the effect analysis switched on or off —
-    /// platforms pass `ClusterConfig::analysis` here.
+    /// An empty cache that hands effect summaries to the compiler and
+    /// daemons, or withholds them — platforms pass
+    /// `ClusterConfig::analysis` here. Registration verifies with the
+    /// same one analysis pass either way; summaries come out of that
+    /// pass, so the flag decides only who gets them.
     pub fn with_analysis(analysis: bool) -> Self {
         CodeCache { map: Arc::default(), stats: Arc::default(), analysis }
     }
@@ -162,15 +165,19 @@ impl CodeCache {
             Some(Entry::Quarantined { .. }) => return (id, RegisterOutcome::Quarantined),
             None => {}
         }
-        let verified = msgr_analyze::verify(program).map_err(|diags| {
-            diags.iter().map(|d| d.render(program)).collect::<Vec<_>>().join("; ")
-        });
-        let compiled = verified.and_then(|_| {
+        // One analysis pass verifies the program and summarizes it.
+        let report = msgr_analyze::analyze(program);
+        let verified = if report.is_verified() {
+            Ok(report.summaries)
+        } else {
+            Err(report.errors().map(|d| d.render(program)).collect::<Vec<_>>().join("; "))
+        };
+        let compiled = verified.and_then(|summaries| {
             // Whole-program effect summaries: computed once per content
             // hash, handed to the compiler (call fusion, typed loops) and
             // kept for the daemons (snapshot elision). The table lives
             // *outside* the program, so content ids are analysis-invariant.
-            let summary = self.analysis.then(|| msgr_analyze::summarize(program));
+            let summary = self.analysis.then_some(summaries);
             msgr_vm::compile::compile_with_summaries(program, summary.as_ref())
                 .map(|cp| (cp, summary))
                 .map_err(|e| format!("compile failed: {e}"))

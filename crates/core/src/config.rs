@@ -173,10 +173,11 @@ pub struct ClusterConfig {
     /// Execution engine ([`ExecMode::Interp`] unless overridden via the
     /// `MSGR_EXEC` environment variable or `msgr run --exec`).
     pub exec: ExecMode,
-    /// Whether the code registry runs the interprocedural effect
-    /// analysis at registration and hands the resulting summary table to
-    /// the closure compiler (call fusion, typed loops) — and to the
-    /// daemons (node-variable snapshot elision). On by default; both
+    /// Whether the code registry hands the interprocedural effect
+    /// summaries to the closure compiler (call fusion, typed loops) —
+    /// and to the daemons (node-variable snapshot elision). The
+    /// summaries come out of the verification pass every registration
+    /// runs, so this decides only who gets them. On by default; both
     /// engines stay observationally identical either way, so this knob
     /// only changes wall-clock throughput and the `analysis_*` metrics.
     pub analysis: bool,

@@ -18,6 +18,8 @@
 
 use std::collections::BTreeSet;
 
+use crate::value::Value;
+
 /// How often a function may navigate (`hop`/`delete`), including
 /// everything it transitively calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -31,8 +33,9 @@ pub enum HopBehavior {
     MayNavigate,
 }
 
-/// The flat value-kind lattice used for return-kind summaries
-/// (mirrors the analyzer's abstract-interpretation kinds).
+/// The flat value-kind lattice: the kind the analyzer's abstract
+/// interpreter tracks for every stack slot and local, and the kind a
+/// summary records for a function's return value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum SumKind {
     /// Unknown / any value.
@@ -59,6 +62,21 @@ pub enum SumKind {
 }
 
 impl SumKind {
+    /// The kind of one runtime value.
+    pub fn of(v: &Value) -> SumKind {
+        match v {
+            Value::Null => SumKind::Null,
+            Value::Bool(_) => SumKind::Bool,
+            Value::Int(_) => SumKind::Int,
+            Value::Float(_) => SumKind::Float,
+            Value::Str(_) => SumKind::Str,
+            Value::Mat(_) => SumKind::Mat,
+            Value::Blob(_) => SumKind::Blob,
+            Value::Arr(_) => SumKind::Arr,
+            Value::Link(_) => SumKind::Link,
+        }
+    }
+
     /// Least upper bound on the flat lattice.
     #[must_use]
     pub fn join(self, other: SumKind) -> SumKind {

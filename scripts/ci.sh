@@ -158,6 +158,11 @@ for field in '"code":"N303"' '"severity":"warning"' '"function":"w"' '"pc":' '"l
 done
 rm -rf "$dirty_dir"
 echo "ok: apps lint-clean, diagnostics rows well-formed"
+# The verifier is the trust boundary for code off the wire: its
+# properties (compiler output verifies, mutants are rejected precisely,
+# verdicts ignore summaries) get a 4096-program sweep here, 16x the
+# per-commit count. The 512-program pin keeps its own fixed count.
+MSGR_CHECK_CASES=4096 cargo test -q --offline -p msgr-analyze --test props
 
 echo "== profile: cost attribution end to end =="
 # The deterministic profiler (DESIGN.md §13). Four guarantees, checked
