@@ -65,8 +65,18 @@ pub fn run_sim(
     work: &Arc<MandelWork>,
     procs: usize,
     calib: &Calib,
-    mut cfg: ClusterConfig,
+    cfg: ClusterConfig,
 ) -> Result<MandelRun, ClusterError> {
+    simulate(work, procs, calib, cfg).map(|(run, _)| run)
+}
+
+/// [`run_sim`], plus the run's live-messenger leak (0 for a clean run).
+fn simulate(
+    work: &Arc<MandelWork>,
+    procs: usize,
+    calib: &Calib,
+    mut cfg: ClusterConfig,
+) -> Result<(MandelRun, i64), ClusterError> {
     cfg.daemons = procs;
     let mut cluster = SimCluster::new(cfg);
     let scene = work.scene;
@@ -92,9 +102,10 @@ pub fn run_sim(
                 .get(idx as usize)
                 .ok_or_else(|| format!("block {idx} out of range"))?;
             ctx.charge(calib.mandel_ns(iters, scene.block_pixels() as u64));
-            let mut payload = Vec::with_capacity(4 + work.block_payload(idx).len());
+            let block = work.block_payload(idx);
+            let mut payload = Vec::with_capacity(4 + block.len());
             payload.extend_from_slice(&idx.to_le_bytes());
-            payload.extend_from_slice(&work.block_payload(idx));
+            payload.extend_from_slice(&block);
             Ok(Value::Blob(Bytes::from(payload)))
         });
     }
@@ -126,12 +137,13 @@ pub fn run_sim(
         return Err(ClusterError::Config(format!("messenger {mid} faulted: {err}")));
     }
     let image = image.lock().unwrap();
-    Ok(MandelRun {
+    let run = MandelRun {
         seconds: report.sim_seconds,
         checksum: MandelWork::checksum(&image),
         stats: report.stats,
         trace: report.trace,
-    })
+    };
+    Ok((run, report.live_leak))
 }
 
 /// Run on the threaded platform: the Mandelbrot kernel genuinely
@@ -277,6 +289,37 @@ mod tests {
         assert!(run.stats.counter("checkpoints") > 0);
         // Bit-reproducible: the same seed replays the same recovery.
         let again = run_sim(&work, 4, &calib, cfg).unwrap();
+        assert_eq!(again.checksum, run.checksum);
+        assert_eq!(again.seconds.to_bits(), run.seconds.to_bits());
+    }
+
+    #[test]
+    fn sim_survives_a_crash_window_on_the_busy_manager() {
+        use msgr_sim::{CrashEvent, FaultPlan, MILLI};
+        let work = tiny_work();
+        let calib = Calib::default();
+        let (_, expected) = render_sequential(&work, &calib);
+        let mut cfg = ClusterConfig::new(4);
+        cfg.seed = 7;
+        // Daemon 0 holds `init`, the node every worker shuttles through.
+        // It goes down (fail-recover: its state survives) while results
+        // are arriving, so its deferred wake-up must come back at the
+        // restart and the frames lost meanwhile must be retransmitted.
+        cfg.faults = FaultPlan {
+            crashes: vec![CrashEvent::transient(0, 20 * MILLI, 6 * MILLI)],
+            ..FaultPlan::none()
+        };
+        let (run, leak) = simulate(&work, 4, &calib, cfg.clone()).unwrap();
+        assert_eq!(run.checksum, expected);
+        assert_eq!(leak, 0);
+        assert_eq!(run.stats.counter("crashes"), 1);
+        assert_eq!(run.stats.counter("restarts"), 1);
+        assert!(run.stats.counter("crash_frames_lost") > 0, "no frame reached the crashed manager");
+        // The simulated clock is the one a wake-up chain per arriving
+        // frame gave: deferring through one pending wake moves no segment.
+        assert_eq!(run.seconds.to_bits(), 0x3fb2_c203_7021_fbfe);
+        // Bit-reproducible: the same seed replays the same outage.
+        let (again, _) = simulate(&work, 4, &calib, cfg).unwrap();
         assert_eq!(again.checksum, run.checksum);
         assert_eq!(again.seconds.to_bits(), run.seconds.to_bits());
     }
