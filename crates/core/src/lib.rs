@@ -109,6 +109,14 @@ pub enum ClusterError {
         /// Replica holders it had (`ClusterConfig::replication`), all dead.
         replicas: usize,
     },
+    /// A permanently killed daemon's surviving checkpoint does not
+    /// decode, so its successor cannot adopt it.
+    CheckpointDamaged {
+        /// The daemon whose checkpoint was read.
+        victim: DaemonId,
+        /// Why the snapshot was refused.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -127,6 +135,9 @@ impl std::fmt::Display for ClusterError {
                  {replicas} of its replica holder(s); raise ClusterConfig::replication or kill \
                  fewer daemons at once"
             ),
+            ClusterError::CheckpointDamaged { victim, reason } => {
+                write!(f, "the checkpoint of daemon {victim} is damaged: {reason}")
+            }
         }
     }
 }
