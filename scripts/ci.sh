@@ -70,6 +70,13 @@ for poll in 'thread::sleep' 'recv_timeout' 'AtomicBool'; do
         exit 1
     fi
 done
+# The sim engine wakes each daemon once (DESIGN.md §9): tick's deferral is
+# the one place that waits for a busy CPU, so no second wake-up chain can
+# start per arriving frame.
+if [ "$(grep -c 'busy_until()' crates/core/src/platform/sim.rs)" -gt 1 ]; then
+    echo "error: platform/sim.rs reads busy_until() outside tick: defer through wake_pending" >&2
+    exit 1
+fi
 
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a
