@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 
 use msgr_vm::Value;
-use msgr_vm::{FnSummary, Function, Op, Program, SummaryTable};
+use msgr_vm::{FnSummary, Function, LinkPat, NodePat, Op, Program, SummaryTable};
 
 mod absint;
 pub mod callgraph;
@@ -350,9 +350,16 @@ fn structural_check(p: &Program, fi: usize, f: &Function, diags: &mut Vec<Diag>)
                 )),
                 Some(_) => {}
             },
-            Op::Hop(i) | Op::Delete(i) if i as usize >= p.hop_specs.len() => {
-                diags.push(e("V009", format!("hop/delete spec index {i} out of range")));
-            }
+            Op::Hop(i) | Op::Delete(i) => match p.hop_specs.get(i as usize) {
+                None => diags.push(e("V009", format!("hop/delete spec index {i} out of range"))),
+                // A virtual hop jumps to the node `ln` names; the daemon
+                // has nothing to look up without one.
+                Some(s) if s.ll == LinkPat::Virtual && s.ln == NodePat::Wild => diags.push(e(
+                    "V014",
+                    format!("hop/delete spec {i} is virtual but names no destination node"),
+                )),
+                Some(_) => {}
+            },
             Op::Create(i) if i as usize >= p.create_specs.len() => {
                 diags.push(e("V009", format!("create spec index {i} out of range")));
             }

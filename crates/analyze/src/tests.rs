@@ -158,6 +158,23 @@ fn v013_bad_line_table() {
     assert_eq!(codes(&reject(&p)), ["V013"]);
 }
 
+#[test]
+fn v014_virtual_hop_without_a_node() {
+    let spec = |ln| msgr_vm::HopSpec { ln, ll: LinkPat::Virtual, ldir: msgr_vm::Dir::Any };
+    let mut b = Builder::new();
+    let s = b.hop_spec(spec(NodePat::Wild));
+    let f = b.function("main", 0, 0, vec![Op::Delete(s)]);
+    let diags = reject(&b.finish(f));
+    assert_eq!(codes(&diags), ["V014"]);
+    assert_eq!(diags[0].pc, Some(0));
+    // With a destination operand the same spec verifies.
+    let mut b = Builder::new();
+    let c = b.constant(Value::str("n"));
+    let s = b.hop_spec(spec(NodePat::Expr));
+    let f = b.function("main", 0, 0, vec![Op::Const(c), Op::Hop(s)]);
+    assert!(verify(&b.finish(f)).is_ok());
+}
+
 // ---- verifier edge cases ----------------------------------------------
 
 #[test]

@@ -5,9 +5,9 @@
 //! cluster are untouched.
 
 use msgr_core::config::NetKind;
-use msgr_core::{ClusterConfig, CodeCache, SimCluster};
+use msgr_core::{ClusterConfig, CodeCache, SimCluster, ThreadCluster};
 use msgr_lang::compile;
-use msgr_vm::{Builder, Op, Program, Value};
+use msgr_vm::{Builder, Dir, HopSpec, LinkPat, NodePat, Op, Program, Value};
 
 /// A structurally broken program: its only instruction jumps far out
 /// of bounds (verifier code V002).
@@ -64,4 +64,36 @@ fn daemon_refuses_quarantined_program_in_run() {
     // Accounting stays clean and the good messenger ran to completion.
     assert_eq!(report.live_leak, 0);
     assert_eq!(c.node_var(1, &Value::str("init"), "ok"), Some(Value::Int(1)));
+}
+
+/// `hop(ll = virtual)` with no `ln`: the compiler refuses to emit it, but
+/// hand-built bytecode can (verifier code V014).
+fn virtual_hop_to_nowhere() -> Program {
+    let mut b = Builder::new();
+    let s = b.hop_spec(HopSpec { ln: NodePat::Wild, ll: LinkPat::Virtual, ldir: Dir::Any });
+    let f = b.function("main", 0, 0, vec![Op::Hop(s)]);
+    b.finish(f)
+}
+
+#[test]
+fn a_virtual_hop_without_a_node_is_refused_on_both_platforms() {
+    let cache = CodeCache::new();
+    let id = cache.register(&virtual_hop_to_nowhere());
+    let reason = cache.rejection(id).expect("quarantined");
+    assert!(reason.contains("V014"), "reason: {reason}");
+
+    let mut c = sim(1);
+    let id = c.register_program(&virtual_hop_to_nowhere());
+    c.inject(0, id, &[]).unwrap();
+    let report = c.run().unwrap();
+    assert_eq!(report.stats.counter("verify_rejected"), 1);
+    assert!(report.faults[0].1.contains("V014"), "faults: {:?}", report.faults);
+    assert_eq!(report.live_leak, 0);
+
+    let mut t = ThreadCluster::new(ClusterConfig::new(1)).unwrap();
+    let id = t.register_program(&virtual_hop_to_nowhere());
+    t.inject(0, id, &[]).unwrap();
+    let report = t.run().unwrap();
+    assert_eq!(report.stats.counter("verify_rejected"), 1);
+    assert!(report.faults[0].1.contains("V014"), "faults: {:?}", report.faults);
 }
