@@ -133,7 +133,18 @@ impl LogicalNode {
 
     /// Write a node variable.
     pub fn set_var(&mut self, name: &str, v: Value) {
-        self.vars.insert(Arc::from(name), v);
+        write_var(&mut self.vars, name, v);
+    }
+}
+
+/// Write `v` to variable `name` in place: the `Arc<str>` key is allocated
+/// on the variable's first write only.
+pub(crate) fn write_var(vars: &mut HashMap<Arc<str>, Value>, name: &str, v: Value) {
+    match vars.get_mut(name) {
+        Some(slot) => *slot = v,
+        None => {
+            vars.insert(Arc::from(name), v);
+        }
     }
 }
 

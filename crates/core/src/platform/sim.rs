@@ -875,7 +875,7 @@ impl SimCluster {
         }
         let mut stats = self.world.stats.clone();
         for d in &self.world.daemons {
-            stats.merge(d.stats());
+            stats.merge(&d.stats());
         }
         stats.merge(&self.codes.stats());
         let net = self.world.net.stats();

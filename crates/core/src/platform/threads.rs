@@ -337,7 +337,7 @@ impl ThreadCluster {
         }
         let mut stats = Stats::new();
         for d in &self.daemons {
-            stats.merge(d.stats());
+            stats.merge(&d.stats());
         }
         stats.merge(&self.codes.stats());
         let trace = self.cfg.trace.enabled.then(|| {

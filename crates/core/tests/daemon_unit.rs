@@ -267,6 +267,89 @@ fn carry_code_inflates_wire_size_only() {
     assert_eq!(back.program, prog.id());
 }
 
+/// Daemon 0 with `k` links named "out" from `init`, all to daemon 1, and
+/// one hop over them run: the effects of that segment.
+fn hop_over(k: usize) -> Vec<Effect> {
+    let (mut d, codes) = mk_daemon(0, ClusterConfig::new(2));
+    let init = d.init_node();
+    for i in 0..k {
+        let inst = d.alloc_link();
+        d.install_link(
+            init,
+            LinkRec {
+                inst,
+                name: Value::str("out"),
+                orient: Orient::Undirected,
+                peer: (DaemonId(1), NodeRef::new(1, i as u64)),
+                peer_name: Value::Null,
+            },
+        );
+    }
+    launched(&mut d, &codes, r#"main() { hop(ll = "out"); }"#);
+    let mut fx = Vec::new();
+    run(&mut d, &mut fx);
+    let sends = fx.iter().filter(|e| matches!(e, Effect::Send { .. })).count();
+    assert_eq!(sends, k, "one migration per link in {fx:?}");
+    fx
+}
+
+#[test]
+fn a_hop_grants_credit_for_replicas_only() {
+    let credits = |fx: &[Effect]| {
+        fx.iter()
+            .filter_map(|e| match e {
+                Effect::LiveDelta(n) => Some(*n),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(credits(&hop_over(1)), [] as [i64; 0], "a single-destination hop");
+    for k in 2..=4 {
+        assert_eq!(credits(&hop_over(k)), [k as i64 - 1], "a {k}-way hop");
+    }
+}
+
+/// The key under which daemon `d` holds node variable `var` at `init`.
+fn var_key(d: &Daemon, var: &str) -> Arc<str> {
+    let node = d.node(d.init_node()).unwrap();
+    node.vars.keys().find(|k| &***k == var).cloned().expect("variable written")
+}
+
+#[test]
+fn overwriting_a_node_var_keeps_its_key() {
+    let natives = Arc::new(RwLock::new(NativeRegistry::new()));
+    natives.write().unwrap().register("tick", |ctx, _| {
+        let n = ctx.node_var("ticks").as_int().unwrap_or(0);
+        ctx.set_node_var("ticks", Value::Int(n + 1));
+        Ok(Value::Null)
+    });
+    let cfg = ClusterConfig::new(1);
+    let codes = CodeCache::new();
+    let mut d = Daemon::new(
+        DaemonId(0),
+        Arc::new(cfg.clone()),
+        Arc::new(DaemonTopology::clique(cfg.daemons)),
+        codes.clone(),
+        natives,
+    );
+    let prog = msgr_lang::compile("main() { node int visits; visits = visits + 1; tick(); }");
+    let prog = prog.unwrap();
+    codes.register(&prog);
+    let init = d.init_node();
+    d.set_node_var(init, "visits", Value::Int(0));
+    d.set_node_var(init, "ticks", Value::Int(0));
+    let (vm, native) = (var_key(&d, "visits"), var_key(&d, "ticks"));
+    let mut fx = Vec::new();
+    d.launch(&prog, &[], init).unwrap();
+    run(&mut d, &mut fx);
+    assert_eq!(d.node_var(init, "visits"), Some(Value::Int(1)));
+    assert_eq!(d.node_var(init, "ticks"), Some(Value::Int(1)));
+    assert!(Arc::ptr_eq(&vm, &var_key(&d, "visits")), "the VM write reallocated its key");
+    assert!(Arc::ptr_eq(&native, &var_key(&d, "ticks")), "the native write reallocated its key");
+    d.set_node_var(init, "visits", Value::Int(5));
+    assert!(Arc::ptr_eq(&vm, &var_key(&d, "visits")), "the setup write reallocated its key");
+}
+
 #[test]
 fn local_min_spans_ready_and_pending() {
     let (mut d, codes) = mk_daemon(1, ClusterConfig::new(2));

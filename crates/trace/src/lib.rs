@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use event::{EventKind, TraceEvent};
-pub use metrics::{Metric, MetricKind, Unit};
+pub use metrics::{Counters, Metric, MetricKind, Unit};
 pub use recorder::{FlightRecorder, TraceConfig};
 
 /// A merged, ordered trace of one run.

@@ -97,7 +97,9 @@ impl NativeRegistry {
         name: &str,
         args: &[Value],
     ) -> Result<Value, VmError> {
-        let f = self.map.get(name).ok_or_else(|| VmError::UnknownNative(name.to_string()))?.clone();
+        // Borrowed, not cloned: every daemon calls through this one
+        // table, and a clone would write the function's shared refcount.
+        let f = self.map.get(name).ok_or_else(|| VmError::UnknownNative(name.to_string()))?;
         f(ctx, args).map_err(VmError::Native)
     }
 }
