@@ -77,6 +77,29 @@ if [ "$(grep -c 'busy_until()' crates/core/src/platform/sim.rs)" -gt 1 ]; then
     echo "error: platform/sim.rs reads busy_until() outside tick: defer through wake_pending" >&2
     exit 1
 fi
+# A hop touches nothing shared (DESIGN.md §9): the daemon reads the code
+# registry once per program through `program`, locks the natives only to
+# call one, borrows node-variable names, and counts by Metric index.
+daemon=crates/core/src/daemon.rs
+if [ "$(grep -o 'codes\.lookup(' "$daemon" | wc -l)" -ne 1 ] || grep -n 'codes\.rejection(' "$daemon"; then
+    echo "error: daemon.rs must read the code registry through exactly one codes.lookup(" >&2
+    exit 1
+fi
+in_call="$(awk '/fn call_native\(/,/^    }$/' "$daemon" | grep -o 'natives\.read()' | wc -l)"
+if [ "$in_call" -lt 1 ] \
+    || [ "$(cat crates/core/src/*.rs crates/core/src/*/*.rs | grep -o 'natives\.read()' | wc -l)" -ne "$in_call" ]; then
+    echo "error: natives.read() outside call_native: lock the natives only to call one" >&2
+    exit 1
+fi
+if grep -n 'as_str()?\.to_string()' crates/vm/src/interp.rs; then
+    echo "error: vm/src/interp.rs allocates a name constant: borrow it from the pool" >&2
+    exit 1
+fi
+if grep -n 'stats\.counter("' "$daemon" \
+    || ! awk '/pub fn rollbacks\(/,/^    }$/' "$daemon" | grep -q 'counters\.get(Metric::Rollbacks)'; then
+    echo "error: daemon.rs reads a counter by key: read the Counters array by Metric" >&2
+    exit 1
+fi
 
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a
