@@ -18,7 +18,7 @@ use msgr_sim::Stats;
 use msgr_vm::Value;
 
 use crate::calib::Calib;
-use crate::mandel::{mandel_iters, MandelScene, MandelWork};
+use crate::mandel::{MandelScene, MandelWork};
 
 /// The Fig. 3 script, verbatim modulo MSGR-C surface syntax.
 pub const MANAGER_WORKER_SCRIPT: &str = r#"
@@ -167,23 +167,10 @@ pub fn run_threads(scene: MandelScene, procs: usize) -> Result<MandelRun, Cluste
 
     cluster.register_native("compute", move |_ctx, args| {
         let idx = parse_task(args.first().ok_or("compute needs a task")?)?;
-        let bs = scene.block_side();
-        let (ox, oy) = scene.block_origin(idx);
-        let mut payload = Vec::with_capacity(4 + (bs * bs) as usize);
+        let block = scene.render_block(idx);
+        let mut payload = Vec::with_capacity(4 + block.len());
         payload.extend_from_slice(&idx.to_le_bytes());
-        let (w, h) = (scene.size as f64, scene.size as f64);
-        for dy in 0..bs {
-            for dx in 0..bs {
-                let px = ox + dx;
-                let py = oy + dy;
-                let cx =
-                    scene.region.x0 + (px as f64 + 0.5) / w * (scene.region.x1 - scene.region.x0);
-                let cy =
-                    scene.region.y0 + (py as f64 + 0.5) / h * (scene.region.y1 - scene.region.y0);
-                let v = mandel_iters(cx, cy, scene.max_iter) as u16;
-                payload.push(MandelWork::color(v));
-            }
-        }
+        payload.extend_from_slice(&block);
         Ok(Value::Blob(Bytes::from(payload)))
     });
 

@@ -208,29 +208,11 @@ pub fn run_sim_cfg(
 /// Panics if a task misbehaves protocol-wise (buffer underflow), which
 /// would be a bug in this program, not user input.
 pub fn run_threads(scene: crate::mandel::MandelScene, procs: usize) -> MandelPvmRun {
-    use crate::mandel::mandel_iters;
     use msgr_pvm::{PvmThreads, Recv, ThreadTaskCtx};
 
     let start = std::time::Instant::now();
     let image = Arc::new(std::sync::Mutex::new(vec![0u8; (scene.size * scene.size) as usize]));
     let image_out = image.clone();
-
-    let compute_block = move |idx: u32| -> Vec<u8> {
-        let bs = scene.block_side();
-        let (ox, oy) = scene.block_origin(idx);
-        let (w, h) = (scene.size as f64, scene.size as f64);
-        let mut payload = Vec::with_capacity((bs * bs) as usize);
-        for dy in 0..bs {
-            for dx in 0..bs {
-                let cx = scene.region.x0
-                    + ((ox + dx) as f64 + 0.5) / w * (scene.region.x1 - scene.region.x0);
-                let cy = scene.region.y0
-                    + ((oy + dy) as f64 + 0.5) / h * (scene.region.y1 - scene.region.y0);
-                payload.push(MandelWork::color(mandel_iters(cx, cy, scene.max_iter) as u16));
-            }
-        }
-        payload
-    };
 
     PvmThreads::run(move |ctx: &mut ThreadTaskCtx| {
         let me = ctx.mytid();
@@ -244,7 +226,7 @@ pub fn run_threads(scene: crate::mandel::MandelScene, procs: usize) -> MandelPvm
                     }
                     let mut reply = Buf::new();
                     reply.pack_int(idx);
-                    reply.pack_bytes(&compute_block(idx as u32));
+                    reply.pack_bytes(&scene.render_block(idx as u32));
                     ctx.send(me, TAG_RESULT, reply);
                 })
             })

@@ -1,0 +1,76 @@
+//! The Mandelbrot work table against a serial per-pixel reference: the
+//! multi-core render, the block tabulation (also after `regrid`) and the
+//! threads natives' block renderer must all agree with one pixel loop,
+//! bit for bit, on any scene.
+
+use msgr_apps::mandel::mandel_iters;
+use msgr_apps::{MandelScene, MandelWork, Region};
+use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
+
+/// A scene of side 0..=96 cut by any grid that divides it, over a random
+/// window of the plane, with `max_iter` 1..=600.
+fn scene(s: &mut Source) -> MandelScene {
+    let size = s.u32_in(0..97);
+    let grid = pick_divisor(s, size);
+    let (x0, y0) = (s.f64_in(-2.5, 1.0), s.f64_in(-1.5, 1.5));
+    let (x1, y1) = (x0 + s.f64_in(1e-3, 3.0), y0 + s.f64_in(1e-3, 3.0));
+    let region = Region { x0, y0, x1, y1 };
+    MandelScene { region, size, grid, max_iter: s.u32_in(1..601) }
+}
+
+/// Any grid dividing `size`; for the empty image any grid does.
+fn pick_divisor(s: &mut Source, size: u32) -> u32 {
+    let divisors: Vec<u32> = (1..=size.max(8)).filter(|&g| size.is_multiple_of(g)).collect();
+    *s.pick(&divisors)
+}
+
+/// One pixel at a time, in row-major order, on the calling thread.
+fn reference(scene: &MandelScene) -> Vec<u16> {
+    let r = scene.region;
+    let (w, h) = (scene.size as f64, scene.size as f64);
+    let mut pixels = Vec::new();
+    for py in 0..scene.size {
+        for px in 0..scene.size {
+            let cx = r.x0 + (px as f64 + 0.5) / w * (r.x1 - r.x0);
+            let cy = r.y0 + (py as f64 + 0.5) / h * (r.y1 - r.y0);
+            pixels.push(mandel_iters(cx, cy, scene.max_iter) as u16);
+        }
+    }
+    pixels
+}
+
+/// Per-block iteration totals summed from `pixels`, one pixel at a time.
+fn pixel_sums(scene: &MandelScene, pixels: &[u16]) -> Vec<u64> {
+    let (n, bs) = (scene.size, scene.block_side());
+    let mut sums = vec![0u64; scene.blocks() as usize];
+    for py in 0..n {
+        for px in 0..n {
+            let idx = (py / bs) * scene.grid + px / bs;
+            sums[idx as usize] += pixels[(py * n + px) as usize] as u64;
+        }
+    }
+    sums
+}
+
+#[test]
+fn the_work_table_matches_a_serial_render() {
+    check_with(Config::with_cases(64), "mandel_work_table", |s| {
+        let scene = scene(s);
+        let work = MandelWork::compute(scene);
+        let expected = reference(&scene);
+        prop_assert_eq!(work.pixels.len(), expected.len());
+        let first_diff = work.pixels.iter().zip(&expected).position(|(a, b)| a != b);
+        prop_assert!(first_diff.is_none(), "{scene:?}: pixel {first_diff:?} differs");
+        prop_assert_eq!(work.block_iters, pixel_sums(&scene, &expected));
+
+        let regridded = work.regrid(pick_divisor(s, scene.size));
+        prop_assert_eq!(regridded.pixels, work.pixels);
+        prop_assert_eq!(regridded.block_iters, pixel_sums(&regridded.scene, &expected));
+
+        for idx in 0..scene.blocks() {
+            let rendered = scene.render_block(idx);
+            prop_assert!(rendered == work.block_payload(idx), "{scene:?}: block {idx} differs");
+        }
+        Ok(())
+    });
+}

@@ -101,8 +101,9 @@ pub fn mandel_figure(fig: &str, size: u32, procs: &[usize], grids: &[u32]) -> Ta
         format!("{fig}: Mandelbrot {size}x{size}, 512 colors, region (-2,-1.2,0.4,1.2) [seconds]"),
         &["grid", "procs", "messengers", "pvm", "seq C"],
     );
+    let image = MandelWork::compute(MandelScene::paper(size, 1));
     for &grid in grids {
-        let work = Arc::new(MandelWork::compute(MandelScene::paper(size, grid)));
+        let work = Arc::new(image.regrid(grid));
         let (seq, expected) = render_sequential(&work, &calib);
         for &p in procs {
             let m = mandel_msgr::run_sim(&work, p, &calib, ClusterConfig::new(p))
