@@ -77,6 +77,14 @@ if [ "$(grep -c 'busy_until()' crates/core/src/platform/sim.rs)" -gt 1 ]; then
     echo "error: platform/sim.rs reads busy_until() outside tick: defer through wake_pending" >&2
     exit 1
 fi
+# The work table renders on every core (DESIGN.md §9) through one row
+# renderer, MandelScene::render_span, which the threads natives share: the
+# kernel is called and the pixel→plane map written only in mandel.rs.
+if grep -rn --exclude=mandel.rs 'mandel_iters(' crates/apps/src \
+    || [ "$(cat crates/apps/src/*.rs | grep -c 'region\.x0')" -gt 1 ]; then
+    echo "error: crates/apps/src renders pixels outside MandelScene::render_span" >&2
+    exit 1
+fi
 # A hop touches nothing shared (DESIGN.md §9): the daemon reads the code
 # registry once per program through `program`, locks the natives only to
 # call one, borrows node-variable names, and counts by Metric index.
