@@ -54,6 +54,40 @@ fn parse_task(v: &Value) -> Result<u32, String> {
     v.as_int().map(|i| i as u32).map_err(|e| e.to_string())
 }
 
+/// What `compute` hands back: the block index, little-endian, then the
+/// block's colors.
+fn result_blob(idx: u32, colors: &[u8]) -> Value {
+    let mut blob = Vec::with_capacity(4 + colors.len());
+    blob.extend_from_slice(&idx.to_le_bytes());
+    blob.extend_from_slice(colors);
+    Value::Blob(Bytes::from(blob))
+}
+
+/// The blob `deposit` was handed, as bytes.
+fn result_arg(args: &[Value]) -> Result<&[u8], String> {
+    let blob = args.first().ok_or("deposit needs a result")?;
+    blob.as_blob().map(|b| &b[..]).map_err(|e| e.to_string())
+}
+
+/// Write a [`result_blob`] into `image`. Any MSGR-C program can call
+/// `deposit` with any blob, so a blob with no header, a block outside
+/// `scene` or the wrong number of colors is refused with an error: the
+/// messenger faults instead of the daemon panicking.
+fn deposit_result(scene: &MandelScene, image: &mut [u8], blob: &[u8]) -> Result<(), String> {
+    let Some((header, colors)) = blob.split_first_chunk::<4>() else {
+        return Err(format!("a {}-byte result has no block header", blob.len()));
+    };
+    let idx = u32::from_le_bytes(*header);
+    if idx >= scene.blocks() {
+        return Err(format!("block {idx} out of range"));
+    }
+    if colors.len() != scene.block_pixels() as usize {
+        return Err(format!("block {idx} came with {} colors", colors.len()));
+    }
+    MandelWork::deposit_payload(scene, image, idx, colors);
+    Ok(())
+}
+
 /// Run on the simulation platform with `procs` daemons. The work table
 /// supplies real per-block iteration counts; compute time is charged to
 /// the worker's host, and the image is reassembled and checksummed.
@@ -102,26 +136,17 @@ fn simulate(
                 .get(idx as usize)
                 .ok_or_else(|| format!("block {idx} out of range"))?;
             ctx.charge(calib.mandel_ns(iters, scene.block_pixels() as u64));
-            let block = work.block_payload(idx);
-            let mut payload = Vec::with_capacity(4 + block.len());
-            payload.extend_from_slice(&idx.to_le_bytes());
-            payload.extend_from_slice(&block);
-            Ok(Value::Blob(Bytes::from(payload)))
+            Ok(result_blob(idx, &work.block_payload(idx)))
         });
     }
 
     {
         let image = image.clone();
         cluster.register_native("deposit", move |ctx, args| {
-            let blob = args
-                .first()
-                .ok_or("deposit needs a result")?
-                .as_blob()
-                .map_err(|e| e.to_string())?;
+            let blob = result_arg(args)?;
             // One copy into the result area.
             ctx.charge(blob.len() as u64 * 25);
-            let idx = u32::from_le_bytes(blob[..4].try_into().expect("blob header"));
-            MandelWork::deposit_payload(&scene, &mut image.lock().unwrap(), idx, &blob[4..]);
+            deposit_result(&scene, &mut image.lock().unwrap(), blob)?;
             Ok(Value::Null)
         });
     }
@@ -167,23 +192,13 @@ pub fn run_threads(scene: MandelScene, procs: usize) -> Result<MandelRun, Cluste
 
     cluster.register_native("compute", move |_ctx, args| {
         let idx = parse_task(args.first().ok_or("compute needs a task")?)?;
-        let block = scene.render_block(idx);
-        let mut payload = Vec::with_capacity(4 + block.len());
-        payload.extend_from_slice(&idx.to_le_bytes());
-        payload.extend_from_slice(&block);
-        Ok(Value::Blob(Bytes::from(payload)))
+        Ok(result_blob(idx, &scene.render_block(idx)))
     });
 
     {
         let image = image.clone();
         cluster.register_native("deposit", move |_ctx, args| {
-            let blob = args
-                .first()
-                .ok_or("deposit needs a result")?
-                .as_blob()
-                .map_err(|e| e.to_string())?;
-            let idx = u32::from_le_bytes(blob[..4].try_into().expect("blob header"));
-            MandelWork::deposit_payload(&scene, &mut image.lock().unwrap(), idx, &blob[4..]);
+            deposit_result(&scene, &mut image.lock().unwrap(), result_arg(args)?)?;
             Ok(Value::Null)
         });
     }
@@ -338,6 +353,23 @@ mod tests {
         let again = run_sim(&work, 6, &calib, cfg).unwrap();
         assert_eq!(again.checksum, run.checksum);
         assert_eq!(again.seconds.to_bits(), run.seconds.to_bits());
+    }
+
+    #[test]
+    fn a_malformed_result_is_an_error_not_a_panic() {
+        let work = tiny_work();
+        let scene = work.scene;
+        let mut image = vec![0u8; work.pixels.len()];
+        let deposit = |image: &mut [u8], blob: Value| {
+            deposit_result(&scene, image, blob.as_blob().expect("result_blob makes blobs"))
+        };
+        let colors = work.block_payload(3);
+        assert!(deposit_result(&scene, &mut image, &[3, 0, 0]).is_err());
+        assert!(deposit(&mut image, result_blob(scene.blocks(), &colors)).is_err());
+        assert!(deposit(&mut image, result_blob(3, &colors[1..])).is_err());
+        assert!(image.iter().all(|&c| c == 0), "a refused result wrote pixels");
+        deposit(&mut image, result_blob(3, &colors)).expect("a well-formed result deposits");
+        assert!(image.iter().any(|&c| c != 0));
     }
 
     #[test]
