@@ -85,6 +85,22 @@ if grep -rn --exclude=mandel.rs 'mandel_iters(' crates/apps/src \
     echo "error: crates/apps/src renders pixels outside MandelScene::render_span" >&2
     exit 1
 fi
+# Blocks move by rows (DESIGN.md §9): MandelScene::block_rows is the one
+# block→pixel-offset map. No per-pixel `% bs`/`/ bs` in mandel.rs, and outside
+# tests only block_rows and render_block (for its row and column) read
+# block_origin.
+origin_calls="$(for f in crates/apps/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /^ *\/\// { next }
+         match($0, /fn [a-z_]+\(/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
+         /block_origin\(/ && fn !~ /^(block_origin|block_rows|render_block)$/ {
+             print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+if [ "$(grep -cE '[%/] *bs\b' crates/apps/src/mandel.rs)" -ne 0 ] || [ -n "$origin_calls" ]; then
+    [ -n "$origin_calls" ] && echo "$origin_calls"
+    echo "error: crates/apps/src maps a block to pixels outside MandelScene::block_rows" >&2
+    exit 1
+fi
 # A hop touches nothing shared (DESIGN.md §9): the daemon reads the code
 # registry once per program through `program`, locks the natives only to
 # call one, borrows node-variable names, and counts by Metric index.
