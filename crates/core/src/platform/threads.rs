@@ -5,8 +5,8 @@
 //! wire frames, and GVT protocol as the simulation, but with genuine
 //! concurrency. Nothing here polls; every wait ends on an event.
 //!
-//! - **Termination is signalled, not sampled.** A cluster-wide
-//!   live-messenger counter holds the credit (injection +1, replication
+//! - **Termination is signalled, not sampled.** The census's
+//!   live-messenger count holds the credit (injection +1, replication
 //!   +k−1, death −1): at zero no messenger exists or is in flight, so
 //!   the cluster has quiesced. The daemon whose death takes it to zero
 //!   unparks the driver, which is parked against the stall deadline. (A
@@ -23,36 +23,33 @@
 //!   (a panicking native, say) unparks the driver on its way out, and
 //!   `run` re-raises the panic once the other threads are joined.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, RwLock};
-
 use msgr_sim::Stats;
-use msgr_trace::{Metric, Trace};
-use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
+use msgr_trace::Trace;
+use msgr_vm::MessengerId;
 
-use crate::codes::CodeCache;
+use super::{Census, Cluster, Platform};
 use crate::config::{ClusterConfig, VtMode};
-use crate::daemon::{Daemon, Directory, Effect};
-use crate::ids::{DaemonId, NodeRef};
-use crate::topology::{DaemonTopology, LogicalTopology};
+use crate::daemon::{Daemon, Effect};
+use crate::ids::DaemonId;
+use crate::topology::DaemonTopology;
 use crate::wire::Wire;
 use crate::ClusterError;
 
-type DirMap = HashMap<Value, (DaemonId, NodeRef)>;
+/// The threaded platform. It keeps no state between runs: each run
+/// spawns its threads and channels and joins them before it returns.
+pub struct Threads;
 
-#[derive(Clone)]
-struct SharedDirectory(Arc<RwLock<DirMap>>);
+impl Platform for Threads {
+    type Driver = ();
 
-impl Directory for SharedDirectory {
-    fn lookup(&self, name: &Value) -> Option<(DaemonId, NodeRef)> {
-        self.0.read().unwrap().get(name).copied()
-    }
+    // The daemon threads find the messenger when the run starts.
+    fn launched(_: &mut (), _: DaemonId) {}
 }
 
 /// Outcome of a threaded run.
@@ -77,21 +74,7 @@ pub struct ThreadReport {
 /// natives, build the logical topology, inject, then [`ThreadCluster::run`]
 /// — which spawns the daemon threads, waits for quiescence, and joins
 /// them — and finally inspect node variables.
-pub struct ThreadCluster {
-    cfg: Arc<ClusterConfig>,
-    daemons: Vec<Daemon>,
-    codes: CodeCache,
-    natives: Arc<RwLock<NativeRegistry>>,
-    directory: SharedDirectory,
-    live: Arc<AtomicI64>,
-    faults: Arc<Mutex<Vec<(MessengerId, String)>>>,
-}
-
-impl std::fmt::Debug for ThreadCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadCluster").field("daemons", &self.daemons.len()).finish()
-    }
-}
+pub type ThreadCluster = Cluster<Threads>;
 
 impl ThreadCluster {
     /// Build a cluster per `cfg` with a clique daemon topology.
@@ -100,11 +83,7 @@ impl ThreadCluster {
     ///
     /// [`ClusterError::Config`] — optimistic virtual time and fault
     /// injection are only supported on the simulation platform.
-    pub fn new(mut cfg: ClusterConfig) -> Result<Self, ClusterError> {
-        // Profiler output rides the trace stream: profiling implies tracing.
-        if cfg.profile {
-            cfg.trace.enabled = true;
-        }
+    pub fn new(cfg: ClusterConfig) -> Result<Self, ClusterError> {
         if cfg.vt_mode == VtMode::Optimistic {
             return Err(ClusterError::Config(
                 "optimistic virtual time requires the simulation platform".to_string(),
@@ -117,138 +96,8 @@ impl ThreadCluster {
                 "fault injection requires the simulation platform".to_string(),
             ));
         }
-        // Same typed-key discipline as the simulation platform.
-        msgr_sim::install_key_validator(Metric::validator);
-        let cfg = Arc::new(cfg);
-        let codes = CodeCache::with_analysis(cfg.analysis);
-        let natives = Arc::new(RwLock::new(NativeRegistry::new()));
-        let topo = Arc::new(DaemonTopology::clique(cfg.daemons));
-        let daemons = (0..cfg.daemons)
-            .map(|i| {
-                Daemon::new(
-                    DaemonId(i as u16),
-                    cfg.clone(),
-                    topo.clone(),
-                    codes.clone(),
-                    natives.clone(),
-                )
-            })
-            .collect();
-        Ok(ThreadCluster {
-            cfg,
-            daemons,
-            codes,
-            natives,
-            directory: SharedDirectory(Arc::new(RwLock::new(HashMap::new()))),
-            live: Arc::new(AtomicI64::new(0)),
-            faults: Arc::new(Mutex::new(Vec::new())),
-        })
-    }
-
-    /// Register a compiled program cluster-wide.
-    pub fn register_program(&mut self, program: &Program) -> ProgramId {
-        let (id, outcome) = self.codes.register_outcome(program);
-        for kind in outcome.trace_events(id) {
-            self.daemons[0].recorder_mut().emit_sys(kind);
-        }
-        id
-    }
-
-    /// Register a native function on every daemon.
-    pub fn register_native(
-        &mut self,
-        name: impl Into<String>,
-        f: impl Fn(&mut dyn NativeCtx, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
-    ) {
-        self.natives.write().unwrap().register(name, f);
-    }
-
-    /// Realize a logical topology before the run.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NotFound`] / [`ClusterError::Config`] as for the
-    /// simulation platform.
-    pub fn build(&mut self, topo: &LogicalTopology) -> Result<(), ClusterError> {
-        topo.realize(&mut self.daemons, &mut self.directory.0.write().unwrap())
-    }
-
-    /// Inject a messenger into daemon `d`'s `init` node (pre-run).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownProgram`] / [`ClusterError::BadInjection`].
-    pub fn inject(
-        &mut self,
-        d: u16,
-        program: ProgramId,
-        args: &[Value],
-    ) -> Result<MessengerId, ClusterError> {
-        let at = self.daemons[d as usize].init_node();
-        self.inject_at_node(d, program, args, at)
-    }
-
-    /// Inject a messenger into the named node (pre-run).
-    ///
-    /// # Errors
-    ///
-    /// As [`ThreadCluster::inject`], plus [`ClusterError::NotFound`].
-    pub fn inject_at(
-        &mut self,
-        node: &Value,
-        program: ProgramId,
-        args: &[Value],
-    ) -> Result<MessengerId, ClusterError> {
-        let (d, gid) = self
-            .directory
-            .lookup(node)
-            .ok_or_else(|| ClusterError::NotFound(format!("node {node}")))?;
-        self.inject_at_node(d.0, program, args, gid)
-    }
-
-    fn inject_at_node(
-        &mut self,
-        d: u16,
-        program: ProgramId,
-        args: &[Value],
-        at: NodeRef,
-    ) -> Result<MessengerId, ClusterError> {
-        // Mirror the sim platform: quarantined code injects fine and is
-        // refused (with a fault + `verify_rejected`) by the executing
-        // daemon.
-        let prog = self.codes.get_any(program).ok_or(ClusterError::UnknownProgram)?;
-        let id = self.daemons[d as usize]
-            .launch(&prog, args, at)
-            .map_err(|e| ClusterError::BadInjection(e.to_string()))?;
-        self.live.fetch_add(1, Ordering::SeqCst);
-        Ok(id)
-    }
-
-    /// Write a node variable of a named node (pre-run setup).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NotFound`] if the node is unknown.
-    pub fn set_node_var(&mut self, node: &Value, var: &str, v: Value) -> Result<(), ClusterError> {
-        let (d, gid) = self
-            .directory
-            .lookup(node)
-            .ok_or_else(|| ClusterError::NotFound(format!("node {node}")))?;
-        self.daemons[d.0 as usize].set_node_var(gid, var, v);
-        Ok(())
-    }
-
-    /// Read a node variable of a named node (post-run inspection).
-    pub fn node_var_by_name(&self, node: &Value, var: &str) -> Option<Value> {
-        let (d, gid) = self.directory.lookup(node)?;
-        self.daemons[d.0 as usize].node_var(gid, var)
-    }
-
-    /// Read a node variable of daemon `d`'s node named `node`.
-    pub fn node_var(&self, d: u16, node: &Value, var: &str) -> Option<Value> {
-        let daemon = &self.daemons[d as usize];
-        let gid = daemon.find_node(node)?;
-        daemon.node_var(gid, var)
+        let topo = DaemonTopology::clique(cfg.daemons);
+        Ok(Cluster::assemble(cfg, topo, |_| Threads))
     }
 
     /// Spawn the daemon threads, run to quiescence, join, and report.
@@ -263,22 +112,21 @@ impl ThreadCluster {
     /// Re-raises the panic of a daemon thread that unwound (a native
     /// that panicked), as soon as the other threads are joined.
     pub fn run(&mut self) -> Result<ThreadReport, ClusterError> {
-        let n = self.daemons.len();
+        let w = &mut self.front;
+        let n = w.daemons.len();
         let (senders, receivers): (Vec<Sender<Mail>>, Vec<Receiver<Mail>>) =
             (0..n).map(|_| channel()).unzip();
         let shared = Shared {
             senders,
-            live: self.live.clone(),
-            faults: self.faults.clone(),
-            dir: self.directory.clone(),
+            census: w.census.clone(),
             exited: Arc::new(AtomicUsize::new(0)),
             driver: std::thread::current(),
         };
-        let gvt_needed = self.codes.any_uses_virtual_time();
+        let gvt_needed = w.codes.any_uses_virtual_time();
 
         let start = Instant::now();
         let mut handles = Vec::with_capacity(n);
-        for (mut daemon, rx) in self.daemons.drain(..).zip(receivers) {
+        for (mut daemon, rx) in w.daemons.drain(..).zip(receivers) {
             let shared = shared.clone();
             handles.push(std::thread::spawn(move || {
                 let _exit = ExitSignal(&shared);
@@ -291,7 +139,7 @@ impl ThreadCluster {
         // is gone, and the unpark below spares the join a full interval.
         let ticker = gvt_needed.then(|| {
             let tx0 = shared.senders[0].clone();
-            let interval = Duration::from_nanos(self.cfg.gvt_interval.max(1_000_000));
+            let interval = Duration::from_nanos(w.cfg.gvt_interval.max(1_000_000));
             std::thread::spawn(move || loop {
                 std::thread::park_timeout(interval);
                 if tx0.send(Some(Wire::GvtKick)).is_err() {
@@ -306,7 +154,7 @@ impl ThreadCluster {
         // spurious one only costs a re-check.
         let deadline = Instant::now() + Duration::from_secs(300);
         let stalled = loop {
-            if self.live.load(Ordering::SeqCst) <= 0 || shared.exited.load(Ordering::SeqCst) > 0 {
+            if w.census.live() <= 0 || shared.exited.load(Ordering::SeqCst) > 0 {
                 break false;
             }
             let now = Instant::now();
@@ -321,7 +169,7 @@ impl ThreadCluster {
         let mut panicked = None;
         for h in handles {
             match h.join() {
-                Ok(daemon) => self.daemons.push(daemon),
+                Ok(daemon) => w.daemons.push(daemon),
                 Err(payload) => panicked = Some(payload),
             }
         }
@@ -335,23 +183,10 @@ impl ThreadCluster {
         if stalled {
             return Err(ClusterError::Stalled { events: 0 });
         }
-        let mut stats = Stats::new();
-        for d in &self.daemons {
-            stats.merge(&d.stats());
-        }
-        stats.merge(&self.codes.stats());
-        let trace = self.cfg.trace.enabled.then(|| {
-            let parts = self.daemons.iter_mut().map(Daemon::take_trace).collect();
-            Trace::from_parts(parts)
-        });
-        if let Some(t) = &trace {
-            if t.dropped > 0 {
-                stats.add(Metric::TraceDropped, t.dropped);
-            }
-        }
+        let (stats, trace) = w.report_tail(Stats::new());
         Ok(ThreadReport {
             wall_seconds: start.elapsed().as_secs_f64(),
-            faults: self.faults.lock().unwrap().clone(),
+            faults: w.census.faults(),
             stats,
             trace,
         })
@@ -374,9 +209,7 @@ const IDLE_SPIN: Duration = Duration::from_micros(50);
 #[derive(Clone)]
 struct Shared {
     senders: Vec<Sender<Mail>>,
-    live: Arc<AtomicI64>,
-    faults: Arc<Mutex<Vec<(MessengerId, String)>>>,
-    dir: SharedDirectory,
+    census: Arc<Census>,
     /// Daemon threads that have ended. Before the stop order none ends
     /// except by unwinding, so the driver reads `> 0` as "one panicked".
     exited: Arc<AtomicUsize>,
@@ -405,7 +238,7 @@ fn run_daemon(daemon: &mut Daemon, rx: Receiver<Mail>, shared: &Shared) {
         let mail = match rx.try_recv() {
             Ok(mail) => mail,
             Err(_) if daemon.has_work() => {
-                daemon.run_segment(&shared.dir, &mut fx);
+                daemon.run_segment(&*shared.census, &mut fx);
                 apply(&mut fx, shared);
                 continue;
             }
@@ -432,29 +265,20 @@ fn idle_recv(rx: &Receiver<Mail>) -> Mail {
 }
 
 fn apply(fx: &mut Vec<Effect>, shared: &Shared) {
+    if fx.is_empty() {
+        return;
+    }
     for f in fx.drain(..) {
-        match f {
-            Effect::Send { dst, wire } => {
-                let _ = shared.senders[dst.0 as usize].send(Some(wire));
-            }
-            Effect::LiveDelta(d) => {
-                // The last death signals termination to the parked driver.
-                if shared.live.fetch_add(d, Ordering::SeqCst) + d <= 0 {
-                    shared.driver.unpark();
-                }
-            }
-            Effect::Fault { messenger, error } => {
-                shared.faults.lock().unwrap().push((messenger, error));
-            }
-            Effect::DirectoryAdd { name, daemon, node } => {
-                shared.dir.0.write().unwrap().insert(name, (daemon, node));
-            }
-            Effect::DirectoryRemove { name } => {
-                shared.dir.0.write().unwrap().remove(&name);
-            }
-            // Unreachable: `new` rejects fault plans, and without one the
-            // daemons never arm retransmission timers or failover.
-            Effect::Timer { .. } | Effect::Recover { .. } => {}
+        // The census books the live count, the faults and the names.
+        // No `Timer` or `Recover` comes back: `new` rejects fault plans,
+        // and without one the daemons never arm retransmission timers or
+        // failover.
+        if let Some(Effect::Send { dst, wire }) = shared.census.book(f) {
+            let _ = shared.senders[dst.0 as usize].send(Some(wire));
         }
+    }
+    // The last death signals termination to the parked driver.
+    if shared.census.live() <= 0 {
+        shared.driver.unpark();
     }
 }
