@@ -14,6 +14,34 @@ fn sim(n: usize) -> SimCluster {
     SimCluster::new(cfg)
 }
 
+/// The platforms, for the tests that must hold on both.
+#[derive(Clone, Copy, Debug)]
+enum On {
+    Sim,
+    Threads,
+}
+
+const BOTH: [On; 2] = [On::Sim, On::Threads];
+
+/// Run `$body` against a fresh `$n`-daemon cluster `$c` on platform
+/// `$on`. The body builds, injects, runs and checks, and ends with the
+/// run's report; a simulated run must also leave no live messenger.
+macro_rules! on {
+    ($on:expr, $n:expr, |$c:ident| $body:block) => {
+        match $on {
+            On::Sim => {
+                let mut $c = sim($n);
+                let report = $body;
+                assert_eq!(report.live_leak, 0, "{:?}", report.faults);
+            }
+            On::Threads => {
+                let mut $c = ThreadCluster::new(ClusterConfig::new($n)).unwrap();
+                $body;
+            }
+        }
+    };
+}
+
 #[test]
 fn single_messenger_updates_node_vars() {
     let prog = compile(
@@ -201,16 +229,21 @@ fn virtual_hop_jumps_by_name() {
         }"#,
     )
     .unwrap();
-    let mut c = sim(4);
-    let mut topo = LogicalTopology::new();
-    topo.node(Value::str("faraway"), msgr_core::DaemonId(3));
-    c.build(&topo).unwrap();
-    let pid = c.register_program(&prog);
-    c.inject(0, pid, &[]).unwrap();
-    let report = c.run().unwrap();
-    assert_eq!(report.live_leak, 0, "{:?}", report.faults);
-    assert_eq!(c.node_var_by_name(&Value::str("faraway"), "visited"), Some(Value::Int(1)));
-    assert_eq!(report.stats.counter("virtual_hops"), 1);
+    for platform in BOTH {
+        on!(platform, 4, |c| {
+            let mut topo = LogicalTopology::new();
+            topo.node(Value::str("faraway"), msgr_core::DaemonId(3));
+            c.build(&topo).unwrap();
+            let pid = c.register_program(&prog);
+            c.inject(0, pid, &[]).unwrap();
+            let report = c.run().unwrap();
+            assert!(report.faults.is_empty(), "{platform:?}: {:?}", report.faults);
+            let visited = c.node_var_by_name(&Value::str("faraway"), "visited");
+            assert_eq!(visited, Some(Value::Int(1)), "{platform:?}");
+            assert_eq!(report.stats.counter("virtual_hops"), 1, "{platform:?}");
+            report
+        });
+    }
 }
 
 #[test]
@@ -226,16 +259,20 @@ fn delete_tears_down_links_and_singletons() {
         }"#,
     )
     .unwrap();
-    let mut c = sim(2);
-    let pid = c.register_program(&prog);
-    c.inject(0, pid, &[]).unwrap();
-    let report = c.run().unwrap();
-    assert!(report.faults.is_empty(), "{:?}", report.faults);
-    assert_eq!(report.live_leak, 0);
-    assert_eq!(c.node_var(0, &Value::str("init"), "x"), Some(Value::Int(9)));
-    // "out" became a singleton and was deleted.
-    assert_eq!(report.stats.counter("nodes_deleted"), 1);
-    assert!(c.node_var_by_name(&Value::str("out"), "x").is_none());
+    for platform in BOTH {
+        on!(platform, 2, |c| {
+            let pid = c.register_program(&prog);
+            c.inject(0, pid, &[]).unwrap();
+            let report = c.run().unwrap();
+            assert!(report.faults.is_empty(), "{platform:?}: {:?}", report.faults);
+            assert_eq!(c.node_var(0, &Value::str("init"), "x"), Some(Value::Int(9)));
+            // "out" became a singleton and was deleted, and its name
+            // left the directory with it.
+            assert_eq!(report.stats.counter("nodes_deleted"), 1, "{platform:?}");
+            assert!(c.node_var_by_name(&Value::str("out"), "x").is_none(), "{platform:?}");
+            report
+        });
+    }
 }
 
 #[test]
@@ -802,8 +839,8 @@ fn logical_network_persists_across_messenger_generations() {
     // §1: "the logical network is persistent. Unless explicitly
     // destroyed, it will continue to exist after the Messengers have
     // moved on or terminated." A builder messenger creates the network;
-    // a *later* generation (injected at a later simulated time, after
-    // the builder has died) navigates it.
+    // a *later* generation (injected in a later run, after the builder
+    // has died) finds it by name.
     let builder = compile(
         r#"build() {
             create(ln = "annex"; ll = "door"; dn = 1);
@@ -819,19 +856,41 @@ fn logical_network_persists_across_messenger_generations() {
         }"#,
     )
     .unwrap();
-    let mut c = sim(2);
-    let bid = c.register_program(&builder);
-    let vid = c.register_program(&visitor);
-    c.inject(0, bid, &[]).unwrap();
-    let run1 = c.run().unwrap();
-    assert!(run1.faults.is_empty(), "{:?}", run1.faults);
+    for platform in BOTH {
+        on!(platform, 2, |c| {
+            let bid = c.register_program(&builder);
+            let vid = c.register_program(&visitor);
+            c.inject(0, bid, &[]).unwrap();
+            let run1 = c.run().unwrap();
+            assert!(run1.faults.is_empty(), "{platform:?}: {:?}", run1.faults);
 
-    // The builder is long dead; its network remains.
-    c.inject(0, vid, &[]).unwrap();
-    c.inject(1, vid, &[]).unwrap();
-    let run2 = c.run().unwrap();
-    assert!(run2.faults.is_empty(), "{:?}", run2.faults);
-    assert_eq!(c.node_var_by_name(&Value::str("annex"), "visits"), Some(Value::Int(2)));
+            // The builder is long dead; its network remains.
+            c.inject(0, vid, &[]).unwrap();
+            c.inject(1, vid, &[]).unwrap();
+            let run2 = c.run().unwrap();
+            assert!(run2.faults.is_empty(), "{platform:?}: {:?}", run2.faults);
+            let visits = c.node_var_by_name(&Value::str("annex"), "visits");
+            assert_eq!(visits, Some(Value::Int(2)), "{platform:?}");
+            run2
+        });
+    }
+}
+
+#[test]
+fn a_missing_daemon_is_not_found_on_both_platforms() {
+    let prog = compile("main() { node int x; x = 1; }").unwrap();
+    for platform in BOTH {
+        on!(platform, 4, |c| {
+            let pid = c.register_program(&prog);
+            let err = c.inject(9, pid, &[]).unwrap_err();
+            assert_eq!(err, ClusterError::NotFound("daemon 9".to_string()), "{platform:?}");
+            assert_eq!(c.node_var(9, &Value::str("init"), "x"), None, "{platform:?}");
+            // The refused injection counted nothing: the run is empty.
+            let report = c.run().unwrap();
+            assert_eq!(report.stats.counter("terminated"), 0, "{platform:?}");
+            report
+        });
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! msgr check  script.mc                      # compile only
 //! msgr dis    script.mc                      # disassemble bytecode
 //! msgr run    script.mc [options]
-//!     --daemons N          cluster size (default 4)
+//!     --daemons N          cluster size, 1 to 65535 (default 4)
 //!     --threads            real threaded runtime (default: simulator)
 //!     --topology FILE      net_builder topology file (node/link lines)
 //!     --entry NAME         entry function (default: first in file)
@@ -425,8 +425,12 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         let result: Result<(), String> = (|| {
             match opt.as_str() {
                 "--daemons" => {
-                    daemons =
+                    let n: usize =
                         take("a count")?.parse().map_err(|_| "bad daemon count".to_string())?;
+                    if n == 0 || n > u16::MAX as usize {
+                        return Err(format!("--daemons wants 1 to {}", u16::MAX));
+                    }
+                    daemons = n;
                 }
                 "--threads" => threads = true,
                 "--dump" => dump = true,
@@ -509,8 +513,10 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
     // recorders.
     let has_kill = faults.has_kills();
 
-    // The two cluster types share method names, not a trait. `$after` runs
-    // on the finished cluster `$c`, last before the exit status.
+    // Both cluster types are the one front `Cluster<P>`, but its platform
+    // bound is sealed and the reports name their clocks differently, so a
+    // macro, not a generic function, drives both. `$after` runs on the
+    // finished cluster `$c`, last before the exit status.
     macro_rules! drive {
         ($cluster:expr, $run_field:ident, $unit:expr, |$c:ident| $after:block) => {{
             let mut cluster = $cluster;
