@@ -77,6 +77,19 @@ if [ "$(grep -c 'busy_until()' crates/core/src/platform/sim.rs)" -gt 1 ]; then
     echo "error: platform/sim.rs reads busy_until() outside tick: defer through wake_pending" >&2
     exit 1
 fi
+# One front, one door (DESIGN.md §9): the census books the live count, the
+# faults and the names for both platforms, and registration, the key
+# validator and the report tail are written once, in platform/mod.rs.
+door="$(for f in crates/core/src/platform/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next } { print }' "$f"
+done)"
+for once in 'Effect::LiveDelta' 'Effect::Fault' 'Effect::DirectoryAdd' 'Effect::DirectoryRemove' \
+    'register_outcome(' 'install_key_validator(' 'Trace::from_parts('; do
+    if [ "$(grep -oF "$once" <<<"$door" | wc -l)" -gt 1 ]; then
+        echo "error: crates/core/src/platform has $once more than once: keep it in the shared front" >&2
+        exit 1
+    fi
+done
 # The work table renders on every core (DESIGN.md §9) through one row
 # renderer, MandelScene::render_span, which the threads natives share: the
 # kernel is called and the pixel→plane map written only in mandel.rs.
