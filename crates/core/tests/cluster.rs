@@ -270,6 +270,8 @@ fn delete_tears_down_links_and_singletons() {
             // left the directory with it.
             assert_eq!(report.stats.counter("nodes_deleted"), 1, "{platform:?}");
             assert!(c.node_var_by_name(&Value::str("out"), "x").is_none(), "{platform:?}");
+            let gone = c.inject_at(&Value::str("out"), pid, &[]);
+            assert_eq!(gone, Err(ClusterError::NotFound("node out".to_string())), "{platform:?}");
             report
         });
     }
