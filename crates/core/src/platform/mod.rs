@@ -137,7 +137,7 @@ impl<P: Platform> Cluster<P> {
         name: impl Into<String>,
         f: impl Fn(&mut dyn NativeCtx, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     ) {
-        self.front.natives.write().unwrap().register(name, f);
+        self.front.natives.write().expect(POISONED).register(name, f);
     }
 
     /// Realize a logical topology (the `net_builder` service): create the
@@ -149,7 +149,7 @@ impl<P: Platform> Cluster<P> {
     /// [`ClusterError::Config`] for placements outside the cluster.
     pub fn build(&mut self, topo: &LogicalTopology) -> Result<(), ClusterError> {
         let front = &mut self.front;
-        topo.realize(&mut front.daemons, &mut front.census.names.write().unwrap())
+        topo.realize(&mut front.daemons, &mut front.census.names.write().expect(POISONED))
     }
 
     /// Inject a messenger into daemon `d`'s `init` node.
@@ -254,6 +254,10 @@ impl<P> Front<P> {
     }
 }
 
+/// Every lock here is held only to copy, insert or remove, none of
+/// which panics, so a poisoned one is a bug in this module.
+const POISONED: &str = "a platform lock was poisoned";
+
 /// The cluster-wide census: the live-messenger count, the messenger
 /// faults and the name directory. Shared with the daemon threads on
 /// `threads`; on `sim` nobody contends for it.
@@ -268,7 +272,7 @@ struct Census {
 
 impl Directory for Census {
     fn lookup(&self, name: &Value) -> Option<(DaemonId, NodeRef)> {
-        self.names.read().unwrap().get(name).copied()
+        self.names.read().expect(POISONED).get(name).copied()
     }
 }
 
@@ -279,10 +283,10 @@ impl Census {
             Effect::LiveDelta(d) => self.count(d),
             Effect::Fault { messenger, error } => self.fault(messenger, error),
             Effect::DirectoryAdd { name, daemon, node } => {
-                self.names.write().unwrap().insert(name, (daemon, node));
+                self.names.write().expect(POISONED).insert(name, (daemon, node));
             }
             Effect::DirectoryRemove { name } => {
-                self.names.write().unwrap().remove(&name);
+                self.names.write().expect(POISONED).remove(&name);
             }
             other => return Some(other),
         }
@@ -295,7 +299,7 @@ impl Census {
     }
 
     fn fault(&self, messenger: MessengerId, error: String) {
-        self.faults.lock().unwrap().push((messenger, error));
+        self.faults.lock().expect(POISONED).push((messenger, error));
     }
 
     fn live(&self) -> i64 {
@@ -303,7 +307,7 @@ impl Census {
     }
 
     fn faults(&self) -> Vec<(MessengerId, String)> {
-        self.faults.lock().unwrap().clone()
+        self.faults.lock().expect(POISONED).clone()
     }
 
     /// Where the named node lives.

@@ -483,7 +483,7 @@ fn recover(en: &mut En, w: &mut World, successor: DaemonId, victim: DaemonId) {
     // Restored nodes keep their gids: published names move to the
     // successor in place, and names the victim never published stay out
     // of the directory.
-    for entry in w.census.names.write().unwrap().values_mut() {
+    for entry in w.census.names.write().expect(super::POISONED).values_mut() {
         if entry.0 == victim {
             entry.0 = successor;
         }
