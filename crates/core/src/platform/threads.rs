@@ -265,6 +265,7 @@ fn idle_recv(rx: &Receiver<Mail>) -> Mail {
 }
 
 fn apply(fx: &mut Vec<Effect>, shared: &Shared) {
+    // An empty batch cannot take the live count to zero.
     if fx.is_empty() {
         return;
     }
