@@ -86,13 +86,8 @@ impl<P: Platform> std::fmt::Debug for Cluster<P> {
 
 impl<P: Platform> Cluster<P> {
     /// Normalise `cfg`, then build the code cache, the natives and one
-    /// daemon per host over `topo`. `plat` builds the platform's state
-    /// from the normalised configuration.
-    fn assemble(
-        mut cfg: ClusterConfig,
-        topo: DaemonTopology,
-        plat: impl FnOnce(&ClusterConfig) -> P,
-    ) -> Self {
+    /// daemon per host over `topo`, beside the platform's state `plat`.
+    fn assemble(mut cfg: ClusterConfig, topo: DaemonTopology, plat: P) -> Self {
         // The profiler's output (phase ledgers, pc samples) rides the
         // trace stream: profiling implies tracing.
         if cfg.profile {
@@ -101,7 +96,6 @@ impl<P: Platform> Cluster<P> {
         // Every stats key the cluster emits must be a registered typed
         // metric; debug builds assert it at the emission site.
         msgr_sim::install_key_validator(Metric::validator);
-        let plat = plat(&cfg);
         let cfg = Arc::new(cfg);
         let codes = CodeCache::with_analysis(cfg.analysis);
         let natives = Arc::new(RwLock::new(NativeRegistry::new()));

@@ -563,31 +563,30 @@ impl SimCluster {
                  (coordinator failover is not supported)"
             );
         }
-        let mut cluster = Cluster::assemble(cfg, topo, |cfg| {
-            let n = cfg.daemons;
-            Sim {
-                cpus: (0..n).map(|_| Cpu::new(cfg.cpu_speed)).collect(),
-                net: cfg.net.build(n),
-                in_flight: 0,
-                // Fault draws get their own RNG stream, forked off the run
-                // seed, so enabling faults never perturbs other randomized
-                // choices.
-                injector: (!cfg.faults.is_none()).then(|| {
-                    FaultInjector::new(cfg.faults.clone(), DetRng::new(cfg.seed).fork(0xFA17))
-                }),
-                down_until: vec![0; n],
-                ckpt: ReplicatedStore::default(),
-                ckpt_ver: vec![0; n],
-                restored: vec![false; n],
-                killed_at: vec![None; n],
-                beats_live: false,
-                ckpt_live: vec![false; n],
-                wake_pending: vec![false; n],
-                last_work: 0,
-                fatal: None,
-                stats: Stats::new(),
-            }
-        });
+        let n = cfg.daemons;
+        let sim = Sim {
+            cpus: (0..n).map(|_| Cpu::new(cfg.cpu_speed)).collect(),
+            net: cfg.net.build(n),
+            in_flight: 0,
+            // Fault draws get their own RNG stream, forked off the run
+            // seed, so enabling faults never perturbs other randomized
+            // choices.
+            injector: (!cfg.faults.is_none()).then(|| {
+                FaultInjector::new(cfg.faults.clone(), DetRng::new(cfg.seed).fork(0xFA17))
+            }),
+            down_until: vec![0; n],
+            ckpt: ReplicatedStore::default(),
+            ckpt_ver: vec![0; n],
+            restored: vec![false; n],
+            killed_at: vec![None; n],
+            beats_live: false,
+            ckpt_live: vec![false; n],
+            wake_pending: vec![false; n],
+            last_work: 0,
+            fatal: None,
+            stats: Stats::new(),
+        };
+        let mut cluster = Cluster::assemble(cfg, topo, sim);
         // Crash/restart windows are part of the scenario: schedule them
         // up front so they fire regardless of how the run is driven.
         for ev in cluster.front.cfg.faults.crashes.clone() {

@@ -97,7 +97,7 @@ impl ThreadCluster {
             ));
         }
         let topo = DaemonTopology::clique(cfg.daemons);
-        Ok(Cluster::assemble(cfg, topo, |_| Threads))
+        Ok(Cluster::assemble(cfg, topo, Threads))
     }
 
     /// Spawn the daemon threads, run to quiescence, join, and report.
