@@ -246,6 +246,13 @@ pub fn run(
     out
 }
 
+/// The name constant at pool index `i`, borrowed: what `LoadNode`,
+/// `StoreNode` and `CallNative` name. Both engines raise the same errors
+/// for an index past the pool or a constant that is not a string.
+pub(crate) fn const_name(program: &Program, i: u16) -> Result<&str, VmError> {
+    program.consts.get(i as usize).ok_or(VmError::Corrupt("constant index out of range"))?.as_str()
+}
+
 fn run_inner(
     program: &Program,
     m: &mut MessengerState,
@@ -312,12 +319,12 @@ fn run_inner(
             // Names are borrowed from the constant pool, not copied; the
             // verifier's V010 makes each one a string.
             Op::LoadNode(i) => {
-                let v = env.node_var(program.consts[i as usize].as_str()?);
+                let v = env.node_var(const_name(program, i)?);
                 frame.stack.push(v);
             }
             Op::StoreNode(i) => {
                 let v = pop(&mut frame.stack)?;
-                env.set_node_var(program.consts[i as usize].as_str()?, v);
+                env.set_node_var(const_name(program, i)?, v);
             }
             Op::LoadNet(var) => {
                 let v = match var {
@@ -397,7 +404,7 @@ fn run_inner(
                     .checked_sub(argc as usize)
                     .ok_or(VmError::Corrupt("native args underflow"))?;
                 let args: Vec<Value> = frame.stack.split_off(at);
-                let v = env.call_native(program.consts[name as usize].as_str()?, &args)?;
+                let v = env.call_native(const_name(program, name)?, &args)?;
                 frame.stack.push(v);
             }
             Op::Ret => {
@@ -922,5 +929,16 @@ mod tests {
         let b = Builder::new();
         let e = run_main(vec![Op::Const(999), Op::Ret], b).unwrap_err();
         assert!(matches!(e, VmError::Corrupt(_)));
+        // Name constants are checked like `Const`: no panic.
+        for code in [
+            vec![Op::LoadNode(999), Op::Ret],
+            vec![Op::Const(0), Op::StoreNode(999), Op::Halt],
+            vec![Op::CallNative { name: 999, argc: 0 }, Op::Ret],
+        ] {
+            let mut b = Builder::new();
+            b.constant(Value::Int(1));
+            let e = run_main(code, b).unwrap_err();
+            assert_eq!(e, VmError::Corrupt("constant index out of range"));
+        }
     }
 }
