@@ -33,8 +33,9 @@ pub enum ExecMode {
     /// The paper-era bytecode interpreter (`msgr_vm::interp`).
     #[default]
     Interp,
-    /// Direct-threaded closure trees with superinstructions
-    /// (`msgr_vm::compile`).
+    /// Direct-threaded per-op closures plus fused (often typed) `while`
+    /// loops (`msgr_vm::compile`). The compiler reads only the bytecode,
+    /// never the effect summaries.
     Compiled,
 }
 
@@ -174,12 +175,13 @@ pub struct ClusterConfig {
     /// `MSGR_EXEC` environment variable or `msgr run --exec`).
     pub exec: ExecMode,
     /// Whether the code registry hands the interprocedural effect
-    /// summaries to the closure compiler (call fusion, typed loops) —
-    /// and to the daemons (node-variable snapshot elision). The
+    /// summaries to the daemons, which then skip the Time-Warp
+    /// node-variable snapshot of programs that write none. The
     /// summaries come out of the verification pass every registration
-    /// runs, so this decides only who gets them. On by default; both
-    /// engines stay observationally identical either way, so this knob
-    /// only changes wall-clock throughput and the `analysis_*` metrics.
+    /// runs, so this decides only who gets them; the closure compiler
+    /// reads none either way. On by default; runs stay observationally
+    /// identical either way, so this knob only changes wall-clock
+    /// throughput and the `analysis_*` metrics.
     pub analysis: bool,
     /// Hand messenger state over by move on same-daemon hops instead of
     /// encode/decode through the platform loopback. Off by default: the

@@ -178,7 +178,7 @@ pub enum EventKind {
         prog: u64,
         /// Functions compiled.
         funcs: u64,
-        /// Superinstructions (fused spans) emitted across all functions.
+        /// Superinstructions (fused `while` loops) across all functions.
         superinsts: u64,
     },
     /// A program registration found the body already compiled in the

@@ -143,7 +143,6 @@ metrics! {
     CompileCacheHits = "compile_cache_hits": Counter, Count;
     // ---- interprocedural effect analysis (code registry) ----
     AnalysisSummaries = "analysis_summaries": Counter, Count;
-    AnalysisInlinedCalls = "analysis_inlined_calls": Counter, Count;
     AnalysisTypedLoops = "analysis_typed_loops": Counter, Count;
     AnalysisSnapshotsElided = "analysis_snapshots_elided": Counter, Count;
     // ---- platform: network + faults ----
