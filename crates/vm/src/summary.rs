@@ -2,17 +2,16 @@
 //!
 //! A [`FnSummary`] is the analyzer's whole-program verdict about one
 //! function: how it navigates, which node variables it touches, whether
-//! it calls natives, and the fuel facts the closure compiler may trust
-//! (`exact_ops`, `pure_loops`). The types live here — not in
-//! `msgr-analyze` — because the compiler consumes them and must not
-//! depend on the analyzer crate; `msgr-analyze::summarize` produces
-//! them.
+//! it calls natives, and a conservative bound on the ops one call may
+//! charge. The types live here — not in `msgr-analyze` — because the
+//! daemons consume them and the VM crate must not depend on the analyzer
+//! crate; `msgr-analyze::summarize` produces them.
 //!
-//! Summaries are **facts, not hints**: `compile_with_summaries` charges
-//! fuel from `exact_ops` without recounting, so a wrong summary is a
-//! miscompile. That is deliberate — it keeps every summary bit
-//! observable under the differential harness (see the summary-corruption
-//! mutation check in `tests/diff_props.rs`). Summaries are keyed by
+//! Summaries are read by the lints and by the daemons, which skip the
+//! Time-Warp snapshot of a program that provably writes no node variable
+//! ([`SummaryTable::node_write_free`]). The closure compiler reads none:
+//! it derives its own licenses from the bytecode, so a wrong summary can
+//! never become a miscompile. Summaries are keyed by
 //! [`crate::ProgramId`] *outside* the program body, so attaching them
 //! never changes a content hash.
 
@@ -116,15 +115,6 @@ pub struct FnSummary {
     /// function (with its callees) is provably acyclic. `None` when
     /// unbounded or unknown.
     pub ops_bound: Option<u64>,
-    /// Exact ops charged by one complete, fault-free call — only for
-    /// straight-line pure functions (no jumps, calls, or effects). The
-    /// compiler bulk-charges this amount when it fuses through a call,
-    /// so it must be exact, not a bound.
-    pub exact_ops: Option<u32>,
-    /// Loop-head pcs of counted `while` loops proven free of faults and
-    /// effects (no div/mod, no calls, no node/net access) — the
-    /// compiler's license to run them on the unboxed typed fast path.
-    pub pure_loops: BTreeSet<u32>,
     /// Kind of the returned value, joined over all returning paths.
     pub ret_kind: SumKind,
 }

@@ -451,8 +451,6 @@ pub fn encode_summaries(t: &SummaryTable) -> Bytes {
         put_set(buf, &s.calls);
         // Options as 0 = None, n+1 = Some(n).
         buf.put_varint(s.ops_bound.map_or(0, |b| b.saturating_add(1)));
-        buf.put_varint(s.exact_ops.map_or(0, |b| u64::from(b) + 1));
-        put_set(buf, &s.pure_loops);
         buf.put_u8(s.ret_kind as u8);
     });
     buf.freeze()
@@ -486,14 +484,6 @@ pub fn decode_summaries(mut buf: Bytes) -> Result<SummaryTable, VmError> {
             node_must_writes: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
             calls: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
             ops_bound: buf.read_varint()?.checked_sub(1),
-            exact_ops: match buf.read_varint()?.checked_sub(1) {
-                None => None,
-                Some(n) => Some(
-                    u32::try_from(n)
-                        .map_err(|_| VmError::Decode(format!("exact_ops {n} overflows u32")))?,
-                ),
-            },
-            pure_loops: get_set(buf, MAX_SEQ, Bytes::read_u32)?,
             ret_kind: buf.read_tag(
                 "summary kind",
                 &[Top, Null, Bool, Int, Float, Str, Mat, Blob, Arr, Link],
@@ -517,7 +507,6 @@ mod tests {
             may_halt: true,
             recursive: true,
             ops_bound: Some(17),
-            exact_ops: Some(4),
             ret_kind: SumKind::Float,
             ..Default::default()
         };
@@ -525,14 +514,13 @@ mod tests {
         s.node_writes.extend([1, 9]);
         s.node_must_writes.insert(9);
         s.calls.insert(0);
-        s.pure_loops.extend([4, 40]);
         s
     }
 
     #[test]
     fn summaries_round_trip() {
         let mut widest = sample_summary();
-        widest.exact_ops = Some(u32::MAX);
+        widest.ops_bound = Some(u64::MAX - 1);
         let t = SummaryTable { funcs: vec![FnSummary::default(), sample_summary(), widest] };
         let bytes = encode_summaries(&t);
         assert_eq!(decode_summaries(bytes).unwrap(), t);
@@ -549,8 +537,6 @@ mod tests {
             buf.put_varint(0); // the other three sets
         }
         buf.put_varint(0); // ops_bound
-        buf.put_varint(0); // exact_ops
-        buf.put_varint(0); // pure_loops
         buf.put_u8(0); // ret_kind
         assert!(decode_summaries(buf.freeze()).is_err());
     }
@@ -797,8 +783,6 @@ mod tests {
                 node_reads: arb_set(s, |s| s.any_u16()),
                 calls: arb_set(s, |s| s.any_u16()),
                 ops_bound: s.any_bool().then(|| s.u64_in(0..1 << 40)),
-                exact_ops: s.any_bool().then(|| s.any_u32()),
-                pure_loops: arb_set(s, |s| s.any_u32()),
                 ..sample_summary()
             });
             codec_corruption(s, &encode_summaries(&SummaryTable { funcs }), |b| {
