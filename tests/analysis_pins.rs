@@ -16,14 +16,14 @@ use messengers::vm::{Op, Program};
 
 /// Name and fingerprint of every shipped program, in [`shipped`] order.
 const PINNED: [(&str, u64); 8] = [
-    ("census.mc", 0x89fbcfc13f9d882e),
-    ("hotloop.mc", 0x154d4dbd325b189f),
-    ("walker.mc", 0x824fc130114b7185),
-    ("builtin:mandel/manager_worker", 0xc12e565bd8d252e6),
-    ("builtin:matmul/distribute_A", 0x241b150f5b4d2731),
-    ("builtin:matmul/rotate_B", 0x241b150f5b4d2731),
-    ("builtin:swarm/ant", 0xbde9b9a0353bc9b7),
-    ("builtin:graph/bfs_wave", 0xb60edc8a73ddaafd),
+    ("census.mc", 0x51e3fa2c201bbe46),
+    ("hotloop.mc", 0xd2755bb062dad5b8),
+    ("walker.mc", 0xaf7dce2aa4530f35),
+    ("builtin:mandel/manager_worker", 0x2b4e59266909023e),
+    ("builtin:matmul/distribute_A", 0x3445a8661acec481),
+    ("builtin:matmul/rotate_B", 0x3445a8661acec481),
+    ("builtin:swarm/ant", 0x40a3a89c3e902e17),
+    ("builtin:graph/bfs_wave", 0xf2a67a7212cce3ed),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -44,7 +44,7 @@ const PINNED: [(&str, usize, u64); 18] = [
     ("messenger.small", 28, 0xece63ea5d9a8dd56),
     ("messenger.4k", 4127, 0x458cd15ba354582c),
     ("program.mandel", 143, 0x428d2be2c718f7eb),
-    ("summaries.mandel", 11, 0xc12e565bd8d252e6),
+    ("summaries.mandel", 9, 0x2b4e59266909023e),
     ("frame.migrate", 48, 0x0257e5e1ade0029a),
     ("frame.create", 70, 0xad8ebf0fb310e652),
     ("frame.unlink", 6, 0x9096fa485be4a3c0),
