@@ -137,6 +137,15 @@ if grep -n 'stats\.counter("' "$daemon" \
     echo "error: daemon.rs reads a counter by key: read the Counters array by Metric" >&2
     exit 1
 fi
+# One lean compiler (DESIGN.md §10): per-pc closures plus fused loops, licensed
+# from the bytecode alone. Spans and call fusion stay deleted, summaries carry
+# no compiler license, and compile.rs names SummaryTable only in the hidden
+# compile_with_summaries forwarder.
+if grep -rnE 'exact_ops|pure_loops|build_span|build_inline|SpanStep|InlineStep' crates/*/src \
+    || [ "$(grep -c 'SummaryTable' crates/vm/src/compile.rs)" -gt 1 ]; then
+    echo "error: the compiler grew a span, a call fusion or a summary license back" >&2
+    exit 1
+fi
 
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a
