@@ -41,7 +41,8 @@
 
 #![warn(missing_docs)]
 
-mod binop;
+#[doc(hidden)]
+pub mod binop;
 mod bytecode;
 pub mod bytes;
 pub mod compile;

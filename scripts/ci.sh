@@ -146,6 +146,19 @@ if grep -rnE 'exact_ops|pure_loops|build_span|build_inline|SpanStep|InlineStep' 
     echo "error: the compiler grew a span, a call fusion or a summary license back" >&2
     exit 1
 fi
+# One definition of the operators (DESIGN.md §10): the interpreter, the
+# per-pc closures and both fused-loop executors call binop.rs, so no other
+# non-test vm source wraps an int or maps an Ordering to a comparison.
+ops_copies="$(for f in crates/vm/src/*.rs; do
+    [ "$f" = crates/vm/src/binop.rs ] && continue
+    awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next }
+         /wrapping_add|wrapping_sub|Ordering::Less/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$ops_copies" ]; then
+    echo "$ops_copies"
+    echo "error: crates/vm/src defines an operator outside binop.rs" >&2
+    exit 1
+fi
 
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a
