@@ -1,9 +1,10 @@
 //! The Mandelbrot workload (§3.1.2): kernel, block decomposition,
-//! sequential baseline, and the precomputed work table shared by the
-//! MESSENGERS and PVM implementations.
+//! sequential baseline, the precomputed work table, and the block
+//! [`Kernel`] that the MESSENGERS and PVM workers share on both
+//! platforms.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use crate::calib::Calib;
@@ -246,6 +247,52 @@ impl MandelWork {
     /// reassemble).
     pub fn color_image(&self) -> Vec<u8> {
         self.pixels.iter().map(|&p| Self::color(p)).collect()
+    }
+}
+
+/// How a worker produces a block: the one kernel both systems' workers
+/// call, on either platform.
+#[derive(Debug, Clone)]
+pub enum Kernel {
+    /// Look the block up in the work table and charge its calibrated
+    /// cost: for the simulator, whose clock is the cost model.
+    Charged(Arc<MandelWork>, Calib),
+    /// Render the block: for threads, whose clock is the host's.
+    Rendered(MandelScene),
+}
+
+impl Kernel {
+    /// The scene whose blocks this kernel produces.
+    pub fn scene(&self) -> MandelScene {
+        match self {
+            Kernel::Charged(work, _) => work.scene,
+            Kernel::Rendered(scene) => *scene,
+        }
+    }
+
+    /// Block `task`: its index, its colors, and the reference
+    /// nanoseconds computing it costs (0 when rendered: the host clock
+    /// pays).
+    ///
+    /// # Errors
+    ///
+    /// `task` is not a block of the scene. A task index comes from the
+    /// program, so a bad one faults the worker rather than rendering
+    /// some other block or none.
+    pub fn block(&self, task: i64) -> Result<(u32, Vec<u8>, u64), String> {
+        let scene = self.scene();
+        let idx = u32::try_from(task)
+            .ok()
+            .filter(|&i| i < scene.blocks())
+            .ok_or_else(|| format!("block {task} out of range"))?;
+        Ok(match self {
+            Kernel::Charged(work, calib) => {
+                let iters = work.block_iters[idx as usize];
+                let ns = calib.mandel_ns(iters, scene.block_pixels() as u64);
+                (idx, work.block_payload(idx), ns)
+            }
+            Kernel::Rendered(scene) => (idx, scene.render_block(idx), 0),
+        })
     }
 }
 

@@ -8,17 +8,15 @@
 //! (§3.1). The non-preemptive scheduling policy makes `next_task()`
 //! atomic without locks.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use msgr_vm::bytes::Bytes;
-use std::sync::Mutex;
-
-use msgr_core::{ClusterConfig, ClusterError, SimCluster, ThreadCluster};
+use msgr_core::{Cluster, ClusterConfig, ClusterError, Platform, SimCluster, ThreadCluster};
 use msgr_sim::Stats;
+use msgr_vm::bytes::Bytes;
 use msgr_vm::Value;
 
 use crate::calib::Calib;
-use crate::mandel::{MandelScene, MandelWork};
+use crate::mandel::{Kernel, MandelScene, MandelWork};
 
 /// The Fig. 3 script, verbatim modulo MSGR-C surface syntax.
 pub const MANAGER_WORKER_SCRIPT: &str = r#"
@@ -48,10 +46,6 @@ pub struct MandelRun {
     pub stats: Stats,
     /// Merged flight-recorder trace (present iff `cfg.trace.enabled`).
     pub trace: Option<msgr_core::Trace>,
-}
-
-fn parse_task(v: &Value) -> Result<u32, String> {
-    v.as_int().map(|i| i as u32).map_err(|e| e.to_string())
 }
 
 /// What `compute` hands back: the block index, little-endian, then the
@@ -99,21 +93,32 @@ pub fn run_sim(
     work: &Arc<MandelWork>,
     procs: usize,
     calib: &Calib,
-    cfg: ClusterConfig,
+    mut cfg: ClusterConfig,
 ) -> Result<MandelRun, ClusterError> {
-    simulate(work, procs, calib, cfg).map(|(run, _)| run)
+    cfg.daemons = procs;
+    run(SimCluster::new(cfg), Kernel::Charged(work.clone(), *calib)).map(|(run, _)| run)
 }
 
-/// [`run_sim`], plus the run's live-messenger leak (0 for a clean run).
-fn simulate(
-    work: &Arc<MandelWork>,
-    procs: usize,
-    calib: &Calib,
-    mut cfg: ClusterConfig,
-) -> Result<(MandelRun, i64), ClusterError> {
-    cfg.daemons = procs;
-    let mut cluster = SimCluster::new(cfg);
-    let scene = work.scene;
+/// Run on the threaded platform: the Mandelbrot kernel genuinely
+/// executes inside `compute` native calls on worker threads.
+///
+/// # Errors
+///
+/// Propagates [`ClusterError`] from the cluster run.
+pub fn run_threads(scene: MandelScene, procs: usize) -> Result<MandelRun, ClusterError> {
+    let cluster = ThreadCluster::new(ClusterConfig::new(procs))?;
+    run(cluster, Kernel::Rendered(scene)).map(|(run, _)| run)
+}
+
+/// `deposit` copies a checked block in and does not panic, so the image
+/// lock cannot be poisoned.
+const IMAGE: &str = "the image lock was poisoned";
+
+/// Register Fig. 3's natives on `cluster`: `next_task` hands out the
+/// block indices in turn, `compute` runs `kernel`, and `deposit` writes
+/// a result into the returned image.
+fn install<P: Platform>(cluster: &mut Cluster<P>, kernel: Kernel) -> Arc<Mutex<Vec<u8>>> {
+    let scene = kernel.scene();
     let image = Arc::new(Mutex::new(vec![0u8; (scene.size * scene.size) as usize]));
 
     cluster.register_native("next_task", move |ctx, _args| {
@@ -126,31 +131,31 @@ fn simulate(
         Ok(Value::Int(next as i64))
     });
 
-    {
-        let work = work.clone();
-        let calib = *calib;
-        cluster.register_native("compute", move |ctx, args| {
-            let idx = parse_task(args.first().ok_or("compute needs a task")?)?;
-            let iters = *work
-                .block_iters
-                .get(idx as usize)
-                .ok_or_else(|| format!("block {idx} out of range"))?;
-            ctx.charge(calib.mandel_ns(iters, scene.block_pixels() as u64));
-            Ok(result_blob(idx, &work.block_payload(idx)))
-        });
-    }
+    cluster.register_native("compute", move |ctx, args| {
+        let task = args.first().ok_or("compute needs a task")?;
+        let (idx, colors, ns) = kernel.block(task.as_int().map_err(|e| e.to_string())?)?;
+        ctx.charge(ns);
+        Ok(result_blob(idx, &colors))
+    });
 
-    {
-        let image = image.clone();
-        cluster.register_native("deposit", move |ctx, args| {
-            let blob = result_arg(args)?;
-            // One copy into the result area.
-            ctx.charge(blob.len() as u64 * 25);
-            deposit_result(&scene, &mut image.lock().unwrap(), blob)?;
-            Ok(Value::Null)
-        });
-    }
+    let result_area = image.clone();
+    cluster.register_native("deposit", move |ctx, args| {
+        let blob = result_arg(args)?;
+        // One copy into the result area.
+        ctx.charge(blob.len() as u64 * 25);
+        deposit_result(&scene, &mut result_area.lock().expect(IMAGE), blob)?;
+        Ok(Value::Null)
+    });
+    image
+}
 
+/// Run Fig. 3 on `cluster`, its workers computing with `kernel`: the
+/// run, plus its live-messenger leak (0 for a clean run).
+fn run<P: Platform>(
+    mut cluster: Cluster<P>,
+    kernel: Kernel,
+) -> Result<(MandelRun, i64), ClusterError> {
+    let image = install(&mut cluster, kernel);
     let program =
         msgr_lang::compile(MANAGER_WORKER_SCRIPT).expect("manager/worker script compiles");
     let pid = cluster.register_program(&program);
@@ -161,63 +166,14 @@ fn simulate(
     if let Some((mid, err)) = report.faults.first() {
         return Err(ClusterError::Config(format!("messenger {mid} faulted: {err}")));
     }
-    let image = image.lock().unwrap();
+    let image = image.lock().expect(IMAGE);
     let run = MandelRun {
-        seconds: report.sim_seconds,
+        seconds: report.seconds,
         checksum: MandelWork::checksum(&image),
         stats: report.stats,
         trace: report.trace,
     };
     Ok((run, report.live_leak))
-}
-
-/// Run on the threaded platform: the Mandelbrot kernel genuinely
-/// executes inside `compute` native calls on worker threads.
-///
-/// # Errors
-///
-/// Propagates [`ClusterError`] from the cluster run.
-pub fn run_threads(scene: MandelScene, procs: usize) -> Result<MandelRun, ClusterError> {
-    let mut cluster = ThreadCluster::new(ClusterConfig::new(procs))?;
-    let image = Arc::new(Mutex::new(vec![0u8; (scene.size * scene.size) as usize]));
-
-    cluster.register_native("next_task", move |ctx, _args| {
-        let next = ctx.node_var("next_block").as_int().unwrap_or(0) as u32;
-        if next >= scene.blocks() {
-            return Ok(Value::Null);
-        }
-        ctx.set_node_var("next_block", Value::Int(next as i64 + 1));
-        Ok(Value::Int(next as i64))
-    });
-
-    cluster.register_native("compute", move |_ctx, args| {
-        let idx = parse_task(args.first().ok_or("compute needs a task")?)?;
-        Ok(result_blob(idx, &scene.render_block(idx)))
-    });
-
-    {
-        let image = image.clone();
-        cluster.register_native("deposit", move |_ctx, args| {
-            deposit_result(&scene, &mut image.lock().unwrap(), result_arg(args)?)?;
-            Ok(Value::Null)
-        });
-    }
-
-    let program =
-        msgr_lang::compile(MANAGER_WORKER_SCRIPT).expect("manager/worker script compiles");
-    let pid = cluster.register_program(&program);
-    cluster.inject(0, pid, &[])?;
-    let report = cluster.run()?;
-    if let Some((mid, err)) = report.faults.first() {
-        return Err(ClusterError::Config(format!("messenger {mid} faulted: {err}")));
-    }
-    let image = image.lock().unwrap();
-    Ok(MandelRun {
-        seconds: report.wall_seconds,
-        checksum: MandelWork::checksum(&image),
-        stats: report.stats,
-        trace: report.trace,
-    })
 }
 
 #[cfg(test)]
@@ -311,7 +267,10 @@ mod tests {
             crashes: vec![CrashEvent::transient(0, 20 * MILLI, 6 * MILLI)],
             ..FaultPlan::none()
         };
-        let (run, leak) = simulate(&work, 4, &calib, cfg.clone()).unwrap();
+        let sim = |cfg: ClusterConfig| {
+            run(SimCluster::new(cfg), Kernel::Charged(work.clone(), calib)).unwrap()
+        };
+        let (run, leak) = sim(cfg.clone());
         assert_eq!(run.checksum, expected);
         assert_eq!(leak, 0);
         assert_eq!(run.stats.counter("crashes"), 1);
@@ -321,7 +280,7 @@ mod tests {
         // frame gave: deferring through one pending wake moves no segment.
         assert_eq!(run.seconds.to_bits(), 0x3fb2_c203_7021_fbfe);
         // Bit-reproducible: the same seed replays the same outage.
-        let (again, _) = simulate(&work, 4, &calib, cfg).unwrap();
+        let (again, _) = sim(cfg);
         assert_eq!(again.checksum, run.checksum);
         assert_eq!(again.seconds.to_bits(), run.seconds.to_bits());
     }
@@ -370,6 +329,32 @@ mod tests {
         assert!(image.iter().all(|&c| c == 0), "a refused result wrote pixels");
         deposit(&mut image, result_blob(3, &colors)).expect("a well-formed result deposits");
         assert!(image.iter().any(|&c| c != 0));
+    }
+
+    /// The faults a run of `program` on `cluster` raises, with Fig. 3's
+    /// natives computing with `kernel`.
+    fn faults<P: Platform>(mut cluster: Cluster<P>, kernel: Kernel, program: &str) -> Vec<String> {
+        install(&mut cluster, kernel);
+        let pid = cluster.register_program(&msgr_lang::compile(program).unwrap());
+        cluster.inject(0, pid, &[]).unwrap();
+        cluster.run().unwrap().faults.into_iter().map(|(_, err)| err).collect()
+    }
+
+    #[test]
+    fn a_bad_task_index_faults_the_messenger_on_both_platforms() {
+        let work = tiny_work();
+        let blocks = i64::from(work.scene.blocks());
+        // Below the range, one past it, and one that truncates to block 3.
+        for task in [-1, blocks, (1 << 32) + 3] {
+            let program = format!("bad() {{ block res; res = compute({task}); }}");
+            let charged = Kernel::Charged(work.clone(), Calib::default());
+            let sim = faults(SimCluster::new(ClusterConfig::new(1)), charged, &program);
+            let threads = ThreadCluster::new(ClusterConfig::new(1)).unwrap();
+            let threads = faults(threads, Kernel::Rendered(work.scene), &program);
+            assert_eq!(sim.len(), 1, "task {task}: {sim:?}");
+            assert!(sim[0].contains(&format!("block {task} out of range")), "{sim:?}");
+            assert_eq!(sim, threads, "task {task}");
+        }
     }
 
     #[test]

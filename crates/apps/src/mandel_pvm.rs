@@ -6,24 +6,31 @@
 //! the workers (here: a poison-pill task). The manager — absent from the
 //! MESSENGERS version — is both extra code and a serialization point.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use msgr_pvm::{Buf, Message, PvmNet, PvmSim, PvmSimConfig, Recv, Status, Task, TaskCtx, TaskId};
+use msgr_pvm::{
+    Buf, Message, PvmError, PvmNet, PvmReport, PvmSim, PvmSimConfig, PvmThreads, Recv, Status,
+    Task, TaskCtx, TaskId,
+};
 use msgr_sim::Stats;
 
 use crate::calib::Calib;
-use crate::mandel::MandelWork;
+use crate::mandel::{Kernel, MandelScene, MandelWork};
 
 /// Message tags.
 const TAG_TASK: i32 = 1;
 const TAG_RESULT: i32 = 2;
 /// The poison-pill task index.
 const POISON: i64 = -1;
+/// Only the manager writes the checksum, with one store, so its lock
+/// cannot be poisoned.
+const DONE: &str = "the checksum lock was poisoned";
 
 /// Outcome of a PVM Mandelbrot run.
 #[derive(Debug, Clone)]
 pub struct MandelPvmRun {
-    /// Simulated seconds.
+    /// Runtime in seconds (simulated for [`run_sim`], wall-clock for
+    /// [`run_threads`]).
     pub seconds: f64,
     /// Image checksum.
     pub checksum: u64,
@@ -32,8 +39,7 @@ pub struct MandelPvmRun {
 }
 
 struct Worker {
-    work: Arc<MandelWork>,
-    calib: Calib,
+    kernel: Kernel,
     manager: TaskId,
 }
 
@@ -42,30 +48,29 @@ impl Task for Worker {
         let Some(mut m) = msg else {
             return Status::Recv(Recv::tag(TAG_TASK));
         };
-        let idx = m.buf.unpack_int().expect("task index");
-        if idx == POISON {
+        let task = m.buf.unpack_int().expect("task index");
+        if task == POISON {
             return Status::Exit;
         }
-        let scene = self.work.scene;
-        let iters = self.work.block_iters[idx as usize];
-        ctx.charge(self.calib.mandel_ns(iters, scene.block_pixels() as u64));
+        let (idx, colors, ns) = self.kernel.block(task).expect("the manager hands out blocks");
+        ctx.charge(ns);
         let mut reply = Buf::new();
-        reply.pack_int(idx);
-        reply.pack_bytes(&self.work.block_payload(idx as u32));
+        reply.pack_int(idx.into());
+        reply.pack_bytes(&colors);
         ctx.send(self.manager, TAG_RESULT, reply);
         Status::Recv(Recv::tag(TAG_TASK))
     }
 }
 
 struct Manager {
-    work: Arc<MandelWork>,
-    calib: Calib,
+    kernel: Kernel,
     nworkers: usize,
     workers: Vec<TaskId>,
     next_task: i64,
     outstanding: usize,
     image: Vec<u8>,
-    done: Arc<std::sync::Mutex<(u64, bool)>>,
+    /// The image checksum, once every result is in.
+    done: Arc<Mutex<Option<u64>>>,
 }
 
 impl Manager {
@@ -82,25 +87,19 @@ impl Manager {
         let payload = msg.buf.unpack_bytes().expect("result payload");
         // The manager copies the result into the image buffer.
         ctx.charge(payload.len() as u64 * 25);
-        MandelWork::deposit_payload(&self.work.scene, &mut self.image, idx, &payload);
+        MandelWork::deposit_payload(&self.kernel.scene(), &mut self.image, idx, &payload);
     }
 }
 
 impl Task for Manager {
     fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-        let total = self.work.scene.blocks() as i64;
+        let total = self.kernel.scene().blocks() as i64;
         if self.workers.is_empty() {
             // Spawn one worker per host (lines 2-3 of Fig. 2), then prime
             // each with a task (lines 4-5).
             for h in 0..self.nworkers {
-                let w = ctx.spawn_on(
-                    h % ctx.nhosts(),
-                    Box::new(Worker {
-                        work: self.work.clone(),
-                        calib: self.calib,
-                        manager: ctx.mytid(),
-                    }),
-                );
+                let worker = Worker { kernel: self.kernel.clone(), manager: ctx.mytid() };
+                let w = ctx.spawn_on(h % ctx.nhosts(), Box::new(worker));
                 self.workers.push(w);
             }
             for w in self.workers.clone() {
@@ -127,7 +126,7 @@ impl Task for Manager {
             b.pack_int(POISON);
             ctx.send(*w, TAG_TASK, b);
         }
-        *self.done.lock().unwrap() = (MandelWork::checksum(&self.image), true);
+        *self.done.lock().expect(DONE) = Some(MandelWork::checksum(&self.image));
         Status::Exit
     }
 }
@@ -144,7 +143,7 @@ pub fn run_sim(
     procs: usize,
     calib: &Calib,
     net: PvmNet,
-) -> Result<MandelPvmRun, msgr_pvm::PvmError> {
+) -> Result<MandelPvmRun, PvmError> {
     run_sim_routed(work, procs, calib, net, false)
 }
 
@@ -160,7 +159,7 @@ pub fn run_sim_routed(
     calib: &Calib,
     net: PvmNet,
     direct: bool,
-) -> Result<MandelPvmRun, msgr_pvm::PvmError> {
+) -> Result<MandelPvmRun, PvmError> {
     let mut cfg = PvmSimConfig::new(procs);
     cfg.net = net;
     cfg.costs.direct_route = direct;
@@ -178,97 +177,54 @@ pub fn run_sim_cfg(
     work: &Arc<MandelWork>,
     calib: &Calib,
     cfg: PvmSimConfig,
-) -> Result<MandelPvmRun, msgr_pvm::PvmError> {
-    let procs = cfg.hosts;
-    let mut vm = PvmSim::new(cfg);
-    let done = Arc::new(std::sync::Mutex::new((0u64, false)));
-    vm.root(Box::new(Manager {
-        work: work.clone(),
-        calib: *calib,
-        nworkers: procs,
-        workers: Vec::new(),
-        next_task: 0,
-        outstanding: 0,
-        image: vec![0u8; (work.scene.size * work.scene.size) as usize],
-        done: done.clone(),
-    }));
-    let report = vm.run()?;
-    let (checksum, finished) = *done.lock().unwrap();
-    assert!(finished, "manager exited without completing");
-    Ok(MandelPvmRun { seconds: report.sim_seconds, checksum, stats: report.stats })
+) -> Result<MandelPvmRun, PvmError> {
+    let kernel = Kernel::Charged(work.clone(), *calib);
+    run(kernel, cfg.hosts, |manager| {
+        let mut vm = PvmSim::new(cfg);
+        vm.root(manager);
+        vm.run()
+    })
 }
 
 /// Run the Fig. 2 program on real OS threads (the `msgr-pvm` threaded
-/// backend): the manager and workers are genuine concurrent tasks, the
-/// fractal genuinely computes, and the image is assembled from real
-/// messages. Returns wall-clock seconds plus the checksum.
+/// backend), one worker per host: the manager and workers are genuine
+/// concurrent tasks, the fractal genuinely computes, and the image is
+/// assembled from real messages.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a task misbehaves protocol-wise (buffer underflow), which
-/// would be a bug in this program, not user input.
-pub fn run_threads(scene: crate::mandel::MandelScene, procs: usize) -> MandelPvmRun {
-    use msgr_pvm::{PvmThreads, Recv, ThreadTaskCtx};
+/// Propagates [`msgr_pvm::PvmError`].
+pub fn run_threads(scene: MandelScene, procs: usize) -> Result<MandelPvmRun, PvmError> {
+    run(Kernel::Rendered(scene), procs, |manager| PvmThreads::run(procs, manager))
+}
 
-    let start = std::time::Instant::now();
-    let image = Arc::new(std::sync::Mutex::new(vec![0u8; (scene.size * scene.size) as usize]));
-    let image_out = image.clone();
-
-    PvmThreads::run(move |ctx: &mut ThreadTaskCtx| {
-        let me = ctx.mytid();
-        let workers: Vec<_> = (0..procs)
-            .map(|_| {
-                ctx.spawn(move |ctx| loop {
-                    let mut m = ctx.recv(Recv::tag(TAG_TASK));
-                    let idx = m.buf.unpack_int().expect("task index");
-                    if idx == POISON {
-                        return;
-                    }
-                    let mut reply = Buf::new();
-                    reply.pack_int(idx);
-                    reply.pack_bytes(&scene.render_block(idx as u32));
-                    ctx.send(me, TAG_RESULT, reply);
-                })
-            })
-            .collect();
-        let total = scene.blocks() as i64;
-        let mut next = 0i64;
-        for w in &workers {
-            if next < total {
-                let mut b = Buf::new();
-                b.pack_int(next);
-                ctx.send(*w, TAG_TASK, b);
-                next += 1;
-            }
-        }
-        let mut received = 0i64;
-        while received < total {
-            let mut m = ctx.recv(Recv::tag(TAG_RESULT));
-            let idx = m.buf.unpack_int().expect("result index") as u32;
-            let payload = m.buf.unpack_bytes().expect("payload");
-            MandelWork::deposit_payload(&scene, &mut image.lock().unwrap(), idx, &payload);
-            received += 1;
-            if next < total {
-                let mut b = Buf::new();
-                b.pack_int(next);
-                ctx.send(m.from, TAG_TASK, b);
-                next += 1;
-            }
-        }
-        for w in &workers {
-            let mut b = Buf::new();
-            b.pack_int(POISON);
-            ctx.send(*w, TAG_TASK, b);
-        }
-    });
-    let checksum = MandelWork::checksum(&image_out.lock().unwrap());
-    MandelPvmRun { seconds: start.elapsed().as_secs_f64(), checksum, stats: msgr_sim::Stats::new() }
+/// Run Fig. 2 with `nworkers` workers computing with `kernel`, its
+/// manager the root task of the virtual machine `vm` runs.
+fn run(
+    kernel: Kernel,
+    nworkers: usize,
+    vm: impl FnOnce(Box<dyn Task>) -> Result<PvmReport, PvmError>,
+) -> Result<MandelPvmRun, PvmError> {
+    let done = Arc::new(Mutex::new(None));
+    let image = vec![0u8; (kernel.scene().size * kernel.scene().size) as usize];
+    let manager = Manager {
+        kernel,
+        nworkers,
+        workers: Vec::new(),
+        next_task: 0,
+        outstanding: 0,
+        image,
+        done: done.clone(),
+    };
+    let report = vm(Box::new(manager))?;
+    let checksum = done.lock().expect(DONE).expect("manager exited without completing");
+    Ok(MandelPvmRun { seconds: report.seconds, checksum, stats: report.stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mandel::{render_sequential, MandelScene};
+    use crate::mandel::render_sequential;
 
     fn tiny_work() -> Arc<MandelWork> {
         Arc::new(MandelWork::compute(MandelScene::paper(64, 4)))
@@ -307,7 +263,7 @@ mod tests {
     fn threaded_pvm_computes_the_real_image() {
         let scene = MandelScene::paper(64, 4);
         let work = MandelWork::compute(scene);
-        let run = run_threads(scene, 4);
+        let run = run_threads(scene, 4).unwrap();
         assert_eq!(run.checksum, MandelWork::checksum(&work.color_image()));
         assert!(run.seconds > 0.0);
     }
@@ -316,9 +272,13 @@ mod tests {
     fn message_count_matches_protocol() {
         let work = tiny_work(); // 16 blocks
         let calib = Calib::default();
-        let run = run_sim(&work, 2, &calib, PvmNet::Ideal).unwrap();
-        // 16 tasks + 16 results + 2 poison pills (+2 spawn announcements
-        // are not counted as messages).
-        assert_eq!(run.stats.counter("messages"), 34);
+        let sim = run_sim(&work, 2, &calib, PvmNet::Ideal).unwrap();
+        let threads = run_threads(work.scene, 2).unwrap();
+        for (backend, run) in [("sim", sim), ("threads", threads)] {
+            // 16 tasks + 16 results + 2 poison pills (+2 spawn
+            // announcements are not counted as messages).
+            assert_eq!(run.stats.counter("messages"), 34, "{backend}");
+            assert_eq!(run.stats.counter("spawns"), 2, "{backend}");
+        }
     }
 }

@@ -178,7 +178,7 @@ pub fn run_sim(
         }
     }
     Ok(MatmulRun {
-        seconds: report.sim_seconds,
+        seconds: report.seconds,
         product: layout.assemble(&blocks),
         stats: report.stats,
         trace: report.trace,

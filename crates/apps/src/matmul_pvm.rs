@@ -242,7 +242,7 @@ pub fn run_sim(
         out.lock().unwrap().iter().map(|o| o.clone().expect("all workers reported")).collect();
     let layout = BlockedLayout::new(scene);
     Ok(MatmulPvmRun {
-        seconds: report.sim_seconds,
+        seconds: report.seconds,
         product: layout.assemble(&blocks),
         stats: report.stats,
     })

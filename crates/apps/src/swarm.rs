@@ -119,7 +119,7 @@ pub fn run(scene: SwarmScene, mode: VtMode) -> Result<SwarmRun, ClusterError> {
             );
         }
     }
-    Ok(SwarmRun { seconds: report.sim_seconds, field, stats: report.stats })
+    Ok(SwarmRun { seconds: report.seconds, field, stats: report.stats })
 }
 
 #[cfg(test)]

@@ -50,7 +50,8 @@
 //! cluster.inject(0, pid, &[])?;
 //! let report = cluster.run()?;
 //! assert_eq!(cluster.node_var(0, &Value::str("init"), "visits"), Some(Value::Int(1)));
-//! assert!(report.sim_seconds >= 0.0);
+//! assert_eq!(report.clock, msgr_core::Clock::Simulated);
+//! assert!(report.seconds >= 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -75,8 +76,10 @@ pub use config::{
 };
 pub use daemon::{Daemon, Effect};
 pub use ids::{DaemonId, NodeRef};
-pub use platform::sim::{SimCluster, SimReport};
-pub use platform::threads::{ThreadCluster, ThreadReport};
+pub use msgr_sim::Clock;
+pub use platform::sim::SimCluster;
+pub use platform::threads::ThreadCluster;
+pub use platform::{Cluster, Platform, Report, SimReport, ThreadReport};
 pub use topology::{DaemonTopology, LogicalTopology};
 pub use wire::Wire;
 

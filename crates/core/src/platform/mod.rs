@@ -20,22 +20,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use msgr_sim::Stats;
-use msgr_trace::{Metric, Trace};
+use msgr_sim::{Clock, SimTime, Stats};
+use msgr_trace::{EventKind, Metric, Trace};
 use msgr_vm::{MessengerId, NativeCtx, NativeRegistry, Program, ProgramId, Value};
 
 use crate::codes::CodeCache;
 use crate::config::ClusterConfig;
 use crate::daemon::{Daemon, Directory, Effect};
 use crate::ids::{DaemonId, NodeRef};
+use crate::logical::Orient;
 use crate::topology::{DaemonTopology, LogicalTopology};
 use crate::ClusterError;
 
-/// Public only so that [`Cluster`]'s bound can name them: nothing
-/// outside this crate can name, implement or import either.
+/// Public only so that [`Platform`] can name them: nothing outside
+/// this crate can name, implement or import either, so nothing outside
+/// can implement [`Platform`].
 mod seal {
     use std::sync::{Arc, RwLock};
 
+    use msgr_sim::{Clock, SimTime, Stats};
     use msgr_vm::NativeRegistry;
 
     use super::Census;
@@ -43,14 +46,26 @@ mod seal {
     use crate::config::ClusterConfig;
     use crate::daemon::Daemon;
     use crate::ids::DaemonId;
+    use crate::ClusterError;
 
     /// What a platform adds to the shared front.
-    pub trait Platform {
+    pub trait Sealed: Sized {
         /// What moves the cluster between calls: the simulator's event
         /// engine, nothing on threads.
         type Driver: Default;
+        /// The clock a run's seconds are read on.
+        const CLOCK: Clock;
         /// A messenger was just injected on daemon `d`.
         fn launched(driver: &mut Self::Driver, d: DaemonId);
+        /// The driver's clock, stamped on the events the front records
+        /// between runs.
+        fn now(driver: &Self::Driver) -> SimTime;
+        /// Run to quiescence: the run's seconds, the events it took (0
+        /// on threads) and the platform's own counters.
+        fn drive(
+            driver: &mut Self::Driver,
+            front: &mut Front<Self>,
+        ) -> Result<(f64, u64, Stats), ClusterError>;
     }
 
     /// What every platform holds: the daemons, what they share, the
@@ -65,7 +80,45 @@ mod seal {
         pub(super) plat: P,
     }
 }
-use seal::{Front, Platform};
+use seal::{Front, Sealed};
+
+/// A runtime platform: [`sim::Sim`] or [`threads::Threads`]. Code
+/// outside this crate can write a function over every `Cluster<P>`
+/// with `P: Platform`, but cannot add a platform: the supertrait is
+/// private.
+pub trait Platform: Sealed {}
+
+/// Outcome of a run on either platform.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Elapsed time of the run, in seconds on `clock`: simulated on
+    /// `sim` (the number the paper's figures plot), wall on `threads`.
+    pub seconds: f64,
+    /// The clock `seconds` were read on.
+    pub clock: Clock,
+    /// Discrete events executed (0 on threads, which has no event
+    /// queue).
+    pub events: u64,
+    /// Messenger runtime faults (id, message).
+    pub faults: Vec<(MessengerId, String)>,
+    /// Merged counters: per-daemon stats, the code registry's, and the
+    /// platform's (`wires`, `wire_bytes`, … on sim).
+    pub stats: Stats,
+    /// Live-messenger accounting leak (0 for a clean run).
+    pub live_leak: i64,
+    /// Merged flight-recorder trace, present iff tracing was enabled in
+    /// the cluster configuration. On sim events are in the
+    /// deterministic total order `(realtime, daemon, seq)`; threads has
+    /// no simulated clock, so its events carry `rt = 0` and order
+    /// within a daemon by sequence number only.
+    pub trace: Option<Trace>,
+}
+
+// `benchmark/` imports both names.
+/// A [`Report`] of a [`crate::SimCluster`] run.
+pub type SimReport = Report;
+/// A [`Report`] of a [`crate::ThreadCluster`] run.
+pub type ThreadReport = Report;
 
 /// A MESSENGERS cluster on platform `P`: [`crate::SimCluster`] or
 /// [`crate::ThreadCluster`].
@@ -224,19 +277,35 @@ impl<P: Platform> Cluster<P> {
         let daemon = self.front.daemons.get(d as usize)?;
         daemon.node_var(daemon.find_node(node)?, var)
     }
-}
 
-impl<P> Front<P> {
-    /// The tail of every report: `stats` plus the daemons' and the code
-    /// registry's, and the merged trace if tracing is on, its ring
-    /// losses counted.
-    fn report_tail(&mut self, mut stats: Stats) -> (Stats, Option<Trace>) {
-        for d in &self.daemons {
+    /// Run until the cluster quiesces, then report: the platform's
+    /// counters plus the daemons' and the code registry's, and the
+    /// merged trace if tracing is on, its ring losses counted.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Stalled`] if the cluster does not quiesce: on sim
+    /// the event budget is exhausted (typically a messenger population
+    /// that never dies), on threads a generous wall-clock bound (5
+    /// minutes) passes. On sim also [`ClusterError::CheckpointLost`] if
+    /// a killed daemon and all of its checkpoint-replica holders are
+    /// dead, and [`ClusterError::CheckpointDamaged`] if its surviving
+    /// checkpoint does not decode.
+    ///
+    /// # Panics
+    ///
+    /// On threads, re-raises the panic of a daemon thread that unwound
+    /// (a native that panicked), as soon as the other threads are
+    /// joined.
+    pub fn run(&mut self) -> Result<Report, ClusterError> {
+        let (seconds, events, mut stats) = P::drive(&mut self.driver, &mut self.front)?;
+        let w = &mut self.front;
+        for d in &w.daemons {
             stats.merge(&d.stats());
         }
-        stats.merge(&self.codes.stats());
-        let trace = self.cfg.trace.enabled.then(|| {
-            let parts = self.daemons.iter_mut().map(Daemon::take_trace).collect();
+        stats.merge(&w.codes.stats());
+        let trace = w.cfg.trace.enabled.then(|| {
+            let parts = w.daemons.iter_mut().map(Daemon::take_trace).collect();
             Trace::from_parts(parts)
         });
         if let Some(t) = &trace {
@@ -244,7 +313,71 @@ impl<P> Front<P> {
                 stats.add(Metric::TraceDropped, t.dropped);
             }
         }
-        (stats, trace)
+        Ok(Report {
+            seconds,
+            clock: P::CLOCK,
+            events,
+            faults: w.census.faults(),
+            stats,
+            live_leak: w.census.live(),
+            trace,
+        })
+    }
+
+    /// A human-readable dump of the whole logical network: every node
+    /// with its variables and link endpoints, grouped by daemon. For
+    /// debugging and the `msgr` shell's `--dump` flag.
+    pub fn network_dump(&self) -> String {
+        let mut out = String::new();
+        for d in &self.front.daemons {
+            out.push_str(&format!("daemon {}:\n", d.id()));
+            for node in d.nodes() {
+                out.push_str(&format!("  node {} ({})\n", node.name, node.gid));
+                let mut vars: Vec<_> = node.vars.iter().collect();
+                vars.sort_by_key(|(k, _)| k.to_string());
+                for (k, v) in vars {
+                    out.push_str(&format!("    {k} = {v}\n"));
+                }
+                for l in &node.links {
+                    let arrow = match l.orient {
+                        Orient::Out => "->",
+                        Orient::In => "<-",
+                        Orient::Undirected => "--",
+                    };
+                    let name =
+                        if l.name == Value::Null { "~".to_string() } else { l.name.to_string() };
+                    out.push_str(&format!(
+                        "    link {name} {arrow} {} on {} ({})\n",
+                        l.peer_name, l.peer.0, l.peer.1
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Open a named trace span on daemon 0 at the driver's current
+    /// time. No-op when tracing is off. Apps bracket phases (e.g.
+    /// "inject", "compute") so the Chrome export shows them as nested
+    /// slices.
+    pub fn trace_span_begin(&mut self, name: &str) {
+        let kind = EventKind::SpanBegin { name: name.to_string() };
+        self.front.emit(DaemonId(0), P::now(&self.driver), kind);
+    }
+
+    /// Close the innermost span opened by [`Cluster::trace_span_begin`].
+    pub fn trace_span_end(&mut self, name: &str) {
+        let kind = EventKind::SpanEnd { name: name.to_string() };
+        self.front.emit(DaemonId(0), P::now(&self.driver), kind);
+    }
+}
+
+impl<P> Front<P> {
+    /// Record a platform-level event in daemon `d`'s flight recorder.
+    fn emit(&mut self, d: DaemonId, at: SimTime, kind: EventKind) {
+        let rec = self.daemons[d.0 as usize].recorder_mut();
+        rec.set_now(at);
+        rec.emit_sys(kind);
     }
 }
 

@@ -8,12 +8,12 @@
 //! drains — i.e. when every messenger has terminated.
 
 use msgr_sim::{
-    Cpu, DetRng, Engine, FaultInjector, FrameFate, HostId, NetModel, SimTime, Stats, MILLI,
+    Clock, Cpu, DetRng, Engine, FaultInjector, FrameFate, HostId, NetModel, SimTime, Stats, MILLI,
 };
-use msgr_trace::{EventKind, Metric, Trace};
+use msgr_trace::{EventKind, Metric};
 use msgr_vm::{MessengerId, ProgramId, Value};
 
-use super::{Cluster, Front, Platform};
+use super::{Cluster, Front, Platform, Sealed};
 use crate::ckpt::ReplicatedStore;
 use crate::config::{ClusterConfig, VtMode};
 use crate::daemon::{Daemon, Effect};
@@ -78,18 +78,76 @@ pub struct Sim {
     /// outlive the computation and would otherwise inflate the runtime.
     last_work: SimTime,
     /// Set when the run cannot continue (an unrecoverable daemon loss);
-    /// [`SimCluster::run`] stops at the next event and returns it.
+    /// [`Cluster::run`] stops at the next event and returns it.
     fatal: Option<ClusterError>,
     stats: Stats,
 }
 
-impl Platform for Sim {
+impl Sealed for Sim {
     type Driver = En;
+    const CLOCK: Clock = Clock::Simulated;
 
     fn launched(en: &mut En, d: DaemonId) {
         en.schedule_at(en.now(), move |en, w| tick(en, w, d));
     }
+
+    fn now(en: &En) -> SimTime {
+        en.now()
+    }
+
+    fn drive(en: &mut En, w: &mut World) -> Result<(f64, u64, Stats), ClusterError> {
+        // Arm the GVT service if needed.
+        if w.codes.any_uses_virtual_time() || w.cfg.vt_mode == VtMode::Optimistic {
+            en.schedule_in(w.cfg.gvt_interval, gvt_tick);
+        }
+        if w.cfg.recovery_armed() {
+            // Time-zero checkpoints: even an instant kill can restore to
+            // the injected workload, never to nothing.
+            for i in 0..w.daemons.len() {
+                checkpoint_now(en, w, DaemonId(i as u16));
+            }
+            w.plat.beats_live = true;
+            en.schedule_in(HEARTBEAT_EVERY, beat_tick);
+            for i in 0..w.daemons.len() {
+                let d = DaemonId(i as u16);
+                w.plat.ckpt_live[i] = true;
+                en.schedule_in(CHECKPOINT_EVERY, move |en, w| ckpt_tick(en, w, d));
+            }
+        }
+        if w.cfg.trace.enabled {
+            w.emit(DaemonId(0), en.now(), EventKind::SpanBegin { name: "run".to_string() });
+        }
+        let mut left = w.cfg.max_events;
+        while left > 0 && w.plat.fatal.is_none() && en.step(w) {
+            left -= 1;
+        }
+        if let Some(e) = w.plat.fatal.take() {
+            return Err(e);
+        }
+        if en.pending() > 0 {
+            return Err(ClusterError::Stalled { events: en.processed() });
+        }
+        let mut stats = w.plat.stats.clone();
+        let net = w.plat.net.stats();
+        stats.add(Metric::NetMessages, net.messages);
+        stats.add(Metric::NetPayloadBytes, net.payload_bytes);
+        stats.add(Metric::NetQueueingNs, net.queueing_ns);
+        // Under faults, stale retransmission timers (armed for frames
+        // that were acked, or backed off past the end of the run) drain
+        // after the computation finishes; completion time is the last
+        // productive event, not the last timer expiry. Without faults
+        // the two are identical and we keep the original expression.
+        let completed = if w.plat.injector.is_some() { w.plat.last_work } else { en.now() };
+        if w.cfg.trace.enabled {
+            // Close the run-wide root span at the reported completion
+            // instant, before the recorders are drained.
+            w.emit(DaemonId(0), completed, EventKind::SpanEnd { name: "run".to_string() });
+        }
+        Ok((msgr_sim::to_secs(completed), en.processed(), stats))
+    }
 }
+
+impl Platform for Sim {}
 
 /// The world threaded through simulation events.
 type World = Front<Sim>;
@@ -109,13 +167,6 @@ impl World {
     fn has_unrestored_kill(&self) -> bool {
         (0..self.daemons.len())
             .any(|i| self.plat.down_until[i] == SimTime::MAX && !self.plat.restored[i])
-    }
-
-    /// Record a platform-level event in daemon `d`'s flight recorder.
-    fn emit(&mut self, d: DaemonId, at: SimTime, kind: EventKind) {
-        let rec = self.daemons[d.0 as usize].recorder_mut();
-        rec.set_now(at);
-        rec.emit_sys(kind);
     }
 }
 
@@ -507,32 +558,11 @@ fn recover(en: &mut En, w: &mut World, successor: DaemonId, victim: DaemonId) {
     en.schedule_at(end, move |en, w| tick(en, w, successor));
 }
 
-/// Outcome of a simulated run.
-#[derive(Debug, Clone)]
-pub struct SimReport {
-    /// Simulated wall-clock of the whole run, in seconds — the number
-    /// the paper's figures plot.
-    pub sim_seconds: f64,
-    /// Discrete events executed.
-    pub events: u64,
-    /// Messenger runtime faults (id, message).
-    pub faults: Vec<(MessengerId, String)>,
-    /// Merged counters: per-daemon stats plus platform stats
-    /// (`wires`, `wire_bytes`, …).
-    pub stats: Stats,
-    /// Live-messenger accounting leak (0 for a clean run).
-    pub live_leak: i64,
-    /// Merged flight-recorder trace, present iff tracing was enabled in
-    /// the cluster configuration. Events are in the deterministic total
-    /// order `(realtime, daemon, seq)`.
-    pub trace: Option<Trace>,
-}
-
 /// A MESSENGERS cluster inside the discrete-event simulator.
 ///
 /// See the crate-level example. Typical flow: configure → register
 /// programs and natives → build a logical topology (optional) → inject →
-/// [`SimCluster::run`] → inspect node variables and the report.
+/// [`Cluster::run`] → inspect node variables and the report.
 pub type SimCluster = Cluster<Sim>;
 
 impl SimCluster {
@@ -653,125 +683,9 @@ impl SimCluster {
         Ok(())
     }
 
-    /// Run until the cluster quiesces.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Stalled`] if the event budget is exhausted —
-    /// typically a messenger population that never dies;
-    /// [`ClusterError::CheckpointLost`] if a killed daemon and all of its
-    /// checkpoint-replica holders are dead;
-    /// [`ClusterError::CheckpointDamaged`] if its surviving checkpoint
-    /// does not decode.
-    pub fn run(&mut self) -> Result<SimReport, ClusterError> {
-        let (en, w) = (&mut self.driver, &mut self.front);
-        // Arm the GVT service if needed.
-        if w.codes.any_uses_virtual_time() || w.cfg.vt_mode == VtMode::Optimistic {
-            en.schedule_in(w.cfg.gvt_interval, gvt_tick);
-        }
-        if w.cfg.recovery_armed() {
-            // Time-zero checkpoints: even an instant kill can restore to
-            // the injected workload, never to nothing.
-            for i in 0..w.daemons.len() {
-                checkpoint_now(en, w, DaemonId(i as u16));
-            }
-            w.plat.beats_live = true;
-            en.schedule_in(HEARTBEAT_EVERY, beat_tick);
-            for i in 0..w.daemons.len() {
-                let d = DaemonId(i as u16);
-                w.plat.ckpt_live[i] = true;
-                en.schedule_in(CHECKPOINT_EVERY, move |en, w| ckpt_tick(en, w, d));
-            }
-        }
-        if w.cfg.trace.enabled {
-            w.emit(DaemonId(0), en.now(), EventKind::SpanBegin { name: "run".to_string() });
-        }
-        let mut left = w.cfg.max_events;
-        while left > 0 && w.plat.fatal.is_none() && en.step(w) {
-            left -= 1;
-        }
-        if let Some(e) = w.plat.fatal.take() {
-            return Err(e);
-        }
-        if en.pending() > 0 {
-            return Err(ClusterError::Stalled { events: en.processed() });
-        }
-        let mut stats = w.plat.stats.clone();
-        let net = w.plat.net.stats();
-        stats.add(Metric::NetMessages, net.messages);
-        stats.add(Metric::NetPayloadBytes, net.payload_bytes);
-        stats.add(Metric::NetQueueingNs, net.queueing_ns);
-        // Under faults, stale retransmission timers (armed for frames
-        // that were acked, or backed off past the end of the run) drain
-        // after the computation finishes; completion time is the last
-        // productive event, not the last timer expiry. Without faults
-        // the two are identical and we keep the original expression.
-        let completed = if w.plat.injector.is_some() { w.plat.last_work } else { en.now() };
-        if w.cfg.trace.enabled {
-            // Close the run-wide root span at the reported completion
-            // instant, before the recorders are drained below.
-            w.emit(DaemonId(0), completed, EventKind::SpanEnd { name: "run".to_string() });
-        }
-        let (stats, trace) = w.report_tail(stats);
-        Ok(SimReport {
-            sim_seconds: msgr_sim::to_secs(completed),
-            events: en.processed(),
-            faults: w.census.faults(),
-            stats,
-            live_leak: w.census.live(),
-            trace,
-        })
-    }
-
-    /// Open a named trace span on daemon 0 at the current simulated time.
-    /// No-op when tracing is off. Apps bracket phases (e.g. "inject",
-    /// "compute") so the Chrome export shows them as nested slices.
-    pub fn trace_span_begin(&mut self, name: &str) {
-        let kind = EventKind::SpanBegin { name: name.to_string() };
-        self.front.emit(DaemonId(0), self.driver.now(), kind);
-    }
-
-    /// Close the innermost span opened by [`SimCluster::trace_span_begin`].
-    pub fn trace_span_end(&mut self, name: &str) {
-        let kind = EventKind::SpanEnd { name: name.to_string() };
-        self.front.emit(DaemonId(0), self.driver.now(), kind);
-    }
-
     /// Direct access to a daemon (tests and diagnostics).
     pub fn daemon(&self, d: u16) -> &Daemon {
         &self.front.daemons[d as usize]
-    }
-
-    /// A human-readable dump of the whole logical network: every node
-    /// with its variables and link endpoints, grouped by daemon. For
-    /// debugging and the `msgr` shell's `--dump` flag.
-    pub fn network_dump(&self) -> String {
-        let mut out = String::new();
-        for d in &self.front.daemons {
-            out.push_str(&format!("daemon {}:\n", d.id()));
-            for node in d.nodes() {
-                out.push_str(&format!("  node {} ({})\n", node.name, node.gid));
-                let mut vars: Vec<_> = node.vars.iter().collect();
-                vars.sort_by_key(|(k, _)| k.to_string());
-                for (k, v) in vars {
-                    out.push_str(&format!("    {k} = {v}\n"));
-                }
-                for l in &node.links {
-                    let arrow = match l.orient {
-                        crate::logical::Orient::Out => "->",
-                        crate::logical::Orient::In => "<-",
-                        crate::logical::Orient::Undirected => "--",
-                    };
-                    let name =
-                        if l.name == Value::Null { "~".to_string() } else { l.name.to_string() };
-                    out.push_str(&format!(
-                        "    link {name} {arrow} {} on {} ({})\n",
-                        l.peer_name, l.peer.0, l.peer.1
-                    ));
-                }
-            }
-        }
-        out
     }
 }
 

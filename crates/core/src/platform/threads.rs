@@ -29,11 +29,9 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use msgr_sim::Stats;
-use msgr_trace::Trace;
-use msgr_vm::MessengerId;
+use msgr_sim::{Clock, SimTime, Stats};
 
-use super::{Census, Cluster, Platform};
+use super::{Census, Cluster, Front, Platform, Sealed};
 use crate::config::{ClusterConfig, VtMode};
 use crate::daemon::{Daemon, Effect};
 use crate::ids::DaemonId;
@@ -45,74 +43,20 @@ use crate::ClusterError;
 /// spawns its threads and channels and joins them before it returns.
 pub struct Threads;
 
-impl Platform for Threads {
+impl Sealed for Threads {
     type Driver = ();
+    const CLOCK: Clock = Clock::Wall;
 
     // The daemon threads find the messenger when the run starts.
     fn launched(_: &mut (), _: DaemonId) {}
-}
 
-/// Outcome of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadReport {
-    /// Real elapsed time of the run, in seconds.
-    pub wall_seconds: f64,
-    /// Messenger runtime faults.
-    pub faults: Vec<(MessengerId, String)>,
-    /// Merged daemon counters.
-    pub stats: Stats,
-    /// Merged flight-recorder trace, present iff tracing was enabled.
-    /// Threaded runs have no simulated clock, so events carry `rt = 0`
-    /// and order within a daemon by sequence number only — causal per
-    /// daemon, best-effort across daemons.
-    pub trace: Option<Trace>,
-}
-
-/// A MESSENGERS cluster running on real threads.
-///
-/// Usage mirrors [`crate::SimCluster`]: configure, register programs and
-/// natives, build the logical topology, inject, then [`ThreadCluster::run`]
-/// — which spawns the daemon threads, waits for quiescence, and joins
-/// them — and finally inspect node variables.
-pub type ThreadCluster = Cluster<Threads>;
-
-impl ThreadCluster {
-    /// Build a cluster per `cfg` with a clique daemon topology.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Config`] — optimistic virtual time and fault
-    /// injection are only supported on the simulation platform.
-    pub fn new(cfg: ClusterConfig) -> Result<Self, ClusterError> {
-        if cfg.vt_mode == VtMode::Optimistic {
-            return Err(ClusterError::Config(
-                "optimistic virtual time requires the simulation platform".to_string(),
-            ));
-        }
-        if cfg.reliable() {
-            // In-process channels neither lose nor reorder; injecting
-            // faults here would need a virtual clock for timers anyway.
-            return Err(ClusterError::Config(
-                "fault injection requires the simulation platform".to_string(),
-            ));
-        }
-        let topo = DaemonTopology::clique(cfg.daemons);
-        Ok(Cluster::assemble(cfg, topo, Threads))
+    // Threaded runs have no simulated clock: events carry `rt = 0`.
+    fn now(_: &()) -> SimTime {
+        0
     }
 
-    /// Spawn the daemon threads, run to quiescence, join, and report.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Stalled`] if the cluster fails to quiesce within
-    /// a generous wall-clock bound (5 minutes).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of a daemon thread that unwound (a native
-    /// that panicked), as soon as the other threads are joined.
-    pub fn run(&mut self) -> Result<ThreadReport, ClusterError> {
-        let w = &mut self.front;
+    /// Spawn the daemon threads, run to quiescence and join them.
+    fn drive(_: &mut (), w: &mut Front<Self>) -> Result<(f64, u64, Stats), ClusterError> {
         let n = w.daemons.len();
         let (senders, receivers): (Vec<Sender<Mail>>, Vec<Receiver<Mail>>) =
             (0..n).map(|_| channel()).unzip();
@@ -183,13 +127,42 @@ impl ThreadCluster {
         if stalled {
             return Err(ClusterError::Stalled { events: 0 });
         }
-        let (stats, trace) = w.report_tail(Stats::new());
-        Ok(ThreadReport {
-            wall_seconds: start.elapsed().as_secs_f64(),
-            faults: w.census.faults(),
-            stats,
-            trace,
-        })
+        Ok((start.elapsed().as_secs_f64(), 0, Stats::new()))
+    }
+}
+
+impl Platform for Threads {}
+
+/// A MESSENGERS cluster running on real threads.
+///
+/// Usage mirrors [`crate::SimCluster`]: configure, register programs and
+/// natives, build the logical topology, inject, then [`Cluster::run`]
+/// — which spawns the daemon threads, waits for quiescence, and joins
+/// them — and finally inspect node variables.
+pub type ThreadCluster = Cluster<Threads>;
+
+impl ThreadCluster {
+    /// Build a cluster per `cfg` with a clique daemon topology.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Config`] — optimistic virtual time and fault
+    /// injection are only supported on the simulation platform.
+    pub fn new(cfg: ClusterConfig) -> Result<Self, ClusterError> {
+        if cfg.vt_mode == VtMode::Optimistic {
+            return Err(ClusterError::Config(
+                "optimistic virtual time requires the simulation platform".to_string(),
+            ));
+        }
+        if cfg.reliable() {
+            // In-process channels neither lose nor reorder; injecting
+            // faults here would need a virtual clock for timers anyway.
+            return Err(ClusterError::Config(
+                "fault injection requires the simulation platform".to_string(),
+            ));
+        }
+        let topo = DaemonTopology::clique(cfg.daemons);
+        Ok(Cluster::assemble(cfg, topo, Threads))
     }
 }
 

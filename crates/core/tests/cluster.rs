@@ -451,7 +451,7 @@ fn threads_basic_node_update() {
     let report = c.run().unwrap();
     assert!(report.faults.is_empty());
     assert_eq!(c.node_var(0, &Value::str("init"), "total"), Some(Value::Int(12)));
-    assert!(report.wall_seconds < 60.0);
+    assert!(report.seconds < 60.0);
 }
 
 #[test]
@@ -798,7 +798,7 @@ fn sim_recovery_armed_cluster_runs_twice() {
     c.inject_at(&Value::str("a"), pid, &[Value::Int(200)]).unwrap();
     let first = c.run().unwrap();
     assert!(first.faults.is_empty(), "{:?}", first.faults);
-    assert!(first.sim_seconds > 0.040, "first run must outlast a checkpoint period");
+    assert!(first.seconds > 0.040, "first run must outlast a checkpoint period");
     c.inject_at(&Value::str("a"), pid, &[Value::Int(2)]).unwrap();
     let second = c.run().unwrap();
     assert!(second.faults.is_empty(), "{:?}", second.faults);
@@ -828,7 +828,7 @@ fn runtime_injection_at_future_time() {
     let report = c.run().unwrap();
     assert!(report.faults.is_empty(), "{:?}", report.faults);
     assert_eq!(report.live_leak, 0);
-    assert!(report.sim_seconds >= 2.0, "clock must reach the last injection");
+    assert!(report.seconds >= 2.0, "clock must reach the last injection");
     assert_eq!(
         c.node_var_by_name(&Value::str("board"), "log"),
         Some(Value::str("abc")),

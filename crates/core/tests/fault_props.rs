@@ -158,7 +158,7 @@ fn run_ring(sc: &Scenario) -> Result<RunResult, String> {
         faults: report.faults.clone(),
         live_leak: report.live_leak,
         visits,
-        sim_seconds: report.sim_seconds,
+        sim_seconds: report.seconds,
         events: report.events,
         stats: report.stats,
     })

@@ -151,7 +151,7 @@ fn run_ring_with(
         faults: report.faults.clone(),
         live_leak: report.live_leak,
         visits,
-        sim_seconds: report.sim_seconds,
+        sim_seconds: report.seconds,
         events: report.events,
         stats: report.stats,
     })

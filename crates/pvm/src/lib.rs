@@ -20,23 +20,28 @@
 //!   (task → local pvmd → remote pvmd → task) pays two extra copies; the
 //!   `direct_route` option models `PvmRouteDirect` as an ablation.
 //!
-//! Two backends: [`sim`] runs task state machines inside the
-//! deterministic cluster simulator with the calibrated cost model (used
-//! by every benchmark); [`threads`] runs closures on real OS threads
-//! (used by examples and cross-checking tests).
+//! A program is written once, as [`Task`] state machines, and runs on
+//! either of two backends: [`sim`] inside the deterministic cluster
+//! simulator with the calibrated cost model (used by every benchmark),
+//! [`threads`] on real OS threads, one per task, on the host clock
+//! (used by tests that check both backends agree).
 
 #![warn(missing_docs)]
 
 pub mod buf;
 pub mod sim;
+mod task;
+#[cfg(test)]
+mod tests;
 pub mod threads;
 
 pub use buf::{Buf, UnpackError};
 /// Network model selection: the same type as `msgr-core`'s `NetKind`, so
 /// the two systems are always compared on the same medium.
 pub use msgr_sim::NetKind as PvmNet;
-pub use sim::{PvmCostModel, PvmError, PvmReport, PvmSim, PvmSimConfig, Status, Task, TaskCtx};
-pub use threads::{PvmThreads, ThreadTaskCtx, ThreadsReport};
+pub use sim::{PvmCostModel, PvmSim, PvmSimConfig};
+pub use task::{PvmError, PvmReport, Status, Task, TaskCtx};
+pub use threads::PvmThreads;
 
 /// A PVM task identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,22 +100,5 @@ impl Recv {
     /// Whether a message satisfies this selector.
     pub fn matches(&self, m: &Message) -> bool {
         self.from.is_none_or(|f| f == m.from) && self.tag.is_none_or(|t| t == m.tag)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn recv_selectors() {
-        let m = Message { from: TaskId(3), tag: 7, buf: Buf::new() };
-        assert!(Recv::any().matches(&m));
-        assert!(Recv::tag(7).matches(&m));
-        assert!(!Recv::tag(8).matches(&m));
-        assert!(Recv::from(TaskId(3)).matches(&m));
-        assert!(!Recv::from(TaskId(4)).matches(&m));
-        assert!(Recv::from_tag(TaskId(3), 7).matches(&m));
-        assert!(!Recv::from_tag(TaskId(3), 9).matches(&m));
     }
 }

@@ -1,11 +1,5 @@
-//! The simulated PVM backend: task state machines inside the
+//! The simulated PVM backend: [`Task`] state machines inside the
 //! discrete-event cluster simulator.
-//!
-//! A task is a [`Task`] state machine: `resume` runs until the task
-//! needs a message (returns [`Status::Recv`]) or exits. Everything else —
-//! sends, multicasts, spawns, compute — happens through [`TaskCtx`]
-//! during `resume`. This mirrors how the benchmarks' PVM programs
-//! (Figs. 2 and 9) block only in `recv`.
 //!
 //! ## Cost model
 //!
@@ -20,34 +14,11 @@
 
 use std::collections::VecDeque;
 
-use msgr_sim::{Cpu, DetRng, Engine, FaultPlan, HostId, NetModel, SimTime, Stats};
+use msgr_sim::{Clock, Cpu, DetRng, Engine, FaultPlan, HostId, NetModel, SimTime, Stats};
 use msgr_trace::Metric;
 
-use crate::{Buf, Message, PvmNet, Recv, Tag, TaskId};
-
-/// What a task does next.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Status {
-    /// Block until a message matching the selector arrives.
-    Recv(Recv),
-    /// Block at a named barrier until `count` tasks have arrived
-    /// (`pvm_barrier`); all are then resumed with `msg = None`.
-    Barrier {
-        /// Barrier (group) name.
-        name: String,
-        /// Number of participants.
-        count: usize,
-    },
-    /// The task is finished.
-    Exit,
-}
-
-/// A PVM task as a resumable state machine.
-pub trait Task: Send {
-    /// Run until the next blocking point. `msg` is `None` on first entry
-    /// and `Some` when a requested message has been delivered.
-    fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status;
-}
+use crate::task::{Cmd, Roster, Wait};
+use crate::{Buf, Message, PvmError, PvmNet, PvmReport, Status, Tag, Task, TaskCtx, TaskId};
 
 /// CPU cost constants, in reference nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,157 +137,11 @@ impl PvmSimConfig {
     }
 }
 
-/// A run's outcome.
-#[derive(Debug, Clone)]
-pub struct PvmReport {
-    /// Simulated seconds until the last task exited.
-    pub sim_seconds: f64,
-    /// Events executed.
-    pub events: u64,
-    /// Counters (messages, bytes, spawns, …).
-    pub stats: Stats,
-}
-
-/// Errors from a simulated PVM run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PvmError {
-    /// Tasks deadlocked: all runnable work drained while some tasks
-    /// still waited in `recv`.
-    Deadlock {
-        /// The stuck task ids.
-        waiting: Vec<TaskId>,
-    },
-    /// Event budget exhausted.
-    Stalled {
-        /// Events executed before giving up.
-        events: u64,
-    },
-}
-
-impl std::fmt::Display for PvmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PvmError::Deadlock { waiting } => {
-                write!(f, "PVM deadlock: {} task(s) blocked in recv", waiting.len())
-            }
-            PvmError::Stalled { events } => write!(f, "PVM run stalled after {events} events"),
-        }
-    }
-}
-
-impl std::error::Error for PvmError {}
-
-enum SlotState {
-    Starting,
-    Waiting(Recv),
-    AtBarrier,
-    Exited,
-}
-
 struct Slot {
     task: Option<Box<dyn Task>>,
     host: usize,
-    state: SlotState,
+    wait: Wait,
     mailbox: VecDeque<Message>,
-}
-
-enum Cmd {
-    Send { to: TaskId, tag: Tag, buf: Buf },
-    Mcast { to: Vec<TaskId>, tag: Tag, buf: Buf },
-    Spawn { tid: TaskId, host: usize, task: Box<dyn Task> },
-}
-
-/// The interface a resuming task uses to act on the virtual machine.
-pub struct TaskCtx<'a> {
-    me: TaskId,
-    host: usize,
-    hosts: usize,
-    charged: u64,
-    next_tid: &'a mut u32,
-    rr_host: &'a mut usize,
-    groups: &'a mut Vec<(String, Vec<TaskId>)>,
-    cmds: Vec<Cmd>,
-}
-
-impl TaskCtx<'_> {
-    /// This task's id (`pvm_mytid`).
-    pub fn mytid(&self) -> TaskId {
-        self.me
-    }
-
-    /// The host this task runs on.
-    pub fn host(&self) -> usize {
-        self.host
-    }
-
-    /// Total hosts in the virtual machine (`pvm_config`).
-    pub fn nhosts(&self) -> usize {
-        self.hosts
-    }
-
-    /// Charge `ref_ns` of computation to this task's segment.
-    pub fn charge(&mut self, ref_ns: u64) {
-        self.charged += ref_ns;
-    }
-
-    /// Send a buffer (`pvm_send`). The pack/copy costs are charged to
-    /// this segment automatically.
-    pub fn send(&mut self, to: TaskId, tag: Tag, buf: Buf) {
-        self.cmds.push(Cmd::Send { to, tag, buf });
-    }
-
-    /// Multicast to several tasks (`pvm_mcast`): one pack, one wire
-    /// message per destination.
-    pub fn mcast(&mut self, to: &[TaskId], tag: Tag, buf: Buf) {
-        self.cmds.push(Cmd::Mcast { to: to.to_vec(), tag, buf });
-    }
-
-    /// Spawn a new task (`pvm_spawn`), placed round-robin over hosts.
-    pub fn spawn(&mut self, task: Box<dyn Task>) -> TaskId {
-        let host = *self.rr_host % self.hosts;
-        *self.rr_host += 1;
-        self.spawn_on(host, task)
-    }
-
-    /// Spawn on a specific host (`pvm_spawn` with `PvmTaskHost`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn spawn_on(&mut self, host: usize, task: Box<dyn Task>) -> TaskId {
-        assert!(host < self.hosts, "host {host} out of range");
-        let tid = TaskId(*self.next_tid);
-        *self.next_tid += 1;
-        self.cmds.push(Cmd::Spawn { tid, host, task });
-        tid
-    }
-
-    /// Join a named group (`pvm_joingroup`); returns this task's
-    /// instance number.
-    pub fn join_group(&mut self, name: &str) -> usize {
-        let entry = match self.groups.iter_mut().find(|(n, _)| n == name) {
-            Some(e) => e,
-            None => {
-                self.groups.push((name.to_string(), Vec::new()));
-                self.groups.last_mut().expect("just pushed")
-            }
-        };
-        if let Some(i) = entry.1.iter().position(|t| *t == self.me) {
-            return i;
-        }
-        entry.1.push(self.me);
-        entry.1.len() - 1
-    }
-
-    /// The task at `inst` in a group (`pvm_gettid`).
-    pub fn group_tid(&self, name: &str, inst: usize) -> Option<TaskId> {
-        self.groups.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.get(inst).copied())
-    }
-
-    /// Current size of a group (`pvm_gsize`).
-    pub fn group_size(&self, name: &str) -> usize {
-        self.groups.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v.len())
-    }
 }
 
 struct World {
@@ -324,9 +149,7 @@ struct World {
     slots: Vec<Slot>,
     cpus: Vec<Cpu>,
     net: Box<dyn NetModel>,
-    next_tid: u32,
-    rr_host: usize,
-    groups: Vec<(String, Vec<TaskId>)>,
+    roster: Roster,
     barriers: std::collections::HashMap<String, (usize, Vec<TaskId>)>,
     stats: Stats,
     /// `Some` only when `cfg.faults` has a nonzero loss rate; fault-free
@@ -387,9 +210,7 @@ impl PvmSim {
                 slots: Vec::new(),
                 cpus,
                 net,
-                next_tid: 0,
-                rr_host: 0,
-                groups: Vec::new(),
+                roster: Roster::default(),
                 barriers: std::collections::HashMap::new(),
                 stats: Stats::new(),
             },
@@ -398,12 +219,11 @@ impl PvmSim {
 
     /// Install the root task on host 0 (it starts when `run` is called).
     pub fn root(&mut self, task: Box<dyn Task>) -> TaskId {
-        let tid = TaskId(self.world.next_tid);
-        self.world.next_tid += 1;
+        let tid = self.world.roster.next_tid();
         self.world.slots.push(Slot {
             task: Some(task),
             host: 0,
-            state: SlotState::Starting,
+            wait: Wait::Running,
             mailbox: VecDeque::new(),
         });
         self.engine.schedule_at(0, move |en, w| resume_task(en, w, tid, None));
@@ -425,7 +245,7 @@ impl PvmSim {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s.state, SlotState::Waiting(_) | SlotState::AtBarrier))
+            .filter(|(_, s)| s.wait.blocked())
             .map(|(i, _)| TaskId(i as u32))
             .collect();
         if !waiting.is_empty() {
@@ -437,7 +257,8 @@ impl PvmSim {
         stats.add(Metric::NetPayloadBytes, net.payload_bytes);
         stats.add(Metric::NetQueueingNs, net.queueing_ns);
         Ok(PvmReport {
-            sim_seconds: msgr_sim::to_secs(self.engine.now()),
+            seconds: msgr_sim::to_secs(self.engine.now()),
+            clock: Clock::Simulated,
             events: self.engine.processed(),
             stats,
         })
@@ -473,20 +294,9 @@ fn resume_task(en: &mut En, w: &mut World, tid: TaskId, msg: Option<Message>) {
         Some(t) => t,
         None => return, // already exited
     };
-    let mut ctx = TaskCtx {
-        me: tid,
-        host,
-        hosts: w.cfg.hosts,
-        charged: 0,
-        next_tid: &mut w.next_tid,
-        rr_host: &mut w.rr_host,
-        groups: &mut w.groups,
-        cmds: Vec::new(),
-    };
+    let mut ctx = TaskCtx::new(tid, host, w.cfg.hosts, &w.roster);
     let status = task.resume(&mut ctx, msg);
-    let charged = ctx.charged;
-    let cmds = std::mem::take(&mut ctx.cmds);
-    drop(ctx);
+    let (charged, cmds) = ctx.finish();
     w.slots[i].task = Some(task);
     w.stats.bump(Metric::Segments);
 
@@ -510,11 +320,7 @@ fn resume_task(en: &mut En, w: &mut World, tid: TaskId, msg: Option<Message>) {
     let (_, end) = w.cpus[host].run(now, cost);
 
     // Update state now; transmissions and deliveries happen at `end`.
-    w.slots[i].state = match &status {
-        Status::Exit => SlotState::Exited,
-        Status::Recv(sel) => SlotState::Waiting(*sel),
-        Status::Barrier { .. } => SlotState::AtBarrier,
-    };
+    w.slots[i].wait = Wait::after(&status);
     if matches!(status, Status::Exit) {
         w.slots[i].task = None;
         w.stats.bump(Metric::Exited);
@@ -542,7 +348,7 @@ fn resume_task(en: &mut En, w: &mut World, tid: TaskId, msg: Option<Message>) {
                     w.slots.push(Slot {
                         task: Some(task),
                         host,
-                        state: SlotState::Starting,
+                        wait: Wait::Running,
                         mailbox: VecDeque::new(),
                     });
                     // Startup announcement travels to the target host.
@@ -575,8 +381,8 @@ fn barrier_arrive(en: &mut En, w: &mut World, tid: TaskId, name: String, count: 
                 let dst = w.slots[waiter.0 as usize].host;
                 let arr = w.net.transfer(en.now(), HostId(0), HostId(dst as u32), 64);
                 en.schedule_at(arr, move |en, w| {
-                    if matches!(w.slots[waiter.0 as usize].state, SlotState::AtBarrier) {
-                        w.slots[waiter.0 as usize].state = SlotState::Starting;
+                    if w.slots[waiter.0 as usize].wait == Wait::Barrier {
+                        w.slots[waiter.0 as usize].wait = Wait::Running;
                         resume_task(en, w, waiter, None);
                     }
                 });
@@ -677,7 +483,7 @@ fn deliver(en: &mut En, w: &mut World, to: TaskId, msg: Message) {
 
 fn try_deliver_from_mailbox(en: &mut En, w: &mut World, to: TaskId) {
     let i = to.0 as usize;
-    let SlotState::Waiting(sel) = w.slots[i].state else {
+    let Wait::Recv(sel) = w.slots[i].wait else {
         return;
     };
     let Some(pos) = w.slots[i].mailbox.iter().position(|m| sel.matches(m)) else {
@@ -689,188 +495,14 @@ fn try_deliver_from_mailbox(en: &mut En, w: &mut World, to: TaskId) {
     let now = en.now();
     let (_, end) = w.cpus[host].run(now, cost);
     // Mark as running so a racing delivery doesn't double-resume.
-    w.slots[i].state = SlotState::Starting;
+    w.slots[i].wait = Wait::Running;
     en.schedule_at(end, move |en, w| resume_task(en, w, to, Some(msg)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Echo server: replies to `n` pings, then exits.
-    struct Echo {
-        remaining: u32,
-    }
-    impl Task for Echo {
-        fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-            if let Some(mut m) = msg {
-                let v = m.buf.unpack_int().unwrap();
-                let mut reply = Buf::new();
-                reply.pack_int(v * 2);
-                ctx.send(m.from, 99, reply);
-                self.remaining -= 1;
-            }
-            if self.remaining == 0 {
-                Status::Exit
-            } else {
-                Status::Recv(Recv::any())
-            }
-        }
-    }
-
-    /// Root: spawns Echo, pings it `n` times, checks replies.
-    struct Pinger {
-        n: u32,
-        sent: u32,
-        echo: Option<TaskId>,
-        got: Vec<i64>,
-    }
-    impl Task for Pinger {
-        fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-            if self.echo.is_none() {
-                let echo = ctx.spawn(Box::new(Echo { remaining: self.n }));
-                self.echo = Some(echo);
-            }
-            if let Some(mut m) = msg {
-                self.got.push(m.buf.unpack_int().unwrap());
-            }
-            if self.sent < self.n {
-                let mut b = Buf::new();
-                b.pack_int(self.sent as i64);
-                ctx.send(self.echo.unwrap(), 7, b);
-                self.sent += 1;
-                return Status::Recv(Recv::tag(99));
-            }
-            if (self.got.len() as u32) < self.n {
-                return Status::Recv(Recv::tag(99));
-            }
-            assert_eq!(self.got, (0..self.n as i64).map(|v| v * 2).collect::<Vec<_>>());
-            Status::Exit
-        }
-    }
-
-    #[test]
-    fn ping_pong_round_trips() {
-        let mut vm = PvmSim::new(PvmSimConfig::new(2));
-        vm.root(Box::new(Pinger { n: 5, sent: 0, echo: None, got: Vec::new() }));
-        let report = vm.run().unwrap();
-        assert!(report.sim_seconds > 0.0);
-        assert_eq!(report.stats.counter("spawns"), 1);
-        // 5 pings + 5 replies.
-        assert_eq!(report.stats.counter("messages"), 10);
-    }
-
-    #[test]
-    fn deadlock_detected() {
-        struct Stuck;
-        impl Task for Stuck {
-            fn resume(&mut self, _ctx: &mut TaskCtx<'_>, _msg: Option<Message>) -> Status {
-                Status::Recv(Recv::any())
-            }
-        }
-        let mut vm = PvmSim::new(PvmSimConfig::new(1));
-        vm.root(Box::new(Stuck));
-        match vm.run() {
-            Err(PvmError::Deadlock { waiting }) => assert_eq!(waiting.len(), 1),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn selective_recv_by_source() {
-        // Root spawns two senders and receives from a specific one first.
-        struct Sender {
-            to: TaskId,
-            val: i64,
-        }
-        impl Task for Sender {
-            fn resume(&mut self, ctx: &mut TaskCtx<'_>, _msg: Option<Message>) -> Status {
-                let mut b = Buf::new();
-                b.pack_int(self.val);
-                ctx.send(self.to, 1, b);
-                Status::Exit
-            }
-        }
-        struct Root {
-            phase: u32,
-            s2: Option<TaskId>,
-        }
-        impl Task for Root {
-            fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-                match self.phase {
-                    0 => {
-                        let me = ctx.mytid();
-                        let _s1 = ctx.spawn(Box::new(Sender { to: me, val: 1 }));
-                        let s2 = ctx.spawn(Box::new(Sender { to: me, val: 2 }));
-                        self.s2 = Some(s2);
-                        self.phase = 1;
-                        Status::Recv(Recv::from(s2))
-                    }
-                    1 => {
-                        let mut m = msg.unwrap();
-                        assert_eq!(m.from, self.s2.unwrap());
-                        assert_eq!(m.buf.unpack_int().unwrap(), 2);
-                        self.phase = 2;
-                        Status::Recv(Recv::any())
-                    }
-                    _ => {
-                        let mut m = msg.unwrap();
-                        assert_eq!(m.buf.unpack_int().unwrap(), 1);
-                        Status::Exit
-                    }
-                }
-            }
-        }
-        let mut vm = PvmSim::new(PvmSimConfig::new(3));
-        vm.root(Box::new(Root { phase: 0, s2: None }));
-        vm.run().unwrap();
-    }
-
-    #[test]
-    fn groups_assign_instances_in_join_order() {
-        struct Joiner {
-            report_to: TaskId,
-        }
-        impl Task for Joiner {
-            fn resume(&mut self, ctx: &mut TaskCtx<'_>, _msg: Option<Message>) -> Status {
-                let inst = ctx.join_group("g");
-                let mut b = Buf::new();
-                b.pack_int(inst as i64);
-                ctx.send(self.report_to, 5, b);
-                Status::Exit
-            }
-        }
-        struct Root {
-            got: Vec<i64>,
-        }
-        impl Task for Root {
-            fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-                if self.got.is_empty() && msg.is_none() {
-                    assert_eq!(ctx.join_group("g"), 0);
-                    let me = ctx.mytid();
-                    for _ in 0..3 {
-                        ctx.spawn(Box::new(Joiner { report_to: me }));
-                    }
-                }
-                if let Some(mut m) = msg {
-                    self.got.push(m.buf.unpack_int().unwrap());
-                }
-                if self.got.len() == 3 {
-                    let mut sorted = self.got.clone();
-                    sorted.sort_unstable();
-                    assert_eq!(sorted, vec![1, 2, 3]);
-                    assert_eq!(ctx.group_size("g"), 4);
-                    assert_eq!(ctx.group_tid("g", 0), Some(ctx.mytid()));
-                    Status::Exit
-                } else {
-                    Status::Recv(Recv::tag(5))
-                }
-            }
-        }
-        let mut vm = PvmSim::new(PvmSimConfig::new(2));
-        vm.root(Box::new(Root { got: Vec::new() }));
-        vm.run().unwrap();
-    }
+    use crate::tests::Pinger;
 
     #[test]
     fn pvmd_route_costs_more_than_direct() {
@@ -878,43 +510,12 @@ mod tests {
             let mut cfg = PvmSimConfig::new(2);
             cfg.costs.direct_route = direct;
             let mut vm = PvmSim::new(cfg);
-            vm.root(Box::new(Pinger { n: 20, sent: 0, echo: None, got: Vec::new() }));
-            vm.run().unwrap().sim_seconds
+            vm.root(Box::new(Pinger::new(20)));
+            vm.run().unwrap().seconds
         }
         let routed = run(false);
         let direct = run(true);
         assert!(routed > direct, "routed={routed} direct={direct}");
-    }
-
-    /// As [`Pinger`], but pins the echo task to host 1 so every exchange
-    /// crosses the (faultable) wire.
-    struct RemotePinger {
-        n: u32,
-        sent: u32,
-        echo: Option<TaskId>,
-        got: Vec<i64>,
-    }
-    impl Task for RemotePinger {
-        fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-            if self.echo.is_none() {
-                self.echo = Some(ctx.spawn_on(1, Box::new(Echo { remaining: self.n })));
-            }
-            if let Some(mut m) = msg {
-                self.got.push(m.buf.unpack_int().unwrap());
-            }
-            if self.sent < self.n {
-                let mut b = Buf::new();
-                b.pack_int(self.sent as i64);
-                ctx.send(self.echo.unwrap(), 7, b);
-                self.sent += 1;
-                return Status::Recv(Recv::tag(99));
-            }
-            if (self.got.len() as u32) < self.n {
-                return Status::Recv(Recv::tag(99));
-            }
-            assert_eq!(self.got, (0..self.n as i64).map(|v| v * 2).collect::<Vec<_>>());
-            Status::Exit
-        }
     }
 
     #[test]
@@ -924,7 +525,7 @@ mod tests {
             cfg.faults = FaultPlan { drop_p, ..FaultPlan::none() };
             let mut vm = PvmSim::new(cfg);
             // Pinger asserts every reply arrives intact and in order.
-            vm.root(Box::new(RemotePinger { n: 20, sent: 0, echo: None, got: Vec::new() }));
+            vm.root(Box::new(Pinger::remote(20)));
             vm.run().unwrap()
         };
         let clean = run(0.0);
@@ -932,10 +533,10 @@ mod tests {
         assert_eq!(clean.stats.counter("injected_losses"), 0);
         assert!(lossy.stats.counter("injected_losses") > 0);
         assert!(
-            lossy.sim_seconds > clean.sim_seconds,
+            lossy.seconds > clean.seconds,
             "loss must stretch the run: {} vs {}",
-            lossy.sim_seconds,
-            clean.sim_seconds
+            lossy.seconds,
+            clean.seconds
         );
     }
 
@@ -946,11 +547,11 @@ mod tests {
             cfg.faults = FaultPlan::lossy(0.25);
             cfg.seed = 42;
             let mut vm = PvmSim::new(cfg);
-            vm.root(Box::new(RemotePinger { n: 30, sent: 0, echo: None, got: Vec::new() }));
+            vm.root(Box::new(Pinger::remote(30)));
             vm.run().unwrap()
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.sim_seconds.to_bits(), b.sim_seconds.to_bits());
+        assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
         assert_eq!(a.events, b.events);
         assert_eq!(a.stats.counter("injected_losses"), b.stats.counter("injected_losses"));
     }
@@ -961,7 +562,7 @@ mod tests {
         cfg.costs.direct_route = true;
         cfg.faults = FaultPlan::lossy(0.3);
         let mut vm = PvmSim::new(cfg);
-        vm.root(Box::new(RemotePinger { n: 20, sent: 0, echo: None, got: Vec::new() }));
+        vm.root(Box::new(Pinger::remote(20)));
         let report = vm.run().unwrap();
         assert!(report.stats.counter("injected_losses") > 0);
     }
@@ -972,129 +573,5 @@ mod tests {
         let mut cfg = PvmSimConfig::new(2);
         cfg.faults.crashes.push(msgr_sim::CrashEvent::transient(0, 0, msgr_sim::MILLI));
         let _ = PvmSim::new(cfg);
-    }
-
-    #[test]
-    fn mcast_reaches_everyone() {
-        struct Leaf {
-            report_to: TaskId,
-        }
-        impl Task for Leaf {
-            fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-                match msg {
-                    None => Status::Recv(Recv::tag(3)),
-                    Some(mut m) => {
-                        let v = m.buf.unpack_int().unwrap();
-                        let mut b = Buf::new();
-                        b.pack_int(v + 1);
-                        ctx.send(self.report_to, 4, b);
-                        Status::Exit
-                    }
-                }
-            }
-        }
-        struct Root {
-            leaves: Vec<TaskId>,
-            acks: u32,
-        }
-        impl Task for Root {
-            fn resume(&mut self, ctx: &mut TaskCtx<'_>, msg: Option<Message>) -> Status {
-                if self.leaves.is_empty() {
-                    let me = ctx.mytid();
-                    self.leaves =
-                        (0..4).map(|_| ctx.spawn(Box::new(Leaf { report_to: me }))).collect();
-                    let mut b = Buf::new();
-                    b.pack_int(10);
-                    ctx.mcast(&self.leaves.clone(), 3, b);
-                    return Status::Recv(Recv::tag(4));
-                }
-                let mut m = msg.unwrap();
-                assert_eq!(m.buf.unpack_int().unwrap(), 11);
-                self.acks += 1;
-                if self.acks == 4 {
-                    Status::Exit
-                } else {
-                    Status::Recv(Recv::tag(4))
-                }
-            }
-        }
-        let mut vm = PvmSim::new(PvmSimConfig::new(4));
-        vm.root(Box::new(Root { leaves: Vec::new(), acks: 0 }));
-        let report = vm.run().unwrap();
-        // 4 mcast legs + 4 acks.
-        assert_eq!(report.stats.counter("messages"), 8);
-    }
-}
-// (Barrier tests live in the test module below via include; appended here
-// to keep the barrier machinery and its checks together.)
-#[cfg(test)]
-mod barrier_tests {
-    use super::*;
-
-    /// Phased workers: everyone must finish phase 1 before any enters
-    /// phase 2; phases validated through a shared order log.
-    struct Phased {
-        log: std::sync::Arc<std::sync::Mutex<Vec<(u32, u8)>>>,
-        me: u32,
-        phase: u8,
-        n: usize,
-    }
-    impl Task for Phased {
-        fn resume(&mut self, _ctx: &mut TaskCtx<'_>, _msg: Option<Message>) -> Status {
-            if self.phase < 2 {
-                self.phase += 1;
-                self.log.lock().unwrap().push((self.me, self.phase));
-                return Status::Barrier { name: "phase".to_string(), count: self.n };
-            }
-            Status::Exit
-        }
-    }
-
-    struct Root {
-        log: std::sync::Arc<std::sync::Mutex<Vec<(u32, u8)>>>,
-        n: usize,
-    }
-    impl Task for Root {
-        fn resume(&mut self, ctx: &mut TaskCtx<'_>, _msg: Option<Message>) -> Status {
-            // Spawn the n barrier participants; the root itself does not
-            // take part.
-            for k in 0..self.n {
-                ctx.spawn(Box::new(Phased {
-                    log: self.log.clone(),
-                    me: k as u32,
-                    phase: 0,
-                    n: self.n,
-                }));
-            }
-            Status::Exit
-        }
-    }
-
-    #[test]
-    fn barrier_orders_phases_globally() {
-        let n = 5;
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut vm = PvmSim::new(PvmSimConfig::new(3));
-        vm.root(Box::new(Root { log: log.clone(), n }));
-        let report = vm.run().unwrap();
-        assert_eq!(report.stats.counter("barriers_released"), 2);
-        let log = log.lock().unwrap();
-        // Every phase-1 entry precedes every phase-2 entry.
-        let last_p1 = log.iter().rposition(|&(_, p)| p == 1).unwrap();
-        let first_p2 = log.iter().position(|&(_, p)| p == 2).unwrap();
-        assert!(last_p1 < first_p2, "{log:?}");
-    }
-
-    #[test]
-    fn unfilled_barrier_is_a_deadlock() {
-        struct Lonely;
-        impl Task for Lonely {
-            fn resume(&mut self, _ctx: &mut TaskCtx<'_>, _msg: Option<Message>) -> Status {
-                Status::Barrier { name: "never".to_string(), count: 2 }
-            }
-        }
-        let mut vm = PvmSim::new(PvmSimConfig::new(1));
-        vm.root(Box::new(Lonely));
-        assert!(matches!(vm.run(), Err(PvmError::Deadlock { .. })));
     }
 }

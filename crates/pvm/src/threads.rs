@@ -1,405 +1,284 @@
-//! The threaded PVM backend: each task is an OS thread; channels carry
-//! messages; `recv` blocks with selective matching. Used by examples and
-//! by tests that cross-check the simulated backend's semantics.
+//! The threaded PVM backend: the same [`Task`] state machines as
+//! [`crate::sim`], one OS thread per task, on the host clock.
+//!
+//! A task's thread loops: `resume`, apply the commands the resume
+//! issued (a send lands in a mailbox, a spawn starts a thread), then
+//! block on the returned [`Status`] until a matching message arrives or
+//! the barrier fills. No lock is held across `resume`, so tasks compute
+//! in parallel.
+//!
+//! Nothing is ever in flight: a send lands in the receiver's mailbox
+//! under the one state lock. So once every live task is blocked, none
+//! can be woken, and the run ends with [`PvmError::Deadlock`] as it
+//! does on the simulator.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex};
+use msgr_sim::{Clock, Stats};
+use msgr_trace::Metric;
 
-use crate::{Buf, Message, Recv, Tag, TaskId};
+use crate::task::{Cmd, Roster, Wait};
+use crate::{Buf, Message, PvmError, PvmReport, Recv, Status, Tag, Task, TaskCtx, TaskId};
 
-struct Inner {
-    mailboxes: Mutex<HashMap<TaskId, Sender<Message>>>,
-    groups: Mutex<HashMap<String, Vec<TaskId>>>,
-    groups_cv: Condvar,
-    barriers: Mutex<HashMap<String, (u64, usize)>>, // name -> (generation, waiting)
-    barriers_cv: Condvar,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_tid: Mutex<u32>,
-}
-
-/// A running threaded PVM virtual machine.
+/// The threaded PVM virtual machine.
 ///
 /// # Example
 ///
 /// ```
-/// use msgr_pvm::{PvmThreads, Buf, Recv};
+/// use msgr_pvm::{Message, PvmThreads, Status, Task, TaskCtx};
 ///
-/// let report = PvmThreads::run(|ctx| {
-///     let me = ctx.mytid();
-///     let child = ctx.spawn(move |ctx| {
-///         let mut m = ctx.recv(Recv::any());
-///         let v = m.buf.unpack_int().unwrap();
-///         let mut reply = Buf::new();
-///         reply.pack_int(v + 1);
-///         ctx.send(m.from, 0, reply);
-///     });
-///     let mut b = Buf::new();
-///     b.pack_int(41);
-///     ctx.send(child, 0, b);
-///     let mut m = ctx.recv(Recv::from(child));
-///     assert_eq!(m.buf.unpack_int().unwrap(), 42);
-/// });
-/// assert_eq!(report.tasks, 2);
+/// /// Spawns a child that exits at once.
+/// struct Root;
+/// struct Child;
+/// impl Task for Root {
+///     fn resume(&mut self, ctx: &mut TaskCtx<'_>, _: Option<Message>) -> Status {
+///         ctx.spawn(Box::new(Child));
+///         Status::Exit
+///     }
+/// }
+/// impl Task for Child {
+///     fn resume(&mut self, _: &mut TaskCtx<'_>, _: Option<Message>) -> Status {
+///         Status::Exit
+///     }
+/// }
+/// let report = PvmThreads::run(2, Box::new(Root)).unwrap();
+/// assert_eq!(report.stats.counter("spawns"), 1);
 /// ```
+#[derive(Debug)]
 pub struct PvmThreads;
 
-/// Summary of a threaded run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreadsReport {
-    /// Total tasks that ran (including the root).
-    pub tasks: u32,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
+const POISONED: &str = "the PVM state lock was poisoned";
+
+/// What every task thread shares.
+struct Vm {
+    hosts: usize,
+    roster: Roster,
+    state: Mutex<State>,
 }
 
-/// Per-task handle used inside task bodies.
-pub struct ThreadTaskCtx {
-    me: TaskId,
-    inner: Arc<Inner>,
-    inbox: Receiver<Message>,
-    stash: Vec<Message>,
+#[derive(Default)]
+struct State {
+    slots: HashMap<TaskId, Slot>,
+    /// Barrier name → (participants, arrivals so far).
+    barriers: HashMap<String, (usize, Vec<TaskId>)>,
+    /// Set once every task that has not exited is blocked; each then
+    /// returns.
+    deadlock: bool,
+    threads: Vec<JoinHandle<()>>,
+    stats: Stats,
 }
 
-impl std::fmt::Debug for ThreadTaskCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ThreadTaskCtx({})", self.me)
+struct Slot {
+    wait: Wait,
+    mailbox: VecDeque<Message>,
+    wake: Arc<Condvar>,
+}
+
+impl Slot {
+    /// Wake the blocked task.
+    fn release(&mut self) {
+        self.wait = Wait::Running;
+        self.wake.notify_one();
     }
 }
 
 impl PvmThreads {
-    /// Start a virtual machine with `root` as task 0; returns when every
-    /// task (root and all spawns, transitively) has finished.
-    pub fn run(root: impl FnOnce(&mut ThreadTaskCtx) + Send + 'static) -> ThreadsReport {
-        let start = std::time::Instant::now();
-        let inner = Arc::new(Inner {
-            mailboxes: Mutex::new(HashMap::new()),
-            groups: Mutex::new(HashMap::new()),
-            groups_cv: Condvar::new(),
-            barriers: Mutex::new(HashMap::new()),
-            barriers_cv: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
-            next_tid: Mutex::new(0),
-        });
-        let root_tid = spawn_internal(&inner, Box::new(root));
-        debug_assert_eq!(root_tid, TaskId(0));
-        // Join until no new threads appear.
-        let mut joined = 0u32;
-        loop {
-            let handle = {
-                let mut hs = inner.handles.lock().unwrap();
-                if hs.is_empty() {
-                    None
-                } else {
-                    Some(hs.remove(0))
-                }
-            };
-            match handle {
-                Some(h) => {
-                    h.join().expect("task panicked");
-                    joined += 1;
-                }
-                None => break,
-            }
-        }
-        ThreadsReport { tasks: joined, wall_seconds: start.elapsed().as_secs_f64() }
-    }
-}
-
-type TaskFn = Box<dyn FnOnce(&mut ThreadTaskCtx) + Send + 'static>;
-
-fn spawn_internal(inner: &Arc<Inner>, f: TaskFn) -> TaskId {
-    let tid = {
-        let mut n = inner.next_tid.lock().unwrap();
-        let t = TaskId(*n);
-        *n += 1;
-        t
-    };
-    let (tx, rx) = channel();
-    inner.mailboxes.lock().unwrap().insert(tid, tx);
-    let inner2 = inner.clone();
-    let handle = std::thread::spawn(move || {
-        let mut ctx = ThreadTaskCtx { me: tid, inner: inner2, inbox: rx, stash: Vec::new() };
-        f(&mut ctx);
-        ctx.inner.mailboxes.lock().unwrap().remove(&tid);
-    });
-    inner.handles.lock().unwrap().push(handle);
-    tid
-}
-
-impl ThreadTaskCtx {
-    /// This task's id.
-    pub fn mytid(&self) -> TaskId {
-        self.me
-    }
-
-    /// Spawn a new task.
-    pub fn spawn(&mut self, f: impl FnOnce(&mut ThreadTaskCtx) + Send + 'static) -> TaskId {
-        spawn_internal(&self.inner, Box::new(f))
-    }
-
-    /// Send a buffer to another task. Messages to exited tasks are
-    /// silently dropped (PVM returns an error code; the paper's programs
-    /// never send to dead tasks).
-    pub fn send(&self, to: TaskId, tag: Tag, mut buf: Buf) {
-        buf.rewind();
-        let msg = Message { from: self.me, tag, buf };
-        if let Some(tx) = self.inner.mailboxes.lock().unwrap().get(&to) {
-            let _ = tx.send(msg);
-        }
-    }
-
-    /// Multicast to several tasks.
-    pub fn mcast(&self, to: &[TaskId], tag: Tag, buf: Buf) {
-        for t in to {
-            self.send(*t, tag, buf.clone());
-        }
-    }
-
-    /// Blocking selective receive.
-    pub fn recv(&mut self, sel: Recv) -> Message {
-        if let Some(pos) = self.stash.iter().position(|m| sel.matches(m)) {
-            return self.stash.remove(pos);
-        }
-        loop {
-            let msg = self.inbox.recv().expect("mailbox closed while receiving");
-            if sel.matches(&msg) {
-                return msg;
-            }
-            self.stash.push(msg);
-        }
-    }
-
-    /// Non-blocking receive (`pvm_nrecv`).
-    pub fn try_recv(&mut self, sel: Recv) -> Option<Message> {
-        if let Some(pos) = self.stash.iter().position(|m| sel.matches(m)) {
-            return Some(self.stash.remove(pos));
-        }
-        while let Ok(msg) = self.inbox.try_recv() {
-            if sel.matches(&msg) {
-                return Some(msg);
-            }
-            self.stash.push(msg);
-        }
-        None
-    }
-
-    /// Join a named group; returns this task's instance number.
-    pub fn join_group(&self, name: &str) -> usize {
-        let mut groups = self.inner.groups.lock().unwrap();
-        let members = groups.entry(name.to_string()).or_default();
-        if let Some(i) = members.iter().position(|t| *t == self.me) {
-            return i;
-        }
-        members.push(self.me);
-        let inst = members.len() - 1;
-        self.inner.groups_cv.notify_all();
-        inst
-    }
-
-    /// The task at `inst` in a group, blocking until it has joined.
+    /// Run `root` as task 0 on host 0 of a virtual machine of `hosts`
+    /// hosts, until every task exits. Hosts only name placements here:
+    /// every task gets a thread of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`PvmError::Deadlock`] if every live task blocks with nothing to
+    /// wake it.
     ///
     /// # Panics
     ///
-    /// Panics after 30 s if the member never joins (deadlock guard).
-    pub fn group_tid_blocking(&self, name: &str, inst: usize) -> TaskId {
-        let mut groups = self.inner.groups.lock().unwrap();
-        loop {
-            if let Some(t) = groups.get(name).and_then(|v| v.get(inst)) {
-                return *t;
+    /// Panics if `hosts == 0`, and re-raises the panic of a task that
+    /// panicked once every thread is joined.
+    pub fn run(hosts: usize, root: Box<dyn Task>) -> Result<PvmReport, PvmError> {
+        assert!(hosts > 0, "need at least one host");
+        let start = Instant::now();
+        let vm = Arc::new(Vm { hosts, roster: Roster::default(), state: Mutex::default() });
+        let tid = vm.roster.next_tid();
+        vm.lock().start(&vm, tid, 0, root);
+        // Every thread is pushed before its parent ends, so an empty
+        // list means every thread has been joined.
+        let mut panicked = None;
+        while let Some(thread) = vm.next_thread() {
+            if let Err(payload) = thread.join() {
+                panicked = Some(payload);
             }
-            let (guard, wait) =
-                self.inner.groups_cv.wait_timeout(groups, Duration::from_secs(30)).unwrap();
-            groups = guard;
-            assert!(!wait.timed_out(), "group member {name}[{inst}] never joined");
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        let st = vm.lock();
+        if st.deadlock {
+            let mut waiting: Vec<TaskId> =
+                st.slots.iter().filter(|(_, s)| s.wait.blocked()).map(|(t, _)| *t).collect();
+            waiting.sort_unstable();
+            return Err(PvmError::Deadlock { waiting });
+        }
+        let seconds = start.elapsed().as_secs_f64();
+        Ok(PvmReport { seconds, clock: Clock::Wall, events: 0, stats: st.stats.clone() })
+    }
+}
+
+impl Vm {
+    /// The state lock. It is held only for bookkeeping, never across a
+    /// task's code, so a poisoned lock is a bug here.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
+    fn next_thread(&self) -> Option<JoinHandle<()>> {
+        self.lock().threads.pop()
+    }
+}
+
+impl State {
+    /// Apply one command a resume of `from` issued.
+    fn apply(&mut self, vm: &Arc<Vm>, from: TaskId, cmd: Cmd) {
+        match cmd {
+            Cmd::Send { to, tag, buf } => self.deliver(from, to, tag, buf),
+            Cmd::Mcast { to, tag, buf } => {
+                for t in to {
+                    self.deliver(from, t, tag, buf.clone());
+                }
+            }
+            Cmd::Spawn { tid, host, task } => {
+                self.stats.bump(Metric::Spawns);
+                self.start(vm, tid, host, task);
+            }
         }
     }
 
-    /// Current size of a group.
-    pub fn group_size(&self, name: &str) -> usize {
-        self.inner.groups.lock().unwrap().get(name).map_or(0, Vec::len)
+    /// Start `task`'s thread.
+    fn start(&mut self, vm: &Arc<Vm>, tid: TaskId, host: usize, task: Box<dyn Task>) {
+        let wake = Arc::new(Condvar::new());
+        let slot = Slot { wait: Wait::Running, mailbox: VecDeque::new(), wake: wake.clone() };
+        self.slots.insert(tid, slot);
+        let vm = vm.clone();
+        self.threads.push(std::thread::spawn(move || run_task(&vm, tid, host, task, &wake)));
     }
 
-    /// Block until `count` tasks have called `barrier` with the same
-    /// name (`pvm_barrier`). Reusable: each full round of `count`
-    /// arrivals releases exactly that round.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 30 s if the barrier never fills (deadlock guard).
-    pub fn barrier(&self, name: &str, count: usize) {
-        assert!(count > 0, "barrier needs at least one participant");
-        let mut barriers = self.inner.barriers.lock().unwrap();
-        let entry = barriers.entry(name.to_string()).or_insert((0, 0));
-        let my_generation = entry.0;
-        entry.1 += 1;
-        if entry.1 >= count {
-            entry.0 += 1;
-            entry.1 = 0;
-            self.inner.barriers_cv.notify_all();
+    /// Put a message in `to`'s mailbox, and wake `to` if it waits for
+    /// it. Messages to exited tasks are kept and never read (PVM returns
+    /// an error code; the paper's programs never send to dead tasks).
+    fn deliver(&mut self, from: TaskId, to: TaskId, tag: Tag, mut buf: Buf) {
+        let Some(slot) = self.slots.get_mut(&to) else {
+            self.stats.bump(Metric::DeadLetters);
             return;
+        };
+        self.stats.bump(Metric::Messages);
+        buf.rewind();
+        let msg = Message { from, tag, buf };
+        if matches!(slot.wait, Wait::Recv(sel) if sel.matches(&msg)) {
+            slot.release();
         }
-        loop {
-            let (guard, wait) =
-                self.inner.barriers_cv.wait_timeout(barriers, Duration::from_secs(30)).unwrap();
-            barriers = guard;
-            let released =
-                barriers.get(name).is_none_or(|(generation, _)| *generation > my_generation);
-            if released {
+        slot.mailbox.push_back(msg);
+    }
+
+    /// Take `tid`'s first message that `sel` matches.
+    fn take(&mut self, tid: TaskId, sel: Recv) -> Option<Message> {
+        let mailbox = &mut self.slots.get_mut(&tid).expect("a running task has a slot").mailbox;
+        let pos = mailbox.iter().position(|m| sel.matches(m))?;
+        mailbox.remove(pos)
+    }
+
+    /// `tid` arrived at barrier `name`; whether that filled it. The
+    /// last arrival wakes the others.
+    fn arrive(&mut self, tid: TaskId, name: &str, count: usize) -> bool {
+        let entry = self.barriers.entry(name.to_string()).or_insert_with(|| (count, Vec::new()));
+        entry.1.push(tid);
+        if entry.1.len() < entry.0 {
+            return false;
+        }
+        let (_, waiters) = self.barriers.remove(name).expect("just arrived");
+        self.stats.bump(Metric::BarriersReleased);
+        for waiter in waiters.into_iter().filter(|t| *t != tid) {
+            self.slots.get_mut(&waiter).expect("an arrival has a slot").release();
+        }
+        true
+    }
+
+    /// Put `tid` in `wait`, and declare a deadlock if no task is left
+    /// running but some are blocked: nothing can wake them.
+    fn set(&mut self, tid: TaskId, wait: Wait) {
+        self.slots.get_mut(&tid).expect("a started task has a slot").wait = wait;
+        let running = self.slots.values().any(|s| s.wait == Wait::Running);
+        if !running && self.slots.values().any(|s| s.wait.blocked()) {
+            self.deadlock = true;
+            for slot in self.slots.values() {
+                slot.wake.notify_one();
+            }
+        }
+    }
+}
+
+/// A task's thread: resume, apply, block, until the task exits or the
+/// virtual machine deadlocks.
+fn run_task(vm: &Arc<Vm>, tid: TaskId, host: usize, mut task: Box<dyn Task>, wake: &Condvar) {
+    let _exit = ExitGuard { vm, tid };
+    let mut msg = None;
+    loop {
+        let mut ctx = TaskCtx::new(tid, host, vm.hosts, &vm.roster);
+        let status = task.resume(&mut ctx, msg.take());
+        let (_, cmds) = ctx.finish();
+        let mut st = vm.lock();
+        st.stats.bump(Metric::Segments);
+        for cmd in cmds {
+            st.apply(vm, tid, cmd);
+        }
+        match &status {
+            Status::Exit => return,
+            Status::Recv(sel) => {
+                if let Some(m) = st.take(tid, *sel) {
+                    msg = Some(m);
+                    continue;
+                }
+            }
+            Status::Barrier { name, count } => {
+                if st.arrive(tid, name, *count) {
+                    continue;
+                }
+            }
+        }
+        let wait = Wait::after(&status);
+        st.set(tid, wait);
+        while st.slots[&tid].wait != Wait::Running {
+            if st.deadlock {
                 return;
             }
-            assert!(!wait.timed_out(), "barrier `{name}` never filled");
+            st = wake.wait(st).expect(POISONED);
+        }
+        if let Wait::Recv(sel) = wait {
+            msg = Some(st.take(tid, sel).expect("woken by a matching message"));
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Lives as long as a task's thread: its drop books the exit, by return
+/// or by unwinding, so a panicking task cannot leave the others waiting
+/// on it for ever. A task that returns because of a deadlock stays
+/// booked as waiting.
+struct ExitGuard<'a> {
+    vm: &'a Vm,
+    tid: TaskId,
+}
 
-    #[test]
-    fn ping_pong() {
-        let report = PvmThreads::run(|ctx| {
-            let child = ctx.spawn(|ctx| {
-                for _ in 0..10 {
-                    let mut m = ctx.recv(Recv::tag(1));
-                    let v = m.buf.unpack_int().unwrap();
-                    let mut b = Buf::new();
-                    b.pack_int(v * 3);
-                    ctx.send(m.from, 2, b);
-                }
-            });
-            for i in 0..10 {
-                let mut b = Buf::new();
-                b.pack_int(i);
-                ctx.send(child, 1, b);
-                let mut m = ctx.recv(Recv::from_tag(child, 2));
-                assert_eq!(m.buf.unpack_int().unwrap(), i * 3);
-            }
-        });
-        assert_eq!(report.tasks, 2);
-    }
-
-    #[test]
-    fn selective_recv_stashes_nonmatching() {
-        PvmThreads::run(|ctx| {
-            let me = ctx.mytid();
-            let a = ctx.spawn(move |ctx| {
-                let mut b = Buf::new();
-                b.pack_int(1);
-                ctx.send(me, 1, b);
-            });
-            let b_tid = ctx.spawn(move |ctx| {
-                let mut b = Buf::new();
-                b.pack_int(2);
-                ctx.send(me, 2, b);
-            });
-            // Receive b's message first regardless of arrival order.
-            let mut m2 = ctx.recv(Recv::from(b_tid));
-            assert_eq!(m2.buf.unpack_int().unwrap(), 2);
-            let mut m1 = ctx.recv(Recv::from(a));
-            assert_eq!(m1.buf.unpack_int().unwrap(), 1);
-        });
-    }
-
-    #[test]
-    fn manager_worker_pattern() {
-        // A miniature Fig. 2: manager hands out 25 tasks to 4 workers.
-        let report = PvmThreads::run(|ctx| {
-            let me = ctx.mytid();
-            let workers: Vec<TaskId> = (0..4)
-                .map(|_| {
-                    ctx.spawn(move |ctx| loop {
-                        let mut m = ctx.recv(Recv::any());
-                        let v = m.buf.unpack_int().unwrap();
-                        if v < 0 {
-                            return; // poison pill
-                        }
-                        let mut b = Buf::new();
-                        b.pack_int(v * v);
-                        ctx.send(me, 1, b);
-                    })
-                })
-                .collect();
-            let mut next = 0i64;
-            let total = 25i64;
-            for w in &workers {
-                let mut b = Buf::new();
-                b.pack_int(next);
-                ctx.send(*w, 0, b);
-                next += 1;
-            }
-            let mut sum = 0i64;
-            let mut received = 0i64;
-            while received < total {
-                let mut m = ctx.recv(Recv::tag(1));
-                sum += m.buf.unpack_int().unwrap();
-                received += 1;
-                if next < total {
-                    let mut b = Buf::new();
-                    b.pack_int(next);
-                    ctx.send(m.from, 0, b);
-                    next += 1;
-                }
-            }
-            for w in &workers {
-                let mut b = Buf::new();
-                b.pack_int(-1);
-                ctx.send(*w, 0, b);
-            }
-            assert_eq!(sum, (0..25).map(|v| v * v).sum::<i64>());
-        });
-        assert_eq!(report.tasks, 5);
-    }
-
-    #[test]
-    fn barrier_synchronizes_rounds() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc as StdArc;
-        let peak_before = StdArc::new(AtomicU32::new(0));
-        let pb = peak_before.clone();
-        PvmThreads::run(move |ctx| {
-            let counter = StdArc::new(AtomicU32::new(0));
-            for _ in 0..4 {
-                let counter = counter.clone();
-                let pb = pb.clone();
-                ctx.spawn(move |ctx| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    ctx.barrier("round", 5);
-                    // After the barrier, all five increments must be visible.
-                    pb.fetch_max(counter.load(Ordering::SeqCst), Ordering::SeqCst);
-                });
-            }
-            counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier("round", 5);
-            pb.fetch_max(counter.load(Ordering::SeqCst), Ordering::SeqCst);
-        });
-        assert_eq!(peak_before.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn groups_and_blocking_lookup() {
-        PvmThreads::run(|ctx| {
-            ctx.join_group("mm");
-            let me = ctx.mytid();
-            for _ in 0..3 {
-                ctx.spawn(move |ctx| {
-                    ctx.join_group("mm");
-                    // Everyone can resolve instance 0 (the root).
-                    let leader = ctx.group_tid_blocking("mm", 0);
-                    let mut b = Buf::new();
-                    b.pack_int(7);
-                    ctx.send(leader, 9, b);
-                    let _ = me;
-                });
-            }
-            for _ in 0..3 {
-                let _ = ctx.recv(Recv::tag(9));
-            }
-            assert_eq!(ctx.group_size("mm"), 4);
-        });
+impl Drop for ExitGuard<'_> {
+    fn drop(&mut self) {
+        // A drop must not panic: it may run while the thread unwinds.
+        let mut st = self.vm.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.deadlock {
+            return;
+        }
+        st.stats.bump(Metric::Exited);
+        st.set(self.tid, Wait::Exited);
     }
 }

@@ -66,6 +66,27 @@ pub fn from_secs(s: f64) -> SimTime {
     }
 }
 
+/// The clock a run's reported seconds were read on. The two never mix:
+/// a claim about a run names its clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// This simulator's clock: the calibrated 1997 cost model,
+    /// deterministic, the one the paper's figures plot. It says nothing
+    /// about how fast the host ran the simulation.
+    Simulated,
+    /// The host's wall clock: real elapsed time, noisy.
+    Wall,
+}
+
+impl std::fmt::Display for Clock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Clock::Simulated => "simulated",
+            Clock::Wall => "wall",
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use messengers::core::topology::LogicalTopology;
-use messengers::core::{ClusterConfig, DaemonId, SimCluster, ThreadCluster};
-use messengers::vm::{Dir, Value};
+use messengers::core::{Cluster, ClusterConfig, DaemonId, Platform, SimCluster, ThreadCluster};
+use messengers::vm::{Dir, Program, Value};
 
 const SCRIPT: &str = r#"
 // Walk a ring of logical nodes, incrementing a counter at each stop and
@@ -39,38 +39,39 @@ fn build_ring(n: usize, daemons: usize) -> LogicalTopology {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = messengers::lang::compile(SCRIPT)?;
-    println!("compiled `walker` to {} bytecode ops\n", program.instruction_count());
+    println!("compiled `walker` to {} bytecode ops", program.instruction_count());
 
-    // --- Simulation platform: deterministic, with a 1997 cost model ----
-    let mut sim = SimCluster::new(ClusterConfig::new(4));
-    sim.build(&build_ring(8, 4))?;
-    let pid = sim.register_program(&program);
-    sim.inject_at(&Value::str("r0"), pid, &[Value::Int(3), Value::Int(8)])?;
-    let report = sim.run()?;
+    // The simulation platform: deterministic, with a 1997 cost model.
+    walk(SimCluster::new(ClusterConfig::new(4)), &program)?;
+    // The threaded platform: real concurrent execution, one thread per
+    // daemon.
+    walk(ThreadCluster::new(ClusterConfig::new(4))?, &program)?;
+    Ok(())
+}
+
+/// Walk a walker three laps round an 8-node ring on `cluster`, then
+/// print the run and every node's visits: the same code on either
+/// platform.
+fn walk<P: Platform>(
+    mut cluster: Cluster<P>,
+    program: &Program,
+) -> Result<(), Box<dyn std::error::Error>> {
+    cluster.build(&build_ring(8, 4))?;
+    let pid = cluster.register_program(program);
+    cluster.inject_at(&Value::str("r0"), pid, &[Value::Int(3), Value::Int(8)])?;
+    let report = cluster.run()?;
     println!(
-        "simulated: {:.3} ms of 1997 cluster time, {} migrations",
-        report.sim_seconds * 1e3,
+        "\n{:.3} ms of {} time on 4 daemons, {} migrations",
+        report.seconds * 1e3,
+        report.clock,
         report.stats.counter("migrations_out"),
     );
+    let mut total = 0;
     for i in 0..8 {
-        let v = sim.node_var_by_name(&Value::str(format!("r{i}")), "visits");
-        println!("  r{i}: visits = {}", v.unwrap_or(Value::Null));
+        let v = cluster.node_var_by_name(&Value::str(format!("r{i}")), "visits");
+        println!("  r{i}: visits = {}", v.clone().unwrap_or(Value::Null));
+        total += v.and_then(|v| v.as_int().ok()).unwrap_or(0);
     }
-
-    // --- Threaded platform: real concurrent execution ------------------
-    let mut live = ThreadCluster::new(ClusterConfig::new(4))?;
-    live.build(&build_ring(8, 4))?;
-    let pid = live.register_program(&program);
-    live.inject_at(&Value::str("r0"), pid, &[Value::Int(3), Value::Int(8)])?;
-    let report = live.run()?;
-    println!("\nthreaded: {:.1} ms wall clock on 4 daemon threads", report.wall_seconds * 1e3);
-    let total: i64 = (0..8)
-        .map(|i| {
-            live.node_var_by_name(&Value::str(format!("r{i}")), "visits")
-                .and_then(|v| v.as_int().ok())
-                .unwrap_or(0)
-        })
-        .sum();
     println!("total visits across the ring: {total} (24 hops + 1000 end marker)");
     assert_eq!(total, 3 * 8 + 1000);
     Ok(())

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "elected leader: {winner} (expected 9) after {} migrations in {:.2} simulated ms",
         report.stats.counter("migrations_out"),
-        report.sim_seconds * 1e3
+        report.seconds * 1e3
     );
     assert_eq!(winner, Value::Int(9));
     Ok(())

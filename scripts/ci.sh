@@ -159,6 +159,27 @@ if [ -n "$ops_copies" ]; then
     echo "error: crates/vm/src defines an operator outside binop.rs" >&2
     exit 1
 fi
+# Each program written once for both platforms (DESIGN.md §9): the PVM
+# threads backend drives the same Task machines as the simulator (no
+# closure API), `msgr run` is one generic function, Fig. 3's natives are
+# registered and its script compiled once, and Fig. 2's protocol, with
+# its one kill loop, lives in its two Task impls.
+nontest() { awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next } { print }' "$1"; }
+if grep -rn 'ThreadTaskCtx' crates src examples tests \
+    || grep -rnF 'FnOnce(&mut' crates/pvm/src \
+    || grep -rnF 'macro_rules! drive' crates src examples tests; then
+    echo "error: a second copy of a program's driver is back: run the one Task or Cluster<P> path" >&2
+    exit 1
+fi
+msgr_app="$(nontest crates/apps/src/mandel_msgr.rs)"
+pvm_app="$(nontest crates/apps/src/mandel_pvm.rs)"
+if [ "$(grep -oF 'register_native(' <<<"$msgr_app" | wc -l)" -gt 3 ] \
+    || [ "$(grep -oF 'compile(MANAGER_WORKER_SCRIPT)' <<<"$msgr_app" | wc -l)" -ne 1 ] \
+    || [ "$(grep -cF 'impl Task for' <<<"$pvm_app")" -ne 2 ] \
+    || [ "$(grep -oF 'pack_int(POISON)' <<<"$pvm_app" | wc -l)" -ne 1 ]; then
+    echo "error: a Mandelbrot program is written twice: one body per system, generic in its platform" >&2
+    exit 1
+fi
 
 echo "== cargo doc -D warnings =="
 # Intra-doc links are the map between modules; a refactor that moves a

@@ -61,9 +61,11 @@
 use std::process::ExitCode;
 
 use messengers::core::topology::LogicalTopology;
-use messengers::core::{ClusterConfig, ExecMode, SimCluster, ThreadCluster, Trace, TraceConfig};
+use messengers::core::{
+    Cluster, ClusterConfig, ExecMode, Platform, SimCluster, ThreadCluster, Trace, TraceConfig,
+};
 use messengers::sim::{CrashEvent, FaultPlan, MILLI};
-use messengers::vm::Value;
+use messengers::vm::{Program, Value};
 
 /// A finding: the user's script or run is at fault (exit 1).
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -405,17 +407,12 @@ fn print_recovery(stats: &messengers::sim::Stats, trace: Option<&Trace>) {
 fn run(source: &str, opts: &[String]) -> ExitCode {
     let mut daemons = 4usize;
     let mut threads = false;
-    let mut topology: Option<LogicalTopology> = None;
     let mut entry: Option<String> = None;
-    let mut injections: Vec<Injection> = Vec::new();
-    let mut shows: Vec<(String, String)> = Vec::new();
-    let mut dump = false;
+    let mut job = Job::default();
     let mut faults = FaultPlan::none();
     let mut seed: Option<u64> = None;
-    let mut trace_out: Option<String> = None;
     let mut exec: Option<ExecMode> = None;
     let mut replication: Option<usize> = None;
-    let mut profile = false;
 
     let mut it = opts.iter();
     while let Some(opt) = it.next() {
@@ -433,12 +430,12 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
                     daemons = n;
                 }
                 "--threads" => threads = true,
-                "--dump" => dump = true,
+                "--dump" => job.dump = true,
                 "--topology" => {
                     let file = take("a file")?;
                     let text = std::fs::read_to_string(&file)
                         .map_err(|e| format!("cannot read `{file}`: {e}"))?;
-                    topology = Some(LogicalTopology::parse(&text)?);
+                    job.topology = Some(LogicalTopology::parse(&text)?);
                 }
                 "--entry" => entry = Some(take("a function name")?),
                 "--inject" => {
@@ -450,20 +447,20 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
                         ),
                         None => (spec, Vec::new()),
                     };
-                    injections.push(Injection { where_, args });
+                    job.injections.push(Injection { where_, args });
                 }
                 "--show" => {
                     let spec = take("NODE.VAR")?;
                     let (node, var) =
                         spec.split_once('.').ok_or_else(|| "--show wants NODE.VAR".to_string())?;
-                    shows.push((node.to_string(), var.to_string()));
+                    job.shows.push((node.to_string(), var.to_string()));
                 }
                 "--faults" => faults = parse_faults(&take("a fault spec")?)?,
                 "--seed" => {
                     seed = Some(take("a seed")?.parse().map_err(|_| "bad seed".to_string())?);
                 }
-                "--trace" => trace_out = Some(take("a file")?),
-                "--profile" => profile = true,
+                "--trace" => job.trace_out = Some(take("a file")?),
+                "--profile" => job.profile = true,
                 "--exec" => {
                     let mode = take("`interp` or `compiled`")?;
                     exec = Some(
@@ -495,8 +492,8 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
             "daemon 0 hosts the GVT coordinator and cannot be permanently killed",
         );
     }
-    if injections.is_empty() {
-        injections.push(Injection { where_: "0".to_string(), args: Vec::new() });
+    if job.injections.is_empty() {
+        job.injections.push(Injection { where_: "0".to_string(), args: Vec::new() });
     }
 
     let program = match entry {
@@ -511,72 +508,7 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
     // Kill-bearing runs (simulator only) get tracing for free: the
     // recovery timeline printed after the run comes out of the flight
     // recorders.
-    let has_kill = faults.has_kills();
-
-    // Both cluster types are the one front `Cluster<P>`, but its platform
-    // bound is sealed and the reports name their clocks differently, so a
-    // macro, not a generic function, drives both. `$after` runs on the
-    // finished cluster `$c`, last before the exit status.
-    macro_rules! drive {
-        ($cluster:expr, $run_field:ident, $unit:expr, |$c:ident| $after:block) => {{
-            let mut cluster = $cluster;
-            if let Some(t) = &topology {
-                if let Err(e) = cluster.build(t) {
-                    return fail(e);
-                }
-            }
-            let pid = cluster.register_program(&program);
-            for inj in &injections {
-                let outcome = match inj.where_.parse::<u16>() {
-                    Ok(d) => cluster.inject(d, pid, &inj.args),
-                    Err(_) => cluster.inject_at(&Value::str(&inj.where_), pid, &inj.args),
-                };
-                if let Err(e) = outcome {
-                    return fail(format!("inject at `{}`: {e}", inj.where_));
-                }
-            }
-            match cluster.run() {
-                Ok(report) => {
-                    println!("{:.6} {} | counters:", report.$run_field, $unit);
-                    for (k, v) in report.stats.counters() {
-                        println!("  {k}: {v}");
-                    }
-                    for (id, err) in &report.faults {
-                        eprintln!("fault: messenger {id}: {err}");
-                    }
-                    for (node, var) in &shows {
-                        let name = Value::str(node);
-                        let v = cluster
-                            .node_var_by_name(&name, var)
-                            .or_else(|| cluster.node_var(0, &name, var));
-                        println!("{node}.{var} = {}", v.unwrap_or(Value::Null));
-                    }
-                    if has_kill {
-                        print_recovery(&report.stats, report.trace.as_ref());
-                    }
-                    if profile {
-                        if let Some(t) = &report.trace {
-                            print!("{}", messengers::prof::Profile::from_trace(t).report());
-                        }
-                    }
-                    if let (Some(path), Some(t)) = (&trace_out, &report.trace) {
-                        if let Err(e) = std::fs::write(path, t.to_jsonl()) {
-                            return fail_internal(format!("cannot write `{path}`: {e}"));
-                        }
-                        println!("trace: {} event(s) -> {path}", t.events.len());
-                    }
-                    let $c = &cluster;
-                    $after
-                    if report.faults.is_empty() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => fail(e),
-            }
-        }};
-    }
+    job.recovery = faults.has_kills();
 
     let mut cfg = ClusterConfig::new(daemons);
     cfg.faults = faults;
@@ -589,31 +521,101 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
     if let Some(k) = replication {
         cfg.replication = k;
     }
-    if trace_out.is_some() || has_kill {
+    if job.trace_out.is_some() || job.recovery {
         cfg.trace = TraceConfig::on();
     }
     // The platform constructor forces tracing on when profiling: the
     // phase ledgers travel in the trace stream.
-    cfg.profile = profile;
-    if threads {
-        if dump {
-            return fail_internal("--dump is only available on the simulation platform");
-        }
-        if cfg.reliable() {
-            return fail_internal("--faults is only available on the simulation platform");
-        }
-        if replication.is_some() {
-            return fail_internal("--replication is only available on the simulation platform");
-        }
-        match ThreadCluster::new(cfg) {
-            Ok(c) => drive!(c, wall_seconds, "wall seconds", |_c| {}),
-            Err(e) => fail(e),
-        }
-    } else {
-        drive!(SimCluster::new(cfg), sim_seconds, "simulated seconds", |c| {
-            if dump {
-                print!("{}", c.network_dump());
+    cfg.profile = job.profile;
+    if !threads {
+        return job.drive(SimCluster::new(cfg), &program);
+    }
+    if job.dump {
+        return fail_internal("--dump is only available on the simulation platform");
+    }
+    if cfg.reliable() {
+        return fail_internal("--faults is only available on the simulation platform");
+    }
+    if replication.is_some() {
+        return fail_internal("--replication is only available on the simulation platform");
+    }
+    match ThreadCluster::new(cfg) {
+        Ok(cluster) => job.drive(cluster, &program),
+        Err(e) => fail(e),
+    }
+}
+
+/// What `msgr run` does with a configured cluster, on either platform.
+#[derive(Default)]
+struct Job {
+    topology: Option<LogicalTopology>,
+    injections: Vec<Injection>,
+    shows: Vec<(String, String)>,
+    /// Print the logical network after the run.
+    dump: bool,
+    /// Print the recovery counters and timeline after the run.
+    recovery: bool,
+    profile: bool,
+    trace_out: Option<String>,
+}
+
+impl Job {
+    /// Build, inject `program`, run and print; the exit status says
+    /// whether any messenger faulted.
+    fn drive<P: Platform>(&self, mut cluster: Cluster<P>, program: &Program) -> ExitCode {
+        if let Some(t) = &self.topology {
+            if let Err(e) = cluster.build(t) {
+                return fail(e);
             }
-        })
+        }
+        let pid = cluster.register_program(program);
+        for inj in &self.injections {
+            let outcome = match inj.where_.parse::<u16>() {
+                Ok(d) => cluster.inject(d, pid, &inj.args),
+                Err(_) => cluster.inject_at(&Value::str(&inj.where_), pid, &inj.args),
+            };
+            if let Err(e) = outcome {
+                return fail(format!("inject at `{}`: {e}", inj.where_));
+            }
+        }
+        let report = match cluster.run() {
+            Ok(report) => report,
+            Err(e) => return fail(e),
+        };
+        println!("{:.6} {} seconds | counters:", report.seconds, report.clock);
+        for (k, v) in report.stats.counters() {
+            println!("  {k}: {v}");
+        }
+        for (id, err) in &report.faults {
+            eprintln!("fault: messenger {id}: {err}");
+        }
+        for (node, var) in &self.shows {
+            let name = Value::str(node);
+            let v =
+                cluster.node_var_by_name(&name, var).or_else(|| cluster.node_var(0, &name, var));
+            println!("{node}.{var} = {}", v.unwrap_or(Value::Null));
+        }
+        if self.recovery {
+            print_recovery(&report.stats, report.trace.as_ref());
+        }
+        if self.profile {
+            if let Some(t) = &report.trace {
+                print!("{}", messengers::prof::Profile::from_trace(t).report());
+            }
+        }
+        if let (Some(path), Some(t)) = (&self.trace_out, &report.trace) {
+            if let Err(e) = std::fs::write(path, t.to_jsonl()) {
+                return fail_internal(format!("cannot write `{path}`: {e}"));
+            }
+            println!("trace: {} event(s) -> {path}", t.events.len());
+        }
+        if self.dump {
+            print!("{}", cluster.network_dump());
+        }
+        if report.faults.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
     }
 }

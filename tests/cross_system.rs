@@ -25,6 +25,9 @@ fn mandel_all_four_implementations_agree() {
 
     let msgr_threads = mandel_msgr::run_threads(work.scene, 4).unwrap();
     assert_eq!(msgr_threads.checksum, seq, "messengers/threads");
+
+    let pvm_threads = mandel_pvm::run_threads(work.scene, 4).unwrap();
+    assert_eq!(pvm_threads.checksum, seq, "pvm/threads");
 }
 
 #[test]
@@ -106,7 +109,7 @@ fn network_model_changes_time_but_not_results() {
         cluster.build(&topo).unwrap();
         let pid = cluster.register_program(&walk);
         cluster.inject_at(&Value::str("r0"), pid, &[Value::Int(40)]).unwrap();
-        times.push(cluster.run().unwrap().sim_seconds);
+        times.push(cluster.run().unwrap().seconds);
     }
     assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
 }

@@ -321,7 +321,7 @@ fn hot_loop_state_is_engine_and_analysis_independent() {
                 other => panic!("{n}.field = {other:?}"),
             })
             .collect();
-        (rep.sim_seconds.to_bits(), fields, rep.stats)
+        (rep.seconds.to_bits(), fields, rep.stats)
     };
     let (i_clock, i_fields, _) = run(ExecMode::Interp, true);
     let (p_clock, p_fields, plain) = run(ExecMode::Compiled, false);

@@ -77,7 +77,7 @@ fn run_sim(profile: bool) -> (Trace, f64, Vec<Option<Value>>) {
     assert!(rep.faults.is_empty(), "faults: {:?}", rep.faults);
     let visits =
         (0..8).map(|i| cluster.node_var_by_name(&Value::str(format!("p{i}")), "visits")).collect();
-    (rep.trace.expect("tracing on"), rep.sim_seconds, visits)
+    (rep.trace.expect("tracing on"), rep.seconds, visits)
 }
 
 #[test]
