@@ -174,7 +174,7 @@ pub struct Daemon {
     opt_queue: BTreeMap<(Vt, u64), Runnable>,
     part: Participant,
     coord: Option<Coordinator>,
-    tw: HashMap<NodeRef, TwNode<Option<NodeVars>, Runnable>>,
+    tw: HashMap<NodeRef, TwNode<NodeVars, Runnable>>,
     anti_pending: HashSet<MessengerId>,
     xport: Option<Xport>,
     // ---- crash recovery (active only when `cfg.recovery_armed()`) ----
@@ -1493,20 +1493,13 @@ impl Daemon {
     fn apply_rollback(
         &mut self,
         gid: NodeRef,
-        rb: msgr_gvt::Rollback<Option<NodeVars>, Runnable>,
+        rb: msgr_gvt::Rollback<NodeVars, Runnable>,
         fx: &mut Vec<Effect>,
     ) {
         self.counters.bump(Metric::Rollbacks);
         self.counters.add(Metric::RolledBackEvents, rb.reexecute.len() as u64);
-        // The earliest materialized snapshot among the undone events is
-        // the pre-state of the rollback target: elided (`None`) entries
-        // belong to write-free programs, which cannot have changed the
-        // variables between it and the cut. All-`None` means none of the
-        // undone events wrote — the current state is already correct.
-        if let Some(vars) = rb.restores.into_iter().flatten().next() {
-            if let Some(n) = self.nodes.get_mut(&gid) {
-                n.vars = vars;
-            }
+        if let Some(n) = self.nodes.get_mut(&gid) {
+            n.vars = rb.restore;
         }
         for (key, input) in rb.reexecute {
             self.prof_enqueue(key.1);
@@ -1560,18 +1553,20 @@ impl Daemon {
                     self.prof_dequeue(run.state.id.0);
                     return Some(self.execute(run, dir, fx, true));
                 }
-                let (&key0, _) = self.opt_queue.iter().next()?;
-                let run = self.opt_queue.remove(&key0).expect("key just observed");
+                let (_, run) = self.opt_queue.pop_first()?;
                 self.prof_dequeue(run.state.id.0);
-                // Straggler?
+                // A straggler rolls its node back and waits its turn again.
                 let key = (run.state.vtime, run.state.id.0);
-                let straggler = self.tw.get(&run.at).is_some_and(|log| log.is_straggler(key));
-                if straggler {
-                    let rb = self.tw.get_mut(&run.at).unwrap().rollback(key).unwrap();
+                let rb = self
+                    .tw
+                    .get_mut(&run.at)
+                    .filter(|log| log.is_straggler(key))
+                    .and_then(|log| log.rollback(key));
+                if let Some(rb) = rb {
                     let undone = rb.reexecute.len() as u64;
                     self.apply_rollback(run.at, rb, fx);
                     self.prof_enqueue(run.state.id.0);
-                    self.opt_queue.insert((run.state.vtime, run.state.id.0), run);
+                    self.opt_queue.insert(key, run);
                     return Some(undone * self.cfg.costs.rollback_per_event_ns);
                 }
                 Some(self.execute(run, dir, fx, true))
@@ -1603,20 +1598,9 @@ impl Daemon {
             }
         };
 
-        // Time-Warp bookkeeping: snapshot before execution. A program
-        // the effect analysis proved write-free (no node-variable
-        // stores, no natives) cannot change `node.vars`, so its
-        // pre-state snapshot is provably redundant and elided.
+        // Time-Warp bookkeeping: snapshot before execution.
         let key = (run.state.vtime, mid.0);
-        let tw_entry = optimistic.then(|| {
-            let pre = if code.summary.as_ref().is_some_and(|t| t.node_write_free()) {
-                self.counters.bump(Metric::AnalysisSnapshotsElided);
-                None
-            } else {
-                Some(node.vars.clone())
-            };
-            (pre, run.clone())
-        });
+        let tw_entry = optimistic.then(|| (node.vars.clone(), run.clone()));
 
         let fuel = self.cfg.segment_fuel;
         let address = self.id.0;

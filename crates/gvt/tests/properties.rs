@@ -1,5 +1,7 @@
 //! Property-based tests on the virtual-time machinery.
 
+use std::collections::BTreeMap;
+
 use msgr_check::{check, prop_assert, prop_assert_eq, Source};
 
 use msgr_gvt::{Coordinator, CoordinatorAction, CtrlMsg, Participant, TwEntry, TwNode};
@@ -16,6 +18,7 @@ fn tw_log_matches_oracle() {
         let ops = s.vec_with(1..64, |s| (s.f64_in(0.0, 64.0), s.u64_in(1..1000)));
         let mut node: TwNode<u64, u64> = TwNode::new();
         let mut oracle: Vec<(Vt, u64)> = Vec::new(); // processed keys, sorted
+        let mut recorded: BTreeMap<(Vt, u64), u64> = BTreeMap::new(); // key -> pre_state
         let mut version: u64 = 0;
 
         for (t, id) in ops {
@@ -28,15 +31,14 @@ fn tw_log_matches_oracle() {
                 let rb = node.rollback(key).expect("straggler implies rollback");
                 let undone = oracle.iter().filter(|k| **k >= key).count();
                 prop_assert_eq!(rb.reexecute.len(), undone);
+                // The one snapshot that comes back is the pre-state of
+                // the earliest undone event.
+                let earliest = oracle.iter().find(|k| **k >= key).expect("undone nonempty");
+                prop_assert_eq!(rb.restore, recorded[earliest]);
                 oracle.retain(|k| *k < key);
-                // Snapshots come back earliest-first, one per undone
-                // event, and each is a version recorded at or before
-                // the current one (checked via monotone versions).
-                prop_assert_eq!(rb.restores.len(), undone);
-                prop_assert!(rb.restores.iter().all(|v| *v <= version));
-                prop_assert!(rb.restores.windows(2).all(|w| w[0] <= w[1]));
             }
             version += 1;
+            recorded.insert(key, version);
             node.record(TwEntry { key, pre_state: version, input: id, sent: vec![] });
             oracle.push(key);
             oracle.sort();
