@@ -174,14 +174,9 @@ pub struct ClusterConfig {
     /// Execution engine ([`ExecMode::Interp`] unless overridden via the
     /// `MSGR_EXEC` environment variable or `msgr run --exec`).
     pub exec: ExecMode,
-    /// Whether the code registry hands the interprocedural effect
-    /// summaries to the daemons, which then skip the Time-Warp
-    /// node-variable snapshot of programs that write none. The
-    /// summaries come out of the verification pass every registration
-    /// runs, so this decides only who gets them; the closure compiler
-    /// reads none either way. On by default; runs stay observationally
-    /// identical either way, so this knob only changes wall-clock
-    /// throughput and the `analysis_*` metrics.
+    /// Recorded in `benchmark/`'s run provenance; nothing in the system
+    /// reads it. On by default.
+    // Only reader: `benchmark/src/main.rs::provenance`.
     pub analysis: bool,
     /// Hand messenger state over by move on same-daemon hops instead of
     /// encode/decode through the platform loopback. Off by default: the

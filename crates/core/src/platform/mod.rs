@@ -150,7 +150,7 @@ impl<P: Platform> Cluster<P> {
         // metric; debug builds assert it at the emission site.
         msgr_sim::install_key_validator(Metric::validator);
         let cfg = Arc::new(cfg);
-        let codes = CodeCache::with_analysis(cfg.analysis);
+        let codes = CodeCache::new();
         let natives = Arc::new(RwLock::new(NativeRegistry::new()));
         let topo = Arc::new(topo);
         let daemons = (0..cfg.daemons)
@@ -172,7 +172,7 @@ impl<P: Platform> Cluster<P> {
     /// registry).
     pub fn register_program(&mut self, program: &Program) -> ProgramId {
         let (id, outcome) = self.front.codes.register_outcome(program);
-        for kind in outcome.trace_events(id) {
+        if let Some(kind) = outcome.trace_event(id) {
             self.front.daemons[0].recorder_mut().emit_sys(kind);
         }
         id

@@ -187,17 +187,6 @@ pub enum EventKind {
         /// Program content id.
         prog: u64,
     },
-    /// Interprocedural effect summaries were computed for a program at
-    /// registration (emitted alongside `CodeCompile` when the cluster
-    /// runs with analysis enabled).
-    CodeAnalysis {
-        /// Program content id (hex string on the wire, like `CodeCompile`).
-        prog: u64,
-        /// Functions proven hop-free by the whole-program analysis.
-        hop_free: u64,
-        /// Fused loops licensed for the typed register file.
-        typed_loops: u64,
-    },
     /// This daemon proposed a burial decree for `victim` to the quorum
     /// (consensus instance `(victim, seq)`).
     CtrlPropose {
@@ -318,7 +307,6 @@ impl EventKind {
             EventKind::NetDelay { .. } => "net_delay",
             EventKind::CodeCompile { .. } => "compile",
             EventKind::CodeCacheHit { .. } => "code_hit",
-            EventKind::CodeAnalysis { .. } => "code_analysis",
             EventKind::CtrlPropose { .. } => "ctrl_propose",
             EventKind::CtrlDecide { .. } => "ctrl_decide",
             EventKind::GossipMerge { .. } => "gossip_merge",
@@ -424,12 +412,6 @@ impl TraceEvent {
             }
             EventKind::CodeCacheHit { prog } => {
                 let _ = write!(out, ",\"prog\":\"{prog:016x}\"");
-            }
-            EventKind::CodeAnalysis { prog, hop_free, typed_loops } => {
-                let _ = write!(
-                    out,
-                    ",\"prog\":\"{prog:016x}\",\"hop_free\":{hop_free},\"typed_loops\":{typed_loops}"
-                );
             }
             EventKind::CtrlPropose { victim, seq } => {
                 let _ = write!(out, ",\"victim\":{victim},\"iseq\":{seq}");
@@ -547,11 +529,6 @@ impl TraceEvent {
                 superinsts: req_u64(j, "fused")?,
             },
             "code_hit" => EventKind::CodeCacheHit { prog: req_hex_u64(j, "prog")? },
-            "code_analysis" => EventKind::CodeAnalysis {
-                prog: req_hex_u64(j, "prog")?,
-                hop_free: req_u64(j, "hop_free")?,
-                typed_loops: req_u64(j, "typed_loops")?,
-            },
             "ctrl_propose" => {
                 EventKind::CtrlPropose { victim: req_u16(j, "victim")?, seq: req_u32(j, "iseq")? }
             }
@@ -670,7 +647,6 @@ mod tests {
             // Full-64-bit id: must survive the f64-backed JSON parser.
             EventKind::CodeCompile { prog: 0xE2D4_66F1_0A9B_3C47, funcs: 3, superinsts: 11 },
             EventKind::CodeCacheHit { prog: u64::MAX - 1 },
-            EventKind::CodeAnalysis { prog: 0xE2D4_66F1_0A9B_3C47, hop_free: 2, typed_loops: 1 },
             EventKind::CtrlPropose { victim: 3, seq: 1 },
             EventKind::CtrlDecide { victim: 3, successor: 4, seq: 1 },
             EventKind::GossipMerge { from: 6 },
@@ -708,6 +684,12 @@ mod tests {
     #[test]
     fn schema_rejects_unknown_kind_and_missing_fields() {
         let j = json::parse(r#"{"d":0,"s":1,"rt":0,"vt":0,"gvt":0,"ev":"warp"}"#).unwrap();
+        assert!(TraceEvent::from_json(&j).unwrap_err().contains("unknown event kind"));
+        // A retired kind is unknown too: nothing emits or reads it.
+        let j = json::parse(
+            r#"{"d":0,"s":1,"rt":0,"vt":0,"gvt":0,"ev":"code_analysis","prog":"00000000000000ff","hop_free":2,"typed_loops":1}"#,
+        )
+        .unwrap();
         assert!(TraceEvent::from_json(&j).unwrap_err().contains("unknown event kind"));
         let j = json::parse(r#"{"d":0,"s":1,"rt":0,"vt":0,"gvt":0,"ev":"hop","mid":1}"#).unwrap();
         assert!(TraceEvent::from_json(&j).unwrap_err().contains("\"to\""));

@@ -99,10 +99,10 @@ fn counters_fnv(stats: &Stats) -> u64 {
 fn mandel_default_config_matches_golden() {
     // What `ClusterConfig::new(4)` + seed 42 produces, bit for bit: image
     // checksum, f64 simulated time, and every counter. The counter FNV
-    // also covers the register-time `compile_*` / `analysis_*` counters,
-    // which are charged identically in both exec modes. If a scheduler
-    // change legitimately alters these, re-capture the goldens in the
-    // same PR and say so in its log.
+    // also covers the register-time `compile_*` and `analysis_typed_loops`
+    // counters, which are charged identically in both exec modes. If a
+    // scheduler change legitimately alters these, re-capture the goldens
+    // in the same PR and say so in its log.
     let calib = Calib::default();
     let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
     let mut cfg = ClusterConfig::new(4);
@@ -114,7 +114,7 @@ fn mandel_default_config_matches_golden() {
         0x3fb6a77a57dfe5d9,
         "simulated seconds drifted from baseline"
     );
-    assert_eq!(counters_fnv(&run.stats), 0x2c1cc21efcdaeae2, "counters drifted from baseline");
+    assert_eq!(counters_fnv(&run.stats), 0x74748c056344d0d6, "counters drifted from baseline");
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn killed_mandel_matches_golden() {
         0x3fe0a6531b30072f,
         "simulated seconds drifted from baseline"
     );
-    assert_eq!(counters_fnv(&run.stats), 0x66949e22d8c927bf, "counters drifted from baseline");
+    assert_eq!(counters_fnv(&run.stats), 0x08600bba8ec449af, "counters drifted from baseline");
 }
 
 #[test]
@@ -182,7 +182,7 @@ fn mandel_golden_holds_under_compiled_execution() {
         0x3fb6a77a57dfe5d9,
         "compiled simulated seconds diverged from interp"
     );
-    assert_eq!(counters_fnv(&run.stats), 0x2c1cc21efcdaeae2, "compiled counters diverged");
+    assert_eq!(counters_fnv(&run.stats), 0x74748c056344d0d6, "compiled counters diverged");
     assert!(run.stats.counter("compile_programs") > 0, "registry must have compiled the program");
 }
 
@@ -267,13 +267,13 @@ fn matmul_runs_are_bit_identical() {
 }
 
 #[test]
-fn hot_loop_state_is_engine_and_analysis_independent() {
+fn hot_loop_state_is_engine_independent() {
     // The apps above spend their time in natives; this ring walker
     // spends it in an MSGR-C float loop (z = z² − ¾, a bounded orbit) —
-    // the shape fused and typed loops rewrite. Interpreter, compiled,
-    // and compiled without the effect analysis must leave every node
-    // variable and the simulated clock bit-identical, and each fast path
-    // must have been taken where on.
+    // the shape fused and typed loops rewrite. Interpreter and compiled
+    // execution must leave every node variable and the simulated clock
+    // bit-identical, and the compiled run must have fused and typed the
+    // inner loop.
     use messengers::core::topology::LogicalTopology;
     use messengers::core::{DaemonId, SimCluster};
     use messengers::vm::{Dir, Value};
@@ -296,11 +296,10 @@ fn hot_loop_state_is_engine_and_analysis_independent() {
     }
     "#;
     let names: Vec<Value> = (0..8).map(|i| Value::str(format!("p{i}"))).collect();
-    let run = |exec: ExecMode, analysis: bool| {
+    let run = |exec: ExecMode| {
         let mut cfg = ClusterConfig::new(4);
         cfg.seed = 42;
         cfg.exec = exec;
-        cfg.analysis = analysis;
         let mut cluster = SimCluster::new(cfg);
         let mut topo = LogicalTopology::new();
         for (i, name) in names.iter().enumerate() {
@@ -323,13 +322,9 @@ fn hot_loop_state_is_engine_and_analysis_independent() {
             .collect();
         (rep.seconds.to_bits(), fields, rep.stats)
     };
-    let (i_clock, i_fields, _) = run(ExecMode::Interp, true);
-    let (p_clock, p_fields, plain) = run(ExecMode::Compiled, false);
-    let (g_clock, g_fields, guided) = run(ExecMode::Compiled, true);
-    assert_eq!((i_clock, &i_fields), (p_clock, &p_fields), "compiled execution moved the state");
-    assert_eq!((i_clock, &i_fields), (g_clock, &g_fields), "the effect analysis moved the state");
-    assert!(plain.counter("compile_superinsts") > 0, "no superinstructions formed");
-    assert_eq!(plain.counter("analysis_summaries"), 0, "analysis ran while switched off");
-    assert!(guided.counter("analysis_summaries") > 0, "analysis never ran");
-    assert!(guided.counter("analysis_typed_loops") > 0, "the pure inner loop was not typed");
+    let (i_clock, i_fields, _) = run(ExecMode::Interp);
+    let (c_clock, c_fields, compiled) = run(ExecMode::Compiled);
+    assert_eq!((i_clock, &i_fields), (c_clock, &c_fields), "compiled execution moved the state");
+    assert!(compiled.counter("compile_superinsts") > 0, "no superinstructions formed");
+    assert!(compiled.counter("analysis_typed_loops") > 0, "the pure inner loop was not typed");
 }

@@ -32,7 +32,7 @@ fn mandel_trace_is_pinned() {
     cfg.seed = 42;
     cfg.trace = TraceConfig::on();
     let run = mandel_msgr::run_sim(&work, 4, &Calib::default(), cfg).expect("run");
-    assert_eq!(pin(run.trace), (6950, 3059859518089986117));
+    assert_eq!(pin(run.trace), (6837, 4450957387287228599));
 }
 
 #[test]
@@ -43,7 +43,7 @@ fn matmul_trace_is_pinned() {
     cfg.seed = 7;
     cfg.trace = TraceConfig::on();
     let run = matmul_msgr::run_sim(scene, &a, &b, &Calib::default(), cfg).expect("run");
-    assert_eq!(pin(run.trace), (7578, 11769840912861934903));
+    assert_eq!(pin(run.trace), (7352, 5487012336322949856));
 }
 
 /// `msgr run SCRIPT --topology ring.topo --daemons 4 --inject r0:ARGS
@@ -75,7 +75,7 @@ fn chaos_ring_trace_is_pinned() {
             ..FaultPlan::none()
         };
     });
-    assert_eq!(got, (13816, 11583104823358026384));
+    assert_eq!(got, (13703, 266848360272237711));
 }
 
 #[test]
@@ -88,5 +88,5 @@ fn profiled_hotloop_trace_is_pinned() {
         cfg.profile = true;
         cfg.exec = ExecMode::Interp;
     });
-    assert_eq!(got, (10691, 8897254805522576753));
+    assert_eq!(got, (10578, 16284339542723870640));
 }
