@@ -15,9 +15,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use msgr_vm::Value;
-use msgr_vm::{FnSummary, Function, HopBehavior, LinkPat, NodePat, Op, Program, SumKind};
+use msgr_vm::{Function, LinkPat, NodePat, Op, Program, Value};
 
+use crate::summary::{FnSummary, HopBehavior, SumKind};
 use crate::Diag;
 
 /// Hard bound on the statically-proven operand-stack depth. Deeper

@@ -23,20 +23,20 @@
 //!    taint through locals and the operand stack, so recomputed values
 //!    do not trigger it.
 //!
-//! All three, and the interprocedural effect summaries the daemons
-//! consume, come from one pass: each function is abstractly
+//! All three, and the interprocedural effect summaries the lints read
+//! ([`summary`]), come from one pass: each function is abstractly
 //! interpreted once, callees first, against its callees' summaries,
 //! and its own summary is read off that fixpoint. [`analyze`] returns
 //! everything; [`verify`] returns only the hard errors; [`summarize`]
-//! only the summaries.
+//! only the summaries. Summaries stay in this crate: nothing reads them
+//! at run time.
 //!
 //! Diagnostics carry the function, pc, block label, and (when the
 //! compiler attached debug info) the source line.
 
 #![forbid(unsafe_code)]
 
-use msgr_vm::Value;
-use msgr_vm::{FnSummary, Function, LinkPat, NodePat, Op, Program, SummaryTable};
+use msgr_vm::{Function, LinkPat, NodePat, Op, Program, Value};
 
 mod absint;
 pub mod callgraph;
@@ -47,7 +47,7 @@ pub mod summary;
 pub use absint::MAX_STACK;
 pub use callgraph::CallGraph;
 pub use cfg::{block_labels, jump_target, successors};
-pub use summary::{summarize, summarize_with_graph};
+pub use summary::{summarize, summarize_with_graph, FnSummary, HopBehavior, SumKind, SummaryTable};
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,7 +225,7 @@ fn run(p: &Program) -> (Report, CallGraph) {
                 Ok(flow) => {
                     lint::navigation(p, i, f, &flow, &mut diags[i]);
                     if !cg.recursive[i] {
-                        summary::sharpen(p, i, &flow, &mut summaries);
+                        summary::sharpen(i, &flow, &mut summaries);
                     }
                     infos[i] = Some(FuncInfo {
                         max_stack: flow.max_stack,

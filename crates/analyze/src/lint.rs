@@ -1,10 +1,11 @@
 //! Navigation lints: warnings about messenger movement that is legal
 //! bytecode but almost certainly a logic error.
 
-use msgr_vm::{Function, Op, Program, SumKind};
+use msgr_vm::{Function, Op, Program};
 
 use crate::absint::Flow;
 use crate::callgraph::CallGraph;
+use crate::summary::SumKind;
 use crate::{cfg, Diag};
 
 /// Kinds that can never name a logical node or link, whatever the

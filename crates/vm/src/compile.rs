@@ -143,10 +143,7 @@ pub fn compile(p: &Program) -> Result<CompiledProgram, String> {
 
 // Only caller: `benchmark/src/probes.rs`. The compiler reads no summaries.
 #[doc(hidden)]
-pub fn compile_with_summaries(
-    p: &Program,
-    _summaries: Option<&crate::summary::SummaryTable>,
-) -> Result<CompiledProgram, String> {
+pub fn compile_with_summaries<S>(p: &Program, _: Option<&S>) -> Result<CompiledProgram, String> {
     compile(p)
 }
 

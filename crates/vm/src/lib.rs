@@ -50,7 +50,6 @@ mod error;
 pub mod interp;
 mod natives;
 mod state;
-pub mod summary;
 mod value;
 pub mod wire;
 
@@ -64,5 +63,4 @@ pub use error::VmError;
 pub use interp::{Env, EvalCreate, EvalCreateItem, EvalHop, EvalLink, MapEnv, NullEnv, Yield};
 pub use natives::{NativeCtx, NativeFn, NativeRegistry};
 pub use state::{Frame, MessengerId, MessengerState, Vt};
-pub use summary::{FnSummary, HopBehavior, SumKind, SummaryTable};
 pub use value::{LinkInstance, Matrix, Value};

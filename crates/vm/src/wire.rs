@@ -16,7 +16,6 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::bytes::{Bytes, BytesMut};
@@ -27,11 +26,10 @@ use crate::bytecode::{
 };
 use crate::error::VmError;
 use crate::state::{Frame, MessengerId, MessengerState, Vt};
-use crate::summary::{FnSummary, HopBehavior, SumKind, SummaryTable};
 use crate::value::{LinkInstance, Matrix, Value};
 
 /// Cap for tables a `u16` operand indexes: constants, functions, local
-/// slots, hop and create specs, summary sets.
+/// slots, hop and create specs.
 pub const MAX_TABLE: usize = u16::MAX as usize;
 
 /// Cap for every other sequence. [`Bytes::read_count`] also holds each
@@ -408,138 +406,11 @@ pub fn decode_program(mut buf: Bytes) -> Result<Program, VmError> {
     Ok(Program { consts, funcs, hop_specs, create_specs, entry })
 }
 
-// ---- effect summaries ---------------------------------------------------
-
-fn put_set<T: Copy + Into<u64>>(buf: &mut BytesMut, set: &BTreeSet<T>) {
-    buf.put_seq(set.iter(), |buf, &v| buf.put_varint(v.into()));
-}
-
-/// A set travels in ascending order; any other order is not something
-/// `put_set` writes.
-fn get_set<T: Ord>(
-    buf: &mut Bytes,
-    max: usize,
-    read: impl FnMut(&mut Bytes) -> Result<T, VmError>,
-) -> Result<BTreeSet<T>, VmError> {
-    let items = buf.read_seq(max, read)?;
-    if !items.windows(2).all(|w| w[0] < w[1]) {
-        return Err(VmError::Decode("summary set is not strictly ascending".to_string()));
-    }
-    Ok(items.into_iter().collect())
-}
-
-/// Serialize a program's effect summaries (shipped next to the program
-/// body by registries that cache analysis results; summaries never
-/// enter the program's content hash).
-pub fn encode_summaries(t: &SummaryTable) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_seq(t.funcs.iter(), |buf, s| {
-        buf.put_u8(match s.hop {
-            HopBehavior::HopFree => 0,
-            HopBehavior::AtMostOnce => 1,
-            HopBehavior::MayNavigate => 2,
-        });
-        let flags = u8::from(s.may_create)
-            | u8::from(s.may_sched) << 1
-            | u8::from(s.may_halt) << 2
-            | u8::from(s.may_native) << 3
-            | u8::from(s.recursive) << 4;
-        buf.put_u8(flags);
-        put_set(buf, &s.node_reads);
-        put_set(buf, &s.node_writes);
-        put_set(buf, &s.node_must_writes);
-        put_set(buf, &s.calls);
-        // Options as 0 = None, n+1 = Some(n).
-        buf.put_varint(s.ops_bound.map_or(0, |b| b.saturating_add(1)));
-        buf.put_u8(s.ret_kind as u8);
-    });
-    buf.freeze()
-}
-
-/// Decode effect summaries.
-///
-/// # Errors
-///
-/// [`VmError::Decode`] on malformed input.
-pub fn decode_summaries(mut buf: Bytes) -> Result<SummaryTable, VmError> {
-    use SumKind::*;
-    let funcs = buf.read_seq(MAX_TABLE, |buf| {
-        let hop = buf.read_tag(
-            "hop behavior",
-            &[HopBehavior::HopFree, HopBehavior::AtMostOnce, HopBehavior::MayNavigate],
-        )?;
-        let flags = buf.read_u8()?;
-        if flags >= 1 << 5 {
-            return Err(VmError::Decode(format!("bad summary flags {flags:#x}")));
-        }
-        Ok(FnSummary {
-            hop,
-            may_create: flags & 1 != 0,
-            may_sched: flags & 2 != 0,
-            may_halt: flags & 4 != 0,
-            may_native: flags & 8 != 0,
-            recursive: flags & 16 != 0,
-            node_reads: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
-            node_writes: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
-            node_must_writes: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
-            calls: get_set(buf, MAX_TABLE, Bytes::read_u16)?,
-            ops_bound: buf.read_varint()?.checked_sub(1),
-            ret_kind: buf.read_tag(
-                "summary kind",
-                &[Top, Null, Bool, Int, Float, Str, Mat, Blob, Arr, Link],
-            )?,
-        })
-    })?;
-    buf.finish("summaries")?;
-    Ok(SummaryTable { funcs })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytecode::Builder;
     use msgr_check::{check, codec_corruption, Source};
-
-    fn sample_summary() -> FnSummary {
-        let mut s = FnSummary {
-            hop: HopBehavior::AtMostOnce,
-            may_create: true,
-            may_halt: true,
-            recursive: true,
-            ops_bound: Some(17),
-            ret_kind: SumKind::Float,
-            ..Default::default()
-        };
-        s.node_reads.insert(3);
-        s.node_writes.extend([1, 9]);
-        s.node_must_writes.insert(9);
-        s.calls.insert(0);
-        s
-    }
-
-    #[test]
-    fn summaries_round_trip() {
-        let mut widest = sample_summary();
-        widest.ops_bound = Some(u64::MAX - 1);
-        let t = SummaryTable { funcs: vec![FnSummary::default(), sample_summary(), widest] };
-        let bytes = encode_summaries(&t);
-        assert_eq!(decode_summaries(bytes).unwrap(), t);
-    }
-
-    #[test]
-    fn summary_sets_must_arrive_sorted() {
-        let mut buf = BytesMut::new();
-        buf.put_varint(1); // one summary
-        buf.put_u8(0); // hop-free
-        buf.put_u8(0); // no flags
-        buf.put_seq([9u64, 1].into_iter(), |buf, v| buf.put_varint(v)); // node_reads, descending
-        for _ in 0..3 {
-            buf.put_varint(0); // the other three sets
-        }
-        buf.put_varint(0); // ops_bound
-        buf.put_u8(0); // ret_kind
-        assert!(decode_summaries(buf.freeze()).is_err());
-    }
 
     fn sample_values() -> Vec<Value> {
         vec![
@@ -619,9 +490,6 @@ mod tests {
         let mut long = BytesMut::from(&encode_program(&rich_program())[..]);
         long.put_u8(0);
         assert!(decode_program(long.freeze()).is_err());
-        let mut long = BytesMut::from(&encode_summaries(&SummaryTable::default())[..]);
-        long.put_u8(0);
-        assert!(decode_summaries(long.freeze()).is_err());
     }
 
     fn rich_program() -> Program {
@@ -751,14 +619,10 @@ mod tests {
         }
     }
 
-    fn arb_set<T: Ord>(s: &mut Source, mut item: impl FnMut(&mut Source) -> T) -> BTreeSet<T> {
-        s.vec_with(0..4, &mut item).into_iter().collect()
-    }
-
     #[test]
     fn corruption_never_passes_for_the_original() {
-        // The shared property (`msgr_check::codec_corruption`) over all
-        // three vm codecs: truncated, or damaged in any one byte, an
+        // The shared property (`msgr_check::codec_corruption`) over both
+        // vm codecs: truncated, or damaged in any one byte, an
         // encoding is rejected or decodes to exactly what it now says.
         check("vm_codec_corruption", |s| {
             let mut m = sample_messenger();
@@ -774,19 +638,6 @@ mod tests {
             p.funcs[0].lines = s.vec_with(0..3, |s| s.any_u32());
             codec_corruption(s, &encode_program(&p), |b| {
                 decode_program(b.into()).ok().map(|p| encode_program(&p).to_vec())
-            })?;
-
-            let funcs = s.vec_with(0..3, |s| FnSummary {
-                hop: *s.pick(&[HopBehavior::HopFree, HopBehavior::MayNavigate]),
-                may_sched: s.any_bool(),
-                may_native: s.any_bool(),
-                node_reads: arb_set(s, |s| s.any_u16()),
-                calls: arb_set(s, |s| s.any_u16()),
-                ops_bound: s.any_bool().then(|| s.u64_in(0..1 << 40)),
-                ..sample_summary()
-            });
-            codec_corruption(s, &encode_summaries(&SummaryTable { funcs }), |b| {
-                decode_summaries(b.into()).ok().map(|t| encode_summaries(&t).to_vec())
             })
         });
     }

@@ -545,9 +545,8 @@ fn engines_agree_on_counted_loops() {
 #[test]
 fn summaries_are_stable_across_wire_roundtrip() {
     // Summaries are derived facts about bytecode: a no-op codec
-    // roundtrip of the program must reproduce the identical table, and
-    // the summary codec itself must be an identity. 256 randomized
-    // programs.
+    // roundtrip of the program must reproduce the identical table. 256
+    // randomized programs.
     check_with(Config::with_cases(256), "summary_stability", |s| {
         let p = compile_arb(s)?;
         if msgr_analyze::verify(&p).is_err() {
@@ -563,13 +562,6 @@ fn summaries_are_stable_across_wire_roundtrip() {
         if t1 != t2 {
             return Err(format!(
                 "summaries unstable across program roundtrip\n  before: {t1:?}\n  after:  {t2:?}"
-            ));
-        }
-        let t3 = msgr_vm::wire::decode_summaries(msgr_vm::wire::encode_summaries(&t1))
-            .map_err(|e| format!("summary roundtrip failed: {e}"))?;
-        if t1 != t3 {
-            return Err(format!(
-                "summary codec is not an identity\n  before: {t1:?}\n  after:  {t3:?}"
             ));
         }
         Ok(())

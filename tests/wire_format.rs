@@ -1,6 +1,6 @@
 //! The byte formats daemons exchange and store, pinned: messenger state,
-//! programs with their line tables, effect summaries, every frame kind,
-//! and a checkpoint snapshot. A codec refactor must leave every row here
+//! programs with their line tables, every frame kind, and a checkpoint
+//! snapshot. A codec refactor must leave every row here
 //! untouched; a deliberate format change re-pins the rows it moves and
 //! says so in its log.
 
@@ -17,7 +17,7 @@ use msgr_ctrl::{ballot, Decree, Digest, InstanceId, PaxosMsg};
 use msgr_gvt::CtrlMsg;
 use msgr_sim::{CrashEvent, FaultPlan, MILLI};
 use msgr_vm::interp::{self, DEFAULT_FUEL};
-use msgr_vm::wire::{encode_messenger, encode_program, encode_summaries};
+use msgr_vm::wire::{encode_messenger, encode_program};
 use msgr_vm::{
     Bytes, LinkInstance, MapEnv, MessengerId, MessengerState, NativeRegistry, Program, Value, Vt,
     Yield,
@@ -40,11 +40,10 @@ walker(passes) {
 
 /// Name, length and FNV-1a of every encoding below, captured at the
 /// commit before the codecs moved onto the shared checked reader.
-const PINNED: [(&str, usize, u64); 18] = [
+const PINNED: [(&str, usize, u64); 17] = [
     ("messenger.small", 28, 0xece63ea5d9a8dd56),
     ("messenger.4k", 4127, 0x458cd15ba354582c),
     ("program.mandel", 143, 0x428d2be2c718f7eb),
-    ("summaries.mandel", 9, 0x2b4e59266909023e),
     ("frame.migrate", 48, 0x0257e5e1ade0029a),
     ("frame.create", 70, 0xad8ebf0fb310e652),
     ("frame.unlink", 6, 0x9096fa485be4a3c0),
@@ -227,7 +226,6 @@ fn wire_format_is_pinned() {
         ("messenger.small", encode_messenger(&walker)),
         ("messenger.4k", encode_messenger(&carrier)),
         ("program.mandel", encode_program(&mandel)),
-        ("summaries.mandel", encode_summaries(&msgr_analyze::summarize(&mandel))),
     ];
     rows.extend(frames(&walker).into_iter().map(|(name, w)| (name, encode_frame(&w))));
     rows.push(("checkpoint", snapshot(&hop_program, &walker)));
