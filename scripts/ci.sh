@@ -138,12 +138,22 @@ if grep -n 'stats\.counter("' "$daemon" \
     exit 1
 fi
 # One lean compiler (DESIGN.md §10): per-pc closures plus fused loops, licensed
-# from the bytecode alone. Spans and call fusion stay deleted, summaries carry
-# no compiler license, and compile.rs names SummaryTable only in the hidden
-# compile_with_summaries forwarder.
-if grep -rnE 'exact_ops|pure_loops|build_span|build_inline|SpanStep|InlineStep' crates/*/src \
-    || [ "$(grep -c 'SummaryTable' crates/vm/src/compile.rs)" -gt 1 ]; then
-    echo "error: the compiler grew a span, a call fusion or a summary license back" >&2
+# from the bytecode alone. Spans and call fusion stay deleted.
+if grep -rnE 'exact_ops|pure_loops|build_span|build_inline|SpanStep|InlineStep' crates/*/src; then
+    echo "error: the compiler grew a span or a call fusion back" >&2
+    exit 1
+fi
+# Summaries stay in the analyzer (DESIGN.md §11): an analysis result leaves
+# msgr-analyze only if something at run time reads it, and nothing does, so
+# neither the VM nor the daemons name a summary type.
+if grep -rnE 'SummaryTable|FnSummary|SumKind|HopBehavior' crates/vm/src crates/core/src; then
+    echo "error: a summary type is back in the VM or the runtime: keep it in msgr-analyze" >&2
+    exit 1
+fi
+# Retired metrics stay retired (DESIGN.md §8): registered for benchmark/ but
+# emitted nowhere.
+if grep -rnE 'Metric::(LaneSteals|BatchFrames|BatchFlushes|AnalysisSnapshotsElided)' crates/*/src; then
+    echo "error: a retired metric is emitted again" >&2
     exit 1
 fi
 # One definition of the operators (DESIGN.md §10): the interpreter, the
