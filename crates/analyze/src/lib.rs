@@ -166,15 +166,15 @@ impl Report {
 
 /// Verify a program: [`analyze`], keeping only the hard errors.
 ///
-/// Passing verification is the precondition the closure compiler
+/// Passing verification is the precondition the loop compiler
 /// (`msgr_vm::compile`) assumes: a verified program has an in-range
 /// entry function, structurally sane call targets, and jump offsets
 /// that stay inside their function — which is what lets the compiler
 /// precompute jump targets and fuse `while` loops. The contract
 /// is directional, not iff: `verify(p).is_ok()` ⇒ `compile(p).is_ok()`
 /// (asserted by `verified_programs_always_compile` in this crate's
-/// property tests), while unverifiable programs may still compile into
-/// closures that fault at run time exactly like the interpreter.
+/// property tests), while unverifiable programs may still compile, and
+/// then fault at run time exactly like the interpreter.
 ///
 /// # Errors
 ///

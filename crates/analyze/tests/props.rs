@@ -274,7 +274,7 @@ fn compiled_programs_verify() {
 #[test]
 fn verified_programs_always_compile() {
     // The directional contract documented on `msgr_analyze::verify`:
-    // passing verification is the precondition the closure compiler
+    // passing verification is the precondition the loop compiler
     // assumes, so anything the verifier admits must compile. The
     // registry relies on this — a verified-but-uncompilable program
     // would be quarantined with a confusing "compile failed" reason.

@@ -43,8 +43,8 @@ impl Entry {
     }
 }
 
-/// A verified program in every form a daemon uses. The closure-compiled
-/// form exists by construction, so "verified but not compiled" cannot be
+/// A verified program in every form a daemon uses. The compiled loop
+/// table exists by construction, so "verified but not compiled" cannot be
 /// represented.
 pub(crate) struct Loaded {
     pub(crate) program: Arc<Program>,
@@ -55,7 +55,7 @@ pub(crate) struct Loaded {
 /// turn this into `compile` / `code_hit` trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterOutcome {
-    /// Verified and compiled into closures (first sighting of the body).
+    /// Verified and its loops compiled (first sighting of the body).
     Compiled {
         /// Functions compiled.
         funcs: u64,
@@ -99,8 +99,8 @@ impl CodeCache {
     /// Register a program; returns its content id.
     ///
     /// The program is verified first, then — verification is exactly the
-    /// precondition the closure compiler assumes — compiled into
-    /// closures, once per content hash no matter how many messengers
+    /// precondition the loop compiler assumes — compiled into its
+    /// fused-loop table, once per content hash no matter how many messengers
     /// carry the body or which [`crate::config::ExecMode`] the cluster
     /// runs (compiling unconditionally keeps `compile_*` metrics and
     /// trace events mode-invariant). An unverifiable or uncompilable

@@ -20,22 +20,25 @@ pub enum VtMode {
     Optimistic,
 }
 
-/// Which execution engine daemons use to run messenger segments.
+/// Whether daemons run messenger segments with fused loops.
 ///
-/// Both engines are observationally identical (the differential suite
+/// Both modes run the one interpreter dispatch loop; `Compiled` also
+/// enters a program's fused `while` loops at their backedges. They are
+/// observationally identical (the differential suite
 /// `crates/vm/tests/diff_props.rs` holds them to that), so this knob
 /// changes wall-clock throughput only — simulated results, goldens, and
 /// traces are bit-identical across modes. Programs are verified and
-/// compiled at registration regardless of mode; `Compiled` merely makes
-/// the daemons dispatch through the closure trees.
+/// their loops compiled at registration regardless of mode; `Compiled`
+/// merely makes the daemons use the loop table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The paper-era bytecode interpreter (`msgr_vm::interp`).
+    /// The paper-era bytecode interpreter (`msgr_vm::interp`), one op
+    /// per dispatch.
     #[default]
     Interp,
-    /// Direct-threaded per-op closures plus fused (often typed) `while`
-    /// loops (`msgr_vm::compile`). The compiler reads only the bytecode,
-    /// never the effect summaries.
+    /// The same interpreter, entering fused (often typed) `while` loops
+    /// at their backedges (`msgr_vm::compile`). The compiler reads only
+    /// the bytecode, never the effect summaries.
     Compiled,
 }
 
@@ -171,8 +174,9 @@ pub struct ClusterConfig {
     /// daemon records typed [`msgr_trace::TraceEvent`]s into a bounded
     /// ring that the platform merges into the run report.
     pub trace: msgr_trace::TraceConfig,
-    /// Execution engine ([`ExecMode::Interp`] unless overridden via the
-    /// `MSGR_EXEC` environment variable or `msgr run --exec`).
+    /// Whether daemons enter fused loops ([`ExecMode::Interp`], which
+    /// does not, unless overridden via the `MSGR_EXEC` environment
+    /// variable or `msgr run --exec`).
     pub exec: ExecMode,
     /// Recorded in `benchmark/`'s run provenance; nothing in the system
     /// reads it. On by default.

@@ -169,8 +169,8 @@ pub enum EventKind {
         /// Extra delay in nanoseconds.
         by: u64,
     },
-    /// A program passed verification and was compiled into closures in
-    /// the shared code registry (emitted once per program body).
+    /// A program passed verification and its loops were compiled in the
+    /// shared code registry (emitted once per program body).
     CodeCompile {
         /// Program content id (raw `ProgramId.0`). Serialized as a hex
         /// *string*: the hash uses all 64 bits, and JSON numbers above

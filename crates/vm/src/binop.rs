@@ -1,8 +1,8 @@
-//! Operator semantics shared by both execution engines.
+//! Operator semantics shared by the interpreter and the fused loops.
 //!
 //! This module is the one definition of what the binary operators mean.
-//! The interpreter, the compiler's per-pc closures and its fused loops,
-//! boxed and typed, all call it:
+//! The interpreter and the compiler's fused loops, boxed and typed, all
+//! call it:
 //!
 //! * `Arith::int`, `Arith::float` and `Cmp::holds` are the unboxed
 //!   operators: wrapping `i64` arithmetic, IEEE `f64` arithmetic, and the

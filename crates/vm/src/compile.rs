@@ -1,18 +1,13 @@
-//! The closure-compiled execution engine.
+//! The fused-loop compiler: the interpreter's loop table.
 //!
-//! [`compile`] translates verified [`Program`] bytecode into Rust
-//! closures, in two layers:
-//!
-//! * **Per-pc closures**: every pc gets a direct-threaded single-op
-//!   closure, so the dispatch loop has no per-op `match`.
-//! * **Fused loops**: a `while` loop whose condition and body are pure
-//!   local stack code — `while (i < passes) { zr2 = zr*zr - zi*zi + cr; … }`
-//!   — is lowered once to flat register code and runs whole iterations
-//!   per dispatch. A fused loop whose ops stay inside `{+, -, *, compare,
-//!   ==, !=, unary -, !}` over int, float and bool constants is also
-//!   *typed*: it runs on an unboxed register file with no per-iteration
-//!   checks whenever every slot it uses holds an int, float or bool on
-//!   entry.
+//! [`compile`] finds every `while` loop whose condition and body are pure
+//! local stack code — `while (i < passes) { zr2 = zr*zr - zi*zi + cr; … }`
+//! — and lowers it once to flat register code that runs whole iterations
+//! per dispatch. A fused loop whose ops stay inside `{+, -, *, compare,
+//! ==, !=, unary -, !}` over int, float and bool constants is also
+//! *typed*: it runs on an unboxed register file with no per-iteration
+//! checks whenever every slot it uses holds an int, float or bool on
+//! entry.
 //!
 //! The compiler reads nothing but the bytecode: every license it acts on
 //! is derived from the code it compiles, so no outside table (effect
@@ -20,104 +15,61 @@
 //!
 //! # Engine contract
 //!
-//! [`run`] is observationally identical to [`crate::interp::run`]: same
-//! yields, same final frames (pc, locals, operand stack), same node-var
-//! effects, same `ops` charge, same errors at the same positions — at
-//! *any* fuel. `tests/diff_props.rs` checks this differentially on
-//! generated programs. Two mechanisms make exactness cheap:
-//!
-//! * **Resume points**: because every pc keeps its single-op closure, a
-//!   messenger can enter a function at *any* pc — a hop arrival, a
-//!   parked messenger resuming after `M_sched_*`, or a restored
-//!   checkpoint all resume mid-block without special cases. Fused loops
-//!   are an overlay: entering at a loop head runs the loop, entering one
-//!   op later runs the singles.
-//! * **Deopt**: a fused loop that faults publishes the state of its
-//!   completed iterations, stops at the loop head, and the dispatcher
-//!   finishes the segment on the single-op closures, which reproduce the
-//!   interpreter's exact partial state (pc, half-built stack, ops) at the
-//!   fault. A loop runs only whole iterations that fit in the remaining
-//!   fuel, so fuel-exhaustion positions are bit-exact too.
+//! [`run`] is the interpreter's dispatch loop ([`crate::interp::run`])
+//! with one addition: after a backward `Jump` it enters the fused loop
+//! headed at the jump target, if there is one. It is observationally
+//! identical to the interpreter: same yields, same final frames (pc,
+//! locals, operand stack), same node-var effects, same `ops` charge, same
+//! errors at the same positions — at *any* fuel. `tests/diff_props.rs`
+//! checks this differentially on generated programs. A fused loop is
+//! exact because it is entered only at its head, runs only whole
+//! iterations that fit in the remaining fuel, and on a fault publishes
+//! the state of its completed iterations at the loop head and turns
+//! fusion off: the interpreter then replays the faulting iteration op by
+//! op and raises the fault at its own position. The first iteration of
+//! every loop entry runs unfused, since only its backedge enters the loop.
 //!
 //! # Precondition: verification
 //!
 //! The compiler assumes structurally sane code — in-range constant pool
 //! and local-slot indices, jump targets inside the function — which is
 //! exactly what `msgr-analyze::verify` establishes before a program is
-//! admitted to the code registry. Compiling unverified code is safe
-//! (out-of-range accesses become closures that fail like the
-//! interpreter fails) but pointless; the daemon registry therefore
-//! compiles right after verification and quarantines on failure.
-
-use std::sync::Arc;
+//! admitted to the code registry. Compiling unverified code is safe (a
+//! loop that reads an out-of-range slot or constant is not fused, and
+//! the interpreter raises the error) but pointless; the daemon registry
+//! therefore compiles right after verification and quarantines on
+//! failure.
 
 use crate::binop::{self, Arith, Cmp};
-use crate::bytecode::{FuncId, LinkPat, NodePat, Op, Program};
+use crate::bytecode::{Op, Program};
 use crate::error::VmError;
-use crate::interp::{const_name, Env, EvalCreateItem, EvalHop, EvalLink, Yield};
-use crate::state::{Frame, MessengerState, Vt};
+use crate::interp::{self, Env, Yield};
+use crate::state::{Frame, MessengerState};
 use crate::value::Value;
 
-/// Everything a step closure may touch while executing.
-struct StepCtx<'a, 'e> {
-    frame: &'a mut Frame,
-    env: &'a mut (dyn Env + 'e),
-    vtime: Vt,
-    ops: &'a mut u64,
-}
-
-/// What a step closure tells the dispatcher to do next.
-enum Ctrl {
-    /// Continue at `frame.pc` (the closure already set it).
-    Next,
-    /// Segment over: surface the yield.
-    Yield(Yield),
-    /// Push an activation frame for a user-function call.
-    Call { f: FuncId, args: Vec<Value> },
-    /// Pop the current frame, pushing `Value` to the caller.
-    Ret(Value),
-}
-
-type StepFn = Box<dyn Fn(&mut StepCtx<'_, '_>) -> Result<Ctrl, VmError> + Send + Sync>;
-
-struct CompiledFunc {
-    /// One closure per pc — the resume-capable baseline.
-    singles: Vec<StepFn>,
-    /// Fused counted loops, indexed by loop-head pc: whole `while` loops
-    /// run as flat register code.
-    loops: Vec<Option<LoopStep>>,
-}
-
-/// A program compiled to closures; build with [`compile`], execute with
-/// [`run`]. Shareable across daemon threads (`Arc`) — closures hold no
-/// mutable state.
+/// A program's fused loops, per function and indexed by loop-head pc;
+/// build with [`compile`], execute with [`run`]. Shareable across daemon
+/// threads (`Arc`): it holds no mutable state.
+#[derive(Debug)]
 pub struct CompiledProgram {
-    funcs: Vec<CompiledFunc>,
-    n_loops: u64,
-    n_steps: u64,
-    n_typed_loops: u64,
-}
-
-impl std::fmt::Debug for CompiledProgram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledProgram")
-            .field("funcs", &self.funcs.len())
-            .field("steps", &self.n_steps)
-            .field("loops", &self.n_loops)
-            .finish()
-    }
+    funcs: Vec<Vec<Option<LoopStep>>>,
 }
 
 impl CompiledProgram {
+    fn loops(&self) -> impl Iterator<Item = &LoopStep> {
+        self.funcs.iter().flatten().flatten()
+    }
+
     /// Number of superinstructions across all functions: the fused
     /// `while` loops.
     pub fn superinstructions(&self) -> u64 {
-        self.n_loops
+        self.loops().count() as u64
     }
 
-    /// Number of single-op closures (== total bytecode ops compiled).
+    /// Number of bytecode ops scanned for loops (== the program's total
+    /// instruction count).
     pub fn steps(&self) -> u64 {
-        self.n_steps
+        self.funcs.iter().map(|f| f.len() as u64).sum()
     }
 
     /// Number of compiled functions.
@@ -127,11 +79,11 @@ impl CompiledProgram {
 
     /// Number of fused loops licensed for the unboxed typed fast path.
     pub fn typed_loops(&self) -> u64 {
-        self.n_typed_loops
+        self.loops().filter(|lp| lp.typed).count() as u64
     }
 }
 
-/// Compile a (verified) program into closures.
+/// Build the loop table of a (verified) program.
 ///
 /// # Errors
 ///
@@ -160,27 +112,20 @@ pub fn compile_miscompiled(p: &Program) -> Result<CompiledProgram, String> {
 }
 
 fn compile_full(p: &Program, mutate: bool) -> Result<CompiledProgram, String> {
-    let mut funcs = Vec::with_capacity(p.funcs.len());
-    let (mut n_loops, mut n_steps, mut n_typed_loops) = (0u64, 0u64, 0u64);
-    for f in &p.funcs {
+    let funcs = p.funcs.iter().map(|f| {
         if f.code.len() >= u32::MAX as usize {
             return Err(format!("function `{}` too large to compile", f.name));
         }
-        let singles: Vec<StepFn> =
-            (0..f.code.len()).map(|pc| single_step(p, f.code[pc], pc as u32 + 1)).collect();
-        let loops: Vec<Option<LoopStep>> = (0..f.code.len())
+        Ok((0..f.code.len())
             .map(|pc| build_loop(p, &f.code, f.n_slots as usize, pc as u32, mutate))
-            .collect();
-        n_loops += loops.iter().flatten().count() as u64;
-        n_typed_loops += loops.iter().flatten().filter(|lp| lp.typed).count() as u64;
-        n_steps += singles.len() as u64;
-        funcs.push(CompiledFunc { singles, loops });
-    }
-    Ok(CompiledProgram { funcs, n_loops, n_steps, n_typed_loops })
+            .collect())
+    });
+    Ok(CompiledProgram { funcs: funcs.collect::<Result<_, _>>()? })
 }
 
-/// Execute `m` until it yields, returns, or errors — the compiled twin
-/// of [`crate::interp::run`], with identical observable behavior.
+/// Execute `m` until it yields, returns, or errors: [`crate::interp::run`]
+/// entering `cp`'s fused loops at their backedges, with identical
+/// observable behavior.
 ///
 /// # Errors
 ///
@@ -192,480 +137,34 @@ pub fn run(
     env: &mut dyn Env,
     fuel: u64,
 ) -> Result<Yield, VmError> {
-    let mut ops: u64 = 0;
-    let interval = env.sample_interval();
-    let mut next = if interval == 0 { u64::MAX } else { interval };
-    let out = run_inner(cp, program, m, env, fuel, &mut ops, &mut next, interval);
-    env.charge_ops(ops);
-    out
+    interp::segment::<true>(Some(cp), program, m, env, fuel)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
+/// Run the fused loop headed at `frame.pc`, if there is one and a whole
+/// iteration fits in the fuel left; the interpreter calls this right
+/// after a backward `Jump`. Returns `false` when the loop deopted: a
+/// fault is pending at the loop head, and the caller must run the rest of
+/// the segment unfused so the fault fires at the interpreter's position.
+pub(crate) fn enter_loop(
     cp: &CompiledProgram,
-    program: &Program,
-    m: &mut MessengerState,
-    env: &mut dyn Env,
+    frame: &mut Frame,
     fuel: u64,
     ops: &mut u64,
-    next: &mut u64,
-    interval: u64,
-) -> Result<Yield, VmError> {
-    // Once a fused loop deopts, finish the segment on singles: the fault
-    // that forced the deopt is about to re-fire with exact interpreter
-    // state.
-    let mut fast = true;
-    loop {
-        if *ops >= fuel {
-            return Err(VmError::FuelExhausted);
-        }
-        if *ops >= *next {
-            // A fused loop's bulk charge is attributed to the head pc of
-            // the next dispatch — per-superinstruction attribution, same
-            // key space as the interpreter's flat profile.
-            if let Some(f) = m.frames.last() {
-                let crossings = (*ops - *next) / interval + 1;
-                env.pc_sample(u32::from(f.func.0), f.pc, crossings);
-                *next += crossings * interval;
-            }
-        }
-        let vtime = m.vtime;
-        let frame = m.frames.last_mut().ok_or(VmError::Corrupt("no active frame"))?;
-        let cf = &cp.funcs[frame.func.0 as usize];
-        let pc = frame.pc as usize;
-        // Falling off the end of a function is an implicit `return NULL`.
-        if pc >= cf.singles.len() {
-            m.frames.pop();
-            match m.frames.last_mut() {
-                None => return Ok(Yield::Terminated(Value::Null)),
-                Some(caller) => {
-                    caller.stack.push(Value::Null);
-                    continue;
-                }
-            }
-        }
-        if fast {
-            // Fused counted loops run whole iterations as flat register
-            // code, bulk-charged, as long as each full iteration fits in
-            // the remaining fuel. The partial last iteration (and any
-            // fault) falls back to the singles.
-            if let Some(lp) = cf.loops[pc].as_ref() {
-                if *ops + u64::from(lp.per_iter) <= fuel {
-                    // Typed loops try the unboxed register file first;
-                    // anything it cannot represent falls through to the
-                    // generic boxed executor.
-                    let typed = if lp.typed { run_loop_typed(lp, frame, fuel, ops) } else { None };
-                    match typed.or_else(|| run_loop(lp, frame, fuel, ops)) {
-                        Some(LoopExit::Progress) => continue,
-                        Some(LoopExit::Deopt) => {
-                            fast = false;
-                            continue;
-                        }
-                        None => {}
-                    }
-                }
-            }
-        }
-        match cf.singles[pc](&mut StepCtx { frame, env: &mut *env, vtime, ops })? {
-            Ctrl::Next => {}
-            Ctrl::Yield(y) => return Ok(y),
-            Ctrl::Ret(v) => {
-                m.frames.pop();
-                match m.frames.last_mut() {
-                    None => return Ok(Yield::Terminated(v)),
-                    Some(caller) => caller.stack.push(v),
-                }
-            }
-            Ctrl::Call { f, args } => {
-                let new_frame = Frame::activate(program, f, &args)?;
-                m.frames.push(new_frame);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Single-op closures: the direct-threaded baseline, one per pc.
-// Each closure advances `frame.pc` on entry (mirroring the
-// interpreter's fetch) so errors leave the same pc behind.
-// ---------------------------------------------------------------------
-
-fn bx(f: impl Fn(&mut StepCtx<'_, '_>) -> Result<Ctrl, VmError> + Send + Sync + 'static) -> StepFn {
-    Box::new(f)
-}
-
-#[allow(clippy::too_many_lines)]
-fn single_step(p: &Program, op: Op, next: u32) -> StepFn {
-    match op {
-        Op::Const(i) => match p.consts.get(i as usize) {
-            Some(v) => {
-                let v = v.clone();
-                bx(move |cx| {
-                    *cx.ops += 1;
-                    cx.frame.pc = next;
-                    cx.frame.stack.push(v.clone());
-                    Ok(Ctrl::Next)
-                })
-            }
-            None => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                Err(VmError::Corrupt("constant index out of range"))
-            }),
-        },
-        Op::LoadLocal(i) => {
-            let i = i as usize;
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx
-                    .frame
-                    .locals
-                    .get(i)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?
-                    .clone();
-                cx.frame.stack.push(v);
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::StoreLocal(i) => {
-            let i = i as usize;
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = binop::pop(&mut cx.frame.stack)?;
-                let slot = cx
-                    .frame
-                    .locals
-                    .get_mut(i)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?;
-                *slot = v;
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::LoadNode(i) => match const_name(p, i).map(str::to_string) {
-            Ok(name) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx.env.node_var(&name);
-                cx.frame.stack.push(v);
-                Ok(Ctrl::Next)
-            }),
-            Err(e) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                Err(e.clone())
-            }),
-        },
-        Op::StoreNode(i) => match const_name(p, i).map(str::to_string) {
-            Ok(name) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = binop::pop(&mut cx.frame.stack)?;
-                cx.env.set_node_var(&name, v);
-                Ok(Ctrl::Next)
-            }),
-            Err(e) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                binop::pop(&mut cx.frame.stack)?;
-                Err(e.clone())
-            }),
-        },
-        Op::LoadNet(var) => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let v = match var {
-                crate::bytecode::NetVar::Time => Value::Float(cx.vtime.as_f64()),
-                other => cx.env.net_var(other),
-            };
-            cx.frame.stack.push(v);
-            Ok(Ctrl::Next)
-        }),
-        Op::Dup => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let v = cx.frame.stack.last().ok_or(VmError::Corrupt("dup on empty stack"))?.clone();
-            cx.frame.stack.push(v);
-            Ok(Ctrl::Next)
-        }),
-        Op::Pop => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            binop::pop(&mut cx.frame.stack)?;
-            Ok(Ctrl::Next)
-        }),
-        Op::Add => stack_step(next, |s| binop::arith_top(Arith::Add, s)),
-        Op::Sub => stack_step(next, |s| binop::arith_top(Arith::Sub, s)),
-        Op::Mul => stack_step(next, |s| binop::arith_top(Arith::Mul, s)),
-        Op::Div => stack_step(next, |s| binop::arith_top(Arith::Div, s)),
-        Op::Mod => stack_step(next, |s| binop::arith_top(Arith::Mod, s)),
-        Op::Neg => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(binop::neg(a)?);
-            Ok(Ctrl::Next)
-        }),
-        Op::Not => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(Value::Bool(!a.is_truthy()));
-            Ok(Ctrl::Next)
-        }),
-        Op::Eq | Op::Ne => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let b = binop::pop(&mut cx.frame.stack)?;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            let eq = a.loose_eq(&b);
-            cx.frame.stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
-            Ok(Ctrl::Next)
-        }),
-        Op::Lt => stack_step(next, |s| binop::compare_top(Cmp::Lt, s)),
-        Op::Le => stack_step(next, |s| binop::compare_top(Cmp::Le, s)),
-        Op::Gt => stack_step(next, |s| binop::compare_top(Cmp::Gt, s)),
-        Op::Ge => stack_step(next, |s| binop::compare_top(Cmp::Ge, s)),
-        Op::Jump(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = target;
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::JumpIfFalse(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = binop::pop(&mut cx.frame.stack)?;
-                if !v.is_truthy() {
-                    cx.frame.pc = target;
-                }
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::JumpIfTruePeek(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx.frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if v.is_truthy() {
-                    cx.frame.pc = target;
-                }
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::JumpIfFalsePeek(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx.frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if !v.is_truthy() {
-                    cx.frame.pc = target;
-                }
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::Call { f, argc } => {
-            let in_range = (f as usize) < p.funcs.len();
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let at = cx
-                    .frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("call args underflow"))?;
-                let args: Vec<Value> = cx.frame.stack.split_off(at);
-                if !in_range {
-                    return Err(VmError::Corrupt("call target out of range"));
-                }
-                Ok(Ctrl::Call { f: FuncId(f), args })
-            })
-        }
-        Op::CallNative { name, argc } => {
-            // Resolved once here; an error is raised when the op runs.
-            let name = const_name(p, name).map(str::to_string);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let at = cx
-                    .frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("native args underflow"))?;
-                let args: Vec<Value> = cx.frame.stack.split_off(at);
-                let v = cx.env.call_native(name.as_ref().map_err(Clone::clone)?, &args)?;
-                cx.frame.stack.push(v);
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::Ret => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let v = binop::pop(&mut cx.frame.stack)?;
-            Ok(Ctrl::Ret(v))
-        }),
-        Op::Hop(i) | Op::Delete(i) => {
-            let spec = p.hop_specs.get(i as usize).copied();
-            let delete = matches!(op, Op::Delete(_));
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let spec = spec.ok_or(VmError::Corrupt("hop spec out of range"))?;
-                // Operands were pushed ln-then-ll; pop in reverse.
-                let ll = match spec.ll {
-                    LinkPat::Wild => EvalLink::Wild,
-                    LinkPat::Unnamed => EvalLink::Unnamed,
-                    LinkPat::Virtual => EvalLink::Virtual,
-                    LinkPat::Expr => eval_link(binop::pop(&mut cx.frame.stack)?),
-                };
-                let ln = match spec.ln {
-                    NodePat::Wild => None,
-                    NodePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                };
-                let eh = EvalHop { ln, ll, ldir: spec.ldir };
-                Ok(Ctrl::Yield(if delete { Yield::Delete(eh) } else { Yield::Hop(eh) }))
-            })
-        }
-        Op::Create(i) => {
-            let spec = p.create_specs.get(i as usize).cloned();
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let spec = spec.clone().ok_or(VmError::Corrupt("create spec out of range"))?;
-                // Operands pushed per item in order (ln, ll, dn, dl);
-                // pop everything in reverse.
-                let mut items: Vec<EvalCreateItem> = Vec::with_capacity(spec.items.len());
-                for it in spec.items.iter().rev() {
-                    let dl = match it.dl {
-                        LinkPat::Wild => EvalLink::Wild,
-                        LinkPat::Unnamed => EvalLink::Unnamed,
-                        LinkPat::Virtual => EvalLink::Virtual,
-                        LinkPat::Expr => eval_link(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    let dn = match it.dn {
-                        NodePat::Wild => None,
-                        NodePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    let ll = match it.ll {
-                        crate::bytecode::NamePat::Unnamed => None,
-                        crate::bytecode::NamePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    let ln = match it.ln {
-                        crate::bytecode::NamePat::Unnamed => None,
-                        crate::bytecode::NamePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    items.push(EvalCreateItem { ln, ll, ldir: it.ldir, dn, dl, ddir: it.ddir });
-                }
-                items.reverse();
-                Ok(Ctrl::Yield(Yield::Create(crate::interp::EvalCreate { items, all: spec.all })))
-            })
-        }
-        Op::SchedAbs => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let t = binop::pop(&mut cx.frame.stack)?.as_float()?;
-            if t.is_nan() {
-                return Err(VmError::Corrupt("NaN virtual time"));
-            }
-            Ok(Ctrl::Yield(Yield::SchedAbs(Vt::new(t))))
-        }),
-        Op::SchedDlt => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let dt = binop::pop(&mut cx.frame.stack)?.as_float()?;
-            if dt.is_nan() {
-                return Err(VmError::Corrupt("NaN virtual time"));
-            }
-            Ok(Ctrl::Yield(Yield::SchedDlt(dt)))
-        }),
-        Op::Halt => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            Ok(Ctrl::Yield(Yield::Terminated(Value::Null)))
-        }),
-        Op::MakeArr => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let default = binop::pop(&mut cx.frame.stack)?;
-            let n = binop::pop(&mut cx.frame.stack)?.as_int()?;
-            if !(0..=(1 << 24)).contains(&n) {
-                return Err(VmError::Native(format!("bad array size {n}")));
-            }
-            cx.frame.stack.push(Value::Arr(Arc::new(vec![default; n as usize])));
-            Ok(Ctrl::Next)
-        }),
-        Op::IndexGet => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let idx = binop::pop(&mut cx.frame.stack)?.as_int()?;
-            let arr = binop::pop(&mut cx.frame.stack)?;
-            let v = index_get(&arr, idx)?;
-            cx.frame.stack.push(v);
-            Ok(Ctrl::Next)
-        }),
-        Op::IndexSet => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let value = binop::pop(&mut cx.frame.stack)?;
-            let idx = binop::pop(&mut cx.frame.stack)?.as_int()?;
-            let arr = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(index_set(arr, idx, value)?);
-            Ok(Ctrl::Next)
-        }),
-    }
-}
-
-/// A closure for an op that only rewrites the operand stack.
-fn stack_step(
-    next: u32,
-    f: impl Fn(&mut Vec<Value>) -> Result<(), VmError> + Send + Sync + 'static,
-) -> StepFn {
-    bx(move |cx| {
-        *cx.ops += 1;
-        cx.frame.pc = next;
-        f(&mut cx.frame.stack)?;
-        Ok(Ctrl::Next)
-    })
-}
-
-fn eval_link(v: Value) -> EvalLink {
-    match v {
-        Value::Link(inst) => EvalLink::Instance(inst),
-        Value::Null => EvalLink::Unnamed,
-        v => EvalLink::Named(v),
-    }
-}
-
-fn index_get(arr: &Value, idx: i64) -> Result<Value, VmError> {
-    let arr = arr.as_array()?;
-    arr.get(
-        usize::try_from(idx)
-            .map_err(|_| VmError::Native(format!("array index {idx} out of bounds")))?,
-    )
-    .ok_or_else(|| VmError::Native(format!("array index {idx} out of bounds (len {})", arr.len())))
-    .cloned()
-}
-
-fn index_set(arr: Value, idx: i64, value: Value) -> Result<Value, VmError> {
-    let mut arr = match arr {
-        Value::Arr(a) => a,
-        other => return Err(VmError::type_error("array", &other)),
+) -> bool {
+    let Some(lp) = cp
+        .funcs
+        .get(frame.func.0 as usize)
+        .and_then(|loops| loops.get(frame.pc as usize))
+        .and_then(Option::as_ref)
+    else {
+        return true;
     };
-    let len = arr.len();
-    let slot = Arc::make_mut(&mut arr)
-        .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
-        .ok_or_else(|| VmError::Native(format!("array index {idx} out of bounds (len {len})")))?;
-    *slot = value;
-    Ok(Value::Arr(arr))
+    if *ops + u64::from(lp.per_iter) > fuel {
+        return true;
+    }
+    // Typed loops try the unboxed register file first; anything it cannot
+    // represent falls through to the generic boxed executor.
+    lp.typed && run_loop_typed(lp, frame, fuel, ops).is_some() || run_loop(lp, frame, fuel, ops)
 }
 
 // ---------------------------------------------------------------------
@@ -676,6 +175,7 @@ fn index_set(arr: Value, idx: i64, value: Value) -> Result<Value, VmError> {
 // ---------------------------------------------------------------------
 
 /// Flat three-address code over the loop's register file.
+#[derive(Debug)]
 enum RegOp {
     Bin { op: Arith, dst: usize, a: usize, b: usize },
     Cmp { op: Cmp, dst: usize, a: usize, b: usize },
@@ -697,9 +197,10 @@ enum RegOp {
 /// entry, written back once at exit/fault), then come preloaded
 /// constants, then SSA temporaries. Each completed iteration charges
 /// `per_iter` ops; the final false condition charges `cond_need`.
-/// Faults restore the current iteration's stores from a snapshot and
-/// deopt with the state exactly at the loop head, so the singles replay
-/// reproduces the interpreter's fault position bit for bit.
+/// A fault re-runs the completed iterations from the entry registers and
+/// deopts with the state exactly at the loop head, so the interpreter's
+/// replay of the faulting iteration raises it at its own position.
+#[derive(Debug)]
 struct LoopStep {
     /// Ops for one full iteration (cond + branch + body + backedge).
     per_iter: u32,
@@ -707,7 +208,6 @@ struct LoopStep {
     cond_need: u32,
     /// pc after the loop (`JumpIfFalse` target).
     exit: u32,
-    n_slots: usize,
     n_regs: usize,
     /// Constant registers, materialized once at loop entry.
     consts: Vec<(usize, Value)>,
@@ -722,9 +222,9 @@ struct LoopStep {
     /// on the unboxed [`TV`] register file with no per-iteration deopt
     /// checks whenever the used slots hold such values on entry.
     typed: bool,
-    /// Which local slots the loop actually reads or writes back — the
-    /// typed executor only needs *these* to be representable; dead slots
-    /// holding strings/arrays don't block the fast path.
+    /// One flag per local slot: whether the loop's code loads or stores
+    /// it. The typed executor only needs *these* to be representable;
+    /// other slots holding strings/arrays don't block the fast path.
     used_slots: Vec<bool>,
 }
 
@@ -824,16 +324,14 @@ impl RegBuilder {
                     out.push(RegOp::Eq { ne: matches!(code[j], Op::Ne), dst, a, b });
                     self.vstack.push(dst);
                 }
-                Op::Neg => {
+                Op::Neg | Op::Not => {
                     let a = self.vstack.pop()?;
                     let dst = self.alloc()?;
-                    out.push(RegOp::Neg { dst, a });
-                    self.vstack.push(dst);
-                }
-                Op::Not => {
-                    let a = self.vstack.pop()?;
-                    let dst = self.alloc()?;
-                    out.push(RegOp::Not { dst, a });
+                    out.push(if code[j] == Op::Neg {
+                        RegOp::Neg { dst, a }
+                    } else {
+                        RegOp::Not { dst, a }
+                    });
                     self.vstack.push(dst);
                 }
                 Op::Pop => {
@@ -893,40 +391,18 @@ fn build_loop(
     let mut writeback = stored;
     writeback.sort_unstable();
     writeback.dedup();
+    // The slots the loop's code names: the only ones the typed executor
+    // needs representable (`section` admitted each index).
     let mut used_slots = vec![false; n_slots];
-    let mark = |used: &mut [bool], r: usize| {
-        if r < used.len() {
-            used[r] = true;
+    for op in &code[head as usize..stop2] {
+        if let Op::LoadLocal(i) | Op::StoreLocal(i) = *op {
+            used_slots[i as usize] = true;
         }
-    };
-    for r in cond_ops.iter().chain(body_ops.iter()) {
-        match *r {
-            RegOp::Bin { dst, a, b, .. }
-            | RegOp::Cmp { dst, a, b, .. }
-            | RegOp::Eq { dst, a, b, .. } => {
-                mark(&mut used_slots, dst);
-                mark(&mut used_slots, a);
-                mark(&mut used_slots, b);
-            }
-            RegOp::Neg { dst, a } | RegOp::Not { dst, a } => {
-                mark(&mut used_slots, dst);
-                mark(&mut used_slots, a);
-            }
-            RegOp::Mov { dst, src } => {
-                mark(&mut used_slots, dst);
-                mark(&mut used_slots, src);
-            }
-        }
-    }
-    mark(&mut used_slots, cond_reg);
-    for &s in &writeback {
-        mark(&mut used_slots, s);
     }
     let mut lp = LoopStep {
         per_iter: b.len,
         cond_need,
         exit,
-        n_slots,
         n_regs: b.next_reg,
         consts: b.consts,
         cond_ops,
@@ -969,20 +445,13 @@ fn exec_regops(ops: &[RegOp], regs: &mut [Value]) -> Result<(), VmError> {
     Ok(())
 }
 
-enum LoopExit {
-    /// Committed work (iterations and/or the exit branch); continue
-    /// dispatching at the pc the loop set.
-    Progress,
-    /// A fault is pending at the loop head: replay on singles.
-    Deopt,
-}
-
 /// Run fused iterations until the condition goes false, the fuel budget
-/// allows no further full iteration, or a fault deopts. The caller
+/// allows no further full iteration, or a fault deopts (`false`: the
+/// fault is pending at the loop head, to be replayed unfused). The caller
 /// guarantees at least one full iteration fits in the remaining fuel.
-fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<LoopExit> {
-    if fr.locals.len() != lp.n_slots {
-        return None; // corrupt frame: let the singles raise the error
+fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> bool {
+    if fr.locals.len() != lp.used_slots.len() {
+        return true; // corrupt frame: let the interpreter raise the error
     }
     let per = u64::from(lp.per_iter);
     let budget = (fuel - *ops) / per;
@@ -1012,7 +481,7 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
         }
         write_back(fr, &mut regs);
         *ops += done * per;
-        Some(LoopExit::Deopt)
+        false
     };
     while done < budget {
         if exec_regops(&lp.cond_ops, &mut regs).is_err() {
@@ -1022,7 +491,7 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
             write_back(fr, &mut regs);
             *ops += done * per + u64::from(lp.cond_need);
             fr.pc = lp.exit;
-            return Some(LoopExit::Progress);
+            return true;
         }
         if exec_regops(&lp.body_ops, &mut regs).is_err() {
             return deopt(fr, ops, done);
@@ -1030,10 +499,10 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
         done += 1;
     }
     // Fuel bound: the next full iteration no longer fits. Publish and
-    // let the singles walk into the fuel wall at the exact op.
+    // let the interpreter walk into the fuel wall at the exact op.
     write_back(fr, &mut regs);
     *ops += done * per;
-    Some(LoopExit::Progress)
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -1052,18 +521,9 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
 /// typed executor implements totally: Div/Mod can fault (and produce
 /// `Float` from `Int/Int` only sometimes), so they stay generic.
 fn loop_regops_typed(lp: &LoopStep) -> bool {
-    let ok = |ops: &[RegOp]| {
-        ops.iter().all(|r| match r {
-            RegOp::Bin { op, .. } => matches!(op, Arith::Add | Arith::Sub | Arith::Mul),
-            _ => true,
-        })
-    };
-    ok(&lp.cond_ops)
-        && ok(&lp.body_ops)
-        && lp
-            .consts
-            .iter()
-            .all(|(_, v)| matches!(v, Value::Int(_) | Value::Float(_) | Value::Bool(_)))
+    let total = |r: &RegOp| !matches!(r, RegOp::Bin { op: Arith::Div | Arith::Mod, .. });
+    lp.cond_ops.iter().chain(&lp.body_ops).all(total)
+        && lp.consts.iter().all(|(_, v)| tv_of(v).is_some())
 }
 
 /// Unboxed typed value for the typed-loop fast path. Closed
@@ -1161,8 +621,8 @@ fn exec_regops_tv(ops: &[RegOp], regs: &mut [TV]) -> Option<()> {
 /// Fuel accounting is identical to [`run_loop`]; there is no deopt path
 /// because every typed op is total (were one not, the loop would return
 /// `None` before writing back, and the generic executor would run it).
-fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<LoopExit> {
-    if fr.locals.len() != lp.n_slots {
+fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<()> {
+    if fr.locals.len() != lp.used_slots.len() {
         return None;
     }
     let mut regs: Vec<TV> = Vec::with_capacity(lp.n_regs);
@@ -1193,21 +653,21 @@ fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Op
             write_back(fr, &regs);
             *ops += done * per + u64::from(lp.cond_need);
             fr.pc = lp.exit;
-            return Some(LoopExit::Progress);
+            return Some(());
         }
         exec_regops_tv(&lp.body_ops, &mut regs)?;
         done += 1;
     }
     write_back(fr, &regs);
     *ops += done * per;
-    Some(LoopExit::Progress)
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{Builder, Dir, HopSpec, Op};
-    use crate::interp::{self, MapEnv, NullEnv};
+    use crate::bytecode::{Builder, Dir, FuncId, HopSpec, LinkPat, NodePat, Op};
+    use crate::interp::{self, EvalHop, EvalLink, MapEnv, NullEnv};
     use crate::state::MessengerId;
 
     fn launch(p: &Program) -> MessengerState {
@@ -1438,18 +898,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn miscompiled_superinstruction_is_observable() {
-        // while (i < 1) { x = 10 - 3; i = i + 1 } return x: the fused
-        // loop with swapped operands must NOT return the interpreter's
-        // 7 — this is what diff_props' mutation check relies on.
+    /// `while (i < n) { x = 10 - 3; i = i + 1 } return x`.
+    fn swap_sensitive_loop(n: i64) -> Program {
         let mut b = Builder::new();
         let c1 = b.constant(Value::Int(1));
+        let cn = b.constant(Value::Int(n));
         let c10 = b.constant(Value::Int(10));
         let c3 = b.constant(Value::Int(3));
         let code = vec![
             Op::LoadLocal(0),
-            Op::Const(c1),
+            Op::Const(cn),
             Op::Lt,
             Op::JumpIfFalse(9),
             Op::Const(c10),
@@ -1465,11 +923,47 @@ mod tests {
             Op::Ret,
         ];
         let f = b.function("main", 0, 2, code);
-        let p = b.finish(f);
+        b.finish(f)
+    }
+
+    #[test]
+    fn miscompiled_superinstruction_is_observable() {
+        // Two iterations: the first runs unfused, its backedge enters the
+        // fused loop with swapped operands, and the result must NOT be
+        // the interpreter's 7 — this is what diff_props' mutation check
+        // relies on.
+        let p = swap_sensitive_loop(2);
         let bad = compile_miscompiled(&p).unwrap();
         let mut m = launch(&p);
         let y = run(&bad, &p, &mut m, &mut NullEnv, 100).unwrap();
         assert_eq!(y, Yield::Terminated(Value::Int(-7)), "mutation must flip the result");
+    }
+
+    #[test]
+    fn a_loop_is_entered_only_at_its_backedge() {
+        // One iteration never takes the backedge into the fused loop, so
+        // even the miscompiled table returns the interpreter's 7.
+        let p = swap_sensitive_loop(1);
+        let bad = compile_miscompiled(&p).unwrap();
+        assert_eq!(bad.superinstructions(), 1);
+        let mut m = launch(&p);
+        let y = run(&bad, &p, &mut m, &mut NullEnv, 100).unwrap();
+        assert_eq!(y, Yield::Terminated(Value::Int(7)), "the first iteration runs unfused");
+    }
+
+    #[test]
+    fn a_decoded_frame_past_the_function_table_is_corrupt() {
+        // The wire codec cannot know the program, so a frame may name a
+        // function the program lacks: both engines refuse it, neither
+        // panics.
+        let p = swap_sensitive_loop(1);
+        let cp = compile(&p).unwrap();
+        let mut m = launch(&p);
+        m.frames[0].func = FuncId(7);
+        let m = crate::wire::decode_messenger(crate::wire::encode_messenger(&m)).unwrap();
+        let want = VmError::Corrupt("function index out of range");
+        assert_eq!(interp::run(&p, &mut m.clone(), &mut NullEnv, 100), Err(want.clone()));
+        assert_eq!(run(&cp, &p, &mut m.clone(), &mut NullEnv, 100), Err(want));
     }
 
     #[test]

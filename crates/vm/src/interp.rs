@@ -215,8 +215,9 @@ pub enum Yield {
 }
 
 // Operator semantics (`arith_top`, `compare_top`, `neg`, `pop`, `jump`)
-// live in `crate::binop`, shared verbatim with the closure-compiled engine.
+// live in `crate::binop`, shared verbatim with the fused loops.
 use crate::binop::{arith_top, compare_top, jump, pop, Arith, Cmp};
+use crate::compile::{self, CompiledProgram};
 
 /// The default fuel budget for one segment: generous enough for any of
 /// the paper's computational bursts, small enough to catch runaway loops
@@ -238,10 +239,21 @@ pub fn run(
     env: &mut dyn Env,
     fuel: u64,
 ) -> Result<Yield, VmError> {
+    segment::<false>(None, program, m, env, fuel)
+}
+
+/// One segment on the dispatch loop. With `FUSE`, a backward `Jump`
+/// enters `cp`'s fused loop headed at its target ([`compile::run`]);
+/// without, the loop has no such check.
+pub(crate) fn segment<const FUSE: bool>(
+    cp: Option<&CompiledProgram>,
+    program: &Program,
+    m: &mut MessengerState,
+    env: &mut dyn Env,
+    fuel: u64,
+) -> Result<Yield, VmError> {
     let mut ops: u64 = 0;
-    let interval = env.sample_interval();
-    let mut next = if interval == 0 { u64::MAX } else { interval };
-    let out = run_inner(program, m, env, fuel, &mut ops, &mut next, interval);
+    let out = run_inner::<FUSE>(cp, program, m, env, fuel, &mut ops);
     env.charge_ops(ops);
     out
 }
@@ -253,30 +265,39 @@ pub(crate) fn const_name(program: &Program, i: u16) -> Result<&str, VmError> {
     program.consts.get(i as usize).ok_or(VmError::Corrupt("constant index out of range"))?.as_str()
 }
 
-fn run_inner(
+fn run_inner<const FUSE: bool>(
+    cp: Option<&CompiledProgram>,
     program: &Program,
     m: &mut MessengerState,
     env: &mut dyn Env,
     fuel: u64,
     ops: &mut u64,
-    next: &mut u64,
-    interval: u64,
 ) -> Result<Yield, VmError> {
+    let interval = env.sample_interval();
+    let mut next = if interval == 0 { u64::MAX } else { interval };
+    // Once a fused loop deopts, finish the segment unfused: the fault
+    // that forced the deopt is about to fire at the interpreter's own
+    // position.
+    let mut fast = FUSE;
     loop {
         if *ops >= fuel {
             return Err(VmError::FuelExhausted);
         }
-        if *ops >= *next {
+        if *ops >= next {
             // Attribute every interval boundary the previous op crossed
             // to the current program counter (flat profile, no stacks).
             if let Some(f) = m.frames.last() {
-                let crossings = (*ops - *next) / interval + 1;
+                let crossings = (*ops - next) / interval + 1;
                 env.pc_sample(u32::from(f.func.0), f.pc, crossings);
-                *next += crossings * interval;
+                next += crossings * interval;
             }
         }
         let frame = m.frames.last_mut().ok_or(VmError::Corrupt("no active frame"))?;
-        let func = program.func(frame.func);
+        // A decoded frame may name any function: check, do not index.
+        let func = program
+            .funcs
+            .get(frame.func.0 as usize)
+            .ok_or(VmError::Corrupt("function index out of range"))?;
         // Falling off the end of a function is an implicit `return NULL`.
         if frame.pc as usize >= func.code.len() {
             m.frames.pop();
@@ -363,7 +384,14 @@ fn run_inner(
             Op::Le => compare_top(Cmp::Le, &mut frame.stack)?,
             Op::Gt => compare_top(Cmp::Gt, &mut frame.stack)?,
             Op::Ge => compare_top(Cmp::Ge, &mut frame.stack)?,
-            Op::Jump(off) => frame.pc = jump(frame.pc, off),
+            Op::Jump(off) => {
+                frame.pc = jump(frame.pc, off);
+                if FUSE && fast && off < 0 {
+                    if let Some(cp) = cp {
+                        fast = compile::enter_loop(cp, frame, fuel, ops);
+                    }
+                }
+            }
             Op::JumpIfFalse(off) => {
                 let v = pop(&mut frame.stack)?;
                 if !v.is_truthy() {

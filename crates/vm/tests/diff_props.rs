@@ -1,6 +1,6 @@
-//! Differential property suite: the interpreter and the closure
-//! compiler must be observationally identical on every verified
-//! program, at every fuel level.
+//! Differential property suite: the interpreter and the interpreter
+//! entering fused loops (`compile::run`) must be observationally
+//! identical on every verified program, at every fuel level.
 //!
 //! The generator is the PR 3 compiler-soundness generator (mirrored
 //! from `crates/analyze/tests/props.rs`): well-scoped random MSGR-C

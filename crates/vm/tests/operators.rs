@@ -160,7 +160,7 @@ fn orbit(iters: i64) -> (f64, f64) {
 #[test]
 fn hot_loop_first_segment_is_pinned_on_both_engines() {
     let p = msgr_lang::compile(HOTLOOP_WALKER).expect("walker compiles");
-    let cp = compile::compile(&p).expect("walker closure-compiles");
+    let cp = compile::compile(&p).expect("walker's loops compile");
     let args = [Value::Int(1), Value::Int(ITERS)];
     let (zr, zi) = orbit(ITERS);
     let mut frames = Vec::new();

@@ -137,10 +137,22 @@ if grep -n 'stats\.counter("' "$daemon" \
     echo "error: daemon.rs reads a counter by key: read the Counters array by Metric" >&2
     exit 1
 fi
-# One lean compiler (DESIGN.md §10): per-pc closures plus fused loops, licensed
-# from the bytecode alone. Spans and call fusion stay deleted.
+# One lean compiler (DESIGN.md §10): fused loops only, licensed from the
+# bytecode alone. Spans and call fusion stay deleted.
 if grep -rnE 'exact_ops|pure_loops|build_span|build_inline|SpanStep|InlineStep' crates/*/src; then
     echo "error: the compiler grew a span or a call fusion back" >&2
+    exit 1
+fi
+# One dispatch loop (DESIGN.md §10): the compiled engine is the interpreter
+# entering fused loops at their backedges. The per-pc closures stay deleted,
+# and so do their copies of the interpreter's operand helpers.
+if grep -rnE 'StepFn|StepCtx|single_step|stack_step' crates/*/src src; then
+    echo "error: a per-pc closure engine is back: run interp's dispatch loop" >&2
+    exit 1
+fi
+if grep -rnE 'fn (eval_link|index_get|index_set)\b' crates/*/src src \
+    | grep -v '^crates/vm/src/interp.rs:'; then
+    echo "error: an interpreter helper is defined outside vm/src/interp.rs" >&2
     exit 1
 fi
 # Summaries stay in the analyzer (DESIGN.md §11): an analysis result leaves
@@ -156,8 +168,8 @@ if grep -rnE 'Metric::(LaneSteals|BatchFrames|BatchFlushes|AnalysisSnapshotsElid
     echo "error: a retired metric is emitted again" >&2
     exit 1
 fi
-# One definition of the operators (DESIGN.md §10): the interpreter, the
-# per-pc closures and both fused-loop executors call binop.rs, so no other
+# One definition of the operators (DESIGN.md §10): the interpreter and both
+# fused-loop executors call binop.rs, so no other
 # non-test vm source wraps an int or maps an Ordering to a comparison.
 ops_copies="$(for f in crates/vm/src/*.rs; do
     [ "$f" = crates/vm/src/binop.rs ] && continue
@@ -236,15 +248,16 @@ for ev in hop retransmit checkpoint restore; do
 done
 echo "ok: chaos trace is schema-valid, complete, and reproducible"
 
-echo "== compiled execution: CLI run + suites re-run on the compiled engine =="
-# The closure-compiled engine must be observationally identical to the
-# interpreter: the 256-case differential suite (crates/vm/tests/
-# diff_props.rs) and the cross-engine goldens already ran with the
-# workspace tests above. Here the CLI plumbing gets a real run
-# (--exec compiled, then the MSGR_EXEC override), and the daemon's own
-# suites (unit, cluster, verifier refusal, the three chaos suites), the
-# tier-1 app tests, the goldens and the profiler's invariants re-run
-# once entirely on the compiled engine.
+echo "== compiled execution: CLI run + suites re-run on the fused-loop path =="
+# The interpreter entering fused loops at their backedges (exec =
+# compiled) must be observationally identical to the plain interpreter:
+# the 256-case differential suite (crates/vm/tests/diff_props.rs) and the
+# cross-engine goldens already ran with the workspace tests above. Here
+# the CLI plumbing gets a real run (--exec compiled, then the MSGR_EXEC
+# override), and the daemon's own suites (unit, cluster, verifier
+# refusal, the three chaos suites), the tier-1 app tests, the goldens
+# and the profiler's invariants re-run once entirely on the fused-loop
+# path.
 MSGR_EXEC=compiled cargo test -q --offline -p msgr-core
 MSGR_EXEC=compiled cargo test -q --offline -p msgr-apps
 MSGR_EXEC=compiled cargo test -q --offline --test determinism

@@ -22,8 +22,9 @@
 //!                          flags ⇒ bit-identical run and trace
 //!     --trace FILE         record the flight-recorder trace as JSONL
 //!     --exec MODE          execution engine: `interp` (default) or
-//!                          `compiled` (per-op closures plus fused loops;
-//!                          identical results, faster on loop-heavy code)
+//!                          `compiled` (the interpreter entering fused
+//!                          loops; identical results, faster on
+//!                          loop-heavy code)
 //!     --faults SPEC        inject faults (simulator only); SPEC is a
 //!                          comma list of drop=P, dup=P, reorder=P,
 //!                          kill=HOST@MS (permanent death + failover) and

@@ -164,7 +164,7 @@ fn matmul_default_config_matches_golden() {
 
 #[test]
 fn mandel_golden_holds_under_compiled_execution() {
-    // The closure-compiled engine is an execution strategy, never an
+    // Entering fused loops is an execution strategy, never an
     // observable behavior change: with `exec = Compiled` the mandel run
     // must reproduce the *same* pinned golden as the interpreter —
     // image checksum, f64 simulated time, and the counter FNV (the
