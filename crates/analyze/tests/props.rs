@@ -11,6 +11,9 @@
 //!    same errors on generated programs and on both kinds of mutant.
 //! 4. **Pin**: the summaries and rendered diagnostics of a fixed set of
 //!    512 generated programs, hashed.
+//! 5. **Ids**: `Program::id`, which streams its rendering into the hash,
+//!    equals FNV-1a over the rendering built as `String`s, for every
+//!    entry function of a generated program.
 
 use std::cell::Cell;
 
@@ -19,7 +22,7 @@ use msgr_check::{check_with, Config, Source};
 use msgr_lang::ast::*;
 use msgr_lang::{compile_ast, Pos};
 use msgr_vm::Dir;
-use msgr_vm::{Op, Program};
+use msgr_vm::{FuncId, Op, Program, ProgramId};
 
 const P: Pos = Pos { line: 1, col: 1 };
 
@@ -408,4 +411,38 @@ fn analysis_of_generated_programs_is_pinned() {
         Ok(())
     });
     assert_eq!(hash.get(), 0xc260b9bee5c63543, "analysis fingerprint of 512 generated programs");
+}
+
+/// `Program::id` as first defined: each part rendered with `format!`,
+/// FNV-1a over the four renderings, then the entry index's bytes. The
+/// multiplier is the one ids have always used, `0x1000_0000_01b3`, not
+/// the textbook FNV prime `0x100_0000_01b3`.
+fn rendered_id(p: &Program) -> ProgramId {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+        }
+    };
+    eat(format!("{:?}", p.consts).as_bytes());
+    eat(format!("{:?}", p.funcs).as_bytes());
+    eat(format!("{:?}", p.hop_specs).as_bytes());
+    eat(format!("{:?}", p.create_specs).as_bytes());
+    eat(&p.entry.0.to_le_bytes());
+    ProgramId(h)
+}
+
+#[test]
+fn program_id_is_the_rendered_definition() {
+    check_with(Config::with_cases(256), "program_id", |s| {
+        let mut program = compile_arb(s)?;
+        for entry in 0..program.funcs.len() {
+            program.entry = FuncId(entry as u16);
+            let (streamed, rendered) = (program.id(), rendered_id(&program));
+            if streamed != rendered {
+                return Err(format!("entry {entry}: id {streamed} but rendered {rendered}"));
+            }
+        }
+        Ok(())
+    });
 }

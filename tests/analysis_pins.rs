@@ -13,7 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use messengers::analyze::{analyze, summarize};
 use messengers::apps::{graph, mandel_msgr, matmul_msgr, swarm};
 use messengers::lang::{compile, compile_with_entry};
-use messengers::vm::{Op, Program};
+use messengers::vm::{Op, Program, ProgramId};
 
 /// Name and fingerprint of every shipped program, in [`shipped`] order.
 const PINNED: [(&str, u64); 8] = [
@@ -85,6 +85,32 @@ fn shipped() -> Vec<(String, Program)> {
         builtin("builtin:graph/bfs_wave", compile(graph::BFS_WAVE_SCRIPT)),
     ]);
     out
+}
+
+/// `Program::id` as first defined: each part rendered with `format!`,
+/// FNV-1a over the four renderings, then the entry index's bytes. The
+/// multiplier is the one ids have always used, `0x1000_0000_01b3`, not
+/// the textbook FNV prime [`fnv1a`] uses.
+fn rendered_id(p: &Program) -> ProgramId {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+        }
+    };
+    eat(format!("{:?}", p.consts).as_bytes());
+    eat(format!("{:?}", p.funcs).as_bytes());
+    eat(format!("{:?}", p.hop_specs).as_bytes());
+    eat(format!("{:?}", p.create_specs).as_bytes());
+    eat(&p.entry.0.to_le_bytes());
+    ProgramId(h)
+}
+
+#[test]
+fn shipped_program_ids_are_the_rendered_definition() {
+    for (name, p) in shipped() {
+        assert_eq!(p.id(), rendered_id(&p), "{name}");
+    }
 }
 
 #[test]
