@@ -90,7 +90,9 @@ pub use msgr_trace::{EventKind, Metric, Trace, TraceConfig, TraceEvent};
 pub enum ClusterError {
     /// Injection referenced an unregistered program.
     UnknownProgram,
-    /// Injection arguments did not match the entry function.
+    /// Injection arguments did not match the entry function, or the
+    /// entry cannot be activated at all (a quarantined program whose entry
+    /// is missing or has fewer slots than parameters).
     BadInjection(String),
     /// The run did not quiesce within its event budget (livelock or
     /// runaway messenger population).

@@ -5,9 +5,12 @@
 //! cluster are untouched.
 
 use msgr_core::config::NetKind;
-use msgr_core::{ClusterConfig, CodeCache, SimCluster, ThreadCluster};
+use msgr_core::{
+    Cluster, ClusterConfig, ClusterError, CodeCache, LogicalTopology, Platform, SimCluster,
+    ThreadCluster,
+};
 use msgr_lang::compile;
-use msgr_vm::{Builder, Dir, HopSpec, LinkPat, NodePat, Op, Program, Value};
+use msgr_vm::{Builder, Dir, FuncId, HopSpec, LinkPat, NodePat, Op, Program, Value};
 
 /// A structurally broken program: its only instruction jumps far out
 /// of bounds (verifier code V002).
@@ -96,4 +99,59 @@ fn a_virtual_hop_without_a_node_is_refused_on_both_platforms() {
     let report = t.run().unwrap();
     assert_eq!(report.stats.counter("verify_rejected"), 1);
     assert!(report.faults[0].1.contains("V014"), "faults: {:?}", report.faults);
+}
+
+/// Two quarantined programs whose entry frame cannot even be built: an
+/// entry index past the function table, and an entry with more
+/// parameters than slots. Each is injected with the entry's arity.
+fn unlaunchable() -> [(Program, Vec<Value>); 2] {
+    let mut b = Builder::new();
+    let f = b.function("main", 0, 0, vec![Op::Ret]);
+    let mut past_the_table = b.finish(f);
+    past_the_table.entry = FuncId(3);
+    let mut b = Builder::new();
+    let f = b.function("main", 2, 0, vec![Op::Ret]);
+    let mut short_of_slots = b.finish(f);
+    short_of_slots.funcs[0].n_slots = 1;
+    [(past_the_table, vec![]), (short_of_slots, vec![Value::Int(1), Value::Int(2)])]
+}
+
+/// `inject` and `inject_at` of every unlaunchable program return a typed
+/// error and leave the cluster with nothing to run.
+fn refuses_unlaunchable<P: Platform>(c: &mut Cluster<P>) {
+    c.build(&LogicalTopology::star(1, 1)).unwrap();
+    for (p, args) in unlaunchable() {
+        let id = c.register_program(&p);
+        let direct = c.inject(0, id, &args);
+        assert!(matches!(&direct, Err(ClusterError::BadInjection(m)) if m.contains("corrupt")));
+        let named = c.inject_at(&Value::str("hub"), id, &args);
+        assert!(matches!(&named, Err(ClusterError::BadInjection(m)) if m.contains("corrupt")));
+    }
+}
+
+#[test]
+fn an_unlaunchable_program_is_a_typed_error_on_every_injection_path() {
+    let cache = CodeCache::new();
+    for (p, _) in unlaunchable() {
+        assert!(cache.rejection(cache.register(&p)).is_some(), "{p:?} is quarantined");
+    }
+    let mut c = sim(1);
+    refuses_unlaunchable(&mut c);
+    // A late injection fails inside the run, as a fault.
+    for (p, args) in unlaunchable() {
+        let id = c.register_program(&p);
+        c.inject_at_time(&Value::str("hub"), id, &args, 0.001).unwrap();
+    }
+    let report = c.run().unwrap();
+    assert_eq!(report.faults.len(), 2, "faults: {:?}", report.faults);
+    for (_, fault) in &report.faults {
+        assert!(fault.starts_with("late injection failed: corrupt"), "fault: {fault}");
+    }
+    assert_eq!(report.live_leak, 0);
+
+    let mut t = ThreadCluster::new(ClusterConfig::new(1)).unwrap();
+    refuses_unlaunchable(&mut t);
+    let report = t.run().unwrap();
+    assert!(report.faults.is_empty(), "faults: {:?}", report.faults);
+    assert_eq!(report.live_leak, 0);
 }
