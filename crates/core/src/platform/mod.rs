@@ -245,7 +245,7 @@ impl<P: Platform> Cluster<P> {
         // code.
         let prog = self.front.codes.get_any(program).ok_or(ClusterError::UnknownProgram)?;
         let id = self.front.daemons[d.0 as usize]
-            .launch(&prog, args, at)
+            .launch(&prog, program, args, at)
             .map_err(|e| ClusterError::BadInjection(e.to_string()))?;
         self.front.census.count(1);
         P::launched(&mut self.driver, d);

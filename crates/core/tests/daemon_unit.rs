@@ -205,8 +205,8 @@ fn gvt_kick_starts_round_only_on_coordinator() {
 fn cut_wire_produces_ack_with_local_min() {
     let (mut d, codes) = mk_daemon(1, ClusterConfig::new(2));
     let prog = msgr_lang::compile("main() { M_sched_time_abs(7.5); }").unwrap();
-    codes.register(&prog);
-    d.launch(&prog, &[], d.init_node()).unwrap();
+    let pid = codes.register(&prog);
+    d.launch(&prog, pid, &[], d.init_node()).unwrap();
     let dir: HashMap<Value, (DaemonId, NodeRef)> = HashMap::new();
     let mut fx = Vec::new();
     d.run_segment(&dir, &mut fx); // suspends at vt 7.5
@@ -235,7 +235,7 @@ fn carry_code_inflates_wire_size_only() {
     cfg.carry_code = true;
     let (mut d, codes) = mk_daemon(0, cfg);
     let prog = msgr_lang::compile(r#"main() { hop(ll = "out"); }"#).unwrap();
-    codes.register(&prog);
+    let pid = codes.register(&prog);
     // Give init an outgoing link so the hop matches.
     let inst = d.alloc_link();
     let init = d.init_node();
@@ -249,7 +249,7 @@ fn carry_code_inflates_wire_size_only() {
             peer_name: Value::str("init"),
         },
     );
-    d.launch(&prog, &[], init).unwrap();
+    d.launch(&prog, pid, &[], init).unwrap();
     let dir: HashMap<Value, (DaemonId, NodeRef)> = HashMap::new();
     let mut fx = Vec::new();
     d.run_segment(&dir, &mut fx);
@@ -334,13 +334,13 @@ fn overwriting_a_node_var_keeps_its_key() {
     );
     let prog = msgr_lang::compile("main() { node int visits; visits = visits + 1; tick(); }");
     let prog = prog.unwrap();
-    codes.register(&prog);
+    let pid = codes.register(&prog);
     let init = d.init_node();
     d.set_node_var(init, "visits", Value::Int(0));
     d.set_node_var(init, "ticks", Value::Int(0));
     let (vm, native) = (var_key(&d, "visits"), var_key(&d, "ticks"));
     let mut fx = Vec::new();
-    d.launch(&prog, &[], init).unwrap();
+    d.launch(&prog, pid, &[], init).unwrap();
     run(&mut d, &mut fx);
     assert_eq!(d.node_var(init, "visits"), Some(Value::Int(1)));
     assert_eq!(d.node_var(init, "ticks"), Some(Value::Int(1)));
@@ -355,8 +355,8 @@ fn local_min_spans_ready_and_pending() {
     let (mut d, codes) = mk_daemon(1, ClusterConfig::new(2));
     assert_eq!(d.local_min(), Vt::INFINITY);
     let prog = trivial_program();
-    codes.register(&prog);
-    d.launch(&prog, &[], d.init_node()).unwrap();
+    let pid = codes.register(&prog);
+    d.launch(&prog, pid, &[], d.init_node()).unwrap();
     assert_eq!(d.local_min(), Vt::ZERO, "ready messengers count");
 }
 
@@ -517,8 +517,8 @@ fn run(d: &mut Daemon, fx: &mut Vec<Effect>) {
 
 fn launched(d: &mut Daemon, codes: &CodeCache, src: &str) -> MessengerId {
     let prog = msgr_lang::compile(src).unwrap();
-    codes.register(&prog);
-    d.launch(&prog, &[], d.init_node()).unwrap()
+    let pid = codes.register(&prog);
+    d.launch(&prog, pid, &[], d.init_node()).unwrap()
 }
 
 /// A node tethered to `init` by one link, so one `Unlink` frame makes
@@ -598,7 +598,7 @@ const DEATHS: &[Case] = &[
         cfg: |_| {},
         kill: |d, _, fx| {
             let foreign = msgr_lang::compile("main() { return 1; }").unwrap();
-            let mid = d.launch(&foreign, &[], d.init_node()).unwrap();
+            let mid = d.launch(&foreign, foreign.id(), &[], d.init_node()).unwrap();
             run(d, fx);
             mid
         },
@@ -677,8 +677,8 @@ const DEATHS: &[Case] = &[
             // leaf's last link: the singleton is collected under it.
             let (leaf, inst) = tethered_leaf(d);
             let prog = msgr_lang::compile("main() { M_sched_time_abs(7.5); }").unwrap();
-            codes.register(&prog);
-            d.launch(&prog, &[], leaf).unwrap();
+            let pid = codes.register(&prog);
+            d.launch(&prog, pid, &[], leaf).unwrap();
             run(d, fx);
             d.on_wire(Wire::Unlink { node: leaf, inst }, fx);
             assert!(d.node(leaf).is_none() && !d.has_any_messengers());

@@ -301,21 +301,24 @@ pub struct Program {
 }
 
 impl Program {
-    /// The program's content hash (FNV-1a over a canonical rendering).
+    /// The program's content hash: FNV-1a over a canonical rendering
+    /// (the `Debug` text of the constants, functions, hop specs and create
+    /// specs, then the entry index's little-endian bytes), with the
+    /// multiplier `0x1000_0000_01b3` that ids have always used rather than
+    /// the textbook prime. The rendering streams into the hash and is never
+    /// built. The code registry calls this once per registration; launches
+    /// take the id it returned.
     pub fn id(&self) -> ProgramId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        eat(format!("{:?}", self.consts).as_bytes());
-        eat(format!("{:?}", self.funcs).as_bytes());
-        eat(format!("{:?}", self.hop_specs).as_bytes());
-        eat(format!("{:?}", self.create_specs).as_bytes());
-        eat(&self.entry.0.to_le_bytes());
-        ProgramId(h)
+        use std::fmt::Write as _;
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        // `Fnv1a::write_str` never fails, so neither does the rendering.
+        let _ = write!(
+            h,
+            "{:?}{:?}{:?}{:?}",
+            self.consts, self.funcs, self.hop_specs, self.create_specs
+        );
+        h.eat(&self.entry.0.to_le_bytes());
+        ProgramId(h.0)
     }
 
     /// Find a function by name.
@@ -344,6 +347,25 @@ impl Program {
         let code: u64 = self.funcs.iter().map(|f| 4 * f.code.len() as u64 + 16).sum();
         let specs = 8 * (self.hop_specs.len() + self.create_specs.len()) as u64;
         consts + code + specs + 16
+    }
+}
+
+/// FNV-1a state that takes text as a [`std::fmt::Write`] sink.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
     }
 }
 
