@@ -173,7 +173,7 @@ mod tests {
     fn compile_with_entry_selects() {
         let src = "a() { return 1; } b() { return 2; }";
         let p = compile_with_entry(src, "b").unwrap();
-        assert_eq!(p.func(p.entry).name, "b");
+        assert_eq!(p.func(p.entry).map(|f| f.name.as_str()), Some("b"));
         assert!(compile_with_entry(src, "c").is_err());
     }
 

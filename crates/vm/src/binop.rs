@@ -208,6 +208,14 @@ pub fn arith_top(op: Arith, stack: &mut Vec<Value>) -> Result<(), VmError> {
             return Ok(());
         }
     }
+    arith_popped(op, stack)
+}
+
+/// [`arith_top`]'s reference path, kept out of line so that the fast path
+/// inlines into the dispatch loop.
+#[cold]
+#[inline(never)]
+fn arith_popped(op: Arith, stack: &mut Vec<Value>) -> Result<(), VmError> {
     let b = pop(stack)?;
     let a = pop(stack)?;
     stack.push(arith(op, a, b)?);
@@ -229,6 +237,13 @@ pub fn compare_top(op: Cmp, stack: &mut Vec<Value>) -> Result<(), VmError> {
             return Ok(());
         }
     }
+    compare_popped(op, stack)
+}
+
+/// [`compare_top`]'s reference path, out of line as [`arith_popped`] is.
+#[cold]
+#[inline(never)]
+fn compare_popped(op: Cmp, stack: &mut Vec<Value>) -> Result<(), VmError> {
     let b = pop(stack)?;
     let a = pop(stack)?;
     stack.push(compare(op, &a, &b)?);

@@ -275,211 +275,188 @@ fn run_inner<const FUSE: bool>(
 ) -> Result<Yield, VmError> {
     let interval = env.sample_interval();
     let mut next = if interval == 0 { u64::MAX } else { interval };
+    // The one compare per op: past it lies the fuel error or a sample.
+    let mut limit = fuel.min(next);
     // Once a fused loop deopts, finish the segment unfused: the fault
     // that forced the deopt is about to fire at the interpreter's own
     // position.
     let mut fast = FUSE;
-    loop {
-        if *ops >= fuel {
-            return Err(VmError::FuelExhausted);
-        }
-        if *ops >= next {
-            // Attribute every interval boundary the previous op crossed
-            // to the current program counter (flat profile, no stacks).
-            if let Some(f) = m.frames.last() {
-                let crossings = (*ops - next) / interval + 1;
-                env.pc_sample(u32::from(f.func.0), f.pc, crossings);
-                next += crossings * interval;
-            }
-        }
+    // The active frame, its function and its code are resolved once per
+    // activation: at entry, and after each call, return and fall-off.
+    'frames: loop {
         let frame = m.frames.last_mut().ok_or(VmError::Corrupt("no active frame"))?;
         // A decoded frame may name any function: check, do not index.
-        let func = program
-            .funcs
-            .get(frame.func.0 as usize)
-            .ok_or(VmError::Corrupt("function index out of range"))?;
-        // Falling off the end of a function is an implicit `return NULL`.
-        if frame.pc as usize >= func.code.len() {
-            m.frames.pop();
-            match m.frames.last_mut() {
-                None => return Ok(Yield::Terminated(Value::Null)),
-                Some(caller) => {
-                    caller.stack.push(Value::Null);
-                    continue;
+        let func =
+            program.func(frame.func).ok_or(VmError::Corrupt("function index out of range"))?;
+        let code = func.code.as_slice();
+        loop {
+            if *ops >= limit {
+                if *ops >= fuel {
+                    return Err(VmError::FuelExhausted);
                 }
+                // Attribute every interval boundary the previous op
+                // crossed to the current program counter (flat profile, no
+                // stacks).
+                let crossings = (*ops - next) / interval + 1;
+                env.pc_sample(u32::from(frame.func.0), frame.pc, crossings);
+                next += crossings * interval;
+                limit = fuel.min(next);
             }
-        }
-        let op = func.code[frame.pc as usize];
-        frame.pc += 1;
-        *ops += 1;
-        match op {
-            Op::Const(i) => {
-                let v = program
-                    .consts
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("constant index out of range"))?
-                    .clone();
-                frame.stack.push(v);
-            }
-            Op::LoadLocal(i) => {
-                let v = frame
-                    .locals
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?
-                    .clone();
-                frame.stack.push(v);
-            }
-            Op::StoreLocal(i) => {
-                let v = pop(&mut frame.stack)?;
-                let slot = frame
-                    .locals
-                    .get_mut(i as usize)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?;
-                *slot = v;
-            }
-            // Names are borrowed from the constant pool, not copied; the
-            // verifier's V010 makes each one a string.
-            Op::LoadNode(i) => {
-                let v = env.node_var(const_name(program, i)?);
-                frame.stack.push(v);
-            }
-            Op::StoreNode(i) => {
-                let v = pop(&mut frame.stack)?;
-                env.set_node_var(const_name(program, i)?, v);
-            }
-            Op::LoadNet(var) => {
-                let v = match var {
-                    NetVar::Time => Value::Float(m.vtime.as_f64()),
-                    other => env.net_var(other),
-                };
-                frame.stack.push(v);
-            }
-            Op::Dup => {
-                let v = frame.stack.last().ok_or(VmError::Corrupt("dup on empty stack"))?.clone();
-                frame.stack.push(v);
-            }
-            Op::Pop => {
-                pop(&mut frame.stack)?;
-            }
-            Op::Add => arith_top(Arith::Add, &mut frame.stack)?,
-            Op::Sub => arith_top(Arith::Sub, &mut frame.stack)?,
-            Op::Mul => arith_top(Arith::Mul, &mut frame.stack)?,
-            Op::Div => arith_top(Arith::Div, &mut frame.stack)?,
-            Op::Mod => arith_top(Arith::Mod, &mut frame.stack)?,
-            Op::Neg => {
-                let a = pop(&mut frame.stack)?;
-                frame.stack.push(crate::binop::neg(a)?);
-            }
-            Op::Not => {
-                let a = pop(&mut frame.stack)?;
-                frame.stack.push(Value::Bool(!a.is_truthy()));
-            }
-            Op::Eq | Op::Ne => {
-                let b = pop(&mut frame.stack)?;
-                let a = pop(&mut frame.stack)?;
-                let eq = a.loose_eq(&b);
-                frame.stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
-            }
-            Op::Lt => compare_top(Cmp::Lt, &mut frame.stack)?,
-            Op::Le => compare_top(Cmp::Le, &mut frame.stack)?,
-            Op::Gt => compare_top(Cmp::Gt, &mut frame.stack)?,
-            Op::Ge => compare_top(Cmp::Ge, &mut frame.stack)?,
-            Op::Jump(off) => {
-                frame.pc = jump(frame.pc, off);
-                if FUSE && fast && off < 0 {
-                    if let Some(cp) = cp {
-                        fast = compile::enter_loop(cp, frame, fuel, ops);
-                    }
-                }
-            }
-            Op::JumpIfFalse(off) => {
-                let v = pop(&mut frame.stack)?;
-                if !v.is_truthy() {
-                    frame.pc = jump(frame.pc, off);
-                }
-            }
-            Op::JumpIfTruePeek(off) => {
-                let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if v.is_truthy() {
-                    frame.pc = jump(frame.pc, off);
-                }
-            }
-            Op::JumpIfFalsePeek(off) => {
-                let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if !v.is_truthy() {
-                    frame.pc = jump(frame.pc, off);
-                }
-            }
-            Op::Call { f, argc } => {
-                let at = frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("call args underflow"))?;
-                let args: Vec<Value> = frame.stack.split_off(at);
-                let callee = crate::bytecode::FuncId(f);
-                if (f as usize) >= program.funcs.len() {
-                    return Err(VmError::Corrupt("call target out of range"));
-                }
-                let new_frame = Frame::activate(program, callee, &args)?;
-                m.frames.push(new_frame);
-            }
-            Op::CallNative { name, argc } => {
-                let at = frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("native args underflow"))?;
-                let args: Vec<Value> = frame.stack.split_off(at);
-                let v = env.call_native(const_name(program, name)?, &args)?;
-                frame.stack.push(v);
-            }
-            Op::Ret => {
-                let v = pop(&mut frame.stack)?;
+            // Falling off the end of a function is an implicit `return NULL`.
+            let Some(&op) = code.get(frame.pc as usize) else {
                 m.frames.pop();
                 match m.frames.last_mut() {
-                    None => return Ok(Yield::Terminated(v)),
-                    Some(caller) => caller.stack.push(v),
+                    None => return Ok(Yield::Terminated(Value::Null)),
+                    Some(caller) => {
+                        caller.stack.push(Value::Null);
+                        continue 'frames;
+                    }
                 }
-            }
-            Op::Hop(i) | Op::Delete(i) => {
-                let spec = *program
-                    .hop_specs
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("hop spec out of range"))?;
-                // Operands were pushed ln-then-ll; pop in reverse.
-                let ll = match spec.ll {
-                    LinkPat::Wild => EvalLink::Wild,
-                    LinkPat::Unnamed => EvalLink::Unnamed,
-                    LinkPat::Virtual => EvalLink::Virtual,
-                    LinkPat::Expr => match pop(&mut frame.stack)? {
-                        Value::Link(inst) => EvalLink::Instance(inst),
-                        Value::Null => EvalLink::Unnamed,
-                        v => EvalLink::Named(v),
-                    },
-                };
-                let ln = match spec.ln {
-                    NodePat::Wild => None,
-                    NodePat::Expr => Some(pop(&mut frame.stack)?),
-                };
-                let eh = EvalHop { ln, ll, ldir: spec.ldir };
-                return Ok(if matches!(op, Op::Hop(_)) {
-                    Yield::Hop(eh)
-                } else {
-                    Yield::Delete(eh)
-                });
-            }
-            Op::Create(i) => {
-                let spec = program
-                    .create_specs
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("create spec out of range"))?
-                    .clone();
-                // Operands pushed per item in order (ln, ll, dn, dl);
-                // pop everything in reverse.
-                let mut items: Vec<EvalCreateItem> = Vec::with_capacity(spec.items.len());
-                for it in spec.items.iter().rev() {
-                    let dl = match it.dl {
+            };
+            frame.pc += 1;
+            *ops += 1;
+            match op {
+                Op::Const(i) => {
+                    let v = program
+                        .consts
+                        .get(i as usize)
+                        .ok_or(VmError::Corrupt("constant index out of range"))?
+                        .clone();
+                    frame.stack.push(v);
+                }
+                Op::LoadLocal(i) => {
+                    let v = frame
+                        .locals
+                        .get(i as usize)
+                        .ok_or(VmError::Corrupt("local slot out of range"))?
+                        .clone();
+                    frame.stack.push(v);
+                }
+                Op::StoreLocal(i) => {
+                    let v = pop(&mut frame.stack)?;
+                    let slot = frame
+                        .locals
+                        .get_mut(i as usize)
+                        .ok_or(VmError::Corrupt("local slot out of range"))?;
+                    *slot = v;
+                }
+                // Names are borrowed from the constant pool, not copied; the
+                // verifier's V010 makes each one a string.
+                Op::LoadNode(i) => {
+                    let v = env.node_var(const_name(program, i)?);
+                    frame.stack.push(v);
+                }
+                Op::StoreNode(i) => {
+                    let v = pop(&mut frame.stack)?;
+                    env.set_node_var(const_name(program, i)?, v);
+                }
+                Op::LoadNet(var) => {
+                    let v = match var {
+                        NetVar::Time => Value::Float(m.vtime.as_f64()),
+                        other => env.net_var(other),
+                    };
+                    frame.stack.push(v);
+                }
+                Op::Dup => {
+                    let v =
+                        frame.stack.last().ok_or(VmError::Corrupt("dup on empty stack"))?.clone();
+                    frame.stack.push(v);
+                }
+                Op::Pop => {
+                    pop(&mut frame.stack)?;
+                }
+                Op::Add => arith_top(Arith::Add, &mut frame.stack)?,
+                Op::Sub => arith_top(Arith::Sub, &mut frame.stack)?,
+                Op::Mul => arith_top(Arith::Mul, &mut frame.stack)?,
+                Op::Div => arith_top(Arith::Div, &mut frame.stack)?,
+                Op::Mod => arith_top(Arith::Mod, &mut frame.stack)?,
+                Op::Neg => {
+                    let a = pop(&mut frame.stack)?;
+                    frame.stack.push(crate::binop::neg(a)?);
+                }
+                Op::Not => {
+                    let a = pop(&mut frame.stack)?;
+                    frame.stack.push(Value::Bool(!a.is_truthy()));
+                }
+                Op::Eq | Op::Ne => {
+                    let b = pop(&mut frame.stack)?;
+                    let a = pop(&mut frame.stack)?;
+                    let eq = a.loose_eq(&b);
+                    frame.stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
+                }
+                Op::Lt => compare_top(Cmp::Lt, &mut frame.stack)?,
+                Op::Le => compare_top(Cmp::Le, &mut frame.stack)?,
+                Op::Gt => compare_top(Cmp::Gt, &mut frame.stack)?,
+                Op::Ge => compare_top(Cmp::Ge, &mut frame.stack)?,
+                Op::Jump(off) => {
+                    frame.pc = jump(frame.pc, off);
+                    if FUSE && fast && off < 0 {
+                        if let Some(cp) = cp {
+                            fast = compile::enter_loop(cp, frame, fuel, ops);
+                        }
+                    }
+                }
+                Op::JumpIfFalse(off) => {
+                    let v = pop(&mut frame.stack)?;
+                    if !v.is_truthy() {
+                        frame.pc = jump(frame.pc, off);
+                    }
+                }
+                Op::JumpIfTruePeek(off) => {
+                    let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
+                    if v.is_truthy() {
+                        frame.pc = jump(frame.pc, off);
+                    }
+                }
+                Op::JumpIfFalsePeek(off) => {
+                    let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
+                    if !v.is_truthy() {
+                        frame.pc = jump(frame.pc, off);
+                    }
+                }
+                Op::Call { f, argc } => {
+                    let at = frame
+                        .stack
+                        .len()
+                        .checked_sub(argc as usize)
+                        .ok_or(VmError::Corrupt("call args underflow"))?;
+                    let args: Vec<Value> = frame.stack.split_off(at);
+                    let callee = crate::bytecode::FuncId(f);
+                    if (f as usize) >= program.funcs.len() {
+                        return Err(VmError::Corrupt("call target out of range"));
+                    }
+                    let new_frame = Frame::activate(program, callee, &args)?;
+                    m.frames.push(new_frame);
+                    continue 'frames;
+                }
+                Op::CallNative { name, argc } => {
+                    let at = frame
+                        .stack
+                        .len()
+                        .checked_sub(argc as usize)
+                        .ok_or(VmError::Corrupt("native args underflow"))?;
+                    let args: Vec<Value> = frame.stack.split_off(at);
+                    let v = env.call_native(const_name(program, name)?, &args)?;
+                    frame.stack.push(v);
+                }
+                Op::Ret => {
+                    let v = pop(&mut frame.stack)?;
+                    m.frames.pop();
+                    match m.frames.last_mut() {
+                        None => return Ok(Yield::Terminated(v)),
+                        Some(caller) => {
+                            caller.stack.push(v);
+                            continue 'frames;
+                        }
+                    }
+                }
+                Op::Hop(i) | Op::Delete(i) => {
+                    let spec = *program
+                        .hop_specs
+                        .get(i as usize)
+                        .ok_or(VmError::Corrupt("hop spec out of range"))?;
+                    // Operands were pushed ln-then-ll; pop in reverse.
+                    let ll = match spec.ll {
                         LinkPat::Wild => EvalLink::Wild,
                         LinkPat::Unnamed => EvalLink::Unnamed,
                         LinkPat::Virtual => EvalLink::Virtual,
@@ -489,78 +466,110 @@ fn run_inner<const FUSE: bool>(
                             v => EvalLink::Named(v),
                         },
                     };
-                    let dn = match it.dn {
+                    let ln = match spec.ln {
                         NodePat::Wild => None,
                         NodePat::Expr => Some(pop(&mut frame.stack)?),
                     };
-                    let ll = match it.ll {
-                        NamePat::Unnamed => None,
-                        NamePat::Expr => Some(pop(&mut frame.stack)?),
+                    let eh = EvalHop { ln, ll, ldir: spec.ldir };
+                    return Ok(if matches!(op, Op::Hop(_)) {
+                        Yield::Hop(eh)
+                    } else {
+                        Yield::Delete(eh)
+                    });
+                }
+                Op::Create(i) => {
+                    let spec = program
+                        .create_specs
+                        .get(i as usize)
+                        .ok_or(VmError::Corrupt("create spec out of range"))?
+                        .clone();
+                    // Operands pushed per item in order (ln, ll, dn, dl);
+                    // pop everything in reverse.
+                    let mut items: Vec<EvalCreateItem> = Vec::with_capacity(spec.items.len());
+                    for it in spec.items.iter().rev() {
+                        let dl = match it.dl {
+                            LinkPat::Wild => EvalLink::Wild,
+                            LinkPat::Unnamed => EvalLink::Unnamed,
+                            LinkPat::Virtual => EvalLink::Virtual,
+                            LinkPat::Expr => match pop(&mut frame.stack)? {
+                                Value::Link(inst) => EvalLink::Instance(inst),
+                                Value::Null => EvalLink::Unnamed,
+                                v => EvalLink::Named(v),
+                            },
+                        };
+                        let dn = match it.dn {
+                            NodePat::Wild => None,
+                            NodePat::Expr => Some(pop(&mut frame.stack)?),
+                        };
+                        let ll = match it.ll {
+                            NamePat::Unnamed => None,
+                            NamePat::Expr => Some(pop(&mut frame.stack)?),
+                        };
+                        let ln = match it.ln {
+                            NamePat::Unnamed => None,
+                            NamePat::Expr => Some(pop(&mut frame.stack)?),
+                        };
+                        items.push(EvalCreateItem { ln, ll, ldir: it.ldir, dn, dl, ddir: it.ddir });
+                    }
+                    items.reverse();
+                    return Ok(Yield::Create(EvalCreate { items, all: spec.all }));
+                }
+                Op::SchedAbs => {
+                    let t = pop(&mut frame.stack)?.as_float()?;
+                    if t.is_nan() {
+                        return Err(VmError::Corrupt("NaN virtual time"));
+                    }
+                    return Ok(Yield::SchedAbs(Vt::new(t)));
+                }
+                Op::SchedDlt => {
+                    let dt = pop(&mut frame.stack)?.as_float()?;
+                    if dt.is_nan() {
+                        return Err(VmError::Corrupt("NaN virtual time"));
+                    }
+                    return Ok(Yield::SchedDlt(dt));
+                }
+                Op::Halt => return Ok(Yield::Terminated(Value::Null)),
+                Op::MakeArr => {
+                    let default = pop(&mut frame.stack)?;
+                    let n = pop(&mut frame.stack)?.as_int()?;
+                    if !(0..=(1 << 24)).contains(&n) {
+                        return Err(VmError::Native(format!("bad array size {n}")));
+                    }
+                    frame.stack.push(Value::Arr(std::sync::Arc::new(vec![default; n as usize])));
+                }
+                Op::IndexGet => {
+                    let idx = pop(&mut frame.stack)?.as_int()?;
+                    let arr = pop(&mut frame.stack)?;
+                    let arr = arr.as_array()?;
+                    let v = arr
+                        .get(usize::try_from(idx).map_err(|_| {
+                            VmError::Native(format!("array index {idx} out of bounds"))
+                        })?)
+                        .ok_or_else(|| {
+                            VmError::Native(format!(
+                                "array index {idx} out of bounds (len {})",
+                                arr.len()
+                            ))
+                        })?
+                        .clone();
+                    frame.stack.push(v);
+                }
+                Op::IndexSet => {
+                    let value = pop(&mut frame.stack)?;
+                    let idx = pop(&mut frame.stack)?.as_int()?;
+                    let mut arr = match pop(&mut frame.stack)? {
+                        Value::Arr(a) => a,
+                        other => return Err(VmError::type_error("array", &other)),
                     };
-                    let ln = match it.ln {
-                        NamePat::Unnamed => None,
-                        NamePat::Expr => Some(pop(&mut frame.stack)?),
-                    };
-                    items.push(EvalCreateItem { ln, ll, ldir: it.ldir, dn, dl, ddir: it.ddir });
+                    let len = arr.len();
+                    let slot = std::sync::Arc::make_mut(&mut arr)
+                        .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
+                        .ok_or_else(|| {
+                            VmError::Native(format!("array index {idx} out of bounds (len {len})"))
+                        })?;
+                    *slot = value;
+                    frame.stack.push(Value::Arr(arr));
                 }
-                items.reverse();
-                return Ok(Yield::Create(EvalCreate { items, all: spec.all }));
-            }
-            Op::SchedAbs => {
-                let t = pop(&mut frame.stack)?.as_float()?;
-                if t.is_nan() {
-                    return Err(VmError::Corrupt("NaN virtual time"));
-                }
-                return Ok(Yield::SchedAbs(Vt::new(t)));
-            }
-            Op::SchedDlt => {
-                let dt = pop(&mut frame.stack)?.as_float()?;
-                if dt.is_nan() {
-                    return Err(VmError::Corrupt("NaN virtual time"));
-                }
-                return Ok(Yield::SchedDlt(dt));
-            }
-            Op::Halt => return Ok(Yield::Terminated(Value::Null)),
-            Op::MakeArr => {
-                let default = pop(&mut frame.stack)?;
-                let n = pop(&mut frame.stack)?.as_int()?;
-                if !(0..=(1 << 24)).contains(&n) {
-                    return Err(VmError::Native(format!("bad array size {n}")));
-                }
-                frame.stack.push(Value::Arr(std::sync::Arc::new(vec![default; n as usize])));
-            }
-            Op::IndexGet => {
-                let idx = pop(&mut frame.stack)?.as_int()?;
-                let arr = pop(&mut frame.stack)?;
-                let arr = arr.as_array()?;
-                let v =
-                    arr.get(usize::try_from(idx).map_err(|_| {
-                        VmError::Native(format!("array index {idx} out of bounds"))
-                    })?)
-                    .ok_or_else(|| {
-                        VmError::Native(format!(
-                            "array index {idx} out of bounds (len {})",
-                            arr.len()
-                        ))
-                    })?
-                    .clone();
-                frame.stack.push(v);
-            }
-            Op::IndexSet => {
-                let value = pop(&mut frame.stack)?;
-                let idx = pop(&mut frame.stack)?.as_int()?;
-                let mut arr = match pop(&mut frame.stack)? {
-                    Value::Arr(a) => a,
-                    other => return Err(VmError::type_error("array", &other)),
-                };
-                let len = arr.len();
-                let slot = std::sync::Arc::make_mut(&mut arr)
-                    .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
-                    .ok_or_else(|| {
-                        VmError::Native(format!("array index {idx} out of bounds (len {len})"))
-                    })?;
-                *slot = value;
-                frame.stack.push(Value::Arr(arr));
             }
         }
     }

@@ -139,7 +139,7 @@ impl Frame {
     /// slots than parameters (unverified code), [`VmError::Arity`] if
     /// `args` does not match its parameter count.
     pub fn activate(program: &Program, func: FuncId, args: &[Value]) -> Result<Frame, VmError> {
-        let f = program.funcs.get(func.0 as usize).ok_or(VmError::Corrupt("no such function"))?;
+        let f = program.func(func).ok_or(VmError::Corrupt("no such function"))?;
         if f.n_slots < u16::from(f.arity) {
             return Err(VmError::Corrupt("function has fewer slots than parameters"));
         }

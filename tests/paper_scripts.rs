@@ -47,8 +47,9 @@ fn fig11_scripts_compile_with_both_entries() {
             entry,
         )
         .expect("Fig. 11 compiles");
-        assert_eq!(p.func(p.entry).name, entry);
-        assert_eq!(p.func(p.entry).arity, 4, "(s, m, i, j)");
+        let f = p.func(p.entry).expect("the entry is one of the program's functions");
+        assert_eq!(f.name, entry);
+        assert_eq!(f.arity, 4, "(s, m, i, j)");
     }
 }
 
