@@ -207,6 +207,19 @@ if [ -n "$ops_copies" ]; then
     echo "error: crates/vm/src defines an operator outside binop.rs" >&2
     exit 1
 fi
+# A frame or call decoded off the wire may name any function (DESIGN.md
+# §10): outside tests, vm code looks one up through Program::func, which
+# returns an Option, and never indexes a program's functions itself.
+func_lookups="$(for f in crates/vm/src/*.rs; do
+    [ "$f" = crates/vm/src/bytecode.rs ] && continue
+    awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next }
+         /\.funcs\[|\.funcs\.get\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$func_lookups" ]; then
+    echo "$func_lookups"
+    echo "error: crates/vm/src looks up a function without Program::func" >&2
+    exit 1
+fi
 # Each program written once for both platforms (DESIGN.md §9): the PVM
 # threads backend drives the same Task machines as the simulator (no
 # closure API), `msgr run` is one generic function, Fig. 3's natives are
