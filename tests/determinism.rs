@@ -328,3 +328,100 @@ fn hot_loop_state_is_engine_independent() {
     assert!(compiled.counter("compile_superinsts") > 0, "no superinstructions formed");
     assert!(compiled.counter("analysis_typed_loops") > 0, "the pure inner loop was not typed");
 }
+
+#[test]
+fn optimistic_runs_match_golden() {
+    // Time Warp's fence: the swarm at two densities and the 3x3 matmul
+    // under optimistic virtual time, plus one traced two-daemon ring, pin
+    // simulated time, result, counters and the merged event stream. Across
+    // the set, speculation must roll back, chase its sends with
+    // anti-messengers, and annihilate them.
+    use messengers::apps::swarm::{self, SwarmScene};
+    use messengers::core::topology::LogicalTopology;
+    use messengers::core::{DaemonId, SimCluster, TraceConfig, VtMode};
+    use messengers::vm::{Dir, Value};
+    let mut speculation = [0u64; 3];
+    let mut tally = |stats: &Stats| {
+        for (n, key) in speculation.iter_mut().zip(["rollbacks", "anti_sent", "annihilations"]) {
+            *n += stats.counter(key);
+        }
+    };
+
+    let mut swarms = Vec::new();
+    for ants in [12i64, 48] {
+        let scene = SwarmScene { side: 6, ants, ticks: 16, daemons: 4 };
+        let run = swarm::run(scene, VtMode::Optimistic).expect("swarm");
+        let mut fh: u64 = 0xcbf29ce484222325;
+        for cell in &run.field {
+            fnv1a(&mut fh, cell.to_le_bytes());
+        }
+        tally(&run.stats);
+        swarms.push((run.seconds.to_bits(), fh, counters_fnv(&run.stats)));
+    }
+
+    let scene = MatmulScene::new(3, 50);
+    let (a, b) = (test_matrix(scene.n(), 1), test_matrix(scene.n(), 2));
+    let mut cfg = ClusterConfig::new(9);
+    cfg.vt_mode = VtMode::Optimistic;
+    let mm = matmul_msgr::run_sim(scene, &a, &b, &Calib::default(), cfg).expect("matmul");
+    let mut ph: u64 = 0xcbf29ce484222325;
+    for f in mm.product.as_slice() {
+        fnv1a(&mut ph, f.to_bits().to_le_bytes());
+    }
+    tally(&mm.stats);
+
+    // `cluster.rs::optimistic_matches_conservative`, traced.
+    let ring = messengers::lang::compile(
+        r#"main(k, rounds) {
+            int i;
+            node int acc;
+            for (i = 0; i < rounds; i = i + 1) {
+                M_sched_time_dlt(1.0);
+                acc = acc + k + i;
+                hop(ll = "ring");
+            }
+        }"#,
+    )
+    .expect("compile");
+    let mut cfg = ClusterConfig::new(2);
+    cfg.net = messengers::core::NetKind::Ideal;
+    cfg.vt_mode = VtMode::Optimistic;
+    cfg.trace = TraceConfig::on();
+    let mut c = SimCluster::new(cfg);
+    let mut topo = LogicalTopology::new();
+    topo.node(Value::str("r0"), DaemonId(0));
+    topo.node(Value::str("r1"), DaemonId(1));
+    topo.link(Value::str("r0"), Value::str("r1"), Value::str("ring"), Dir::Any);
+    c.build(&topo).expect("build ring");
+    let pid = c.register_program(&ring);
+    c.inject_at(&Value::str("r0"), pid, &[Value::Int(1), Value::Int(4)]).expect("inject");
+    c.inject_at(&Value::str("r1"), pid, &[Value::Int(100), Value::Int(4)]).expect("inject");
+    let rep = c.run().expect("run");
+    assert!(rep.faults.is_empty(), "faults: {:?}", rep.faults);
+    let mut th: u64 = 0xcbf29ce484222325;
+    fnv1a(&mut th, rep.trace.expect("tracing on").to_jsonl().bytes());
+    tally(&rep.stats);
+
+    assert_eq!(
+        swarms,
+        [
+            (0x3faeb851eb851eb8, 0xa8d786c4b65780a5, 0x88b9f9d59f7e445e),
+            (0x3fceb851eb851eb8, 0xc1cbe9811e0d5765, 0xec5785f37fc4c6ef),
+        ],
+        "optimistic swarm (seconds, field, counters) drifted from baseline"
+    );
+    assert_eq!(
+        (mm.seconds.to_bits(), ph, counters_fnv(&mm.stats)),
+        (0x3fc956ace43df16c, 0xde4307f39fe6ada1, 0xf2dfbbf3de62e714),
+        "optimistic matmul (seconds, product, counters) drifted from baseline"
+    );
+    assert_eq!(
+        (rep.seconds.to_bits(), th, counters_fnv(&rep.stats)),
+        (0x3f8eb851eb851eb8, 0x586afe948faca22e, 0x35ecf9407b020e22),
+        "optimistic ring (seconds, trace, counters) drifted from baseline"
+    );
+    let [rollbacks, anti_sent, annihilations] = speculation;
+    assert!(rollbacks > 0, "no rollback");
+    assert!(anti_sent > 0, "no anti-messenger sent");
+    assert!(annihilations > 0, "no annihilation");
+}
