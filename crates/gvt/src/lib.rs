@@ -19,10 +19,10 @@
 //!   drives both the simulated cluster (where control traffic pays real
 //!   simulated network cost — the paper's "significant communication
 //!   overhead") and the threaded runtime.
-//! * [`timewarp`] — per-logical-node Time-Warp support: input logging,
-//!   state snapshots, straggler detection, rollback, anti-message
-//!   generation, and fossil collection, used by the optimistic mode of
-//!   the simulation platform.
+//! * [`timewarp`] — Time Warp: [`TimeWarp`], the optimistic scheduler a
+//!   daemon holds under optimistic virtual time, over per-logical-node
+//!   logs ([`TwNode`]) with input logging, state snapshots, straggler
+//!   detection, rollback, anti-message generation, and fossil collection.
 //!
 //! The conservative execution rule is: a suspended messenger with wake
 //! time `t` may run once `t <= GVT`. Because every pending wake time is
@@ -41,6 +41,6 @@ mod queue;
 
 pub use protocol::{Coordinator, CoordinatorAction, CtrlMsg, Participant};
 pub use queue::PendingQueue;
-pub use timewarp::{Rollback, SentRef, TwEntry, TwNode};
+pub use timewarp::{Cancel, Rollback, SentRef, TimeWarp, TwEntry, TwNode};
 
 pub use msgr_vm::Vt;

@@ -15,6 +15,17 @@
 //! see `msgr-vm` — so re-execution is literally re-enqueueing the saved
 //! state), and references to every messenger the event sent (for
 //! anti-messenger generation).
+//!
+//! [`TimeWarp`] is the optimistic scheduler of one host: the event queue,
+//! every node's log, the anti-messengers that beat their positive copy,
+//! and what the running event has sent. Its host runs what
+//! [`TimeWarp::pop`] hands out and, when a rollback comes with it,
+//! restores the node, queues the undone inputs again and sends the
+//! anti-messengers; the scheduler knows nothing of wires, counters or
+//! what a node holds.
+
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 
 use msgr_vm::Vt;
 
@@ -50,7 +61,7 @@ pub struct TwEntry<S, M> {
     pub sent: Vec<SentRef>,
 }
 
-/// What a rollback demands of the daemon.
+/// What a rollback of one [`TwNode`] demands.
 #[derive(Debug, Clone)]
 pub struct Rollback<S, M> {
     /// The snapshot taken before the earliest undone event: the state to
@@ -66,22 +77,16 @@ pub struct Rollback<S, M> {
 #[derive(Debug, Clone)]
 pub struct TwNode<S, M> {
     processed: Vec<TwEntry<S, M>>, // ascending by key
-    rollbacks: u64,
-    fossils: u64,
 }
 
 impl<S, M> Default for TwNode<S, M> {
+    /// A node with an empty event log.
     fn default() -> Self {
-        Self::new()
+        TwNode { processed: Vec::new() }
     }
 }
 
 impl<S, M> TwNode<S, M> {
-    /// A node with an empty event log.
-    pub fn new() -> Self {
-        TwNode { processed: Vec::new(), rollbacks: 0, fossils: 0 }
-    }
-
     /// The key of the most recent processed event.
     pub fn last_key(&self) -> Option<EventKey> {
         self.processed.last().map(|e| e.key)
@@ -91,16 +96,6 @@ impl<S, M> TwNode<S, M> {
     /// this node's past).
     pub fn is_straggler(&self, key: EventKey) -> bool {
         self.last_key().is_some_and(|last| key < last)
-    }
-
-    /// Number of rollbacks performed.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
-    }
-
-    /// Number of log entries reclaimed by fossil collection.
-    pub fn fossils_collected(&self) -> u64 {
-        self.fossils
     }
 
     /// Number of retained log entries.
@@ -115,14 +110,8 @@ impl<S, M> TwNode<S, M> {
     /// Panics if `entry.key` is not strictly greater than the last
     /// recorded key — the daemon must roll back first.
     pub fn record(&mut self, entry: TwEntry<S, M>) {
-        if let Some(last) = self.last_key() {
-            assert!(
-                entry.key > last,
-                "recording event {:?} at or before last processed {:?}",
-                entry.key,
-                last
-            );
-        }
+        let (key, last) = (entry.key, self.last_key());
+        assert!(last < Some(key), "recording event {key:?} at or before last processed {last:?}");
         self.processed.push(entry);
     }
 
@@ -132,7 +121,6 @@ impl<S, M> TwNode<S, M> {
         let cut = self.processed.partition_point(|e| e.key < key);
         let mut undone = self.processed.drain(cut..);
         let first = undone.next()?;
-        self.rollbacks += 1;
         let mut cancel = first.sent;
         let mut reexecute = vec![(first.key, first.input)];
         for e in undone {
@@ -142,14 +130,10 @@ impl<S, M> TwNode<S, M> {
         Some(Rollback { restore: first.pre_state, reexecute, cancel })
     }
 
-    /// Whether an event with the given input messenger id is in the log.
-    pub fn contains_input(&self, input_id: u64) -> bool {
-        self.processed.iter().any(|e| e.key.1 == input_id)
-    }
-
     /// Handle an anti-messenger whose positive copy was already
     /// processed here: roll back from that event, *discarding* the
-    /// annihilated input rather than re-executing it.
+    /// annihilated input rather than re-executing it. `None` if no
+    /// logged event had that input.
     pub fn annihilate_processed(&mut self, input_id: u64) -> Option<Rollback<S, M>> {
         let key = self.processed.iter().find(|e| e.key.1 == input_id)?.key;
         let mut rb = self.rollback(key)?;
@@ -165,8 +149,119 @@ impl<S, M> TwNode<S, M> {
         // event at exactly `gvt` must be rolled back.
         let cut = cut.min(self.processed.len().saturating_sub(1));
         self.processed.drain(..cut);
-        self.fossils += cut as u64;
         cut
+    }
+}
+
+/// What an anti-messenger did, as [`TimeWarp::annihilate`] reports it.
+#[derive(Debug, Clone)]
+pub enum Cancel<N, S, M> {
+    /// Its positive copy was still queued, and is gone.
+    Dequeued,
+    /// Its positive copy had run at node `N`, which rolled back; the
+    /// positive is not among the inputs to queue again.
+    RolledBack(N, Rollback<S, M>),
+    /// Its positive copy has not arrived; [`TimeWarp::cancelled`] says so
+    /// when it does.
+    Stashed,
+}
+
+/// The optimistic scheduler of one host, over nodes `N`, node states `S`
+/// and events (input messengers) `M`.
+#[derive(Debug)]
+pub struct TimeWarp<N, S, M> {
+    /// Events to run, in key order, each with the node it runs at.
+    queue: BTreeMap<EventKey, (N, M)>,
+    /// Every node's log of processed events.
+    logs: HashMap<N, TwNode<S, M>>,
+    /// Ids whose anti-messenger arrived first.
+    antis: HashSet<u64>,
+    /// What the running event has sent so far.
+    sent: Vec<SentRef>,
+}
+
+impl<N, S, M> Default for TimeWarp<N, S, M> {
+    fn default() -> Self {
+        TimeWarp {
+            queue: BTreeMap::new(),
+            logs: HashMap::new(),
+            antis: HashSet::new(),
+            sent: Vec::new(),
+        }
+    }
+}
+
+impl<N: Copy + Eq + Hash, S, M> TimeWarp<N, S, M> {
+    /// Queue `event`, ordered by `key`, to run at node `at`.
+    pub fn push(&mut self, key: EventKey, at: N, event: M) {
+        self.queue.insert(key, (at, event));
+    }
+
+    /// Whether no event is queued.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// The earliest queued timestamp (infinite when none is): the host's
+    /// contribution to GVT.
+    pub fn min(&self) -> Vt {
+        self.queue.first_key_value().map_or(Vt::INFINITY, |(key, _)| key.0)
+    }
+
+    /// The queued events, in key order.
+    pub fn queued(&self) -> impl Iterator<Item = &M> {
+        self.queue.values().map(|(_, event)| event)
+    }
+
+    /// Take the earliest event. Alone, it is to run and then be logged
+    /// with [`TimeWarp::record`]. With a rollback, it is a straggler that
+    /// reached its node's past, and the node rolled back: the host
+    /// restores the node's state, queues the event and the undone inputs
+    /// again, and sends the anti-messengers.
+    pub fn pop(&mut self) -> Option<(M, Option<Rollback<S, M>>)> {
+        let (key, (at, event)) = self.queue.pop_first()?;
+        Some((event, self.logs.get_mut(&at).and_then(|log| log.rollback(key))))
+    }
+
+    /// The running event sent messenger `id`, at virtual time `ts`, to
+    /// daemon `dest`.
+    pub fn sent(&mut self, id: u64, dest: u16, ts: Vt) {
+        self.sent.push(SentRef { id, dest, ts });
+    }
+
+    /// Log the event that ran with `key` at node `at`, with everything it
+    /// sent: that node's state before it ran and its input as it arrived.
+    pub fn record(&mut self, key: EventKey, at: N, pre_state: S, input: M) {
+        let sent = std::mem::take(&mut self.sent);
+        self.logs.entry(at).or_default().record(TwEntry { key, pre_state, input, sent });
+    }
+
+    /// An anti-messenger for messenger `id` arrived.
+    pub fn annihilate(&mut self, id: u64) -> Cancel<N, S, M> {
+        if let Some(key) = self.queue.keys().find(|key| key.1 == id).copied() {
+            self.queue.remove(&key);
+            return Cancel::Dequeued;
+        }
+        let processed = self.logs.iter_mut().find_map(|(&at, log)| {
+            log.annihilate_processed(id).map(|rb| Cancel::RolledBack(at, rb))
+        });
+        processed.unwrap_or_else(|| {
+            self.antis.insert(id);
+            Cancel::Stashed
+        })
+    }
+
+    /// Whether messenger `id`, just arrived, was annihilated by an
+    /// anti-messenger that beat it here. The stashed anti is spent.
+    pub fn cancelled(&mut self, id: u64) -> bool {
+        self.antis.remove(&id)
+    }
+
+    /// Drop the log entries no rollback can reach once GVT is `gvt`.
+    pub fn fossil_collect(&mut self, gvt: Vt) {
+        for log in self.logs.values_mut() {
+            log.fossil_collect(gvt);
+        }
     }
 }
 
@@ -192,7 +287,7 @@ mod tests {
 
     #[test]
     fn straggler_detection() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         assert!(!n.is_straggler(key(1.0, 1)));
         n.record(entry(1.0, 1, 0, "a", vec![]));
         n.record(entry(2.0, 2, 10, "b", vec![]));
@@ -205,7 +300,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_earliest_pre_state_and_cancels_sends() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         n.record(entry(1.0, 1, 100, "e1", vec![SentRef { id: 11, dest: 2, ts: Vt::new(1.0) }]));
         n.record(entry(2.0, 2, 200, "e2", vec![SentRef { id: 22, dest: 3, ts: Vt::new(2.0) }]));
         n.record(entry(3.0, 3, 300, "e3", vec![]));
@@ -214,20 +309,18 @@ mod tests {
         assert_eq!(rb.reexecute, vec![(key(2.0, 2), "e2"), (key(3.0, 3), "e3")]);
         assert_eq!(rb.cancel, vec![SentRef { id: 22, dest: 3, ts: Vt::new(2.0) }]);
         assert_eq!(n.last_key(), Some(key(1.0, 1)));
-        assert_eq!(n.rollbacks(), 1);
     }
 
     #[test]
     fn rollback_of_future_is_noop() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         n.record(entry(1.0, 1, 0, "a", vec![]));
         assert!(n.rollback(key(5.0, 0)).is_none());
-        assert_eq!(n.rollbacks(), 0);
     }
 
     #[test]
     fn rollback_everything() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         n.record(entry(1.0, 1, 7, "a", vec![]));
         n.record(entry(2.0, 2, 8, "b", vec![]));
         let rb = n.rollback(key(0.0, 0)).unwrap();
@@ -238,7 +331,7 @@ mod tests {
 
     #[test]
     fn annihilate_processed_discards_the_victim() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         n.record(entry(1.0, 1, 7, "a", vec![]));
         n.record(entry(2.0, 42, 8, "victim", vec![SentRef { id: 9, dest: 1, ts: Vt::new(2.0) }]));
         n.record(entry(3.0, 3, 9, "c", vec![]));
@@ -254,21 +347,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "at or before last processed")]
     fn out_of_order_record_panics() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         n.record(entry(2.0, 2, 0, "a", vec![]));
         n.record(entry(1.0, 1, 0, "b", vec![]));
     }
 
     #[test]
     fn fossil_collection_keeps_a_safety_entry() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         for i in 0..10u64 {
             n.record(entry(i as f64, i, i as i64, "e", vec![]));
         }
         let reclaimed = n.fossil_collect(Vt::new(5.0));
         assert_eq!(reclaimed, 5);
         assert_eq!(n.log_len(), 5);
-        assert_eq!(n.fossils_collected(), 5);
         // Collecting everything still retains the newest entry.
         let _ = n.fossil_collect(Vt::new(100.0));
         assert_eq!(n.log_len(), 1);
@@ -278,7 +370,7 @@ mod tests {
 
     #[test]
     fn rollback_then_reprocess_in_order() {
-        let mut n = Node::new();
+        let mut n = Node::default();
         n.record(entry(1.0, 1, 0, "a", vec![]));
         n.record(entry(3.0, 3, 10, "c", vec![]));
         // Straggler at t=2 arrives.
