@@ -420,12 +420,8 @@ fn run_inner<const FUSE: bool>(
                         .len()
                         .checked_sub(argc as usize)
                         .ok_or(VmError::Corrupt("call args underflow"))?;
-                    let args: Vec<Value> = frame.stack.split_off(at);
                     let callee = crate::bytecode::FuncId(f);
-                    if (f as usize) >= program.funcs.len() {
-                        return Err(VmError::Corrupt("call target out of range"));
-                    }
-                    let new_frame = Frame::activate(program, callee, &args)?;
+                    let new_frame = Frame::activate(program, callee, frame.stack.drain(at..))?;
                     m.frames.push(new_frame);
                     continue 'frames;
                 }

@@ -130,7 +130,7 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A fresh frame for `func` with arguments bound to the first slots
+    /// A fresh frame for `func` with arguments moved into the first slots
     /// and the rest NULL.
     ///
     /// # Errors
@@ -138,7 +138,11 @@ impl Frame {
     /// [`VmError::Corrupt`] if `func` is not in the program or has fewer
     /// slots than parameters (unverified code), [`VmError::Arity`] if
     /// `args` does not match its parameter count.
-    pub fn activate(program: &Program, func: FuncId, args: &[Value]) -> Result<Frame, VmError> {
+    pub fn activate(
+        program: &Program,
+        func: FuncId,
+        args: impl ExactSizeIterator<Item = Value>,
+    ) -> Result<Frame, VmError> {
         let f = program.func(func).ok_or(VmError::Corrupt("no such function"))?;
         if f.n_slots < u16::from(f.arity) {
             return Err(VmError::Corrupt("function has fewer slots than parameters"));
@@ -150,8 +154,9 @@ impl Frame {
                 got: args.len() as u8,
             });
         }
-        let mut locals = vec![Value::Null; f.n_slots as usize];
-        locals[..args.len()].clone_from_slice(args);
+        let mut locals = Vec::with_capacity(f.n_slots as usize);
+        locals.extend(args);
+        locals.resize(f.n_slots as usize, Value::Null);
         Ok(Frame { func, pc: 0, locals, stack: Vec::new() })
     }
 }
@@ -207,7 +212,7 @@ impl MessengerState {
         Ok(MessengerState {
             id,
             program: program_id,
-            frames: vec![Frame::activate(program, program.entry, args)?],
+            frames: vec![Frame::activate(program, program.entry, args.iter().cloned())?],
             vtime: Vt::ZERO,
             anti: false,
         })
