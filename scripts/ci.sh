@@ -137,6 +137,18 @@ if grep -n 'stats\.counter("' "$daemon" \
     echo "error: daemon.rs reads a counter by key: read the Counters array by Metric" >&2
     exit 1
 fi
+# Time Warp lives in msgr-gvt (DESIGN.md §2, "Daemon anatomy"): the daemon holds one
+# msgr_gvt::TimeWarp and calls it, as it does Xport and Members. No Time-Warp
+# log, queue or stash type is named under crates/core/src, and daemon.rs reads
+# vt_mode only in Daemon::new, to decide whether it holds a TimeWarp.
+tw_mode="$(awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next }
+    match($0, /fn [a-z_]+[<(]/) { fn = substr($0, RSTART + 3, RLENGTH - 4) }
+    /vt_mode/ && fn != "new" { print FILENAME ":" FNR ": " $0 }' "$daemon")"
+if grep -rnE 'opt_queue|anti_pending|TwNode|TwEntry|SentRef' crates/core/src || [ -n "$tw_mode" ]; then
+    [ -n "$tw_mode" ] && echo "$tw_mode"
+    echo "error: Time-Warp state or a vt_mode read is back in the daemon: call its msgr_gvt::TimeWarp" >&2
+    exit 1
+fi
 # The sim platform counts the same way: its frame, fault and crash counters
 # are a Counters array too, and only the recovery-latency histogram (and
 # its running total) stays in the string-keyed Stats.
