@@ -11,6 +11,7 @@
 use msgr_vm::bytes::{Bytes, BytesMut};
 use msgr_vm::wire::{get_value, get_vt, put_value, put_vt};
 
+use msgr_ctrl::{Decree, Digest, InstanceId, PaxosMsg};
 use msgr_gvt::CtrlMsg;
 use msgr_vm::{LinkInstance, MessengerId, Value, VmError, Vt};
 
@@ -409,26 +410,117 @@ fn get_ctrl(buf: &mut Bytes) -> Result<CtrlMsg, VmError> {
     })
 }
 
-/// Length-prefix a control-plane payload written by the `msgr_ctrl`
-/// codec, so the strict frame decoder can require exact consumption.
-fn put_ctrl_payload(buf: &mut BytesMut, write: impl FnOnce(&mut Vec<u8>)) {
-    let mut tmp = Vec::with_capacity(32);
-    write(&mut tmp);
-    buf.put_bytes(&tmp);
+// Control-plane payloads (`Wire::Ctrl`, `Wire::Gossip`) are laid out in
+// fixed-width little-endian fields behind a varint byte length, which the
+// decoder must consume exactly.
+
+/// Cap on a digest's eviction list: far above any real cluster
+/// (membership is u16), low enough to bound a hostile allocation.
+const MAX_EVICTIONS: usize = 4096;
+
+fn put_inst(buf: &mut BytesMut, inst: InstanceId) {
+    buf.put_u16_le(inst.victim);
+    buf.put_u32_le(inst.seq);
 }
 
-fn get_ctrl_payload<T>(
-    buf: &mut Bytes,
-    what: &str,
-    read: impl FnOnce(&mut &[u8]) -> Result<T, msgr_ctrl::codec::CodecError>,
-) -> Result<T, VmError> {
-    let payload = buf.read_bytes()?;
-    let mut r: &[u8] = &payload;
-    let v = read(&mut r).map_err(|e| VmError::Decode(format!("{what}: {e}")))?;
-    if !r.is_empty() {
-        return Err(VmError::Decode(format!("trailing bytes in {what} payload")));
+fn get_inst(buf: &mut Bytes) -> Result<InstanceId, VmError> {
+    Ok(InstanceId { victim: buf.read_u16_le()?, seq: buf.read_u32_le()? })
+}
+
+fn put_decree(buf: &mut BytesMut, d: Decree) {
+    buf.put_u16_le(d.victim);
+    buf.put_u16_le(d.successor);
+    buf.put_u32_le(d.epoch);
+}
+
+fn get_decree(buf: &mut Bytes) -> Result<Decree, VmError> {
+    let (victim, successor) = (buf.read_u16_le()?, buf.read_u16_le()?);
+    Ok(Decree { victim, successor, epoch: buf.read_u32_le()? })
+}
+
+/// A Paxos message: its byte length, a tag, the instance, then the
+/// variant's ballot and decree.
+fn put_paxos(buf: &mut BytesMut, m: &PaxosMsg) {
+    let (len, tag, inst) = match *m {
+        PaxosMsg::Prepare { inst, .. } => (15, 0, inst),
+        PaxosMsg::Promise { inst, accepted: None, .. } => (16, 1, inst),
+        PaxosMsg::Promise { inst, .. } => (32, 1, inst),
+        PaxosMsg::AcceptReq { inst, .. } => (23, 2, inst),
+        PaxosMsg::Accepted { inst, .. } => (23, 3, inst),
+        PaxosMsg::Learn { inst, .. } => (15, 4, inst),
+    };
+    buf.put_varint(len);
+    buf.put_u8(tag);
+    put_inst(buf, inst);
+    match *m {
+        PaxosMsg::Prepare { ballot, .. } => buf.put_u64_le(ballot),
+        PaxosMsg::Promise { ballot, accepted, .. } => {
+            buf.put_u64_le(ballot);
+            buf.put_bool(accepted.is_some());
+            if let Some((b, d)) = accepted {
+                buf.put_u64_le(b);
+                put_decree(buf, d);
+            }
+        }
+        PaxosMsg::AcceptReq { ballot, decree, .. } | PaxosMsg::Accepted { ballot, decree, .. } => {
+            buf.put_u64_le(ballot);
+            put_decree(buf, decree);
+        }
+        PaxosMsg::Learn { decree, .. } => put_decree(buf, decree),
     }
-    Ok(v)
+}
+
+fn get_paxos(buf: &mut Bytes) -> Result<PaxosMsg, VmError> {
+    let mut p = buf.read_bytes()?;
+    let (tag, inst) = (p.read_u8()?, get_inst(&mut p)?);
+    let m = match tag {
+        0 => PaxosMsg::Prepare { inst, ballot: p.read_u64_le()? },
+        1 => PaxosMsg::Promise {
+            inst,
+            ballot: p.read_u64_le()?,
+            accepted: if p.read_bool()? {
+                Some((p.read_u64_le()?, get_decree(&mut p)?))
+            } else {
+                None
+            },
+        },
+        2 => PaxosMsg::AcceptReq { inst, ballot: p.read_u64_le()?, decree: get_decree(&mut p)? },
+        3 => PaxosMsg::Accepted { inst, ballot: p.read_u64_le()?, decree: get_decree(&mut p)? },
+        4 => PaxosMsg::Learn { inst, decree: get_decree(&mut p)? },
+        t => return Err(VmError::Decode(format!("unknown paxos tag {t}"))),
+    };
+    p.finish("paxos payload")?;
+    Ok(m)
+}
+
+/// A gossip digest: its byte length, the epoch, the counted evictions,
+/// the code hash and the GVT hint.
+fn put_digest(buf: &mut BytesMut, d: &Digest) {
+    debug_assert!(d.evictions.len() <= MAX_EVICTIONS);
+    let n = u16::try_from(d.evictions.len()).expect("victims are u16 daemon ids");
+    buf.put_varint(22 + 10 * u64::from(n));
+    buf.put_u32_le(d.mem_epoch);
+    buf.put_u16_le(n);
+    for &(victim, floor) in &d.evictions {
+        buf.put_u16_le(victim);
+        buf.put_f64(floor);
+    }
+    buf.put_u64_le(d.code_hash);
+    buf.put_f64(d.gvt);
+}
+
+fn get_digest(buf: &mut Bytes) -> Result<Digest, VmError> {
+    let mut p = buf.read_bytes()?;
+    let (mem_epoch, n) = (p.read_u32_le()?, usize::from(p.read_u16_le()?));
+    if n > MAX_EVICTIONS {
+        return Err(VmError::Decode(format!("{n} evictions exceed the cap of {MAX_EVICTIONS}")));
+    }
+    let evictions = (0..n)
+        .map(|_| Ok((p.read_u16_le()?, get_vt(&mut p)?.as_f64())))
+        .collect::<Result<Vec<_>, VmError>>()?;
+    let (code_hash, gvt) = (p.read_u64_le()?, get_vt(&mut p)?.as_f64());
+    p.finish("gossip payload")?;
+    Ok(Digest { mem_epoch, evictions, code_hash, gvt })
 }
 
 fn put_frame(buf: &mut BytesMut, w: &Wire) {
@@ -486,13 +578,13 @@ fn put_frame(buf: &mut BytesMut, w: &Wire) {
         Wire::Ctrl { from, msg } => {
             buf.put_u8(10);
             put_daemon(buf, *from);
-            put_ctrl_payload(buf, |out| msgr_ctrl::codec::put_paxos(out, msg));
+            put_paxos(buf, msg);
         }
         Wire::Gossip { from, reply, digest } => {
             buf.put_u8(11);
             put_daemon(buf, *from);
             buf.put_bool(*reply);
-            put_ctrl_payload(buf, |out| msgr_ctrl::codec::put_digest(out, digest));
+            put_digest(buf, digest);
         }
         Wire::CkptPush { owner, ver, snapshot } => {
             buf.put_u8(12);
@@ -555,14 +647,11 @@ fn get_frame(buf: &mut Bytes, in_data: bool) -> Result<Wire, VmError> {
         8 => {
             Wire::Evict { victim: get_daemon(buf)?, epoch: buf.read_varint()?, floor: get_vt(buf)? }
         }
-        10 => Wire::Ctrl {
-            from: get_daemon(buf)?,
-            msg: get_ctrl_payload(buf, "ctrl", msgr_ctrl::codec::get_paxos)?,
-        },
+        10 => Wire::Ctrl { from: get_daemon(buf)?, msg: get_paxos(buf)? },
         11 => Wire::Gossip {
             from: get_daemon(buf)?,
             reply: buf.read_bool()?,
-            digest: get_ctrl_payload(buf, "gossip", msgr_ctrl::codec::get_digest)?,
+            digest: get_digest(buf)?,
         },
         12 => Wire::CkptPush {
             owner: get_daemon(buf)?,
@@ -738,6 +827,30 @@ mod tests {
                     decree: msgr_ctrl::Decree { victim: 5, successor: 6, epoch: 1 },
                 },
             },
+            Wire::Ctrl {
+                from: DaemonId(2),
+                msg: PaxosMsg::Promise {
+                    inst: InstanceId { victim: 0, seq: 0 },
+                    ballot: 1,
+                    accepted: None,
+                },
+            },
+            Wire::Ctrl {
+                from: DaemonId(1),
+                msg: PaxosMsg::AcceptReq {
+                    inst: InstanceId { victim: 7, seq: 3 },
+                    ballot: 9,
+                    decree: Decree { victim: 7, successor: 1, epoch: 2 },
+                },
+            },
+            Wire::Ctrl {
+                from: DaemonId(0),
+                msg: PaxosMsg::Accepted {
+                    inst: InstanceId { victim: 7, seq: 3 },
+                    ballot: 9,
+                    decree: Decree { victim: 7, successor: 1, epoch: 2 },
+                },
+            },
             Wire::Gossip {
                 from: DaemonId(2),
                 reply: false,
@@ -837,20 +950,102 @@ mod tests {
         assert!(push.wire_bytes(64) >= 164, "pushes account the snapshot bytes");
     }
 
-    #[test]
-    fn ctrl_payload_trailing_bytes_rejected() {
-        let msg = msgr_ctrl::PaxosMsg::Learn {
-            inst: msgr_ctrl::InstanceId { victim: 1, seq: 0 },
-            decree: msgr_ctrl::Decree { victim: 1, successor: 2, epoch: 1 },
-        };
-        let mut payload = Vec::new();
-        msgr_ctrl::codec::put_paxos(&mut payload, &msg);
+    fn control_frames() -> Vec<Wire> {
+        let mut frames = sample_frames();
+        frames.retain(|w| matches!(w, Wire::Ctrl { .. } | Wire::Gossip { .. }));
+        frames
+    }
+
+    /// `w` (a control frame) encoded with its payload edited by `edit`
+    /// and length-prefixed again, so only the payload decoder sees the
+    /// damage.
+    fn with_payload(w: &Wire, edit: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        let mut b = encode_frame(w);
         let mut raw = BytesMut::new();
-        raw.put_u8(10);
-        raw.put_varint(1); // from
-        payload.push(0); // a byte the ctrl codec cannot account for
+        let tag = b.read_u8().unwrap();
+        raw.put_u8(tag);
+        raw.put_varint(b.read_varint().unwrap());
+        if tag == 11 {
+            raw.put_bool(b.read_bool().unwrap());
+        }
+        let mut payload = b.read_bytes().unwrap().to_vec();
+        edit(&mut payload);
         raw.put_bytes(&payload);
-        assert!(decode_frame(raw.freeze()).is_err(), "slack inside the payload must not decode");
+        raw.freeze()
+    }
+
+    fn decode_error(raw: Bytes) -> String {
+        match decode_frame(raw) {
+            Err(VmError::Decode(msg)) => msg,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn control_payloads_reject_every_truncation() {
+        for w in control_frames() {
+            let full = encode_frame(&w);
+            assert_eq!(with_payload(&w, |_| {}), full, "{w:?}");
+            for cut in 0..full.len() {
+                assert!(decode_frame(full.slice(..cut)).is_err(), "{w:?} frame cut at {cut}");
+            }
+            let mut len = 0;
+            with_payload(&w, |p| len = p.len());
+            for cut in 0..len {
+                let raw = with_payload(&w, |p| p.truncate(cut));
+                assert!(decode_frame(raw).is_err(), "{w:?} payload cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn control_payload_trailing_bytes_rejected() {
+        for w in control_frames() {
+            let msg = decode_error(with_payload(&w, |p| p.push(0)));
+            assert!(msg.contains("trailing"), "{w:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn paxos_tags_and_flags_are_strict() {
+        let frames = control_frames();
+        let find = |pick: fn(&PaxosMsg) -> bool| {
+            frames.iter().find(|w| matches!(w, Wire::Ctrl { msg, .. } if pick(msg))).unwrap()
+        };
+        let prepare = find(|m| matches!(m, PaxosMsg::Prepare { .. }));
+        let msg = decode_error(with_payload(prepare, |p| p[0] = 9));
+        assert!(msg.contains("unknown paxos tag 9"), "{msg}");
+        let promise = find(|m| matches!(m, PaxosMsg::Promise { accepted: None, .. }));
+        let msg = decode_error(with_payload(promise, |p| *p.last_mut().unwrap() = 2));
+        assert!(msg.contains("flag byte 2"), "{msg}");
+    }
+
+    #[test]
+    fn digest_nans_and_oversized_counts_are_rejected() {
+        let gossip = Wire::Gossip {
+            from: DaemonId(1),
+            reply: false,
+            digest: Digest { mem_epoch: 1, evictions: vec![(3, 0.5)], code_hash: 0, gvt: 0.0 },
+        };
+        let mut nan = BytesMut::new();
+        nan.put_f64(f64::NAN);
+        // epoch (4), count (2), victim (2), then the floor's 8 bytes.
+        let msg = decode_error(with_payload(&gossip, |p| p[8..16].copy_from_slice(&nan)));
+        assert!(msg.contains("NaN"), "floor: {msg}");
+        let msg = decode_error(with_payload(&gossip, |p| {
+            let gvt = p.len() - 8;
+            p[gvt..].copy_from_slice(&nan);
+        }));
+        assert!(msg.contains("NaN"), "gvt: {msg}");
+        // A count past the cap is refused from the epoch and count alone,
+        // before anything is allocated or read for its elements.
+        for count in [MAX_EVICTIONS + 1, usize::from(u16::MAX)] {
+            let mut head = BytesMut::new();
+            head.put_u32_le(1);
+            head.put_u16_le(u16::try_from(count).unwrap());
+            let msg = decode_error(with_payload(&gossip, |p| *p = head.to_vec()));
+            assert!(msg.contains("exceed the cap"), "{msg}");
+        }
     }
 
     #[test]

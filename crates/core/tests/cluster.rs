@@ -369,6 +369,46 @@ fn optimistic_matches_conservative() {
 }
 
 #[test]
+#[ignore = "Time Warp livelock, ROADMAP item 18"]
+fn optimistic_finishes_a_same_time_reschedule_after_a_hop_down() {
+    // Injected on daemon 1, the messenger hops to daemon 0 and reschedules
+    // at its own virtual time. The continuation's id is minted on daemon 0,
+    // so it orders before the event that sent it: Time Warp takes it for a
+    // straggler, rolls back, cancels it and sends it again, until the run
+    // stalls at `max_events` (bounded here so the stall takes seconds, not
+    // hours). Conservative virtual time finishes it.
+    let prog = compile(
+        r#"main() {
+            node int done;
+            hop(ll = "ring");
+            M_sched_time_dlt(0.0);
+            done = done + 1;
+        }"#,
+    )
+    .unwrap();
+    let run_with = |mode: VtMode| {
+        let mut cfg = ClusterConfig::new(2);
+        cfg.net = NetKind::Ideal;
+        cfg.vt_mode = mode;
+        cfg.max_events = 200_000;
+        let mut c = SimCluster::new(cfg);
+        let mut topo = LogicalTopology::new();
+        topo.node(Value::str("r0"), DaemonId(0));
+        topo.node(Value::str("r1"), DaemonId(1));
+        topo.link(Value::str("r0"), Value::str("r1"), Value::str("ring"), Dir::Any);
+        c.build(&topo).unwrap();
+        let pid = c.register_program(&prog);
+        c.inject_at(&Value::str("r1"), pid, &[]).unwrap();
+        let report = c.run().unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        assert!(report.faults.is_empty(), "{mode:?}: {:?}", report.faults);
+        c.node_var_by_name(&Value::str("r0"), "done")
+    };
+    let cons = run_with(VtMode::Conservative);
+    assert_eq!(cons, Some(Value::Int(1)));
+    assert_eq!(run_with(VtMode::Optimistic), cons);
+}
+
+#[test]
 fn carry_code_inflates_migrations() {
     let prog =
         compile(r#"main() { int i; for (i = 0; i < 4; i = i + 1) hop(ll = "spoke"); }"#).unwrap();

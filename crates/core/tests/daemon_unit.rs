@@ -202,6 +202,25 @@ fn gvt_kick_starts_round_only_on_coordinator() {
 }
 
 #[test]
+fn a_gvt_ack_naming_a_daemon_outside_the_cluster_is_ignored() {
+    let (mut d, _) = mk_daemon(0, ClusterConfig::new(2));
+    let mut fx = Vec::new();
+    assert!(d.gvt_begin(&mut fx), "daemon 0 coordinates");
+    fx.clear();
+    let forged = CtrlMsg::CutAck {
+        round: 1,
+        daemon: 9,
+        lmin: Vt::ZERO,
+        prev_sent: 0,
+        prev_recv: 0,
+        late_min: Vt::ZERO,
+        cur_sent_min: Vt::ZERO,
+    };
+    d.on_wire(Wire::Gvt(forged), &mut fx);
+    assert!(fx.is_empty(), "a forged ack must not advance the round: {fx:?}");
+}
+
+#[test]
 fn cut_wire_produces_ack_with_local_min() {
     let (mut d, codes) = mk_daemon(1, ClusterConfig::new(2));
     let prog = msgr_lang::compile("main() { M_sched_time_abs(7.5); }").unwrap();

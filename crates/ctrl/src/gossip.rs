@@ -48,11 +48,11 @@ impl Digest {
 /// generator. Returns `None` when no other daemon is alive.
 pub fn pick_peer(rng: &mut DetRng, self_id: u16, alive: &[bool]) -> Option<u16> {
     let peers: Vec<u16> =
-        (0..alive.len() as u16).filter(|&d| d != self_id && alive[d as usize]).collect();
+        (0..=u16::MAX).zip(alive).filter(|&(d, &up)| up && d != self_id).map(|(d, _)| d).collect();
     if peers.is_empty() {
         return None;
     }
-    Some(peers[rng.below(peers.len() as u64) as usize])
+    usize::try_from(rng.below(peers.len() as u64)).ok().map(|i| peers[i])
 }
 
 #[cfg(test)]

@@ -19,8 +19,10 @@
 //!   eviction list, code-registry hash, GVT hint) exchanged on a seeded
 //!   random peer schedule, so no daemon depends on a coordinator
 //!   broadcast to learn what the cluster already decided.
-//! * [`codec`] — a strict byte codec for both message families, called
-//!   from the core wire layer (`Wire::Ctrl` / `Wire::Gossip` frames).
+//!
+//! Both message families travel as `Wire::Ctrl` / `Wire::Gossip` frames,
+//! whose bytes the core frame codec (`msgr_core::wire`) owns; this crate
+//! holds no byte format.
 //!
 //! Everything here is deterministic and side-effect free: the machines
 //! consume messages and return messages, and all randomness is an
@@ -30,9 +32,8 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
-#![allow(clippy::missing_panics_doc, clippy::must_use_candidate, clippy::cast_possible_truncation)]
+#![allow(clippy::missing_panics_doc, clippy::must_use_candidate)]
 
-pub mod codec;
 pub mod gossip;
 pub mod quorum;
 

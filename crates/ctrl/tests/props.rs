@@ -11,7 +11,6 @@
 //! (set by `scripts/ci.sh`) perturbs every case of the sweep.
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
-use msgr_ctrl::codec::{get_digest, get_paxos, put_digest, put_paxos};
 use msgr_ctrl::{pick_peer, Decree, Digest, InstanceId, PaxosMsg, Quorum};
 use msgr_sim::DetRng;
 
@@ -248,53 +247,6 @@ fn gossip_converges_within_bounded_rounds() {
         let all_equal = digests.windows(2).all(|w| w[0] == w[1]);
         prop_assert!(all_equal, "n={} digests still divergent after {} rounds", n, rounds);
         prop_assert!(rounds < bound, "n={} needed the full {} round budget", n, bound);
-        Ok(())
-    });
-}
-
-// ---- codec -------------------------------------------------------------
-
-fn arb_decree(s: &mut Source) -> Decree {
-    Decree { victim: s.any_u16(), successor: s.any_u16(), epoch: s.any_u32() }
-}
-
-fn arb_paxos(s: &mut Source) -> PaxosMsg {
-    let inst = InstanceId { victim: s.any_u16(), seq: s.any_u32() };
-    let ballot = s.any_u64();
-    match s.usize_in(0..6) {
-        0 => PaxosMsg::Prepare { inst, ballot },
-        1 => PaxosMsg::Promise { inst, ballot, accepted: None },
-        2 => PaxosMsg::Promise { inst, ballot, accepted: Some((s.any_u64(), arb_decree(s))) },
-        3 => PaxosMsg::AcceptReq { inst, ballot, decree: arb_decree(s) },
-        4 => PaxosMsg::Accepted { inst, ballot, decree: arb_decree(s) },
-        _ => PaxosMsg::Learn { inst, decree: arb_decree(s) },
-    }
-}
-
-#[test]
-fn ctrl_codec_round_trips_and_rejects_truncation() {
-    check_with(chaos_cases(), "ctrl_codec_round_trips_and_rejects_truncation", |s| {
-        let msg = arb_paxos(s);
-        let mut buf = Vec::new();
-        put_paxos(&mut buf, &msg);
-        let mut r = &buf[..];
-        prop_assert_eq!(get_paxos(&mut r), Ok(msg));
-        prop_assert!(r.is_empty(), "paxos decode must consume the payload exactly");
-
-        let digest = Digest {
-            mem_epoch: s.any_u32(),
-            evictions: (0..s.usize_in(0..5)).map(|_| (s.any_u16(), s.f64_in(0.0, 1e9))).collect(),
-            code_hash: s.any_u64(),
-            gvt: s.f64_in(0.0, 1e9),
-        };
-        let mut buf = Vec::new();
-        put_digest(&mut buf, &digest);
-        let mut r = &buf[..];
-        prop_assert_eq!(get_digest(&mut r), Ok(digest));
-        prop_assert!(r.is_empty(), "digest decode must consume the payload exactly");
-        let cut = s.usize_in(0..buf.len());
-        let mut r = &buf[..cut];
-        prop_assert!(get_digest(&mut r).is_err(), "truncation at {} must fail", cut);
         Ok(())
     });
 }

@@ -438,8 +438,9 @@ impl Coordinator {
                     return CoordinatorAction::Wait;
                 }
                 let i = daemon as usize;
-                if self.dead[i] {
-                    // A redirected straggler from an evicted daemon.
+                if self.dead.get(i).copied().unwrap_or(true) {
+                    // A redirected straggler from an evicted daemon, or
+                    // an id outside the membership.
                     return CoordinatorAction::Wait;
                 }
                 self.reported[i] = true;
@@ -455,7 +456,7 @@ impl Coordinator {
                     return CoordinatorAction::Wait;
                 }
                 let i = daemon as usize;
-                if self.dead[i] {
+                if self.dead.get(i).copied().unwrap_or(true) {
                     return CoordinatorAction::Wait;
                 }
                 self.reported[i] = true;
@@ -735,6 +736,34 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(coord.rounds_run(), 2);
+    }
+
+    #[test]
+    fn acks_naming_a_daemon_outside_the_membership_are_ignored() {
+        // `daemon` comes off the wire: an id past the membership must not
+        // index the per-daemon tables.
+        let mut coord = Coordinator::new(2);
+        let round = match coord.begin_round().unwrap() {
+            CtrlMsg::Cut { round } => round,
+            _ => unreachable!(),
+        };
+        let mut ghost = Participant::new(9);
+        assert_eq!(coord.on_ack(&ghost.on_cut(round, Vt::ZERO)), CoordinatorAction::Wait);
+        let poll = CtrlMsg::PollAck {
+            round,
+            daemon: 9,
+            lmin: Vt::ZERO,
+            prev_recv: 0,
+            late_min: Vt::ZERO,
+            cur_sent_min: Vt::ZERO,
+        };
+        assert_eq!(coord.on_ack(&poll), CoordinatorAction::Wait);
+        let (mut p0, mut p1) = (Participant::new(0), Participant::new(1));
+        assert_eq!(coord.on_ack(&p0.on_cut(round, Vt::new(2.0))), CoordinatorAction::Wait);
+        match coord.on_ack(&p1.on_cut(round, Vt::new(3.0))) {
+            CoordinatorAction::Advance { gvt } => assert_eq!(gvt, Vt::new(2.0)),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

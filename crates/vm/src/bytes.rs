@@ -194,6 +194,33 @@ impl Bytes {
         Ok(f64::from_le_bytes(self.data[r].try_into().expect("take(8) yields 8 bytes")))
     }
 
+    /// Read a fixed-width little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] if fewer than 2 bytes remain.
+    pub fn read_u16_le(&mut self) -> Result<u16, VmError> {
+        self.take_array().map(u16::from_le_bytes)
+    }
+
+    /// Read a fixed-width little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] if fewer than 4 bytes remain.
+    pub fn read_u32_le(&mut self) -> Result<u32, VmError> {
+        self.take_array().map(u32::from_le_bytes)
+    }
+
+    /// Read a fixed-width little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] if fewer than 8 bytes remain.
+    pub fn read_u64_le(&mut self) -> Result<u64, VmError> {
+        self.take_array().map(u64::from_le_bytes)
+    }
+
     /// Read `n` little-endian `f64`s (a matrix body), checking that they
     /// fit before allocating for them.
     ///
@@ -302,6 +329,12 @@ impl Bytes {
         let r = self.start..self.start + n;
         self.start = r.end;
         Ok(r)
+    }
+
+    /// Consume the next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], VmError> {
+        let r = self.take(N)?;
+        Ok(self.data[r].try_into().expect("take(N) yields N bytes"))
     }
 
     /// A shared-storage sub-view of the unread bytes.
@@ -437,6 +470,21 @@ impl BytesMut {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append a fixed-width little-endian `u16`.
+    pub fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    /// Append a fixed-width little-endian `u32`.
+    pub fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    /// Append a fixed-width little-endian `u64`.
+    pub fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
     /// Append a counted sequence: the length, then `put` per element.
     pub fn put_seq<T>(
         &mut self,
@@ -492,6 +540,10 @@ mod tests {
         w.put_zigzag(-654_321);
         w.put_str("héllo");
         w.put_bytes(b"abc");
+        w.put_u16_le(0xBEEF);
+        w.put_u32_le(0xDEAD_BEEF);
+        w.put_u64_le(u64::MAX - 1);
+        assert_eq!(&w[w.len() - 14..w.len() - 12], &[0xEF, 0xBE], "little-endian");
         let mut r = w.freeze();
         assert_eq!(r.read_u8(), Ok(7));
         assert_eq!(r.read_bool(), Ok(true));
@@ -502,6 +554,9 @@ mod tests {
         let tail = r.read_bytes().unwrap();
         assert_eq!(&*tail, b"abc");
         assert!(Arc::ptr_eq(&tail.data, &before.data), "read_bytes shares storage");
+        assert_eq!(r.read_u16_le(), Ok(0xBEEF));
+        assert_eq!(r.read_u32_le(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.read_u64_le(), Ok(u64::MAX - 1));
         assert_eq!(r.finish("test"), Ok(()));
         assert!(before.finish("test").is_err());
     }
@@ -530,6 +585,9 @@ mod tests {
     fn reads_past_the_end_are_errors() {
         assert!(Bytes::new().read_u8().is_err());
         assert!(Bytes::from(vec![0u8; 7]).read_f64().is_err());
+        assert!(Bytes::from(vec![0u8; 1]).read_u16_le().is_err());
+        assert!(Bytes::from(vec![0u8; 3]).read_u32_le().is_err());
+        assert!(Bytes::from(vec![0u8; 7]).read_u64_le().is_err());
         // A view ends where it was sliced, not where its storage ends.
         let mut view = Bytes::from(vec![1u8, 2, 3]).slice(..1);
         assert_eq!(view.read_u8(), Ok(1));

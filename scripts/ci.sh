@@ -200,6 +200,13 @@ if grep -rnE 'SummaryTable|FnSummary|SumKind|HopBehavior' crates/vm/src crates/c
     echo "error: a summary type is back in the VM or the runtime: keep it in msgr-analyze" >&2
     exit 1
 fi
+# One byte discipline (DESIGN.md §7): the frame layer reads and writes its
+# fixed-width fields through msgr_vm::bytes, so no hand-rolled little-endian
+# reader or writer comes back under the core, control-plane or GVT sources.
+if grep -rnE 'from_le_bytes|to_le_bytes' crates/core/src crates/ctrl/src crates/gvt/src; then
+    echo "error: a hand-rolled little-endian codec is back: use the msgr_vm::bytes primitives" >&2
+    exit 1
+fi
 # Retired metrics stay retired (DESIGN.md §8): registered for benchmark/ but
 # emitted nowhere.
 if grep -rnE 'Metric::(LaneSteals|BatchFrames|BatchFlushes|AnalysisSnapshotsElided)' crates/*/src; then
